@@ -81,7 +81,7 @@ def random_word(rng, g, max_len):
 
 
 def product_rho(g, forbidden):
-    A = es.build_factor_automaton(forbidden, g.alphabet)
+    A = es.FactorAutomaton(forbidden, g.alphabet)
     pg = es.product_graph(g, A, roots=list(g.vertex_list))
     seen = list(pg.roots)
     seen_set = set(seen)

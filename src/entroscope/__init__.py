@@ -41,7 +41,6 @@ from .factors import (
     FactorAutomaton,
     ForbiddenSet,
     ForbiddenWordError,
-    build_factor_automaton,
     certify_denseness,
     estimate_denseness_constant,
     product_graph,
@@ -71,5 +70,4 @@ from .schreier import (
     family_names,
     growth_sensitivity_report,
     schreier_graph,
-    word_problem_census,
 )

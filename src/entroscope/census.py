@@ -15,10 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from . import linalg
-from .factors import ForbiddenSet, build_factor_automaton, product_graph
+from .factors import ForbiddenSet, avoiding, mass_on
 from .graphs import (
     DEFAULT_BUDGET,
     Edge,
@@ -29,6 +27,7 @@ from .graphs import (
     explicit_graph,
     forward_ball,
     full_window,
+    push,
     vertex_key,
 )
 from .growth import NEG_INF, GrowthFit, fit_log_growth
@@ -69,10 +68,6 @@ class WordCensus:
     counts: tuple[int, ...]
     forbidden: Optional[ForbiddenSet] = None
 
-    @property
-    def depth(self) -> int:
-        return len(self.counts) - 1
-
 
 @dataclass
 class EntropyEstimate:
@@ -95,44 +90,36 @@ def count_words(
     N: int,
     forbidden: Optional[ForbiddenSet] = None,
     budget: int = DEFAULT_BUDGET,
+    ball: Optional[Window] = None,
 ) -> WordCensus:
     """Exact word counts per length up to N.
 
     The forward ball of radius N around x must be deterministic, so words
     correspond to paths; with a forbidden set the DP runs on the product
-    graph, where dead automaton states are already pruned.
+    graph, where dead automaton states are already pruned.  A caller that
+    has already built and checked that ball passes it as ``ball``.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
+    if ball is None:
+        deterministic_ball(g, x, N, budget)
+    graph, start = avoiding(g, x, forbidden)
+    paired = forbidden is not None
+    frontier = {start: 1}
+    counts = [mass_on(frontier, y, paired)]
+    for _ in range(N):
+        frontier = push(graph, frontier)
+        counts.append(mass_on(frontier, y, paired))
+    return WordCensus(x=x, y=y, counts=tuple(counts), forbidden=forbidden)
+
+
+def deterministic_ball(g: LabelledGraph, x: Vertex, N: int, budget: int) -> Window:
+    """The radius-N ball around x, checked deterministic (words = paths)."""
     ball = forward_ball(g, x, N, budget=budget)
     violations = check_deterministic(g, ball)
     if violations:
         raise NondeterministicWindow(violations)
-    if forbidden is None:
-        graph: LabelledGraph = g
-        start: Vertex = x
-
-        def mass_at_y(frontier):
-            return frontier.get(y, 0)
-
-    else:
-        automaton = build_factor_automaton(forbidden, g.alphabet)
-        graph = product_graph(g, automaton, roots=[x])
-        start = (x, automaton.start)
-
-        def mass_at_y(frontier):
-            return sum(c for (v, _s), c in frontier.items() if v == y)
-
-    frontier = {start: 1}
-    counts = [mass_at_y(frontier)]
-    for _ in range(N):
-        nxt: dict = {}
-        for v, c in frontier.items():
-            for e in graph.out_edges(v):
-                nxt[e.target] = nxt.get(e.target, 0) + c
-        frontier = nxt
-        counts.append(mass_at_y(frontier))
-    return WordCensus(x=x, y=y, counts=tuple(counts), forbidden=forbidden)
+    return ball
 
 
 def determinize(g: LabelledGraph, w: Window) -> LabelledGraph:
@@ -145,28 +132,22 @@ def determinize(g: LabelledGraph, w: Window) -> LabelledGraph:
     adjacency: dict[Vertex, dict[str, set]] = {}
     for e in w.edges:
         adjacency.setdefault(e.source, {}).setdefault(e.label, set()).add(e.target)
-    start = (w.center,)
-    subsets = {start}
-    edges = []
-    stack = [start]
-    while stack:
-        subset = stack.pop()
+
+    def expand(subset):
         for a in g.alphabet:
             targets: set = set()
             for v in subset:
                 targets |= adjacency.get(v, {}).get(a, set())
-            if not targets:
-                continue
-            tgt = tuple(sorted(targets, key=vertex_key))
-            edges.append(Edge(subset, a, tgt))
-            if tgt not in subsets:
-                subsets.add(tgt)
-                stack.append(tgt)
+            if targets:
+                yield Edge(subset, a, tuple(sorted(targets, key=vertex_key)))
+
+    start = (w.center,)
+    reached = full_window(LabelledGraph(g.alphabet, expand, roots=[start]))
     return explicit_graph(
         alphabet=g.alphabet,
-        edges=edges,
+        edges=reached.edges,
         roots=[start],
-        vertices=sorted(subsets, key=vertex_key),
+        vertices=sorted(reached.vertices, key=vertex_key),
         name=f"{g.name}/determinized" if g.name else "determinized",
     )
 
@@ -192,39 +173,6 @@ def entropy_from_counts(census: WordCensus, tail: int = 20) -> EntropyEstimate:
     )
 
 
-def _finite_vertices_and_edges(g: LabelledGraph, budget: int):
-    if g.vertex_list is not None:
-        vertices = list(g.vertex_list)
-        edges = [e for v in vertices for e in g.out_edges(v)]
-        return vertices, edges
-    w = full_window(g, budget=budget)
-    return w.sorted_vertices(), list(w.edges)
-
-
-def _strongly_connected(vertices, edges) -> bool:
-    if not vertices:
-        return False
-    index = {v: i for i, v in enumerate(vertices)}
-    fwd: dict[int, list[int]] = {i: [] for i in range(len(vertices))}
-    bwd: dict[int, list[int]] = {i: [] for i in range(len(vertices))}
-    for e in edges:
-        i, j = index[e.source], index[e.target]
-        fwd[i].append(j)
-        bwd[j].append(i)
-
-    def reaches_all(adj):
-        seen = {0}
-        stack = [0]
-        while stack:
-            for j in adj[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == len(vertices)
-
-    return reaches_all(fwd) and reaches_all(bwd)
-
-
 def spectral_entropy_finite(
     g: LabelledGraph,
     tol: float = 1e-12,
@@ -233,28 +181,17 @@ def spectral_entropy_finite(
 ) -> EntropyEstimate:
     """log of the Perron root of the edge-count adjacency matrix.
 
-    Requires a finite, strongly connected, deterministic graph; the Perron
-    root is found by power iteration (Cauchy tolerance ``tol`` on the
-    eigenvalue estimate).
+    Requires the part of the graph reachable from the first root to be
+    finite, strongly connected and deterministic; the Perron root is found
+    by power iteration until its bracket closes to relative width ``tol``.
     """
-    vertices, edges = _finite_vertices_and_edges(g, budget)
-    index = {v: i for i, v in enumerate(sorted(vertices, key=vertex_key))}
-    seen_labels: dict[tuple, int] = {}
-    for e in edges:
-        key = (index[e.source], e.label)
-        seen_labels[key] = seen_labels.get(key, 0) + 1
-    collisions = [k for k, c in seen_labels.items() if c >= 2]
+    w = full_window(g, budget=budget)
+    collisions = check_deterministic(g, w)
     if collisions:
         raise NondeterministicWindow(collisions)
-    if not _strongly_connected(list(index), edges):
+    A = linalg.adjacency(w.sorted_vertices(), w.edges)
+    if linalg.strong_components(A)[0] != 1:
         raise NotStronglyConnected(f"graph {g.name!r} is not strongly connected")
-    n = len(index)
-    A = np.zeros((n, n))
-    for e in edges:
-        A[index[e.source], index[e.target]] += 1.0
-    if not edges:
-        return EntropyEstimate(value=NEG_INF, method="spectral",
-                               diagnostics={"eigenvalue": 0.0, "note": "no edges"})
     res = linalg.perron_root(A, tol=tol, max_iter=max_iter)
     lam = res.value
     value = math.log(lam) if lam > 0 else NEG_INF
@@ -265,7 +202,7 @@ def spectral_entropy_finite(
             "eigenvalue": lam,
             "iterations": res.iterations,
             "bracket": res.bracket,
-            "states": n,
+            "states": len(w.vertices),
         },
     )
 
@@ -302,21 +239,19 @@ def entropy_gap_report(
     """
     from . import chain as chain_mod
 
-    plain = count_words(g, x, y, N, budget=budget)
-    restricted = count_words(g, x, y, N, forbidden=forbidden, budget=budget)
+    ball = deterministic_ball(g, x, N, budget)
+    plain = count_words(g, x, y, N, budget=budget, ball=ball)
+    restricted = count_words(g, x, y, N, forbidden=forbidden, budget=budget, ball=ball)
     h = entropy_from_counts(plain, tail=tail)
     h_f = entropy_from_counts(restricted, tail=tail)
-    gap = h.value - h_f.value
-    report = GapReport(
-        h=h, h_forbidden=h_f, gap=gap, census=plain, census_forbidden=restricted
-    )
     certificate, scope, D_used, warnings = chain_mod.resolve_certificate(
         g, forbidden, N=N, cert_inputs=cert_inputs, budget=budget
     )
-    report.certificate = certificate
-    report.certificate_scope = scope
-    report.denseness_D = D_used
-    report.warnings.extend(warnings)
+    report = GapReport(
+        h=h, h_forbidden=h_f, gap=h.value - h_f.value, census=plain,
+        census_forbidden=restricted, certificate=certificate,
+        certificate_scope=scope, denseness_D=D_used, warnings=warnings,
+    )
     if h_f.value >= h.value - 1e-12 and not h.finite_language:
         report.warnings.append(
             "no measurable entropy drop at this depth; forbidden set may not be"

@@ -17,21 +17,22 @@ Together: rho_F <= rho * (1 - alpha_bar^k)^(1/k) < rho, strictly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
+from scipy import sparse
 
 from . import linalg
 from .factors import (
-    ForbiddenSet,
-    base_edge,
-    build_factor_automaton,
-    certify_denseness,
     DensenessCertificate,
+    ForbiddenSet,
+    avoiding,
+    base_edge,
+    certify_denseness,
     estimate_denseness_constant,
-    product_graph,
+    mass_on,
 )
 from .graphs import (
     DEFAULT_BUDGET,
@@ -43,6 +44,7 @@ from .graphs import (
     check_fully_deterministic,
     forward_ball,
     full_window,
+    push,
     uniform_connectedness_constant,
     vertex_key,
 )
@@ -55,14 +57,24 @@ class ChainError(ValueError):
     pass
 
 
+class DegenerateBound(ValueError):
+    """The certified drop is lost to floating point: alpha_bar^k is 0 or 1,
+    or 1 - eps rounds to 1 so that the bound would equal rho."""
+
+
 @dataclass(frozen=True)
 class WeightedChain:
-    """Edge probabilities p(e) >= alpha with substochastic rows."""
+    """Edge probabilities p(e) >= alpha with substochastic rows.
+
+    ``uniform`` chains (every edge 1/|alphabet|) propagate integer path
+    counts; their probabilities are read off exactly as count/|alphabet|^n.
+    """
 
     graph: LabelledGraph
     weight: Callable[[Edge], object] = field(compare=False)
     alpha: object = 0.0            # Fraction or float lower bound
-    exact: bool = False            # weights are Fractions
+    exact: bool = False            # probabilities are Fractions
+    uniform: bool = False
 
     @property
     def sigma_size(self) -> int:
@@ -78,7 +90,7 @@ def uniform_weights(g: LabelledGraph, exact: bool = True) -> WeightedChain:
     """
     sigma = len(g.alphabet)
     p = Fraction(1, sigma) if exact else 1.0 / sigma
-    chain = WeightedChain(graph=g, weight=lambda e: p, alpha=p, exact=exact)
+    chain = WeightedChain(graph=g, weight=lambda e: p, alpha=p, exact=exact, uniform=True)
     if g.is_finite:
         for v in g.vertex_list:
             if len(g.out_edges(v)) > sigma:
@@ -112,54 +124,68 @@ class StepDistribution:
     Unrestricted distributions live on base vertices; restricted ones live
     on product states (vertex, automaton state) and collapse through
     ``by_vertex``.  Total mass <= 1, the deficit is the death probability.
+    For uniform chains ``mass`` holds path counts c, read as probabilities
+    c / |alphabet|^n, so p^(n)(x, y) * |alphabet|^n = c_n(x, y) exactly.
     """
 
+    chain: WeightedChain
     x: Vertex
     n: int
     mass: dict
     forbidden: Optional[ForbiddenSet] = None
     graph: LabelledGraph = None  # graph the DP steps on (base or product)
 
+    def probability(self, m):
+        """The probability carried by mass m."""
+        if not self.chain.uniform:
+            return m
+        p = Fraction(m, self.chain.sigma_size**self.n)
+        return p if self.chain.exact else float(p)
+
+    def at(self, y: Vertex):
+        return self.probability(mass_on(self.mass, y, self.forbidden is not None))
+
     def by_vertex(self) -> dict:
-        if self.forbidden is None:
-            return dict(self.mass)
         out: dict = {}
-        for (v, _s), p in self.mass.items():
-            out[v] = out.get(v, 0) + p
-        return out
+        for state, m in self.mass.items():
+            v = state if self.forbidden is None else state[0]
+            out[v] = out.get(v, 0) + m
+        return {v: self.probability(m) for v, m in out.items()}
 
     def total(self):
-        return sum(self.mass.values())
+        return self.probability(sum(self.mass.values()))
 
 
 def initial_distribution(
     chain: WeightedChain, x: Vertex, forbidden: Optional[ForbiddenSet] = None
 ) -> StepDistribution:
-    one = Fraction(1) if chain.exact else 1.0
-    if forbidden is None:
-        return StepDistribution(x=x, n=0, mass={x: one}, graph=chain.graph)
-    automaton = build_factor_automaton(forbidden, chain.graph.alphabet)
-    pg = product_graph(chain.graph, automaton, roots=[x])
-    return StepDistribution(
-        x=x, n=0, mass={(x, automaton.start): one}, forbidden=forbidden, graph=pg
-    )
+    one = 1 if chain.uniform else Fraction(1) if chain.exact else 1.0
+    graph, start = avoiding(chain.graph, x, forbidden)
+    return StepDistribution(chain, x, 0, {start: one}, forbidden, graph)
 
 
 def step(
     chain: WeightedChain, dist: StepDistribution, budget: int = DEFAULT_BUDGET
 ) -> StepDistribution:
     """One transition-matrix multiplication over lazily expanded edges."""
-    restricted = dist.forbidden is not None
-    nxt: dict = {}
-    for state, p in dist.mass.items():
-        for e in dist.graph.out_edges(state):
-            w = chain.weight(base_edge(e)) if restricted else chain.weight(e)
-            nxt[e.target] = nxt.get(e.target, 0) + p * w
-            if len(nxt) > budget:
-                raise ExpansionBudgetExceeded("step frontier exceeded budget")
-    return StepDistribution(
-        x=dist.x, n=dist.n + 1, mass=nxt, forbidden=dist.forbidden, graph=dist.graph
-    )
+    weight = None
+    if not chain.uniform:
+        weight = chain.weight
+        if dist.forbidden is not None:
+            weight = lambda e: chain.weight(base_edge(e))
+    mass = push(dist.graph, dist.mass, weight)
+    if len(mass) > budget:
+        raise ExpansionBudgetExceeded("step frontier exceeded budget")
+    return StepDistribution(chain, dist.x, dist.n + 1, mass, dist.forbidden, dist.graph)
+
+
+def _walk(chain, x, n, forbidden, budget):
+    """The distributions after 0, 1, ..., n steps from x."""
+    dist = initial_distribution(chain, x, forbidden)
+    yield dist
+    for _ in range(n):
+        dist = step(chain, dist, budget=budget)
+        yield dist
 
 
 def n_step_vector(
@@ -169,9 +195,7 @@ def n_step_vector(
     forbidden: Optional[ForbiddenSet] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> StepDistribution:
-    dist = initial_distribution(chain, x, forbidden)
-    for _ in range(n):
-        dist = step(chain, dist, budget=budget)
+    *_, dist = _walk(chain, x, n, forbidden, budget)
     return dist
 
 
@@ -184,12 +208,7 @@ def probability_table(
     budget: int = DEFAULT_BUDGET,
 ) -> list:
     """p^(n)(x, y) (or the F-restricted variant) for n = 0..N."""
-    dist = initial_distribution(chain, x, forbidden)
-    table = [dist.by_vertex().get(y, 0)]
-    for _ in range(N):
-        dist = step(chain, dist, budget=budget)
-        table.append(dist.by_vertex().get(y, 0))
-    return table
+    return [dist.at(y) for dist in _walk(chain, x, N, forbidden, budget)]
 
 
 @dataclass
@@ -222,16 +241,12 @@ def rho_estimate(
     if N < 10:
         raise ValueError("N must be >= 10 for a meaningful tail estimate")
     table = probability_table(chain, x, y, N, forbidden=forbidden, budget=budget)
-    if all(p == 0 for p in table):
-        return RhoEstimate(
-            value=0.0, period=1, residual=0.0, converged=False, table=table,
-            diagnostics={"all_zero": True},
-        )
     fit = fit_log_growth(table, tail=tail)
     if fit.finite:
+        flag = "finite_support" if any(table) else "all_zero"
         return RhoEstimate(
             value=0.0, period=fit.period, residual=0.0, converged=False, table=table,
-            diagnostics={"finite_support": True},
+            diagnostics={flag: True},
         )
     return RhoEstimate(
         value=math.exp(fit.value),
@@ -261,37 +276,6 @@ class HarmonicVector:
         return self.residual <= self.tol
 
 
-def _window_matrix(chain, ball, scheme):
-    """Window-truncated transition matrix as CSR (windows of lazily
-    generated graphs can hold hundreds of thousands of vertices)."""
-    from scipy import sparse
-
-    verts = ball.sorted_vertices()
-    index = {v: i for i, v in enumerate(verts)}
-    rows, cols, vals = [], [], []
-    for i, v in enumerate(verts):
-        edges = chain.graph.out_edges(v)
-        s_full = float(sum(chain.weight(e) for e in edges))
-        entries = []
-        s_in = 0.0
-        for e in edges:
-            j = index.get(e.target)
-            if j is not None:
-                w = float(chain.weight(e))
-                entries.append((j, w))
-                s_in += w
-        scale = 1.0
-        if scheme == "reflecting" and 0.0 < s_in < s_full:
-            scale = s_full / s_in
-        for j, w in entries:
-            rows.append(i)
-            cols.append(j)
-            vals.append(w * scale)
-    n = len(verts)
-    M = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return verts, index, M
-
-
 def harmonic_vector(
     chain: WeightedChain,
     center: Vertex,
@@ -315,19 +299,23 @@ def harmonic_vector(
     if scheme not in ("reflecting", "absorbing"):
         raise ValueError(f"unknown truncation scheme {scheme!r}")
     ball = forward_ball(chain.graph, center, radius, budget=budget)
-    verts, index, M = _window_matrix(chain, ball, scheme)
+    verts = ball.sorted_vertices()
+    index = {v: i for i, v in enumerate(verts)}
+    weight = lambda e: float(chain.weight(e))
+    absorbing = linalg.adjacency(verts, ball.edges, weight)
+    if linalg.strong_components(absorbing)[0] != 1:
+        raise ChainError("the window is not strongly connected; no positive harmonic vector")
+    kept = np.asarray(absorbing.sum(axis=1)).ravel()
+    leaked = np.zeros(len(verts))
+    for e in ball.boundary:
+        leaked[index[e.source]] += weight(e)
+    scale = np.divide(kept + leaked, kept, out=np.ones(len(verts)), where=kept > 0)
+    matrices = {"absorbing": absorbing, "reflecting": sparse.diags(scale) @ absorbing}
     other = "absorbing" if scheme == "reflecting" else "reflecting"
-    _, _, M_other = _window_matrix(chain, ball, other)
     vec_tol = min(1e-10, tol * 1e-2)
-    res = linalg.perron_root(M, max_iter=max_iter, vector_tol=vec_tol)
-    res_other = linalg.perron_root(M_other, max_iter=max_iter)
-    vec = res.vector
-    if vec.min() <= 0:
-        raise ChainError(
-            "window eigenvector has nonpositive entries; the window is likely"
-            " not strongly connected"
-        )
-    vec = vec / vec[index[center]]
+    res = linalg.perron_root(matrices[scheme], max_iter=max_iter, vector_tol=vec_tol)
+    res_other = linalg.perron_root(matrices[other], max_iter=max_iter)
+    vec = res.vector / res.vector[index[center]]
     values = {v: float(vec[i]) for v, i in index.items()}
     rho_hat = res.value
     residual = 0.0
@@ -420,20 +408,10 @@ class GapCertificate:
         return math.log(self.bound * sigma_size)
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "D": self.D,
-            "R": self.R,
-            "k": self.k,
-            "eps0": self.eps0,
-            "conn_K": self.conn_k,
-            "alpha_bar": self.alpha_bar,
-            "eps0_prime": self.eps0_prime,
-            "eps": self.eps,
-            "rho": self.rho,
-            "bound": self.bound,
-            "path": "stochastic" if self.stochastic_path else "general",
-        }
+        d = asdict(self)
+        d["conn_K"] = d.pop("conn_k")
+        d["path"] = "stochastic" if d.pop("stochastic_path") else "general"
+        return d
 
 
 def certified_gap_bound(
@@ -475,13 +453,17 @@ def certified_gap_bound(
         alpha_bar = (alpha / rho) ** (conn_k + 1)
     eps0_prime = alpha_bar**k
     if not (0 < eps0_prime < 1):
-        raise ValueError(
+        raise DegenerateBound(
             f"post-transform floor alpha_bar^k = {eps0_prime} outside (0, 1);"
             " the bound degenerates"
         )
-    eps = 1.0 - (1.0 - eps0_prime) ** (1.0 / k)
+    eps = -math.expm1(math.log1p(-eps0_prime) / k)
     bound = rho * (1.0 - eps)
-    assert bound < rho
+    if not bound < rho:
+        raise DegenerateBound(
+            f"per-step drop eps = {eps:.3g} is below float resolution at rho = {rho};"
+            " the bound degenerates to rho"
+        )
     return GapCertificate(
         alpha=alpha,
         D=D,
@@ -574,10 +556,16 @@ def transform_identity_check(
     threshold: float = 0.05,
     tail: int = 20,
     budget: int = DEFAULT_BUDGET,
+    restricted: Optional[RhoEstimate] = None,
 ) -> TransformIdentityReport:
+    """Compare the decay rates of the transformed and original restricted
+    chains; ``restricted`` is the original's estimate when the caller
+    already has it (same x, y, N, tail)."""
     transformed = h_transform(chain, hv, conn_k=conn_k)
     lhs = rho_estimate(transformed, x, y, N, forbidden=forbidden, tail=tail, budget=budget)
-    rhs = rho_estimate(chain, x, y, N, forbidden=forbidden, tail=tail, budget=budget)
+    rhs = restricted
+    if rhs is None:
+        rhs = rho_estimate(chain, x, y, N, forbidden=forbidden, tail=tail, budget=budget)
     difference = abs(lhs.value - rhs.value / hv.rho_hat)
     return TransformIdentityReport(
         lhs=lhs.value,
@@ -681,13 +669,9 @@ def resolve_certificate(
     elif g.declared.rho is not None:
         rho = g.declared.rho
     elif g.is_finite:
-        vertices = sorted(g.vertex_list, key=vertex_key)
-        index = {v: i for i, v in enumerate(vertices)}
-        A = np.zeros((len(vertices), len(vertices)))
-        for v in vertices:
-            for e in g.out_edges(v):
-                A[index[v], index[e.target]] += 1.0
-        rho = linalg.perron_root(A).value / sigma
+        # w is the part reachable from the root: unreachable vertices do not
+        # bound the root's language
+        rho = linalg.spectral_radius(linalg.adjacency(w.sorted_vertices(), w.edges)) / sigma
     else:
         est = rho_estimate(
             uniform_weights(g, exact=False), g.roots[0], g.roots[0], N, budget=budget

@@ -8,7 +8,8 @@ optional per-n CSV table); identical configs produce byte-identical
 reports except for the timestamp field.
 
 Exit codes: 0 success, 2 configuration error, 3 expansion budget exceeded,
-4 certification failed (the analysis report is still emitted).
+4 certification failed (the analysis report is still emitted, or an error
+report when the bound degenerates or a Perron solve does not converge).
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Optional
 
-from . import __version__, census, chain, factors, graphs, schreier
+from . import __version__, census, chain, factors, graphs, linalg, schreier
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,29 +60,21 @@ class JobConfig:
     sigma_size: Optional[int] = None
     arithmetic: str = "exact"
     budget: int = graphs.DEFAULT_BUDGET
-    threads: int = 1
     csv: Optional[str] = None
     out: Optional[str] = None
 
 
-def _num(x):
-    """JSON-safe number: infinities and NaN become null."""
-    if x is None:
-        return None
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, float) and not math.isfinite(x):
-        return None
-    return x
-
-
-def _sanitize(obj):
+def _num(obj):
+    """JSON-safe value: Fractions become text, infinities and NaN null,
+    containers are converted recursively."""
     if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
+        return {str(k): _num(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (float, Fraction)):
-        return _num(obj)
+        return [_num(v) for v in obj]
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 
@@ -91,8 +84,13 @@ def _estimate_dict(est: census.EntropyEstimate) -> dict:
         "method": est.method,
         "period": est.period,
         "finite_language": est.finite_language,
-        "diagnostics": _sanitize(est.diagnostics),
+        "diagnostics": _num(est.diagnostics),
     }
+
+
+def _error(exc: Exception, kind: Optional[str] = None) -> None:
+    print(json.dumps({"error": {"type": kind or type(exc).__name__, "message": str(exc)}},
+                     indent=2, sort_keys=True))
 
 
 def _report(config: JobConfig, results: dict, warnings: list[str]) -> dict:
@@ -101,7 +99,7 @@ def _report(config: JobConfig, results: dict, warnings: list[str]) -> dict:
         "version": __version__,
         "command": config.command,
         "generated_at": datetime.now(timezone.utc).isoformat(),
-        "config": _sanitize(asdict(config)),
+        "config": _num(asdict(config)),
         "results": results,
         "warnings": list(warnings),
     }
@@ -147,22 +145,18 @@ def _parse_vertex(text: str):
 
 
 def _resolve_endpoints(g: graphs.LabelledGraph, args):
-    x = _parse_vertex(args.x) if getattr(args, "x", None) else g.roots[0]
-    y = _parse_vertex(args.y) if getattr(args, "y", None) else g.roots[0]
-    if g.is_finite:
-        by_key = {graphs.vertex_key(v): v for v in g.vertex_list}
-        for name, v in (("x", x), ("y", y)):
-            if v not in g.vertex_list:
-                k = graphs.vertex_key(v)
-                if k in by_key:
-                    v = by_key[k]
-                else:
-                    raise graphs.GraphFormatError(f"--{name} {k!r} is not a vertex of the graph")
-            if name == "x":
-                x = v
-            else:
-                y = v
-    return x, y
+    ends = []
+    for name in ("x", "y"):
+        text = getattr(args, name, None)
+        v = _parse_vertex(text) if text else g.roots[0]
+        if g.is_finite and v not in g.vertex_list:
+            by_key = {graphs.vertex_key(u): u for u in g.vertex_list}
+            k = graphs.vertex_key(v)
+            if k not in by_key:
+                raise graphs.GraphFormatError(f"--{name} {k!r} is not a vertex of the graph")
+            v = by_key[k]
+        ends.append(v)
+    return tuple(ends)
 
 
 def _forbidden_from(args, g: graphs.LabelledGraph, doc_words) -> Optional[factors.ForbiddenSet]:
@@ -184,56 +178,49 @@ def _cert_inputs(args) -> chain.CertificateInputs:
     )
 
 
-def _base_config(args, command: str, **extra) -> JobConfig:
-    return JobConfig(
-        command=command,
-        budget=args.budget,
-        threads=args.threads,
-        arithmetic=getattr(args, "arithmetic", "exact"),
-        csv=getattr(args, "csv", None),
-        out=getattr(args, "out", None),
-        **extra,
-    )
+def _base_config(args, **resolved) -> JobConfig:
+    """The subcommand's options that are JobConfig fields, overridden by the
+    ``resolved`` values (canonical vertex ids, parsed forbidden words)."""
+    names = {f.name for f in fields(JobConfig)}
+    given = {k: v for k, v in vars(args).items() if k in names}
+    return JobConfig(**{**given, **resolved})
 
 
-def _census_csv(plain, restricted):
-    rows = []
-    for n, c in enumerate(plain.counts):
-        cf = restricted.counts[n] if restricted is not None else ""
-        rows.append((n, c, cf))
-    return rows
-
-
-def cmd_count(args) -> int:
+def _setup(args):
+    """Graph, endpoints, forbidden set and echoed config of a subcommand
+    that reads a graph."""
     g, doc_words = _load_graph(args)
     x, y = _resolve_endpoints(g, args)
     forbidden = _forbidden_from(args, g, doc_words)
     config = _base_config(
-        args,
-        "count",
-        graph=getattr(args, "graph", None),
-        family=getattr(args, "family", None),
-        x=graphs.vertex_key(x),
-        y=graphs.vertex_key(y),
-        depth=args.depth,
+        args, x=graphs.vertex_key(x), y=graphs.vertex_key(y),
         forbid=forbidden.as_strings() if forbidden else (),
-        tail=args.tail,
     )
+    return g, x, y, forbidden, config
+
+
+def _csv_rows(column, column_f=None):
+    """(n, value, restricted value or "") rows of a per-n table."""
+    return [(n, v, "" if column_f is None else column_f[n]) for n, v in enumerate(column)]
+
+
+def cmd_count(args) -> int:
+    g, x, y, forbidden, config = _setup(args)
     plain = census.count_words(g, x, y, args.depth, budget=args.budget)
-    restricted = None
-    if forbidden is not None:
-        restricted = census.count_words(g, x, y, args.depth, forbidden=forbidden, budget=args.budget)
     results = {
         "counts": list(plain.counts),
         "entropy": _estimate_dict(census.entropy_from_counts(plain, tail=args.tail)),
     }
-    if restricted is not None:
+    restricted = None
+    if forbidden is not None:
+        restricted = census.count_words(g, x, y, args.depth, forbidden=forbidden, budget=args.budget)
         results["counts_forbidden"] = list(restricted.counts)
         results["entropy_forbidden"] = _estimate_dict(
             census.entropy_from_counts(restricted, tail=args.tail)
         )
     report = _report(config, results, [])
-    _emit(report, config, _census_csv(plain, restricted), ("n", "c_n", "c_n_F"))
+    _emit(report, config, _csv_rows(plain.counts, restricted.counts if restricted else None),
+          ("n", "c_n", "c_n_F"))
     return EXIT_OK
 
 
@@ -257,59 +244,38 @@ def _gap_results(g, report: census.GapReport) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    g, doc_words = _load_graph(args)
-    x, y = _resolve_endpoints(g, args)
-    forbidden = _forbidden_from(args, g, doc_words)
+    g, x, y, forbidden, config = _setup(args)
     if forbidden is None:
-        raise graphs.GraphFormatError("analyze requires forbidden words (--forbid)")
-    config = _base_config(
-        args,
-        "analyze",
-        graph=getattr(args, "graph", None),
-        family=getattr(args, "family", None),
-        x=graphs.vertex_key(x),
-        y=graphs.vertex_key(y),
-        depth=args.depth,
-        forbid=forbidden.as_strings(),
-        tail=args.tail,
-        alpha=args.alpha,
-        D=args.D,
-        D_max=args.D_max,
-        conn_K=args.conn_K,
-        rho=args.rho,
-        stochastic=args.stochastic,
-        window_radius=args.window_radius,
-    )
+        raise graphs.GraphFormatError(f"{args.command} requires forbidden words (--forbid)")
     report = census.entropy_gap_report(
         g, x, y, forbidden, args.depth,
         tail=args.tail, cert_inputs=_cert_inputs(args), budget=args.budget,
     )
     results = _gap_results(g, report)
+    if args.command == "schreier":
+        results["family"] = args.family
+        results["declared"] = {
+            "conn_K": g.declared.conn_k,
+            "rho": g.declared.rho,
+            "homogeneous": g.declared.homogeneous,
+        }
     out = _report(config, results, report.warnings)
-    _emit(out, config, _census_csv(report.census, report.census_forbidden), ("n", "c_n", "c_n_F"))
+    _emit(out, config, _csv_rows(report.census.counts, report.census_forbidden.counts),
+          ("n", "c_n", "c_n_F"))
     return EXIT_OK if report.certificate is not None else EXIT_CERTIFICATION
 
 
 def cmd_bound(args) -> int:
-    config = _base_config(
-        args,
-        "bound",
-        alpha=args.alpha,
-        D=args.D,
-        R=args.R,
-        conn_K=args.conn_K,
-        rho=args.rho if args.rho is not None else 1.0,
-        stochastic=args.stochastic,
-        sigma_size=args.sigma_size,
-    )
-    cert = chain.certified_gap_bound(
-        alpha=args.alpha,
-        D=args.D,
-        R=args.R,
-        conn_k=args.conn_K,
-        rho=args.rho if args.rho is not None else 1.0,
-        stochastic=args.stochastic,
-    )
+    rho = args.rho if args.rho is not None else 1.0
+    config = _base_config(args, rho=rho, forbid=tuple(args.forbid or ()))
+    try:
+        cert = chain.certified_gap_bound(
+            alpha=args.alpha, D=args.D, R=args.R, conn_k=args.conn_K, rho=rho,
+            stochastic=args.stochastic,
+        )
+    except chain.DegenerateBound as exc:
+        _error(exc)
+        return EXIT_CERTIFICATION
     results = cert.to_dict()
     results["h_bound"] = (
         _num(cert.h_bound(args.sigma_size)) if args.sigma_size else None
@@ -340,36 +306,9 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _rho_csv(table, table_f):
-    rows = []
-    for n, p in enumerate(table):
-        pf = float(table_f[n]) if table_f is not None else ""
-        rows.append((n, float(p), pf))
-    return rows
-
-
 def cmd_rho(args) -> int:
-    g, doc_words = _load_graph(args)
-    x, y = _resolve_endpoints(g, args)
-    forbidden = _forbidden_from(args, g, doc_words)
-    exact = args.arithmetic == "exact"
-    ch = chain.uniform_weights(g, exact=exact)
-    config = _base_config(
-        args,
-        "rho",
-        graph=getattr(args, "graph", None),
-        family=getattr(args, "family", None),
-        x=graphs.vertex_key(x),
-        y=graphs.vertex_key(y),
-        depth=args.depth,
-        forbid=forbidden.as_strings() if forbidden else (),
-        tail=args.tail,
-        conn_K=args.conn_K,
-        hv_radius=args.hv_radius,
-        hv_tol=args.hv_tol,
-        hv_scheme=args.hv_scheme,
-        identity_threshold=args.identity_threshold,
-    )
+    g, x, y, forbidden, config = _setup(args)
+    ch = chain.uniform_weights(g, exact=args.arithmetic == "exact")
     warnings: list[str] = []
     est = chain.rho_estimate(ch, x, y, args.depth, tail=args.tail, budget=args.budget)
     dictionary = census.EntropyEstimate(
@@ -390,7 +329,7 @@ def cmd_rho(args) -> int:
         est_f = chain.rho_estimate(
             ch, x, y, args.depth, forbidden=forbidden, tail=args.tail, budget=args.budget
         )
-        table_f = est_f.table
+        table_f = [float(p) for p in est_f.table]
         results["rho_forbidden"] = _num(est_f.value)
         results["period_forbidden"] = est_f.period
         results["residual_forbidden"] = _num(est_f.residual)
@@ -408,14 +347,14 @@ def cmd_rho(args) -> int:
         identity = chain.transform_identity_check(
             ch, hv, forbidden, x, y, args.depth,
             conn_k=args.conn_K, threshold=args.identity_threshold,
-            tail=args.tail, budget=args.budget,
+            tail=args.tail, budget=args.budget, restricted=est_f,
         )
         results["harmonic"] = {
             "rho_hat": _num(hv.rho_hat),
             "residual": _num(hv.residual),
             "radius": radius,
             "scheme": hv.scheme,
-            "diagnostics": _sanitize(hv.diagnostics),
+            "diagnostics": _num(hv.diagnostics),
         }
         results["transform_identity"] = {
             "lhs": _num(identity.lhs),
@@ -427,7 +366,7 @@ def cmd_rho(args) -> int:
         if not identity.ok:
             warnings.append("h-transform identity check exceeded its threshold")
     report = _report(config, results, warnings)
-    _emit(report, config, _rho_csv(est.table, table_f), ("n", "p_n", "p_n_F"))
+    _emit(report, config, _csv_rows([float(p) for p in est.table], table_f), ("n", "p_n", "p_n_F"))
     return EXIT_OK
 
 
@@ -437,56 +376,18 @@ def cmd_schreier(args) -> int:
             "schreier analyzes the loop language at the root coset; use"
             " `analyze --family` for other vertex pairs"
         )
-    spec = schreier.builtin_family(args.family)
-    g = schreier.schreier_graph(spec)
-    forbidden = _forbidden_from(args, g, ())
-    if forbidden is None:
-        raise graphs.GraphFormatError("schreier requires forbidden words (--forbid)")
-    config = _base_config(
-        args,
-        "schreier",
-        family=args.family,
-        x=graphs.vertex_key(spec.root),
-        y=graphs.vertex_key(spec.root),
-        depth=args.depth,
-        forbid=forbidden.as_strings(),
-        tail=args.tail,
-        alpha=args.alpha,
-        D=args.D,
-        D_max=args.D_max,
-        conn_K=args.conn_K,
-        rho=args.rho,
-        stochastic=args.stochastic,
-        window_radius=args.window_radius,
-    )
-    report = schreier.growth_sensitivity_report(
-        spec, forbidden, args.depth,
-        tail=args.tail, cert_inputs=_cert_inputs(args), budget=args.budget,
-    )
-    results = _gap_results(g, report)
-    results["family"] = args.family
-    results["declared"] = {
-        "conn_K": spec.declared.conn_k,
-        "rho": spec.declared.rho,
-        "homogeneous": spec.declared.homogeneous,
-    }
-    out = _report(config, results, report.warnings)
-    _emit(out, config, _census_csv(report.census, report.census_forbidden), ("n", "c_n", "c_n_F"))
-    return EXIT_OK if report.certificate is not None else EXIT_CERTIFICATION
+    return cmd_analyze(args)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int,
                    default=int(os.environ.get("ENTROSCOPE_BUDGET", graphs.DEFAULT_BUDGET)),
                    help="expansion budget in vertices per ball (env ENTROSCOPE_BUDGET)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="upper bound on internal parallelism (current build is sequential)")
     p.add_argument("--out", help="also write the JSON report to this file")
 
 
-def _add_source(p: argparse.ArgumentParser, family_only: bool = False) -> None:
-    if not family_only:
-        p.add_argument("--graph", help="finite graph JSON document")
+def _add_source(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--graph", help="finite graph JSON document")
     p.add_argument("--family", choices=schreier.family_names(),
                    help="built-in infinite family")
 
@@ -498,7 +399,6 @@ def _add_analysis(p: argparse.ArgumentParser) -> None:
     p.add_argument("--forbid", action="append", default=None,
                    help="forbidden word (repeatable; per-character over 1-char alphabets)")
     p.add_argument("--tail", type=int, default=20, help="tail points used by the slope fit")
-    p.add_argument("--arithmetic", choices=("exact", "float"), default="exact")
     p.add_argument("--csv", help="write the per-n table to this CSV file")
 
 
@@ -556,6 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rho", help="n-step probability decay and h-transform identity")
     _add_source(p)
     _add_analysis(p)
+    p.add_argument("--arithmetic", choices=("exact", "float"), default="exact")
     p.add_argument("--conn-K", dest="conn_K", type=int, default=None)
     p.add_argument("--transform-check", action="store_true",
                    help="fit a harmonic vector and check the h-transform identity")
@@ -597,14 +498,13 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except graphs.ExpansionBudgetExceeded as exc:
-        print(json.dumps({"error": {"type": "budget-exceeded", "message": str(exc)}},
-                         indent=2, sort_keys=True))
+        _error(exc, "budget-exceeded")
         return EXIT_BUDGET
+    except linalg.ConvergenceError as exc:
+        _error(exc)
+        return EXIT_CERTIFICATION
     except _CONFIG_ERRORS as exc:
-        print(json.dumps(
-            {"error": {"type": type(exc).__name__, "message": str(exc)}},
-            indent=2, sort_keys=True,
-        ))
+        _error(exc)
         return EXIT_CONFIG
 
 

@@ -20,7 +20,7 @@ from .graphs import (
     Vertex,
     Window,
     forward_ball,
-    vertex_key,
+    path_to,
 )
 
 Word = tuple[str, ...]
@@ -115,43 +115,31 @@ class FactorAutomaton:
                     goto[s][sym] = len(goto) - 1
                 s = goto[s][sym]
             terminal[s] = True
-        # failure links by BFS over trie depth
+        # full transition table, filled in breadth-first order over the trie:
+        # a move the trie lacks is the move of the failure state, a shallower
+        # state whose row is already complete
         fail = [0] * len(goto)
-        queue = list(goto[0].values())
+        table: list[dict[str, int]] = [{} for _ in goto]
+        queue = [0]
         for s in queue:
-            fail[s] = 0
-        while queue:
-            s = queue.pop(0)
-            for sym, t in goto[s].items():
-                f = fail[s]
-                while f and sym not in goto[f]:
-                    f = fail[f]
-                fail[t] = goto[f][sym] if sym in goto[f] and goto[f][sym] != t else 0
+            for sym in self.alphabet:
+                t = goto[s].get(sym)
+                if t is None:
+                    table[s][sym] = table[fail[s]][sym] if s else 0
+                    continue
+                table[s][sym] = t
+                fail[t] = table[fail[s]][sym] if s else 0
                 terminal[t] = terminal[t] or terminal[fail[t]]
                 queue.append(t)
-        # full transition table over the alphabet, dead states absorbing
         dead = frozenset(s for s, t in enumerate(terminal) if t)
-        table: list[dict[str, int]] = []
-        for s in range(len(goto)):
-            row = {}
-            for sym in self.alphabet:
-                if s in dead:
-                    row[sym] = s
-                    continue
-                t = s
-                while t and sym not in goto[t]:
-                    t = fail[t]
-                row[sym] = goto[t].get(sym, 0)
-            table.append(row)
+        for s in dead:
+            table[s] = dict.fromkeys(self.alphabet, s)
         self._table = table
         self.dead = dead
         self.states = tuple(range(len(goto)))
 
     def step(self, state: int, symbol: str) -> int:
         return self._table[state][symbol]
-
-    def is_dead(self, state: int) -> bool:
-        return state in self.dead
 
     def run(self, word: Iterable[str]) -> int:
         """State after reading the word; stays in a dead state once entered."""
@@ -162,16 +150,7 @@ class FactorAutomaton:
 
     def rejects(self, word: Iterable[str]) -> bool:
         """True iff some forbidden word occurs as a factor of the word."""
-        s = self.start
-        for sym in word:
-            s = self.step(s, sym)
-            if s in self.dead:
-                return True
-        return False
-
-
-def build_factor_automaton(forbidden: ForbiddenSet, alphabet: Iterable[str]) -> FactorAutomaton:
-    return FactorAutomaton(forbidden, alphabet)
+        return self.run(word) in self.dead
 
 
 def product_graph(
@@ -210,10 +189,28 @@ def product_graph(
     )
 
 
+def avoiding(
+    g: LabelledGraph, x: Vertex, forbidden: Optional[ForbiddenSet]
+) -> tuple[LabelledGraph, Vertex]:
+    """(graph, start) whose paths from start are the paths from x in g that
+    avoid the forbidden words: the product graph, or g itself without F."""
+    if forbidden is None:
+        return g, x
+    automaton = FactorAutomaton(forbidden, g.alphabet)
+    return product_graph(g, automaton, roots=[x]), (x, automaton.start)
+
+
 def base_edge(e: Edge) -> Edge:
     """The base-graph edge underlying a product-graph edge."""
     (v, _), (t, _) = e.source, e.target
     return Edge(v, e.label, t)
+
+
+def mass_on(mass: dict, y: Vertex, paired: bool):
+    """Mass on base vertex y; ``paired`` masses live on product states."""
+    if not paired:
+        return mass.get(y, 0)
+    return sum(m for (v, _s), m in mass.items() if v == y)
 
 
 @dataclass(frozen=True)
@@ -231,9 +228,6 @@ class DensenessCertificate:
 
     D: int
     witnesses: dict = field(compare=False)  # vertex -> DensenessWitness
-
-    def max_distance(self) -> int:
-        return max((len(w.approach) for w in self.witnesses.values()), default=0)
 
 
 def _read_word(g: LabelledGraph, start: Vertex, word: Word) -> Optional[tuple[Edge, ...]]:
@@ -278,9 +272,9 @@ def certify_denseness(
             for word in forbidden.words:
                 reading = _read_word(g, y, word)
                 if reading is not None:
-                    approach = _approach_path(g, x, y, D, budget)
                     found = DensenessWitness(
-                        vertex=x, via=y, word=word, approach=approach, reading=reading
+                        vertex=x, via=y, word=word, approach=path_to(ball.parents, y),
+                        reading=reading,
                     )
                     break
             if found:
@@ -292,14 +286,6 @@ def certify_denseness(
     if uncovered:
         return uncovered
     return DensenessCertificate(D=D, witnesses=witnesses)
-
-
-def _approach_path(g, x, y, cap, budget):
-    from .graphs import _shortest_path
-
-    path = _shortest_path(g, x, y, cap, budget)
-    assert path is not None  # y came from the radius-cap ball around x
-    return path
 
 
 def estimate_denseness_constant(

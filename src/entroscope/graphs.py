@@ -155,6 +155,8 @@ class Window:
     ``vertices`` are exactly those at forward distance <= radius from the
     center; ``edges`` have both endpoints inside, ``boundary`` edges leave
     the window (their sources necessarily sit on the outer shell).
+    ``parents`` maps each vertex to the edge a breadth-first search first
+    reached it by, so ``path_to(w.parents, v)`` is a shortest path to v.
     """
 
     center: Vertex
@@ -163,6 +165,7 @@ class Window:
     distances: dict = field(compare=False)
     edges: tuple[Edge, ...] = ()
     boundary: tuple[Edge, ...] = ()
+    parents: dict = field(default_factory=dict, compare=False)
 
     def inner(self, margin: int = 1) -> frozenset:
         """Vertices at forward distance <= radius - margin from the center."""
@@ -173,33 +176,80 @@ class Window:
         return sorted(self.vertices, key=lambda v: (self.distances[v], vertex_key(v)))
 
 
+def bfs(
+    g: LabelledGraph,
+    x: Vertex,
+    radius: Optional[int] = None,
+    target: Optional[Vertex] = None,
+    budget: int = DEFAULT_BUDGET,
+) -> tuple[dict, dict]:
+    """Breadth-first search from ``x``: (distances, parent edges).
+
+    Explores at most ``radius`` layers (the whole reachable part when None)
+    and stops after the layer in which ``target`` is found.  Raises
+    ExpansionBudgetExceeded once more than ``budget`` vertices have been
+    discovered.
+    """
+    distances = {x: 0}
+    parents: dict = {x: None}
+    frontier = [x]
+    d = 0
+    while frontier and d != radius and target not in distances:
+        d += 1
+        nxt = []
+        for v in frontier:
+            for e in g.out_edges(v):
+                if e.target not in distances:
+                    distances[e.target] = d
+                    parents[e.target] = e
+                    nxt.append(e.target)
+                    if len(distances) > budget:
+                        raise ExpansionBudgetExceeded(
+                            f"search from {vertex_key(x)} exceeded {budget} vertices"
+                        )
+        frontier = nxt
+    return distances, parents
+
+
+def path_to(parents: dict, v: Vertex) -> tuple[Edge, ...]:
+    """The search-tree path from the search start to ``v``."""
+    path = []
+    while parents[v] is not None:
+        path.append(parents[v])
+        v = parents[v].source
+    return tuple(reversed(path))
+
+
+def push(
+    g: LabelledGraph, mass: dict, weight: Optional[Callable[[Edge], Any]] = None
+) -> dict:
+    """One propagation step: the mass on each vertex moves along its out-edges.
+
+    Without ``weight`` every edge carries its source's mass unchanged, so
+    integer masses count paths; with it, edge e carries mass * weight(e).
+    """
+    nxt: dict = {}
+    get = nxt.get
+    for v, m in mass.items():
+        for e in g.out_edges(v):
+            t = e.target
+            nxt[t] = get(t, 0) + (m if weight is None else m * weight(e))
+    return nxt
+
+
 def forward_ball(
-    g: LabelledGraph, x: Vertex, radius: int, budget: int = DEFAULT_BUDGET
+    g: LabelledGraph, x: Vertex, radius: Optional[int], budget: int = DEFAULT_BUDGET
 ) -> Window:
-    """Materialize the forward ball of the given radius around ``x``.
+    """Materialize the forward ball of the given radius around ``x`` (the
+    whole reachable part when radius is None).
 
     Raises ExpansionBudgetExceeded once more than ``budget`` vertices have
     been discovered, signalling that the ball is too large for desk-scale
     inspection.
     """
-    if radius < 0:
+    if radius is not None and radius < 0:
         raise ValueError("radius must be >= 0")
-    distances = {x: 0}
-    frontier = [x]
-    for d in range(1, radius + 1):
-        nxt = []
-        for v in sorted(frontier, key=vertex_key):
-            for e in g.out_edges(v):
-                if e.target not in distances:
-                    distances[e.target] = d
-                    nxt.append(e.target)
-                    if len(distances) > budget:
-                        raise ExpansionBudgetExceeded(
-                            f"forward ball around {vertex_key(x)} exceeded {budget} vertices"
-                        )
-        frontier = nxt
-        if not frontier:
-            break
+    distances, parents = bfs(g, x, radius, budget=budget)
     inside, boundary = [], []
     for v in sorted(distances, key=vertex_key):
         for e in g.out_edges(v):
@@ -209,11 +259,12 @@ def forward_ball(
                 boundary.append(e)
     return Window(
         center=x,
-        radius=radius,
+        radius=max(distances.values()) if radius is None else radius,
         vertices=frozenset(distances),
         distances=distances,
         edges=tuple(inside),
         boundary=tuple(boundary),
+        parents=parents,
     )
 
 
@@ -223,34 +274,7 @@ def full_window(g: LabelledGraph, budget: int = DEFAULT_BUDGET) -> Window:
     Only terminates for graphs whose reachable part is finite; the budget
     guards against accidentally calling this on an infinite family.
     """
-    x = g.roots[0]
-    distances = {x: 0}
-    frontier = [x]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in sorted(frontier, key=vertex_key):
-            for e in g.out_edges(v):
-                if e.target not in distances:
-                    distances[e.target] = d
-                    nxt.append(e.target)
-                    if len(distances) > budget:
-                        raise ExpansionBudgetExceeded(
-                            f"reachable closure from {vertex_key(x)} exceeded {budget} vertices"
-                        )
-        frontier = nxt
-    edges = []
-    for v in sorted(distances, key=vertex_key):
-        edges.extend(g.out_edges(v))
-    return Window(
-        center=x,
-        radius=max(distances.values(), default=0),
-        vertices=frozenset(distances),
-        distances=distances,
-        edges=tuple(edges),
-        boundary=(),
-    )
+    return forward_ball(g, g.roots[0], None, budget)
 
 
 def forward_distance(
@@ -263,27 +287,7 @@ def forward_distance(
     """Minimal path length from x to y if <= cap, else None."""
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    if x == y:
-        return 0
-    seen = {x}
-    frontier = [x]
-    for d in range(1, cap + 1):
-        nxt = []
-        for v in frontier:
-            for e in g.out_edges(v):
-                if e.target == y:
-                    return d
-                if e.target not in seen:
-                    seen.add(e.target)
-                    nxt.append(e.target)
-                    if len(seen) > budget:
-                        raise ExpansionBudgetExceeded(
-                            f"distance search from {vertex_key(x)} exceeded {budget} vertices"
-                        )
-        frontier = nxt
-        if not frontier:
-            break
-    return None
+    return bfs(g, x, cap, target=y, budget=budget)[0].get(y)
 
 
 def check_deterministic(g: LabelledGraph, w: Window) -> list[tuple[Vertex, str]]:
@@ -328,40 +332,6 @@ class UniformConnectednessResult:
         return not self.failures
 
 
-def _shortest_path(g, x, y, cap, budget):
-    """Shortest path x -> y of length <= cap as an edge tuple, else None.
-
-    A length-0 (empty) path is returned when x == y.
-    """
-    if x == y:
-        return ()
-    parent: dict[Vertex, Edge] = {x: None}  # type: ignore[dict-item]
-    frontier = [x]
-    for _ in range(cap):
-        nxt = []
-        for v in frontier:
-            for e in g.out_edges(v):
-                if e.target not in parent:
-                    parent[e.target] = e
-                    if e.target == y:
-                        path = []
-                        t = y
-                        while t != x:
-                            edge = parent[t]
-                            path.append(edge)
-                            t = edge.source
-                        return tuple(reversed(path))
-                    nxt.append(e.target)
-                    if len(parent) > budget:
-                        raise ExpansionBudgetExceeded(
-                            "return-path search exceeded budget"
-                        )
-        frontier = nxt
-        if not frontier:
-            break
-    return None
-
-
 def check_uniform_connectedness(
     g: LabelledGraph, w: Window, K: int, budget: int = DEFAULT_BUDGET
 ) -> UniformConnectednessResult:
@@ -376,11 +346,11 @@ def check_uniform_connectedness(
     witnesses = {}
     failures = []
     for e in w.edges:
-        back = _shortest_path(g, e.target, e.source, K, budget)
-        if back is None:
-            failures.append(e)
+        _, parents = bfs(g, e.target, K, target=e.source, budget=budget)
+        if e.source in parents:
+            witnesses[e] = path_to(parents, e.source)
         else:
-            witnesses[e] = back
+            failures.append(e)
     return UniformConnectednessResult(
         conn_k=K, witnesses=witnesses, failures=tuple(failures)
     )
@@ -393,10 +363,10 @@ def uniform_connectedness_constant(
     or None.  Length-0 returns (loops) count, matching the definition."""
     worst = 0
     for e in w.edges:
-        back = _shortest_path(g, e.target, e.source, K_max, budget)
+        back = forward_distance(g, e.target, e.source, K_max, budget)
         if back is None:
             return None
-        worst = max(worst, len(back))
+        worst = max(worst, back)
     return max(worst, 1)
 
 
@@ -468,10 +438,9 @@ def parse_graph_document(doc: dict, name: str = "") -> GraphDocument:
     for t in raw_edges:
         if len(t) != 3:
             raise GraphFormatError(f"edge entry {t!r} is not a [source, label, target] triple")
+        if t[1] not in alphabet:
+            raise GraphFormatError(f"edge label {t[1]!r} not in alphabet")
         edges.append(Edge(t[0], t[1], t[2]))
-    for e in edges:
-        if e.label not in alphabet:
-            raise GraphFormatError(f"edge label {e.label!r} not in alphabet")
     g = explicit_graph(alphabet, edges, roots, vertices=vertices, name=name)
     forbidden = tuple(doc.get("forbidden", ()))
     return GraphDocument(graph=g, forbidden=forbidden)

@@ -3,15 +3,15 @@
 Shared by word-count entropy estimates and transition-probability decay
 estimates.  Counts supported on a residue class (e.g. walks on the integer
 line return only at even times) are handled by detecting the period as the
-gcd of gaps between nonzero indices and fitting within residue classes;
-the reported slope is the maximum over classes, matching a limsup that
+gcd of gaps between nonzero indices: every nonzero index then lies in one
+residue class, and the slope is fitted on it, matching a limsup that
 ignores the zero subsequence.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from statistics import linear_regression
 from typing import Optional, Sequence
@@ -27,8 +27,6 @@ def log_value(v) -> float:
     """Natural log for ints (arbitrary precision), Fractions and floats."""
     if isinstance(v, Fraction):
         return math.log(v.numerator) - math.log(v.denominator)
-    if isinstance(v, int):
-        return math.log(v)
     return math.log(v)
 
 
@@ -42,7 +40,6 @@ class GrowthFit:
     points_used: int
     last_ratio: Optional[float] = None
     finite: bool = False
-    per_class: dict = field(default_factory=dict)
 
 
 def fit_log_growth(values: Sequence, tail: int = 20) -> GrowthFit:
@@ -67,34 +64,16 @@ def fit_log_growth(values: Sequence, tail: int = 20) -> GrowthFit:
         raise InsufficientData(
             f"need >= 2 nonzero points in the fit window, got {len(pts)}"
         )
-    # gcd periodicity puts every nonzero index in one residue class mod period,
-    # so the per-class loop usually sees a single class; kept general anyway.
-    classes: dict[int, list[int]] = {}
-    for n in pts:
-        classes.setdefault(n % period, []).append(n)
-    per_class = {}
-    best = NEG_INF
-    worst_residual = 0.0
-    for r, ns in sorted(classes.items()):
-        if len(ns) < 2:
-            continue
-        ys = [log_value(values[n]) for n in ns]
-        fit = linear_regression(ns, ys)
-        slope = fit.slope
-        residual = max(abs(y - (fit.intercept + slope * n)) for n, y in zip(ns, ys))
-        per_class[r] = slope
-        best = max(best, slope)
-        worst_residual = max(worst_residual, residual)
-    if not per_class:
-        raise InsufficientData("no residue class has two nonzero points")
+    ys = [log_value(values[n]) for n in pts]
+    fit = linear_regression(pts, ys)
+    residual = max(abs(y - (fit.intercept + fit.slope * n)) for n, y in zip(pts, ys))
     last, prev = nonzero[-1], nonzero[-2]
     last_ratio = (log_value(values[last]) - log_value(values[prev])) / (last - prev)
     return GrowthFit(
-        value=best,
+        value=fit.slope,
         period=period,
-        residual=worst_residual,
+        residual=residual,
         points_used=len(pts),
         last_ratio=last_ratio,
         finite=False,
-        per_class=per_class,
     )

@@ -1,12 +1,13 @@
-"""Nonnegative-matrix spectral helpers.
+"""Nonnegative-matrix spectral helpers, on scipy sparse matrices.
 
-Power iteration is written for irreducible nonnegative matrices (dense or
-scipy-sparse: large lazily-generated windows need sparse storage):
-iterating on A + I makes periodic cases (cycles) converge, and the
+Power iteration on A + I makes periodic cases (cycles) converge, and the
 Collatz-Wielandt quotients min_i (Bx)_i/x_i <= lambda <= max_i (Bx)_i/x_i
 give a certified bracket around the Perron root of the shifted matrix at
-every step.  Reducible matrices (product graphs usually are) go through
-dense eigvals.
+every step; ``perron_root`` returns only once that bracket has closed,
+which it does for irreducible matrices.  Reducible matrices (product
+graphs, windows with unreachable parts) go through their strongly
+connected components: the spectral radius is the largest Perron root of
+a component.
 """
 
 from __future__ import annotations
@@ -29,6 +30,61 @@ class PerronResult:
     bracket: tuple[float, float]   # Collatz-Wielandt bounds on the Perron root
 
 
+def adjacency(vertices, edges, weight=None) -> sparse.csr_matrix:
+    """Matrix indexed by ``vertices`` (in the given order) with entry (i, j)
+    the number of edges i -> j, or their summed ``weight(e)``.  Every edge
+    endpoint must be one of the vertices."""
+    index = {v: i for i, v in enumerate(vertices)}
+    rows = [index[e.source] for e in edges]
+    cols = [index[e.target] for e in edges]
+    data = np.ones(len(rows)) if weight is None else np.array([weight(e) for e in edges], float)
+    n = len(index)
+    return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
+def strong_components(A) -> tuple[int, np.ndarray]:
+    """(number of strongly connected components, component label of each
+    index) of the directed graph of A's stored entries; iterative Tarjan."""
+    A = sparse.csr_matrix(A)
+    n = A.shape[0]
+    indptr, indices = A.indptr.tolist(), A.indices.tolist()
+    order = [-1] * n
+    low = [0] * n
+    labels = [-1] * n
+    stack: list[int] = []
+    count = components = 0
+    # work items (v, i): i is v's next stored entry, or -1 before v is entered
+    work = [(root, -1) for root in reversed(range(n))]
+    while work:
+        v, i = work.pop()
+        if i < 0:
+            if order[v] >= 0:
+                continue
+            order[v] = low[v] = count
+            count += 1
+            stack.append(v)
+            i = indptr[v]
+        if i < indptr[v + 1]:
+            w = indices[i]
+            work.append((v, i + 1))
+            if order[w] < 0:
+                work.append((w, -1))
+            elif labels[w] < 0:
+                low[v] = min(low[v], order[w])
+            continue
+        if work and work[-1][1] >= 0:
+            u = work[-1][0]
+            low[u] = min(low[u], low[v])
+        if low[v] == order[v]:
+            while True:
+                w = stack.pop()
+                labels[w] = components
+                if w == v:
+                    break
+            components += 1
+    return components, np.array(labels, dtype=int)
+
+
 def perron_root(
     A,
     tol: float = 1e-12,
@@ -38,42 +94,46 @@ def perron_root(
     """Leading eigenvalue and positive eigenvector of an irreducible
     nonnegative matrix (ndarray or scipy sparse), by power iteration on A + I.
 
-    Stops once successive eigenvalue estimates are Cauchy within ``tol``
-    (and, when ``vector_tol`` is given, the sup-normalized iterate moved by
-    at most that much, for callers that need the eigenvector itself).
-    Raises ConvergenceError at the iteration cap.
+    Stops once the Collatz-Wielandt bracket [lo, hi] of A + I has closed,
+    hi - lo <= tol * hi (and, when ``vector_tol`` is given, the
+    sup-normalized iterate moved by at most that much, for callers that
+    need the eigenvector itself).  Raises ConvergenceError at the iteration
+    cap, which is where reducible inputs end.
     """
     n = A.shape[0]
     if n == 0:
         raise ValueError("empty matrix")
-    if sparse.issparse(A):
-        B = (A + sparse.identity(n, format="csr")).tocsr()
-    else:
-        B = A + np.eye(n)
+    B = sparse.csr_matrix(A) + sparse.identity(n, format="csr")
     x = np.ones(n)
-    prev_est = None
     for it in range(1, max_iter + 1):
         y = B @ x
         quot = y / x
         lo, hi = float(quot.min()), float(quot.max())
-        est = (lo + hi) / 2.0
         x_new = y / y.max()
         moved = float(np.max(np.abs(x_new - x)))
         x = x_new
-        if prev_est is not None and abs(est - prev_est) <= tol:
-            if vector_tol is None or moved <= vector_tol:
-                return PerronResult(
-                    value=est - 1.0,
-                    vector=x,
-                    iterations=it,
-                    bracket=(lo - 1.0, hi - 1.0),
-                )
-        prev_est = est
-    raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
+        if hi - lo <= tol * hi and (vector_tol is None or moved <= vector_tol):
+            return PerronResult(
+                value=(lo + hi) / 2.0 - 1.0,
+                vector=x,
+                iterations=it,
+                bracket=(lo - 1.0, hi - 1.0),
+            )
+    raise ConvergenceError(
+        f"power iteration bracket still ({lo - 1.0:.6g}, {hi - 1.0:.6g}) after {max_iter} steps"
+    )
 
 
-def spectral_radius(A: np.ndarray) -> float:
-    """max |eigenvalue|; works for reducible nonnegative matrices."""
-    if A.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(A))))
+def spectral_radius(A, tol: float = 1e-12, max_iter: int = 10**5) -> float:
+    """Spectral radius of a nonnegative matrix, reducible or not: the
+    largest Perron root over its strongly connected components."""
+    A = sparse.csr_matrix(A)
+    components, labels = strong_components(A)
+    sizes = np.bincount(labels, minlength=components)
+    # a one-vertex component's radius is its loop weight
+    radius = float(A.diagonal()[sizes[labels] == 1].max(initial=0.0))
+    for c in np.flatnonzero(sizes > 1):
+        members = np.flatnonzero(labels == c)
+        block = A[members][:, members]
+        radius = max(radius, perron_root(block, tol=tol, max_iter=max_iter).value)
+    return radius

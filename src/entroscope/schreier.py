@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .census import GapReport, WordCensus, count_words, entropy_gap_report
+from .census import GapReport, entropy_gap_report
 from .chain import CertificateInputs
 from .factors import ForbiddenSet
 from .graphs import DEFAULT_BUDGET, Declared, Edge, LabelledGraph, Vertex
@@ -144,18 +144,6 @@ def builtin_family(name: str) -> ActionSpec:
 
 def family_names() -> tuple[str, ...]:
     return tuple(sorted(_FAMILIES))
-
-
-def word_problem_census(
-    spec: ActionSpec,
-    N: int,
-    forbidden: Optional[ForbiddenSet] = None,
-    budget: int = DEFAULT_BUDGET,
-) -> WordCensus:
-    """Counts of length-n words evaluating into the subgroup, i.e. labels of
-    loops at the root coset, optionally avoiding the forbidden factors."""
-    g = schreier_graph(spec)
-    return count_words(g, spec.root, spec.root, N, forbidden=forbidden, budget=budget)
 
 
 def growth_sensitivity_report(

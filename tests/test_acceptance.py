@@ -81,7 +81,7 @@ def weighted_matrix(g, vertices):
 def product_rho_measured(g, forbidden):
     """Oracle for sup_{x,y} rho_{x,y}(P_F): dense eigvals of the uniform
     product matrix over states reachable from every (x, start)."""
-    A = es.build_factor_automaton(forbidden, g.alphabet)
+    A = es.FactorAutomaton(forbidden, g.alphabet)
     pg = es.product_graph(g, A, roots=list(g.vertex_list))
     seen = list(pg.roots)
     seen_set = set(seen)
@@ -123,7 +123,7 @@ def test_criterion_2_golden_mean_drop():
         ]
         assert es.count_words(b2, "v", "v", 20, forbidden=F).counts == tuple(oracle_counts)
 
-        automaton = es.build_factor_automaton(F, b2.alphabet)
+        automaton = es.FactorAutomaton(F, b2.alphabet)
         product = es.product_graph(b2, automaton)
         h_f_spectral = es.spectral_entropy_finite(product)
         assert abs(h_f_spectral.value - math.log(PHI)) < 1e-6

@@ -65,7 +65,7 @@ class TestCountWords:
 
     def test_product_consistency(self, golden_mean):
         F = es.ForbiddenSet.from_strings(["ab"], golden_mean.alphabet)
-        A = es.build_factor_automaton(F, golden_mean.alphabet)
+        A = es.FactorAutomaton(F, golden_mean.alphabet)
         pg = es.product_graph(golden_mean, A, roots=["v1"])
         start = ("v1", A.start)
         states = es.forward_ball(pg, start, 8).vertices

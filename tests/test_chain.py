@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import entroscope as es
 from entroscope.chain import ChainError
 
-from oracles import strongly_connected
+from oracles import random_det_scc_graph, random_word_on_graph, strongly_connected
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -19,7 +20,7 @@ def F_of(words, alphabet):
 def product_rho_measured(g, forbidden):
     """Oracle: spectral radius (dense eigvals) of the uniform-weight product
     matrix over states reachable from every (x, start)."""
-    A = es.build_factor_automaton(forbidden, g.alphabet)
+    A = es.FactorAutomaton(forbidden, g.alphabet)
     pg = es.product_graph(g, A, roots=list(g.vertex_list))
     seen = list(pg.roots)
     seen_set = set(seen)
@@ -454,3 +455,30 @@ class TestCertificateSoundnessFixtures:
         rho_f = product_rho_measured(g, F)
         assert rho_f <= cert.bound + 1e-9
         assert rho - rho_f > 0
+
+
+class TestResolveCertificateSweep:
+    def test_reachable_rho_and_sound_bound(self):
+        # random strongly connected graphs, half of them with an unreachable
+        # full-shift vertex "u" whose radius 1 must not enter the certificate
+        rng = random.Random(20261018)
+        certified = with_unreachable = 0
+        for _ in range(300):
+            g0 = random_det_scc_graph(rng, max_states=8, max_sigma=3)
+            word = random_word_on_graph(rng, g0, max_len=3)
+            if word is None:
+                continue
+            F = es.ForbiddenSet((word,))
+            edges = [e for v in g0.vertex_list for e in g0.out_edges(v)]
+            unreachable = rng.random() < 0.5
+            if unreachable:
+                edges += [("u", a, "u") for a in g0.alphabet]
+            g = es.explicit_graph(g0.alphabet, edges, roots=[0])
+            cert, _scope, _D, _warnings = es.resolve_certificate(g, F, N=20)
+            if cert is None:
+                continue
+            assert cert.rho == pytest.approx(base_rho_measured(g0), abs=1e-9)
+            assert product_rho_measured(g0, F) <= cert.bound + 1e-9
+            certified += 1
+            with_unreachable += unreachable
+        assert certified >= 100 and with_unreachable >= 40

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import entroscope
 from entroscope.cli import main
 
 B2_DOC = {
@@ -24,6 +29,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def write_doc(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def dense_radius(doc):
+    """Spectral radius of the uniform chain, from numpy's dense eigensolver."""
+    index = {v: i for i, v in enumerate(doc["vertices"])}
+    A = np.zeros((len(index), len(index)))
+    for s, _, t in doc["edges"]:
+        A[index[s], index[t]] += 1.0
+    return float(np.max(np.abs(np.linalg.eigvals(A)))) / len(doc["alphabet"])
 
 
 class TestCount:
@@ -57,7 +77,6 @@ class TestCount:
         _, report = run(capsys, "count", "--graph", b2_path, "--depth", "4")
         config = report["config"]
         assert config["tail"] == 20
-        assert config["threads"] == 1
         assert config["arithmetic"] == "exact"
         assert config["budget"] == 10**6
         assert config["x"] == "v" and config["y"] == "v"
@@ -142,6 +161,101 @@ class TestBound:
         code, report = run(capsys, "bound", "--alpha", "1.5", "--D", "0", "--R", "2")
         assert code == 2
         assert "error" in report
+
+    DEGENERATE = ("bound", "--alpha", "0.25", "--D", "8", "--R", "4", "--conn-K", "3")
+
+    def test_underflowing_bound_fails_certification(self, capsys):
+        # alpha_bar^k = 2^-96: 1 - eps rounds to 1, so bound would equal rho
+        code, report = run(capsys, *self.DEGENERATE)
+        assert code == 4
+        assert report["error"]["type"] == "DegenerateBound"
+
+    def test_underflowing_bound_fails_under_optimize(self):
+        src = os.path.dirname(os.path.dirname(entroscope.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "entroscope.cli", *self.DEGENERATE],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert json.loads(proc.stdout)["error"]["type"] == "DegenerateBound"
+
+
+class TestCertificateRegressions:
+    def test_unreachable_component_does_not_set_rho(self, capsys, tmp_path):
+        # w is unreachable from the root v; only v's two loops bound L_{v,v}
+        doc = {
+            "alphabet": ["a", "b"],
+            "vertices": ["v", "w"],
+            "edges": [["v", "a", "v"], ["v", "b", "v"], ["w", "a", "w"]],
+            "roots": ["v"],
+        }
+        path = write_doc(tmp_path, "vw.json", doc)
+        code, report = run(capsys, "analyze", "--graph", path, "--forbid", "aa", "--depth", "30")
+        assert code == 0
+        results = report["results"]
+        assert results["certificate"]["rho"] == pytest.approx(1.0, abs=1e-12)
+        assert results["certificate"]["h_bound"] >= results["h_forbidden"]["value"]
+
+    def test_flat_degree_two_and_four_neighbourhoods(self, capsys, tmp_path):
+        # vertex 7 and its out-neighbours have degree 2, vertex 2 and its
+        # out-neighbours degree 4: the first Collatz-Wielandt brackets of
+        # A + I are (3, 5) twice, with midpoint 4 both times
+        n, b_cycle = 10, [0, 2, 4, 1, 3]
+        edges = []
+        for i in range(n):
+            edges += [[str(i), "a", str((i + 1) % n)], [str((i + 1) % n), "A", str(i)]]
+        for u, v in zip(b_cycle, b_cycle[1:] + b_cycle[:1]):
+            edges += [[str(u), "b", str(v)], [str(v), "B", str(u)]]
+        doc = {
+            "alphabet": ["A", "B", "a", "b"],
+            "vertices": [str(i) for i in range(n)],
+            "edges": edges,
+            "roots": ["0"],
+        }
+        path = write_doc(tmp_path, "flat.json", doc)
+        code, report = run(capsys, "analyze", "--graph", path, "--forbid", "ab", "--depth", "30")
+        assert code == 0
+        assert report["results"]["certificate"]["rho"] == pytest.approx(dense_radius(doc), abs=1e-9)
+
+    def test_measured_constants_underflow(self, capsys, tmp_path):
+        # a 60-cycle read by a and b, with a c-loop at 0: forbidding b gives
+        # D = 0 but conn_K = 59, and alpha_bar^k ~ 2^-60 leaves 1 - eps == 1
+        n = 60
+        edges = [["0", "c", "0"]]
+        for i in range(n):
+            edges += [[str(i), a, str((i + 1) % n)] for a in "ab"]
+        doc = {
+            "alphabet": ["a", "b", "c"],
+            "vertices": [str(i) for i in range(n)],
+            "edges": edges,
+            "roots": ["0"],
+        }
+        path = write_doc(tmp_path, "cycle.json", doc)
+        code, report = run(capsys, "analyze", "--graph", path, "--forbid", "b", "--depth", "30")
+        assert code == 4
+        assert report["results"]["certificate"] is None
+        assert any("degenerates" in w for w in report["warnings"])
+
+    def test_unclosed_perron_bracket_is_an_error_not_a_traceback(self, capsys, tmp_path):
+        # a 200-cycle read by a and b with a c-loop at 0 mixes so slowly that
+        # the bracket of A + I is still open after the 10^5-step cap
+        n = 200
+        edges = [["0", "c", "0"]]
+        for i in range(n):
+            edges += [[str(i), a, str((i + 1) % n)] for a in "ab"]
+        doc = {
+            "alphabet": ["a", "b", "c"],
+            "vertices": [str(i) for i in range(n)],
+            "edges": edges,
+            "roots": ["0"],
+        }
+        path = write_doc(tmp_path, "slow.json", doc)
+        code, report = run(
+            capsys, "analyze", "--graph", path, "--forbid", "bb", "--depth", "20", "--conn-K", "1"
+        )
+        assert code == 4
+        assert report["error"]["type"] == "ConvergenceError"
 
 
 class TestRho:

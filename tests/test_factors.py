@@ -20,7 +20,7 @@ words_strategy = st.lists(
 
 class TestFactorAutomaton:
     def test_double_a(self):
-        A = es.build_factor_automaton(make_forbidden("aa"), ["a", "b"])
+        A = es.FactorAutomaton(make_forbidden("aa"), ["a", "b"])
         assert len(A.states) == 3
         assert len(A.dead) == 1
         s_a = A.step(A.start, "a")
@@ -28,7 +28,7 @@ class TestFactorAutomaton:
         assert A.step(s_a, "b") == A.start
 
     def test_ab(self):
-        A = es.build_factor_automaton(make_forbidden("ab"), ["a", "b"])
+        A = es.FactorAutomaton(make_forbidden("ab"), ["a", "b"])
         assert len(A.states) == 3
         s_a = A.step(A.start, "a")
         assert A.step(s_a, "b") in A.dead
@@ -36,36 +36,36 @@ class TestFactorAutomaton:
         assert A.step(s_a, "a") == s_a
 
     def test_single_letter_alphabet(self):
-        A = es.build_factor_automaton(make_forbidden("a"), ["a"])
+        A = es.FactorAutomaton(make_forbidden("a"), ["a"])
         assert A.step(A.start, "a") in A.dead
         assert A.rejects("a")
         assert not A.rejects("")
 
     def test_dead_states_absorb(self):
-        A = es.build_factor_automaton(make_forbidden("aa"), ["a", "b"])
+        A = es.FactorAutomaton(make_forbidden("aa"), ["a", "b"])
         dead = A.run("aa")
         assert dead in A.dead
         assert A.step(dead, "b") == dead
 
     def test_state_count_bound(self):
         F = make_forbidden("aba", "bb", "a")
-        A = es.build_factor_automaton(F, ["a", "b"])
+        A = es.FactorAutomaton(F, ["a", "b"])
         assert len(A.states) <= 1 + sum(len(w) for w in F.words)
 
     def test_symbol_outside_alphabet(self):
         with pytest.raises(es.ForbiddenWordError):
-            es.build_factor_automaton(make_forbidden("ac"), ["a", "b"])
+            es.FactorAutomaton(make_forbidden("ac"), ["a", "b"])
 
     def test_membership_oracle_double_a(self):
         # frozen from the oracle: exhaustive words up to length 6
-        A = es.build_factor_automaton(make_forbidden("aa"), ["a", "b"])
+        A = es.FactorAutomaton(make_forbidden("aa"), ["a", "b"])
         for n in range(7):
             for u in itertools.product("ab", repeat=n):
                 assert A.rejects(u) == contains_factor(u, [("a", "a")])
 
     def test_overlapping_patterns(self):
         # abab: the second ab starts inside the first aba-prefix match attempt
-        A = es.build_factor_automaton(make_forbidden("aba", "bb"), ["a", "b"])
+        A = es.FactorAutomaton(make_forbidden("aba", "bb"), ["a", "b"])
         for n in range(7):
             for u in itertools.product("ab", repeat=n):
                 expected = contains_factor(u, [("a", "b", "a"), ("b", "b")])
@@ -73,7 +73,7 @@ class TestFactorAutomaton:
 
     @given(F=words_strategy)
     def test_membership_matches_oracle(self, F):
-        A = es.build_factor_automaton(F, ["a", "b"])
+        A = es.FactorAutomaton(F, ["a", "b"])
         depth = F.max_length + 3
         for n in range(depth + 1):
             for u in itertools.product("ab", repeat=n):
@@ -102,7 +102,7 @@ class TestForbiddenSetParsing:
 class TestProductGraph:
     def test_full_shift_avoid_double_a(self, b2):
         F = make_forbidden("aa")
-        A = es.build_factor_automaton(F, b2.alphabet)
+        A = es.FactorAutomaton(F, b2.alphabet)
         pg = es.product_graph(b2, A)
         start = ("v", A.start)
         out = pg.out_edges(start)
@@ -113,14 +113,14 @@ class TestProductGraph:
         assert pg.out_edges(state_a)[0].target == start
 
     def test_forbid_whole_alphabet(self, b2):
-        A = es.build_factor_automaton(make_forbidden("a", "b"), b2.alphabet)
+        A = es.FactorAutomaton(make_forbidden("a", "b"), b2.alphabet)
         pg = es.product_graph(b2, A)
         assert pg.out_edges(("v", A.start)) == ()
 
     @pytest.mark.parametrize("n", range(7))
     def test_line_no_double_right_bijection(self, line_z, n):
         F = make_forbidden("rr")
-        A = es.build_factor_automaton(F, line_z.alphabet)
+        A = es.FactorAutomaton(F, line_z.alphabet)
         pg = es.product_graph(line_z, A, roots=[0])
         for y in (-n, -1, 0, 1, n):
             product_count = sum(
@@ -129,7 +129,7 @@ class TestProductGraph:
             assert product_count == brute_count(line_z, 0, y, n, F.words)
 
     def test_alphabet_mismatch(self, b2):
-        A = es.build_factor_automaton(make_forbidden("rr"), ["r", "l"])
+        A = es.FactorAutomaton(make_forbidden("rr"), ["r", "l"])
         with pytest.raises(es.ForbiddenWordError):
             es.product_graph(b2, A)
 
@@ -140,7 +140,7 @@ class TestProductGraph:
             [("v1", "a", "v2"), ("v1", "b", "v1"), ("v2", "b", "v1")],
             roots=["v1"],
         )
-        A = es.build_factor_automaton(F, gm.alphabet)
+        A = es.FactorAutomaton(F, gm.alphabet)
         pg = es.product_graph(gm, A, roots=["v1"])
         for n in range(5):
             for y in ("v1", "v2"):
