@@ -23,7 +23,9 @@ def main():
 
     spec = es.builtin_family(args.family)
     forbidden = es.ForbiddenSet.from_strings([args.forbid], spec.alphabet)
-    report = es.growth_sensitivity_report(spec, forbidden, args.depth)
+    report = es.entropy_gap_report(
+        es.schreier_graph(spec), spec.root, spec.root, forbidden, args.depth
+    )
 
     print(f"family           : {args.family} (forbidding {args.forbid!r}, N={args.depth})")
     print(f"h   (count fit)  : {report.h.value:.6f}   [log|Sigma| = {math.log(len(spec.alphabet)):.6f}]")

@@ -68,6 +68,5 @@ from .schreier import (
     ActionSpec,
     builtin_family,
     family_names,
-    growth_sensitivity_report,
     schreier_graph,
 )

@@ -155,6 +155,13 @@ def _resolve_endpoints(g: graphs.LabelledGraph, args):
             if k not in by_key:
                 raise graphs.GraphFormatError(f"--{name} {k!r} is not a vertex of the graph")
             v = by_key[k]
+        elif not g.is_finite:
+            try:
+                g.out_edges(v)
+            except schreier.ActionError as exc:
+                raise graphs.GraphFormatError(
+                    f"--{name} {text!r} is not a vertex of {g.name}: {exc}"
+                ) from exc
         ends.append(v)
     return tuple(ends)
 
@@ -206,14 +213,17 @@ def _csv_rows(column, column_f=None):
 
 def cmd_count(args) -> int:
     g, x, y, forbidden, config = _setup(args)
-    plain = census.count_words(g, x, y, args.depth, budget=args.budget)
+    ball = census.deterministic_ball(g, x, args.depth, args.budget)
+    plain = census.count_words(g, x, y, args.depth, budget=args.budget, ball=ball)
     results = {
         "counts": list(plain.counts),
         "entropy": _estimate_dict(census.entropy_from_counts(plain, tail=args.tail)),
     }
     restricted = None
     if forbidden is not None:
-        restricted = census.count_words(g, x, y, args.depth, forbidden=forbidden, budget=args.budget)
+        restricted = census.count_words(
+            g, x, y, args.depth, forbidden=forbidden, budget=args.budget, ball=ball
+        )
         results["counts_forbidden"] = list(restricted.counts)
         results["entropy_forbidden"] = _estimate_dict(
             census.entropy_from_counts(restricted, tail=args.tail)
@@ -308,6 +318,8 @@ def cmd_bound(args) -> int:
 
 def cmd_rho(args) -> int:
     g, x, y, forbidden, config = _setup(args)
+    if args.transform_check and forbidden is None:
+        raise graphs.GraphFormatError("--transform-check requires --forbid")
     ch = chain.uniform_weights(g, exact=args.arithmetic == "exact")
     warnings: list[str] = []
     est = chain.rho_estimate(ch, x, y, args.depth, tail=args.tail, budget=args.budget)
@@ -336,8 +348,6 @@ def cmd_rho(args) -> int:
     if not est.converged:
         warnings.append("rho estimate did not stabilize (large tail residual)")
     if args.transform_check:
-        if forbidden is None:
-            raise graphs.GraphFormatError("--transform-check requires --forbid")
         # the transformed DP needs h wherever mass can reach within N steps
         radius = args.hv_radius if args.hv_radius is not None else args.depth + 2
         tol = args.hv_tol if args.hv_tol is not None else (1e-8 if g.is_finite else 1e-3)
@@ -487,7 +497,6 @@ _CONFIG_ERRORS = (
     chain.ChainError,
     FileNotFoundError,
     json.JSONDecodeError,
-    KeyError,
     ValueError,
 )
 

@@ -10,6 +10,7 @@ can be read.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -19,8 +20,9 @@ from .graphs import (
     LabelledGraph,
     Vertex,
     Window,
-    forward_ball,
+    bfs,
     path_to,
+    vertex_key,
 )
 
 Word = tuple[str, ...]
@@ -230,20 +232,22 @@ class DensenessCertificate:
     witnesses: dict = field(compare=False)  # vertex -> DensenessWitness
 
 
-def _read_word(g: LabelledGraph, start: Vertex, word: Word) -> Optional[tuple[Edge, ...]]:
-    """Some path from start labelled exactly ``word``, or None.
+def _first_reading(g: LabelledGraph, start: Vertex, forbidden: ForbiddenSet) -> Optional[tuple]:
+    """(word, path): the first word of F labelling a path from start, with
+    one such path, or None.
 
     The graph need not be deterministic; a depth-first search over label
     matches is used.
     """
-    stack = [(start, 0, ())]
-    while stack:
-        v, i, path = stack.pop()
-        if i == len(word):
-            return path
-        for e in g.out_edges(v):
-            if e.label == word[i]:
-                stack.append((e.target, i + 1, path + (e,)))
+    for word in forbidden.words:
+        stack = [(start, 0, ())]
+        while stack:
+            v, i, path = stack.pop()
+            if i == len(word):
+                return word, path
+            for e in g.out_edges(v):
+                if e.label == word[i]:
+                    stack.append((e.target, i + 1, path + (e,)))
     return None
 
 
@@ -257,30 +261,25 @@ def certify_denseness(
     """Search, for every window vertex x, a vertex y within forward distance
     D from which some forbidden word labels a path.
 
-    Returns a DensenessCertificate covering every window vertex, or the
-    sorted list of uncovered vertices.  The per-vertex searches may expand
-    the graph beyond the window.
+    The witness is the nearest such y, the first in ``vertex_key`` order
+    among the nearest, found by one breadth-first search from x.  Returns a
+    DensenessCertificate covering every window vertex, or the sorted list of
+    uncovered vertices.  The searches may expand the graph beyond the window.
     """
     if D < 0:
         raise ValueError("D must be >= 0")
+    reading = functools.cache(lambda y: _first_reading(g, y, forbidden))
     witnesses = {}
     uncovered = []
     for x in w.sorted_vertices():
-        ball = forward_ball(g, x, D, budget=budget)
-        found = None
-        for y in ball.sorted_vertices():
-            for word in forbidden.words:
-                reading = _read_word(g, y, word)
-                if reading is not None:
-                    found = DensenessWitness(
-                        vertex=x, via=y, word=word, approach=path_to(ball.parents, y),
-                        reading=reading,
-                    )
-                    break
-            if found:
-                break
-        if found:
-            witnesses[x] = found
+        distances, parents = bfs(g, x, D, stop=reading, budget=budget)
+        near = [y for y in distances if reading(y)]
+        if near:
+            y = min(near, key=lambda v: (distances[v], vertex_key(v)))
+            word, path = reading(y)
+            witnesses[x] = DensenessWitness(
+                vertex=x, via=y, word=word, approach=path_to(parents, y), reading=path
+            )
         else:
             uncovered.append(x)
     if uncovered:
@@ -296,11 +295,11 @@ def estimate_denseness_constant(
     budget: int = DEFAULT_BUDGET,
 ) -> Optional[DensenessCertificate]:
     """Smallest D <= D_max admitting a denseness certificate on the window,
-    or None.  Monotone: success at D implies success at D+1."""
+    or None: the largest distance from a window vertex to its witness."""
     if D_max < 0:
         raise ValueError("D_max must be >= 0")
-    for D in range(D_max + 1):
-        result = certify_denseness(g, forbidden, D, w, budget=budget)
-        if isinstance(result, DensenessCertificate):
-            return result
-    return None
+    cert = certify_denseness(g, forbidden, D_max, w, budget=budget)
+    if not isinstance(cert, DensenessCertificate):
+        return None
+    D = max((len(wit.approach) for wit in cert.witnesses.values()), default=0)
+    return DensenessCertificate(D=D, witnesses=cert.witnesses)

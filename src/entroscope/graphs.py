@@ -155,8 +155,6 @@ class Window:
     ``vertices`` are exactly those at forward distance <= radius from the
     center; ``edges`` have both endpoints inside, ``boundary`` edges leave
     the window (their sources necessarily sit on the outer shell).
-    ``parents`` maps each vertex to the edge a breadth-first search first
-    reached it by, so ``path_to(w.parents, v)`` is a shortest path to v.
     """
 
     center: Vertex
@@ -165,7 +163,6 @@ class Window:
     distances: dict = field(compare=False)
     edges: tuple[Edge, ...] = ()
     boundary: tuple[Edge, ...] = ()
-    parents: dict = field(default_factory=dict, compare=False)
 
     def inner(self, margin: int = 1) -> frozenset:
         """Vertices at forward distance <= radius - margin from the center."""
@@ -180,21 +177,23 @@ def bfs(
     g: LabelledGraph,
     x: Vertex,
     radius: Optional[int] = None,
-    target: Optional[Vertex] = None,
+    stop: Optional[Callable[[Vertex], Any]] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[dict, dict]:
     """Breadth-first search from ``x``: (distances, parent edges).
 
     Explores at most ``radius`` layers (the whole reachable part when None)
-    and stops after the layer in which ``target`` is found.  Raises
-    ExpansionBudgetExceeded once more than ``budget`` vertices have been
-    discovered.
+    and stops after the first layer holding a vertex on which ``stop``
+    returns a true value; ``stop`` is called on every discovered vertex.
+    Raises ExpansionBudgetExceeded once more than ``budget`` vertices have
+    been discovered.
     """
     distances = {x: 0}
     parents: dict = {x: None}
     frontier = [x]
     d = 0
-    while frontier and d != radius and target not in distances:
+    found = stop is not None and stop(x)
+    while frontier and d != radius and not found:
         d += 1
         nxt = []
         for v in frontier:
@@ -207,6 +206,8 @@ def bfs(
                         raise ExpansionBudgetExceeded(
                             f"search from {vertex_key(x)} exceeded {budget} vertices"
                         )
+                    if stop is not None and stop(e.target):
+                        found = True
         frontier = nxt
     return distances, parents
 
@@ -249,7 +250,7 @@ def forward_ball(
     """
     if radius is not None and radius < 0:
         raise ValueError("radius must be >= 0")
-    distances, parents = bfs(g, x, radius, budget=budget)
+    distances, _ = bfs(g, x, radius, budget=budget)
     inside, boundary = [], []
     for v in sorted(distances, key=vertex_key):
         for e in g.out_edges(v):
@@ -264,7 +265,6 @@ def forward_ball(
         distances=distances,
         edges=tuple(inside),
         boundary=tuple(boundary),
-        parents=parents,
     )
 
 
@@ -287,7 +287,7 @@ def forward_distance(
     """Minimal path length from x to y if <= cap, else None."""
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    return bfs(g, x, cap, target=y, budget=budget)[0].get(y)
+    return bfs(g, x, cap, stop=lambda v: v == y, budget=budget)[0].get(y)
 
 
 def check_deterministic(g: LabelledGraph, w: Window) -> list[tuple[Vertex, str]]:
@@ -346,7 +346,7 @@ def check_uniform_connectedness(
     witnesses = {}
     failures = []
     for e in w.edges:
-        _, parents = bfs(g, e.target, K, target=e.source, budget=budget)
+        _, parents = bfs(g, e.target, K, stop=lambda v: v == e.source, budget=budget)
         if e.source in parents:
             witnesses[e] = path_to(parents, e.source)
         else:

@@ -14,12 +14,9 @@ text descriptors and a pure ``act`` callable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
-from .census import GapReport, entropy_gap_report
-from .chain import CertificateInputs
-from .factors import ForbiddenSet
-from .graphs import DEFAULT_BUDGET, Declared, Edge, LabelledGraph, Vertex
+from .graphs import Declared, Edge, LabelledGraph, Vertex
 
 
 class ActionError(RuntimeError):
@@ -145,25 +142,3 @@ def builtin_family(name: str) -> ActionSpec:
 def family_names() -> tuple[str, ...]:
     return tuple(sorted(_FAMILIES))
 
-
-def growth_sensitivity_report(
-    spec: ActionSpec,
-    forbidden: ForbiddenSet,
-    N: int,
-    tail: int = 20,
-    cert_inputs: Optional[CertificateInputs] = None,
-    budget: int = DEFAULT_BUDGET,
-) -> GapReport:
-    """Entropy drop of the word problem under the forbidden factors, with a
-    certificate assembled from the family's declared constants."""
-    g = schreier_graph(spec)
-    return entropy_gap_report(
-        g,
-        spec.root,
-        spec.root,
-        forbidden,
-        N,
-        tail=tail,
-        cert_inputs=cert_inputs,
-        budget=budget,
-    )

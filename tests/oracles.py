@@ -151,3 +151,53 @@ def random_nfa(rng: random.Random, max_states=5, max_sigma=2):
                 if rng.random() < 0.35:
                     edges.append((v, a, t))
     return es.explicit_graph(alphabet, edges, roots=[0], vertices=list(range(n)))
+
+
+def nearest_denseness_witnesses(g, words, xs, D) -> dict:
+    """Reference denseness search, one radius-D ball per start vertex.
+
+    For each x in ``xs``: (y, word, distance) for the nearest vertex y within
+    forward distance D from which some word labels a path (the first in
+    ``vertex_key`` order among the nearest), with the first such word; None
+    when no vertex within D reads a word.  Readability is decided by
+    following the set of vertices a word prefix can reach.
+    """
+
+    def readable(y, word):
+        current = {y}
+        for sym in word:
+            current = {e.target for v in current for e in g.out_edges(v) if e.label == sym}
+        return bool(current)
+
+    result = {}
+    for x in xs:
+        dist = {x: 0}
+        layer = [x]
+        for d in range(1, D + 1):
+            nxt = []
+            for v in layer:
+                for e in g.out_edges(v):
+                    if e.target not in dist:
+                        dist[e.target] = d
+                        nxt.append(e.target)
+            layer = nxt
+        result[x] = None
+        for y in sorted(dist, key=lambda v: (dist[v], es.vertex_key(v))):
+            word = next((wd for wd in words if readable(y, wd)), None)
+            if word is not None:
+                result[x] = (y, word, dist[y])
+                break
+    return result
+
+
+def with_dangling_tail(rng: random.Random, g):
+    """g (vertices 0..n-1) plus a randomly labelled path of new vertices
+    hanging off one of its vertices and ending either in a sink, from which
+    no word can be read, or back in g.  The result may be nondeterministic."""
+    n = len(g.vertex_list)
+    edges = [tuple(e) for v in g.vertex_list for e in g.out_edges(v)]
+    path = [rng.randrange(n)] + list(range(n, n + rng.randint(1, 4)))
+    if rng.random() < 0.5:
+        path.append(rng.randrange(n))
+    edges += [(s, rng.choice(g.alphabet), t) for s, t in zip(path, path[1:])]
+    return es.explicit_graph(g.alphabet, edges, roots=[0])

@@ -262,7 +262,7 @@ def test_criterion_7_line_desk_experiment():
         start = time.perf_counter()
         spec = es.builtin_family("line_Z")
         F = es.ForbiddenSet.from_strings(["rr"], spec.alphabet)
-        report = es.growth_sensitivity_report(spec, F, 40)
+        report = es.entropy_gap_report(es.schreier_graph(spec), spec.root, spec.root, F, 40)
         assert abs(report.h.value - LOG2) < 0.05
         assert report.h_forbidden.value < report.h.value - 0.05
         cert = report.certificate

@@ -73,6 +73,19 @@ class TestCount:
         assert code == 0
         assert report["results"]["counts_forbidden"] == [1, 2, 3, 5, 8]
 
+    def test_forbid_builds_one_ball(self, capsys, b2_path, monkeypatch):
+        calls = []
+        build = entroscope.census.deterministic_ball
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(entroscope.census, "deterministic_ball", counted)
+        code, _ = run(capsys, "count", "--graph", b2_path, "--depth", "5", "--forbid", "aa")
+        assert code == 0
+        assert len(calls) == 1
+
     def test_config_echo_has_defaults(self, capsys, b2_path):
         _, report = run(capsys, "count", "--graph", b2_path, "--depth", "4")
         config = report["config"]
@@ -284,6 +297,15 @@ class TestRho:
         assert identity["ok"]
         assert report["results"]["harmonic"]["rho_hat"] == pytest.approx(1.0)
 
+    def test_transform_check_without_forbid_fails_before_counting(self, capsys):
+        # a budget the plain estimate would exceed: the config error comes first
+        code, report = run(
+            capsys, "rho", "--family", "grid_Z2", "--depth", "40",
+            "--transform-check", "--budget", "50",
+        )
+        assert code == 2
+        assert "--forbid" in report["error"]["message"]
+
 
 class TestSchreierCommand:
     def test_line_certified(self, capsys):
@@ -342,3 +364,20 @@ class TestErrorPaths:
             capsys, "count", "--graph", b2_path, "--depth", "4", "--x", "nope"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "family, x", [("grid_Z2", "foo"), ("grid_Z2", "5"), ("line_Z", "(1,2)")]
+    )
+    def test_bad_family_vertex(self, capsys, family, x):
+        code, report = run(capsys, "count", "--family", family, "--x", x, "--depth", "3")
+        assert code == 2
+        assert report["error"]["type"] == "GraphFormatError"
+        assert "--x" in report["error"]["message"]
+
+    def test_internal_key_error_is_not_a_config_error(self, capsys, b2_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(entroscope.census, "entropy_gap_report", broken)
+        with pytest.raises(KeyError):
+            main(["analyze", "--graph", b2_path, "--depth", "4", "--forbid", "aa"])

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -6,7 +7,15 @@ from hypothesis import strategies as st
 
 import entroscope as es
 
-from oracles import brute_count, contains_factor, iter_paths
+from oracles import (
+    brute_count,
+    contains_factor,
+    iter_paths,
+    nearest_denseness_witnesses,
+    random_det_scc_graph,
+    random_word_on_graph,
+    with_dangling_tail,
+)
 
 
 def make_forbidden(*words):
@@ -201,3 +210,48 @@ class TestDenseness:
         for witness in cert.witnesses.values():
             assert es.graphs.check_path(witness.approach + witness.reading)
             assert es.graphs.label_word(witness.reading) == witness.word
+
+    def test_matches_reference_search(self):
+        rng = random.Random(4)
+        seen_D = set()
+
+        def walk(g, path, start):
+            """End of a path of edges of g from start."""
+            v = start
+            for e in path:
+                assert e.source == v and e in g.out_edges(v)
+                v = e.target
+            return v
+
+        for i in range(200):
+            g = random_det_scc_graph(rng)
+            if i % 2:
+                g = with_dangling_tail(rng, g)
+            draws = [random_word_on_graph(rng, g) for _ in range(rng.choice((1, 2)))]
+            words = [w for w in dict.fromkeys(draws) if w] or [(g.alphabet[0],)]
+            F = es.ForbiddenSet(words=tuple(words))
+            w = es.full_window(g)
+            order = w.sorted_vertices()
+            for D in range(4):
+                ref = nearest_denseness_witnesses(g, F.words, order, D)
+                result = es.certify_denseness(g, F, D, w)
+                uncovered = [x for x in order if ref[x] is None]
+                if uncovered:
+                    assert result == uncovered
+                    continue
+                assert result.D == D and list(result.witnesses) == order
+                for x, wit in result.witnesses.items():
+                    via, word, dist = ref[x]
+                    assert (wit.vertex, wit.via, wit.word) == (x, via, word)
+                    assert len(wit.approach) == dist and walk(g, wit.approach, x) == via
+                    walk(g, wit.reading, via)
+                    assert tuple(e.label for e in wit.reading) == word
+            ref = nearest_denseness_witnesses(g, F.words, order, 4)
+            expected = (
+                None if None in ref.values() else max(r[2] for r in ref.values())
+            )
+            cert = es.estimate_denseness_constant(g, F, w, D_max=4)
+            assert (None if cert is None else cert.D) == expected
+            seen_D.add(expected)
+        # the draws reach uncovered windows and D > 0
+        assert {None, 0, 1, 2, 3} <= seen_D

@@ -106,7 +106,7 @@ class TestGrowthSensitivity:
     def test_line_certified_drop(self):
         spec = builtin_family("line_Z")
         F = es.ForbiddenSet.from_strings(["rr"], spec.alphabet)
-        report = es.growth_sensitivity_report(spec, F, 40)
+        report = es.entropy_gap_report(schreier_graph(spec), spec.root, spec.root, F, 40)
         assert abs(report.h.value - math.log(2)) < 0.05
         assert report.h_forbidden.value < report.h.value - 0.05
         cert = report.certificate
@@ -118,7 +118,7 @@ class TestGrowthSensitivity:
     def test_grid_certified_drop(self):
         spec = builtin_family("grid_Z2")
         F = es.ForbiddenSet.from_strings(["uu"], spec.alphabet)
-        report = es.growth_sensitivity_report(spec, F, 20)
+        report = es.entropy_gap_report(schreier_graph(spec), spec.root, spec.root, F, 20)
         assert report.certificate is not None
         assert report.certificate.alpha == 0.25
         assert report.h_forbidden.value < report.h.value
@@ -126,8 +126,9 @@ class TestGrowthSensitivity:
     def test_free2_window_scoped(self):
         spec = builtin_family("free2_mod_cyclic")
         F = es.ForbiddenSet.from_strings(["bb"], spec.alphabet)
-        report = es.growth_sensitivity_report(
-            spec, F, 10, cert_inputs=es.CertificateInputs(window_radius=4)
+        report = es.entropy_gap_report(
+            schreier_graph(spec), spec.root, spec.root, F, 10,
+            cert_inputs=es.CertificateInputs(window_radius=4),
         )
         assert report.h_forbidden.value < report.h.value
         if report.certificate is not None:
