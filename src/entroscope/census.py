@@ -173,17 +173,12 @@ def entropy_from_counts(census: WordCensus, tail: int = 20) -> EntropyEstimate:
     )
 
 
-def spectral_entropy_finite(
-    g: LabelledGraph,
-    tol: float = 1e-12,
-    max_iter: int = 10**5,
-    budget: int = DEFAULT_BUDGET,
-) -> EntropyEstimate:
+def spectral_entropy_finite(g: LabelledGraph, budget: int = DEFAULT_BUDGET) -> EntropyEstimate:
     """log of the Perron root of the edge-count adjacency matrix.
 
     Requires the part of the graph reachable from the first root to be
     finite, strongly connected and deterministic; the Perron root is found
-    by power iteration until its bracket closes to relative width ``tol``.
+    by power iteration until its bracket closes (``linalg.perron_root``).
     """
     w = full_window(g, budget=budget)
     collisions = check_deterministic(g, w)
@@ -192,7 +187,7 @@ def spectral_entropy_finite(
     A = linalg.adjacency(w.sorted_vertices(), w.edges)
     if linalg.strong_components(A)[0] != 1:
         raise NotStronglyConnected(f"graph {g.name!r} is not strongly connected")
-    res = linalg.perron_root(A, tol=tol, max_iter=max_iter)
+    res = linalg.perron_root(A)
     lam = res.value
     value = math.log(lam) if lam > 0 else NEG_INF
     return EntropyEstimate(

@@ -68,12 +68,13 @@ class WeightedChain:
 
     ``uniform`` chains (every edge 1/|alphabet|) propagate integer path
     counts; their probabilities are read off exactly as count/|alphabet|^n.
+    Probabilities are Fractions when the weights are, and a Fraction
+    ``alpha`` makes the row-sum comparisons exact.
     """
 
     graph: LabelledGraph
     weight: Callable[[Edge], object] = field(compare=False)
     alpha: object = 0.0            # Fraction or float lower bound
-    exact: bool = False            # probabilities are Fractions
     uniform: bool = False
 
     @property
@@ -81,16 +82,16 @@ class WeightedChain:
         return len(self.graph.alphabet)
 
 
-def uniform_weights(g: LabelledGraph, exact: bool = True) -> WeightedChain:
-    """Every edge gets probability 1/|alphabet|.
+def uniform_weights(g: LabelledGraph) -> WeightedChain:
+    """Every edge gets probability Fraction(1, |alphabet|).
 
     On deterministic graphs the rows sum to out-degree/|alphabet| <= 1; an
     out-degree above |alphabet| shows up as a row-sum violation (checked
     eagerly on finite graphs, by ``validate`` on windows otherwise).
     """
     sigma = len(g.alphabet)
-    p = Fraction(1, sigma) if exact else 1.0 / sigma
-    chain = WeightedChain(graph=g, weight=lambda e: p, alpha=p, exact=exact, uniform=True)
+    p = Fraction(1, sigma)
+    chain = WeightedChain(graph=g, weight=lambda e: p, alpha=p, uniform=True)
     if g.is_finite:
         for v in g.vertex_list:
             if len(g.out_edges(v)) > sigma:
@@ -102,7 +103,7 @@ def uniform_weights(g: LabelledGraph, exact: bool = True) -> WeightedChain:
 
 def validate(chain: WeightedChain, w: Window) -> list[str]:
     """Row-sum and edge-floor violations on the window (empty list = Ok)."""
-    tol = 0 if chain.exact else 1e-12
+    tol = 0 if isinstance(chain.alpha, Fraction) else 1e-12
     problems = []
     for v in w.sorted_vertices():
         total = sum(chain.weight(e) for e in chain.graph.out_edges(v))
@@ -139,8 +140,7 @@ class StepDistribution:
         """The probability carried by mass m."""
         if not self.chain.uniform:
             return m
-        p = Fraction(m, self.chain.sigma_size**self.n)
-        return p if self.chain.exact else float(p)
+        return Fraction(m, self.chain.sigma_size**self.n)
 
     def at(self, y: Vertex):
         return self.probability(mass_on(self.mass, y, self.forbidden is not None))
@@ -159,9 +159,8 @@ class StepDistribution:
 def initial_distribution(
     chain: WeightedChain, x: Vertex, forbidden: Optional[ForbiddenSet] = None
 ) -> StepDistribution:
-    one = 1 if chain.uniform else Fraction(1) if chain.exact else 1.0
     graph, start = avoiding(chain.graph, x, forbidden)
-    return StepDistribution(chain, x, 0, {start: one}, forbidden, graph)
+    return StepDistribution(chain, x, 0, {start: 1}, forbidden, graph)
 
 
 def step(
@@ -282,7 +281,6 @@ def harmonic_vector(
     radius: int,
     tol: float = 1e-8,
     scheme: str = "reflecting",
-    max_iter: int = 10**5,
     budget: int = DEFAULT_BUDGET,
 ) -> HarmonicVector:
     """Leading eigenpair of the window-truncated transition matrix.
@@ -313,13 +311,13 @@ def harmonic_vector(
     matrices = {"absorbing": absorbing, "reflecting": sparse.diags(scale) @ absorbing}
     other = "absorbing" if scheme == "reflecting" else "reflecting"
     vec_tol = min(1e-10, tol * 1e-2)
-    res = linalg.perron_root(matrices[scheme], max_iter=max_iter, vector_tol=vec_tol)
-    res_other = linalg.perron_root(matrices[other], max_iter=max_iter)
+    res = linalg.perron_root(matrices[scheme], vector_tol=vec_tol)
+    res_other = linalg.perron_root(matrices[other])
     vec = res.vector / res.vector[index[center]]
     values = {v: float(vec[i]) for v, i in index.items()}
     rho_hat = res.value
     residual = 0.0
-    for v in ball.inner(1):
+    for v in ball.inner():
         hv = values[v]
         ph = sum(
             float(chain.weight(e)) * values[e.target]
@@ -376,7 +374,7 @@ def h_transform(
         return float(chain.weight(e)) * hy / (rho * hx)
 
     alpha_bar = (float(chain.alpha) / rho) ** (conn_k + 1)
-    return WeightedChain(graph=chain.graph, weight=weight, alpha=alpha_bar, exact=False)
+    return WeightedChain(graph=chain.graph, weight=weight, alpha=alpha_bar)
 
 
 @dataclass(frozen=True)
@@ -503,7 +501,6 @@ def k_step_restricted_rowsum_check(
     D: int,
     k: int,
     w: Window,
-    tol: float = 1e-12,
     budget: int = DEFAULT_BUDGET,
 ) -> RowSumCheck:
     """Empirical check that restricted k-step row sums drop below 1 - alpha^k.
@@ -519,7 +516,7 @@ def k_step_restricted_rowsum_check(
             f"k must equal D + R = {D} + {forbidden.max_length}, got {k}"
         )
     threshold = 1 - chain.alpha**k
-    slack = 0 if chain.exact else tol
+    slack = 0 if isinstance(threshold, Fraction) else 1e-12
     rows = {}
     violations = []
     for x in w.sorted_vertices():
@@ -673,9 +670,7 @@ def resolve_certificate(
         # bound the root's language
         rho = linalg.spectral_radius(linalg.adjacency(w.sorted_vertices(), w.edges)) / sigma
     else:
-        est = rho_estimate(
-            uniform_weights(g, exact=False), g.roots[0], g.roots[0], N, budget=budget
-        )
+        est = rho_estimate(uniform_weights(g), g.roots[0], g.roots[0], N, budget=budget)
         rho = min(est.value, 1.0)
         warnings.append(
             f"rho estimated from a finite horizon (N={N}, residual"

@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Optional
@@ -31,37 +30,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 EXIT_CERTIFICATION = 4
-
-
-@dataclass
-class JobConfig:
-    """Effective configuration after defaulting, echoed in every report."""
-
-    command: str
-    graph: Optional[str] = None
-    family: Optional[str] = None
-    x: Optional[str] = None
-    y: Optional[str] = None
-    depth: Optional[int] = None
-    forbid: tuple = ()
-    tail: int = 20
-    alpha: Optional[float] = None
-    D: Optional[int] = None
-    D_max: int = 8
-    conn_K: Optional[int] = None
-    rho: Optional[float] = None
-    R: Optional[int] = None
-    stochastic: Optional[bool] = None
-    window_radius: Optional[int] = None
-    hv_radius: Optional[int] = None
-    hv_tol: Optional[float] = None
-    hv_scheme: str = "reflecting"
-    identity_threshold: Optional[float] = None
-    sigma_size: Optional[int] = None
-    arithmetic: str = "exact"
-    budget: int = graphs.DEFAULT_BUDGET
-    csv: Optional[str] = None
-    out: Optional[str] = None
 
 
 def _num(obj):
@@ -93,26 +61,26 @@ def _error(exc: Exception, kind: Optional[str] = None) -> None:
                      indent=2, sort_keys=True))
 
 
-def _report(config: JobConfig, results: dict, warnings: list[str]) -> dict:
+def _report(config: dict, results: dict, warnings: list[str]) -> dict:
     return {
         "tool": "entroscope",
         "version": __version__,
-        "command": config.command,
+        "command": config["command"],
         "generated_at": datetime.now(timezone.utc).isoformat(),
-        "config": _num(asdict(config)),
+        "config": _num(config),
         "results": results,
         "warnings": list(warnings),
     }
 
 
-def _emit(report: dict, config: JobConfig, csv_rows=None, csv_header=None) -> None:
+def _emit(report: dict, config: dict, csv_rows=None, csv_header=None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+    if config["out"]:
+        with open(config["out"], "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    if config.csv and csv_rows is not None:
-        with open(config.csv, "w", encoding="utf-8", newline="") as fh:
+    if config.get("csv") and csv_rows is not None:
+        with open(config["csv"], "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(csv_header)
             writer.writerows(csv_rows)
@@ -144,6 +112,18 @@ def _parse_vertex(text: str):
     return text
 
 
+# canonical vertex forms of the built-in families, as _parse_vertex returns them
+_CANONICAL = {
+    "line_Z": lambda v: isinstance(v, int),
+    "grid_Z2": lambda v: isinstance(v, tuple) and len(v) == 2,
+    # freely reduced words over a, b and their inverses A, B, no leading a/A
+    "free2_mod_cyclic": lambda v: (
+        isinstance(v, str) and set(v) <= set("aAbB") and v[:1] not in ("a", "A")
+        and all(c != d.swapcase() for c, d in zip(v, v[1:]))
+    ),
+}
+
+
 def _resolve_endpoints(g: graphs.LabelledGraph, args):
     ends = []
     for name in ("x", "y"):
@@ -155,13 +135,10 @@ def _resolve_endpoints(g: graphs.LabelledGraph, args):
             if k not in by_key:
                 raise graphs.GraphFormatError(f"--{name} {k!r} is not a vertex of the graph")
             v = by_key[k]
-        elif not g.is_finite:
-            try:
-                g.out_edges(v)
-            except schreier.ActionError as exc:
-                raise graphs.GraphFormatError(
-                    f"--{name} {text!r} is not a vertex of {g.name}: {exc}"
-                ) from exc
+        elif not g.is_finite and not _CANONICAL[args.family](v):
+            raise graphs.GraphFormatError(
+                f"--{name} {text!r} is not a canonical vertex of {args.family}"
+            )
         ends.append(v)
     return tuple(ends)
 
@@ -185,21 +162,22 @@ def _cert_inputs(args) -> chain.CertificateInputs:
     )
 
 
-def _base_config(args, **resolved) -> JobConfig:
-    """The subcommand's options that are JobConfig fields, overridden by the
-    ``resolved`` values (canonical vertex ids, parsed forbidden words)."""
-    names = {f.name for f in fields(JobConfig)}
-    given = {k: v for k, v in vars(args).items() if k in names}
-    return JobConfig(**{**given, **resolved})
+def _config(args, **resolved) -> dict:
+    """The echoed config: the subcommand's parsed options, each replaced by
+    its ``resolved`` value if it has one (canonical vertex ids, parsed
+    forbidden words)."""
+    return {k: resolved.get(k, v) for k, v in vars(args).items() if k != "handler"}
 
 
 def _setup(args):
     """Graph, endpoints, forbidden set and echoed config of a subcommand
     that reads a graph."""
+    if args.depth < 0:
+        raise graphs.GraphFormatError(f"--depth must be >= 0, got {args.depth}")
     g, doc_words = _load_graph(args)
     x, y = _resolve_endpoints(g, args)
     forbidden = _forbidden_from(args, g, doc_words)
-    config = _base_config(
+    config = _config(
         args, x=graphs.vertex_key(x), y=graphs.vertex_key(y),
         forbid=forbidden.as_strings() if forbidden else (),
     )
@@ -277,7 +255,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_bound(args) -> int:
     rho = args.rho if args.rho is not None else 1.0
-    config = _base_config(args, rho=rho, forbid=tuple(args.forbid or ()))
+    config = _config(args, rho=rho, forbid=tuple(args.forbid or ()))
     try:
         cert = chain.certified_gap_bound(
             alpha=args.alpha, D=args.D, R=args.R, conn_k=args.conn_K, rho=rho,
@@ -296,7 +274,7 @@ def cmd_bound(args) -> int:
         g = doc.graph
         forbidden = factors.ForbiddenSet.from_strings(args.forbid, g.alphabet)
         w = graphs.full_window(g, budget=args.budget)
-        ch = chain.uniform_weights(g, exact=(args.arithmetic == "exact"))
+        ch = chain.uniform_weights(g)
         check = chain.k_step_restricted_rowsum_check(
             ch, forbidden, D=args.D, k=cert.k, w=w, budget=args.budget
         )
@@ -320,7 +298,7 @@ def cmd_rho(args) -> int:
     g, x, y, forbidden, config = _setup(args)
     if args.transform_check and forbidden is None:
         raise graphs.GraphFormatError("--transform-check requires --forbid")
-    ch = chain.uniform_weights(g, exact=args.arithmetic == "exact")
+    ch = chain.uniform_weights(g)
     warnings: list[str] = []
     est = chain.rho_estimate(ch, x, y, args.depth, tail=args.tail, budget=args.budget)
     dictionary = census.EntropyEstimate(
@@ -380,15 +358,6 @@ def cmd_rho(args) -> int:
     return EXIT_OK
 
 
-def cmd_schreier(args) -> int:
-    if args.x or args.y:
-        raise graphs.GraphFormatError(
-            "schreier analyzes the loop language at the root coset; use"
-            " `analyze --family` for other vertex pairs"
-        )
-    return cmd_analyze(args)
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int,
                    default=int(os.environ.get("ENTROSCOPE_BUDGET", graphs.DEFAULT_BUDGET)),
@@ -400,11 +369,11 @@ def _add_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", help="finite graph JSON document")
     p.add_argument("--family", choices=schreier.family_names(),
                    help="built-in infinite family")
+    p.add_argument("--x", help="start vertex (default: first root)")
+    p.add_argument("--y", help="end vertex (default: first root)")
 
 
 def _add_analysis(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--x", help="start vertex (default: first root)")
-    p.add_argument("--y", help="end vertex (default: first root)")
     p.add_argument("--depth", type=int, required=True, help="census horizon N")
     p.add_argument("--forbid", action="append", default=None,
                    help="forbidden word (repeatable; per-character over 1-char alphabets)")
@@ -459,14 +428,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="alphabet size for the entropy form of the bound")
     p.add_argument("--graph", help="optional finite graph for the k-step row-sum check")
     p.add_argument("--forbid", action="append", default=None)
-    p.add_argument("--arithmetic", choices=("exact", "float"), default="exact")
     _add_common(p)
     p.set_defaults(handler=cmd_bound)
 
     p = sub.add_parser("rho", help="n-step probability decay and h-transform identity")
     _add_source(p)
     _add_analysis(p)
-    p.add_argument("--arithmetic", choices=("exact", "float"), default="exact")
     p.add_argument("--conn-K", dest="conn_K", type=int, default=None)
     p.add_argument("--transform-check", action="store_true",
                    help="fit a harmonic vector and check the h-transform identity")
@@ -484,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_analysis(p)
     _add_certificate(p)
     _add_common(p)
-    p.set_defaults(handler=cmd_schreier)
+    p.set_defaults(handler=cmd_analyze)
 
     return parser
 

@@ -164,10 +164,10 @@ class Window:
     edges: tuple[Edge, ...] = ()
     boundary: tuple[Edge, ...] = ()
 
-    def inner(self, margin: int = 1) -> frozenset:
-        """Vertices at forward distance <= radius - margin from the center."""
-        cut = self.radius - margin
-        return frozenset(v for v, d in self.distances.items() if d <= cut)
+    def inner(self) -> frozenset:
+        """Vertices at forward distance < radius: no edge leaves the window
+        from them."""
+        return frozenset(v for v, d in self.distances.items() if d < self.radius)
 
     def sorted_vertices(self) -> list:
         return sorted(self.vertices, key=lambda v: (self.distances[v], vertex_key(v)))

@@ -18,8 +18,12 @@ import numpy as np
 from scipy import sparse
 
 
+TOL = 1e-12          # relative width at which a Perron bracket counts as closed
+MAX_ITER = 10**5     # power-iteration steps before ConvergenceError
+
+
 class ConvergenceError(RuntimeError):
-    """Iteration cap reached before the requested tolerance."""
+    """Iteration cap reached before the bracket closed."""
 
 
 @dataclass
@@ -85,34 +89,29 @@ def strong_components(A) -> tuple[int, np.ndarray]:
     return components, np.array(labels, dtype=int)
 
 
-def perron_root(
-    A,
-    tol: float = 1e-12,
-    max_iter: int = 10**5,
-    vector_tol: float | None = None,
-) -> PerronResult:
+def perron_root(A, vector_tol: float | None = None) -> PerronResult:
     """Leading eigenvalue and positive eigenvector of an irreducible
     nonnegative matrix (ndarray or scipy sparse), by power iteration on A + I.
 
     Stops once the Collatz-Wielandt bracket [lo, hi] of A + I has closed,
-    hi - lo <= tol * hi (and, when ``vector_tol`` is given, the
+    hi - lo <= TOL * hi (and, when ``vector_tol`` is given, the
     sup-normalized iterate moved by at most that much, for callers that
-    need the eigenvector itself).  Raises ConvergenceError at the iteration
-    cap, which is where reducible inputs end.
+    need the eigenvector itself).  Raises ConvergenceError after MAX_ITER
+    steps, which is where reducible inputs end.
     """
     n = A.shape[0]
     if n == 0:
         raise ValueError("empty matrix")
     B = sparse.csr_matrix(A) + sparse.identity(n, format="csr")
     x = np.ones(n)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         y = B @ x
         quot = y / x
         lo, hi = float(quot.min()), float(quot.max())
         x_new = y / y.max()
         moved = float(np.max(np.abs(x_new - x)))
         x = x_new
-        if hi - lo <= tol * hi and (vector_tol is None or moved <= vector_tol):
+        if hi - lo <= TOL * hi and (vector_tol is None or moved <= vector_tol):
             return PerronResult(
                 value=(lo + hi) / 2.0 - 1.0,
                 vector=x,
@@ -120,11 +119,11 @@ def perron_root(
                 bracket=(lo - 1.0, hi - 1.0),
             )
     raise ConvergenceError(
-        f"power iteration bracket still ({lo - 1.0:.6g}, {hi - 1.0:.6g}) after {max_iter} steps"
+        f"power iteration bracket still ({lo - 1.0:.6g}, {hi - 1.0:.6g}) after {MAX_ITER} steps"
     )
 
 
-def spectral_radius(A, tol: float = 1e-12, max_iter: int = 10**5) -> float:
+def spectral_radius(A) -> float:
     """Spectral radius of a nonnegative matrix, reducible or not: the
     largest Perron root over its strongly connected components."""
     A = sparse.csr_matrix(A)
@@ -135,5 +134,5 @@ def spectral_radius(A, tol: float = 1e-12, max_iter: int = 10**5) -> float:
     for c in np.flatnonzero(sizes > 1):
         members = np.flatnonzero(labels == c)
         block = A[members][:, members]
-        radius = max(radius, perron_root(block, tol=tol, max_iter=max_iter).value)
+        radius = max(radius, perron_root(block).value)
     return radius

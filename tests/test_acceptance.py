@@ -139,7 +139,7 @@ def test_criterion_3_k_step_row_sums_exact():
         b2 = es.explicit_graph(
             ["a", "b"], [("v", "a", "v"), ("v", "b", "v")], roots=["v"]
         )
-        chain_b2 = es.uniform_weights(b2, exact=True)
+        chain_b2 = es.uniform_weights(b2)
         check = es.k_step_restricted_rowsum_check(
             chain_b2,
             es.ForbiddenSet.from_strings(["aa"], b2.alphabet),
@@ -150,7 +150,7 @@ def test_criterion_3_k_step_row_sums_exact():
         assert check.threshold == 1 - Fraction(1, 2) ** 2 == Fraction(3, 4)
 
         line = es.schreier_graph(es.builtin_family("line_Z"))
-        chain_z = es.uniform_weights(line, exact=True)
+        chain_z = es.uniform_weights(line)
         check_z = es.k_step_restricted_rowsum_check(
             chain_z,
             es.ForbiddenSet.from_strings(["rr"], line.alphabet),
@@ -207,7 +207,7 @@ def test_criterion_5_dictionary_identity_exact():
     with criterion("5 dictionary identity p^(n) * sigma^n = c_n (exact, n <= 15)"):
         for g, x, y, words in fixture_zoo():
             sigma = len(g.alphabet)
-            ch = es.uniform_weights(g, exact=True)
+            ch = es.uniform_weights(g)
             for F in (None, es.ForbiddenSet.from_strings(words, g.alphabet)):
                 counts = es.count_words(g, x, y, 15, forbidden=F).counts
                 probs = es.probability_table(ch, x, y, 15, forbidden=F)
@@ -288,7 +288,7 @@ def test_criterion_8_determinization_soundness():
 def test_criterion_9_restricted_ck_and_mass_monotonicity():
     with criterion("9 restricted Chapman-Kolmogorov and mass monotonicity (exact, m, n <= 10)"):
         for g, x, y, words in fixture_zoo():
-            ch = es.uniform_weights(g, exact=True)
+            ch = es.uniform_weights(g)
             F = es.ForbiddenSet.from_strings(words, g.alphabet)
 
             plain = es.initial_distribution(ch, x)

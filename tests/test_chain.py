@@ -155,7 +155,7 @@ class TestDictionaryIdentity:
     def test_exact_identity(self, fixture, x, y, request):
         g = request.getfixturevalue(fixture)
         sigma = len(g.alphabet)
-        ch = es.uniform_weights(g, exact=True)
+        ch = es.uniform_weights(g)
         counts = es.count_words(g, x, y, 15).counts
         probs = es.probability_table(ch, x, y, 15)
         for n in range(16):
@@ -170,7 +170,7 @@ class TestDictionaryIdentity:
         g = request.getfixturevalue(fixture)
         sigma = len(g.alphabet)
         F = F_of(words, g.alphabet)
-        ch = es.uniform_weights(g, exact=True)
+        ch = es.uniform_weights(g)
         counts = es.count_words(g, x, y, 15, forbidden=F).counts
         probs = es.probability_table(ch, x, y, 15, forbidden=F)
         for n in range(16):
@@ -240,7 +240,7 @@ class TestHarmonicVector:
     def test_tree_like_window(self, free2):
         # stochastic chain: reflecting pins the trivial pair, absorbing
         # approximates from below, and the spread flags the difference
-        ch = es.uniform_weights(free2, exact=False)
+        ch = es.uniform_weights(free2)
         hv = es.harmonic_vector(ch, "", 5, tol=1e-6)
         assert hv.rho_hat == pytest.approx(1.0, abs=1e-12)
         assert hv.residual <= 1e-12
@@ -356,7 +356,7 @@ class TestCertifiedGapBound:
 
 class TestRowSumCheck:
     def test_full_shift_exact(self, b2):
-        ch = es.uniform_weights(b2, exact=True)
+        ch = es.uniform_weights(b2)
         w = es.full_window(b2)
         check = es.k_step_restricted_rowsum_check(
             ch, F_of(["aa"], b2.alphabet), D=0, k=2, w=w
@@ -366,7 +366,7 @@ class TestRowSumCheck:
         assert check.threshold == Fraction(3, 4)
 
     def test_line_exact(self, line_z):
-        ch = es.uniform_weights(line_z, exact=True)
+        ch = es.uniform_weights(line_z)
         w = es.forward_ball(line_z, 0, 3)
         check = es.k_step_restricted_rowsum_check(
             ch, F_of(["rr"], line_z.alphabet), D=0, k=2, w=w
@@ -378,7 +378,7 @@ class TestRowSumCheck:
         # probability-1 edges: stochastic, but aa labels no path, so a wrong
         # D produces full rows and the check reports them
         ch = es.WeightedChain(
-            graph=two_cycle, weight=lambda e: Fraction(1), alpha=Fraction(1), exact=True
+            graph=two_cycle, weight=lambda e: Fraction(1), alpha=Fraction(1)
         )
         w = es.full_window(two_cycle)
         check = es.k_step_restricted_rowsum_check(

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import entroscope
-from entroscope.cli import main
+from entroscope.cli import build_parser, main
 
 B2_DOC = {
     "alphabet": ["a", "b"],
@@ -90,9 +91,44 @@ class TestCount:
         _, report = run(capsys, "count", "--graph", b2_path, "--depth", "4")
         config = report["config"]
         assert config["tail"] == 20
-        assert config["arithmetic"] == "exact"
         assert config["budget"] == 10**6
         assert config["x"] == "v" and config["y"] == "v"
+
+
+def parser_options(command):
+    """Destinations of the options the subcommand's parser declares."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+class TestConfigEcho:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--graph", "B2", "--depth", "4"],
+            ["analyze", "--graph", "B2", "--depth", "12", "--forbid", "aa"],
+            ["bound", "--alpha", "0.5", "--D", "0", "--R", "2", "--stochastic"],
+            ["rho", "--graph", "B2", "--depth", "12", "--forbid", "aa"],
+            ["schreier", "--family", "line_Z", "--forbid", "rr", "--depth", "12"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_config_is_the_parsed_options(self, capsys, b2_path, argv):
+        argv = [b2_path if a == "B2" else a for a in argv]
+        _, report = run(capsys, *argv)
+        assert set(report["config"]) == parser_options(argv[0]) | {"command"}
+
+    def test_transform_check_is_echoed(self, capsys, b2_path):
+        argv = ["rho", "--graph", b2_path, "--depth", "12", "--forbid", "aa", "--conn-K", "1"]
+        _, plain = run(capsys, *argv)
+        _, checked = run(capsys, *argv, "--transform-check")
+        assert plain["config"]["transform_check"] is False
+        assert checked["config"]["transform_check"] is True
+
+    def test_count_echoes_no_foreign_options(self, capsys, b2_path):
+        _, report = run(capsys, "count", "--graph", b2_path, "--depth", "4")
+        for name in ("alpha", "hv_scheme", "arithmetic", "D_max"):
+            assert name not in report["config"]
 
 
 class TestAnalyze:
@@ -366,13 +402,48 @@ class TestErrorPaths:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "family, x", [("grid_Z2", "foo"), ("grid_Z2", "5"), ("line_Z", "(1,2)")]
+        "family, x",
+        [
+            ("grid_Z2", "foo"), ("grid_Z2", "5"), ("line_Z", "(1,2)"),
+            ("grid_Z2", "(1,2,3)"), ("free2_mod_cyclic", "foo"),
+            ("free2_mod_cyclic", "bB"), ("free2_mod_cyclic", "ab"),
+        ],
     )
     def test_bad_family_vertex(self, capsys, family, x):
         code, report = run(capsys, "count", "--family", family, "--x", x, "--depth", "3")
         assert code == 2
         assert report["error"]["type"] == "GraphFormatError"
         assert "--x" in report["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "family, x, loops",
+        [
+            ("grid_Z2", "(1,-2)", [1, 0, 4, 0, 36]),
+            ("line_Z", "-3", [1, 0, 2, 0, 6]),
+            ("free2_mod_cyclic", "bAb", [1, 0, 4]),
+        ],
+    )
+    def test_canonical_family_vertex(self, capsys, family, x, loops):
+        code, report = run(
+            capsys, "count", "--family", family, "--x", x, "--y", x, "--depth", "4"
+        )
+        assert code == 0
+        assert report["results"]["counts"][: len(loops)] == loops
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--family", "line_Z"],
+            ["analyze", "--family", "line_Z", "--forbid", "rr"],
+            ["rho", "--family", "line_Z"],
+            ["schreier", "--family", "line_Z", "--forbid", "rr"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_depth_names_the_option(self, capsys, argv):
+        code, report = run(capsys, *argv, "--depth", "-1")
+        assert code == 2
+        assert "--depth" in report["error"]["message"]
 
     def test_internal_key_error_is_not_a_config_error(self, capsys, b2_path, monkeypatch):
         def broken(*args, **kwargs):
