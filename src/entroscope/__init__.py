@@ -55,7 +55,6 @@ from .graphs import (
     Window,
     check_deterministic,
     check_fully_deterministic,
-    check_uniform_connectedness,
     explicit_graph,
     forward_ball,
     forward_distance,

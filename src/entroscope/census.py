@@ -6,28 +6,32 @@ rate from the counts, determinizes nondeterministic windows by the powerset
 construction, and computes exact entropy of finite strongly connected
 graphs as the log of the Perron root of the edge-count matrix.
 
-Counts are exact arbitrary-precision integers: c_n can reach |alphabet|^n.
+Counts are exact integers (c_n can reach |alphabet|^n): integer matrix
+powers modulo word-size primes, joined by the Chinese remainder theorem.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from . import linalg
-from .factors import ForbiddenSet, avoiding, mass_on
+from .factors import ForbiddenSet, avoiding
 from .graphs import (
     DEFAULT_BUDGET,
     Edge,
     LabelledGraph,
     Vertex,
     Window,
+    bfs,
     check_deterministic,
     explicit_graph,
     forward_ball,
     full_window,
-    push,
     vertex_key,
 )
 from .growth import NEG_INF, GrowthFit, fit_log_growth
@@ -37,7 +41,9 @@ __all__ = [
     "EntropyEstimate",
     "NondeterministicWindow",
     "NotStronglyConnected",
+    "CountRangeError",
     "count_words",
+    "path_counts",
     "determinize",
     "entropy_from_counts",
     "spectral_entropy_finite",
@@ -57,6 +63,22 @@ class NondeterministicWindow(RuntimeError):
 
 class NotStronglyConnected(RuntimeError):
     pass
+
+
+class CountRangeError(ValueError):
+    """A state has 2**32 or more incoming edges, so a sparse product of
+    residues modulo a prime below 2**31 could overflow int64."""
+
+
+@functools.cache
+def _primes(k: int) -> tuple[int, ...]:
+    """The k largest primes below 2**31, by trial division up to 46,341."""
+    found = _primes(k - 1) if k > 1 else ()
+    c = found[-1] - 2 if found else 2**31 - 1
+    divisors = np.arange(3, 46342, 2)
+    while not (c % divisors).all():
+        c -= 2
+    return found + (c,)
 
 
 @dataclass(frozen=True)
@@ -95,7 +117,7 @@ def count_words(
     """Exact word counts per length up to N.
 
     The forward ball of radius N around x must be deterministic, so words
-    correspond to paths; with a forbidden set the DP runs on the product
+    correspond to paths; with a forbidden set the census runs on the product
     graph, where dead automaton states are already pruned.  A caller that
     has already built and checked that ball passes it as ``ball``.
     """
@@ -103,14 +125,51 @@ def count_words(
         raise ValueError("N must be >= 0")
     if ball is None:
         deterministic_ball(g, x, N, budget)
-    graph, start = avoiding(g, x, forbidden)
-    paired = forbidden is not None
-    frontier = {start: 1}
-    counts = [mass_on(frontier, y, paired)]
-    for _ in range(N):
-        frontier = push(graph, frontier)
-        counts.append(mass_on(frontier, y, paired))
+    counts = path_counts(g, x, y, N, forbidden=forbidden, budget=budget)
     return WordCensus(x=x, y=y, counts=tuple(counts), forbidden=forbidden)
+
+
+def path_counts(
+    g: LabelledGraph,
+    x: Vertex,
+    y: Vertex,
+    N: int,
+    forbidden: Optional[ForbiddenSet] = None,
+    budget: int = DEFAULT_BUDGET,
+) -> list[int]:
+    """Exact number of length-n paths from x to y, for n = 0..N; with a
+    forbidden set, of those avoiding it (paths of the product graph).
+
+    The counts are entries of the powers of the edge-count matrix A of the
+    states within distance N of the start (edges out of the outer shell lie
+    on no such path), taken modulo the fewest primes below 2**31 whose
+    product M exceeds Delta^N, Delta the largest row sum of A.  No count
+    exceeds the total mass Delta^n < M, so the Chinese remainder theorem
+    recovers each one exactly from its residues.
+    """
+    graph, start = avoiding(g, x, forbidden)
+    distances, _ = bfs(graph, start, N, budget=budget)
+    states = list(distances)
+    edges = [e for v, d in distances.items() if d < N for e in graph.out_edges(v)]
+    A = linalg.adjacency(states, edges).astype(np.int64)
+    # residue (< 2**31) times column sum (< 2**32) keeps products below 2**63
+    if A.sum(axis=0).max() >= 2**32:
+        raise CountRangeError("a state has 2**32 or more incoming edges")
+    bound = max(int(A.sum(axis=1).max()), 1) ** N
+    primes = _primes(1)
+    while math.prod(primes) <= bound:
+        primes = _primes(len(primes) + 1)
+    modulus = np.array(primes, dtype=np.int64)
+    at_y = [i for i, s in enumerate(states) if (s if forbidden is None else s[0]) == y]
+    X = np.zeros((len(states), len(primes)), dtype=np.int64)
+    X[0] = 1  # the start state, discovered first
+    residues = [X[at_y].sum(axis=0)]
+    for _ in range(N):
+        X = (A.T @ X) % modulus
+        residues.append(X[at_y].sum(axis=0))
+    M = math.prod(primes)
+    basis = [M // p * pow(M // p, -1, p) for p in primes]
+    return [sum(a * b for a, b in zip(r, basis)) % M for r in np.array(residues).tolist()]
 
 
 def deterministic_ball(g: LabelledGraph, x: Vertex, N: int, budget: int) -> Window:

@@ -25,6 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from . import linalg
+from .census import path_counts
 from .factors import (
     DensenessCertificate,
     ForbiddenSet,
@@ -32,7 +33,6 @@ from .factors import (
     base_edge,
     certify_denseness,
     estimate_denseness_constant,
-    mass_on,
 )
 from .graphs import (
     DEFAULT_BUDGET,
@@ -48,9 +48,10 @@ from .graphs import (
     uniform_connectedness_constant,
     vertex_key,
 )
-from .growth import fit_log_growth
+from .growth import InsufficientData, fit_log_growth
 
 NEG_INF = float("-inf")
+MIN_DEPTH = 10   # shortest horizon rho_estimate fits a decay rate on
 
 
 class ChainError(ValueError):
@@ -66,8 +67,8 @@ class DegenerateBound(ValueError):
 class WeightedChain:
     """Edge probabilities p(e) >= alpha with substochastic rows.
 
-    ``uniform`` chains (every edge 1/|alphabet|) propagate integer path
-    counts; their probabilities are read off exactly as count/|alphabet|^n.
+    ``uniform`` chains (every edge 1/|alphabet|) read their probability
+    tables off exact path counts, as count/|alphabet|^n.
     Probabilities are Fractions when the weights are, and a Fraction
     ``alpha`` makes the row-sum comparisons exact.
     """
@@ -76,10 +77,6 @@ class WeightedChain:
     weight: Callable[[Edge], object] = field(compare=False)
     alpha: object = 0.0            # Fraction or float lower bound
     uniform: bool = False
-
-    @property
-    def sigma_size(self) -> int:
-        return len(self.graph.alphabet)
 
 
 def uniform_weights(g: LabelledGraph) -> WeightedChain:
@@ -125,57 +122,48 @@ class StepDistribution:
     Unrestricted distributions live on base vertices; restricted ones live
     on product states (vertex, automaton state) and collapse through
     ``by_vertex``.  Total mass <= 1, the deficit is the death probability.
-    For uniform chains ``mass`` holds path counts c, read as probabilities
-    c / |alphabet|^n, so p^(n)(x, y) * |alphabet|^n = c_n(x, y) exactly.
     """
 
-    chain: WeightedChain
     x: Vertex
     n: int
     mass: dict
     forbidden: Optional[ForbiddenSet] = None
     graph: LabelledGraph = None  # graph the DP steps on (base or product)
 
-    def probability(self, m):
-        """The probability carried by mass m."""
-        if not self.chain.uniform:
-            return m
-        return Fraction(m, self.chain.sigma_size**self.n)
-
     def at(self, y: Vertex):
-        return self.probability(mass_on(self.mass, y, self.forbidden is not None))
+        if self.forbidden is None:
+            return self.mass.get(y, 0)
+        return sum(m for (v, _s), m in self.mass.items() if v == y)
 
     def by_vertex(self) -> dict:
         out: dict = {}
         for state, m in self.mass.items():
             v = state if self.forbidden is None else state[0]
             out[v] = out.get(v, 0) + m
-        return {v: self.probability(m) for v, m in out.items()}
+        return out
 
     def total(self):
-        return self.probability(sum(self.mass.values()))
+        return sum(self.mass.values())
 
 
 def initial_distribution(
     chain: WeightedChain, x: Vertex, forbidden: Optional[ForbiddenSet] = None
 ) -> StepDistribution:
     graph, start = avoiding(chain.graph, x, forbidden)
-    return StepDistribution(chain, x, 0, {start: 1}, forbidden, graph)
+    return StepDistribution(x, 0, {start: 1}, forbidden, graph)
 
 
 def step(
     chain: WeightedChain, dist: StepDistribution, budget: int = DEFAULT_BUDGET
 ) -> StepDistribution:
     """One transition-matrix multiplication over lazily expanded edges."""
-    weight = None
-    if not chain.uniform:
-        weight = chain.weight
-        if dist.forbidden is not None:
-            weight = lambda e: chain.weight(base_edge(e))
+    weight = chain.weight
+    if dist.forbidden is not None:
+        weight = lambda e: chain.weight(base_edge(e))
     mass = push(dist.graph, dist.mass, weight)
     if len(mass) > budget:
-        raise ExpansionBudgetExceeded("step frontier exceeded budget")
-    return StepDistribution(chain, dist.x, dist.n + 1, mass, dist.forbidden, dist.graph)
+        raise ExpansionBudgetExceeded(f"step frontier exceeded --budget {budget} states")
+    return StepDistribution(dist.x, dist.n + 1, mass, dist.forbidden, dist.graph)
 
 
 def _walk(chain, x, n, forbidden, budget):
@@ -206,8 +194,16 @@ def probability_table(
     forbidden: Optional[ForbiddenSet] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> list:
-    """p^(n)(x, y) (or the F-restricted variant) for n = 0..N."""
-    return [dist.at(y) for dist in _walk(chain, x, N, forbidden, budget)]
+    """p^(n)(x, y) (or the F-restricted variant) for n = 0..N.
+
+    A uniform chain's p^(n)(x, y) is c_n / |alphabet|^n for the exact path
+    count c_n of ``census.path_counts``.
+    """
+    if not chain.uniform:
+        return [dist.at(y) for dist in _walk(chain, x, N, forbidden, budget)]
+    counts = path_counts(chain.graph, x, y, N, forbidden=forbidden, budget=budget)
+    sigma = len(chain.graph.alphabet)
+    return [Fraction(c, sigma**n) for n, c in enumerate(counts)]
 
 
 @dataclass
@@ -237,8 +233,8 @@ def rho_estimate(
     the n^(-1/2) of recurrent walks) bias the slope at desk horizons, which
     shows up in the residual diagnostic.
     """
-    if N < 10:
-        raise ValueError("N must be >= 10 for a meaningful tail estimate")
+    if N < MIN_DEPTH:
+        raise InsufficientData(f"a decay-rate fit needs N >= {MIN_DEPTH}, got N = {N}")
     table = probability_table(chain, x, y, N, forbidden=forbidden, budget=budget)
     fit = fit_log_growth(table, tail=tail)
     if fit.finite:

@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Optional
 
-from . import __version__, census, chain, factors, graphs, linalg, schreier
+from . import __version__, census, chain, factors, graphs, growth, linalg, schreier
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -169,11 +169,13 @@ def _config(args, **resolved) -> dict:
     return {k: resolved.get(k, v) for k, v in vars(args).items() if k != "handler"}
 
 
-def _setup(args):
+def _setup(args, min_depth: int = 0):
     """Graph, endpoints, forbidden set and echoed config of a subcommand
     that reads a graph."""
-    if args.depth < 0:
-        raise graphs.GraphFormatError(f"--depth must be >= 0, got {args.depth}")
+    if args.depth < min_depth:
+        raise graphs.GraphFormatError(f"--depth must be >= {min_depth}, got {args.depth}")
+    if args.tail < 1:
+        raise graphs.GraphFormatError(f"--tail must be >= 1, got {args.tail}")
     g, doc_words = _load_graph(args)
     x, y = _resolve_endpoints(g, args)
     forbidden = _forbidden_from(args, g, doc_words)
@@ -295,7 +297,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_rho(args) -> int:
-    g, x, y, forbidden, config = _setup(args)
+    g, x, y, forbidden, config = _setup(args, min_depth=chain.MIN_DEPTH)
     if args.transform_check and forbidden is None:
         raise graphs.GraphFormatError("--transform-check requires --forbid")
     ch = chain.uniform_weights(g)
@@ -479,6 +481,10 @@ def main(argv=None) -> int:
     except linalg.ConvergenceError as exc:
         _error(exc)
         return EXIT_CERTIFICATION
+    except growth.InsufficientData as exc:
+        _error(graphs.GraphFormatError(
+            f"too little data at --depth {args.depth}, --tail {args.tail}: {exc}"))
+        return EXIT_CONFIG
     except _CONFIG_ERRORS as exc:
         _error(exc)
         return EXIT_CONFIG

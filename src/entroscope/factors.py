@@ -208,13 +208,6 @@ def base_edge(e: Edge) -> Edge:
     return Edge(v, e.label, t)
 
 
-def mass_on(mass: dict, y: Vertex, paired: bool):
-    """Mass on base vertex y; ``paired`` masses live on product states."""
-    if not paired:
-        return mass.get(y, 0)
-    return sum(m for (v, _s), m in mass.items() if v == y)
-
-
 @dataclass(frozen=True)
 class DensenessWitness:
     vertex: Vertex

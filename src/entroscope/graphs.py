@@ -53,21 +53,6 @@ def edge_sort_key(e: Edge):
     return (e.label, vertex_key(e.target))
 
 
-def label_word(path: Iterable[Edge]) -> tuple[str, ...]:
-    """The word read along a path (empty path reads the empty word)."""
-    return tuple(e.label for e in path)
-
-
-def check_path(path: Iterable[Edge]) -> bool:
-    """True iff consecutive edges chain (e_i.target == e_{i+1}.source)."""
-    prev = None
-    for e in path:
-        if prev is not None and prev.target != e.source:
-            return False
-        prev = e
-    return True
-
-
 @dataclass(frozen=True)
 class Declared:
     """Constants known to hold globally for a built-in graph family.
@@ -204,7 +189,8 @@ def bfs(
                     nxt.append(e.target)
                     if len(distances) > budget:
                         raise ExpansionBudgetExceeded(
-                            f"search from {vertex_key(x)} exceeded {budget} vertices"
+                            f"search from vertex {vertex_key(x)!r} found more than"
+                            f" {budget} vertices (--budget)"
                         )
                     if stop is not None and stop(e.target):
                         found = True
@@ -221,20 +207,15 @@ def path_to(parents: dict, v: Vertex) -> tuple[Edge, ...]:
     return tuple(reversed(path))
 
 
-def push(
-    g: LabelledGraph, mass: dict, weight: Optional[Callable[[Edge], Any]] = None
-) -> dict:
-    """One propagation step: the mass on each vertex moves along its out-edges.
-
-    Without ``weight`` every edge carries its source's mass unchanged, so
-    integer masses count paths; with it, edge e carries mass * weight(e).
-    """
+def push(g: LabelledGraph, mass: dict, weight: Callable[[Edge], Any]) -> dict:
+    """One propagation step: the mass on each vertex moves along its
+    out-edges, edge e carrying mass * weight(e)."""
     nxt: dict = {}
     get = nxt.get
     for v, m in mass.items():
         for e in g.out_edges(v):
             t = e.target
-            nxt[t] = get(t, 0) + (m if weight is None else m * weight(e))
+            nxt[t] = get(t, 0) + m * weight(e)
     return nxt
 
 
@@ -319,41 +300,6 @@ def check_fully_deterministic(
         if gap:
             missing.append((v, gap))
     return missing
-
-
-@dataclass(frozen=True)
-class UniformConnectednessResult:
-    conn_k: int
-    witnesses: dict = field(compare=False)  # edge -> return path (tuple of edges)
-    failures: tuple[Edge, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def check_uniform_connectedness(
-    g: LabelledGraph, w: Window, K: int, budget: int = DEFAULT_BUDGET
-) -> UniformConnectednessResult:
-    """For every edge x -> y with both ends in the window, search for a
-    return path y -> x of length <= K.
-
-    The search expands forward balls of radius K from each edge target and
-    may leave the window.  The result certifies the window only.
-    """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    witnesses = {}
-    failures = []
-    for e in w.edges:
-        _, parents = bfs(g, e.target, K, stop=lambda v: v == e.source, budget=budget)
-        if e.source in parents:
-            witnesses[e] = path_to(parents, e.source)
-        else:
-            failures.append(e)
-    return UniformConnectednessResult(
-        conn_k=K, witnesses=witnesses, failures=tuple(failures)
-    )
 
 
 def uniform_connectedness_constant(

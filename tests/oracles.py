@@ -47,6 +47,28 @@ def brute_census(g, x, y, N, forbidden=None) -> list[int]:
     return [brute_count(g, x, y, n, forbidden) for n in range(N + 1)]
 
 
+def dict_census(g, x, y, N, forbidden=()) -> list[int]:
+    """Path counts x -> y for n = 0..N by a dictionary DP with big-integer
+    values, over states (vertex, last R - 1 labels read), R the longest
+    forbidden word: a step is dropped when a forbidden word ends with it."""
+    keep = max((len(w) for w in forbidden), default=1) - 1
+    frontier = {(x, ()): 1}
+    counts = []
+    for _ in range(N + 1):
+        counts.append(sum(c for (v, _), c in frontier.items() if v == y))
+        nxt: dict = {}
+        for (v, recent), c in frontier.items():
+            for e in g.out_edges(v):
+                read = recent + (e.label,)
+                if any(read[len(read) - len(w):] == tuple(w) for w in forbidden
+                       if len(w) <= len(read)):
+                    continue
+                key = (e.target, read[len(read) - keep:])
+                nxt[key] = nxt.get(key, 0) + c
+        frontier = nxt
+    return counts
+
+
 def readable_words(g, start, max_len) -> dict[int, set]:
     """Words per length readable from start (NFA-safe: frontier of vertex
     sets per word)."""

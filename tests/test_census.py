@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 import entroscope as es
 from entroscope.growth import InsufficientData
 
-from oracles import brute_census, readable_words
+from oracles import brute_census, dict_census, random_det_scc_graph, readable_words
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -77,6 +79,83 @@ class TestCountWords:
                 if q[0] == "v1"
             )
             assert direct == via_product
+
+
+class TestPathCounts:
+    def test_full_shift_beyond_int64(self, b2):
+        # six primes below 2**31 multiply to less than 2**200
+        assert math.prod(es.census._primes(6)) <= 2**200
+        counts = es.count_words(b2, "v", "v", 200).counts
+        assert counts == tuple(2**n for n in range(201))
+        F = es.ForbiddenSet.from_strings(["aa"], b2.alphabet)
+        restricted = es.count_words(b2, "v", "v", 200, forbidden=F).counts
+        assert restricted[200] > 2**64
+        assert list(restricted) == dict_census(b2, "v", "v", 200, F.words)
+
+    def test_two_labels_to_one_target(self):
+        g = es.explicit_graph(
+            ["a", "b"], [("v", "a", "w"), ("v", "b", "w"), ("w", "a", "v")], roots=["v"]
+        )
+        counts = es.count_words(g, "v", "v", 12).counts
+        assert counts[:5] == (1, 0, 2, 0, 4)
+        assert list(counts) == dict_census(g, "v", "v", 12) == brute_census(g, "v", "v", 12)
+
+    def test_targets_on_and_outside_the_shell(self, line_z, b2):
+        # 3 is on the outer shell of the radius-3 ball, reached by rrr only
+        assert es.count_words(line_z, 0, 3, 3).counts == (0, 0, 0, 1)
+        G = es.ForbiddenSet.from_strings(["rl"], line_z.alphabet)
+        assert es.count_words(line_z, 0, 3, 3, forbidden=G).counts == (0, 0, 0, 1)
+        F = es.ForbiddenSet.from_strings(["rr"], line_z.alphabet)
+        assert es.count_words(line_z, 0, 5, 3).counts == (0, 0, 0, 0)
+        assert es.count_words(line_z, 0, 5, 3, forbidden=F).counts == (0, 0, 0, 0)
+        assert es.count_words(line_z, 0, 0, 0, forbidden=F).counts == (1,)
+        assert es.count_words(line_z, 0, 1, 0).counts == (0,)
+        assert es.count_words(b2, "v", "v", 0).counts == (1,)
+
+    def test_random_dfas(self):
+        rng = random.Random(6)
+        for _ in range(100):
+            g = random_det_scc_graph(rng)
+            x, y = rng.choice(g.vertex_list), rng.choice(g.vertex_list)
+            words = [
+                "".join(rng.choice(g.alphabet) for _ in range(rng.randint(1, 3)))
+                for _ in range(rng.randint(1, 2))
+            ]
+            F = es.ForbiddenSet.from_strings(words, g.alphabet)
+            assert list(es.count_words(g, x, y, 60).counts) == dict_census(g, x, y, 60)
+            restricted = es.count_words(g, x, y, 60, forbidden=F).counts
+            assert list(restricted) == dict_census(g, x, y, 60, F.words)
+
+    @pytest.mark.parametrize("words", [None, ["aa"], ["ab", "bbb"]])
+    def test_uniform_probability_table(self, golden_mean, words):
+        F = words and es.ForbiddenSet.from_strings(words, golden_mean.alphabet)
+        table = es.probability_table(es.uniform_weights(golden_mean), "v1", "v1", 30, F)
+        counts = es.count_words(golden_mean, "v1", "v1", 30, forbidden=F).counts
+        assert table == [Fraction(c, 2**n) for n, c in enumerate(counts)]
+
+    def test_uniform_table_counts_paths_without_determinism(self):
+        g = es.explicit_graph(
+            ["a", "b"], [("x", "a", "y"), ("x", "a", "x"), ("y", "b", "x")], roots=["x"]
+        )
+        table = es.probability_table(es.uniform_weights(g), "x", "x", 10)
+        assert table == [Fraction(c, 2**n) for n, c in enumerate(brute_census(g, "x", "x", 10))]
+
+    def test_product_search_respects_budget(self, b2):
+        # the base ball has one vertex, the product three states
+        F = es.ForbiddenSet.from_strings(["aaa"], b2.alphabet)
+        assert es.count_words(b2, "v", "v", 5, budget=3, forbidden=F).counts[5] == 24
+        with pytest.raises(es.ExpansionBudgetExceeded):
+            es.count_words(b2, "v", "v", 5, budget=2, forbidden=F)
+
+    def test_column_sum_guard(self, b2, monkeypatch):
+        # b2's one column sums to 2 * scale: counted exactly below 2**32, refused at it
+        adjacency = es.linalg.adjacency
+        scale = 2**31 - 1
+        monkeypatch.setattr(es.linalg, "adjacency", lambda v, e: adjacency(v, e) * scale)
+        assert es.count_words(b2, "v", "v", 8).counts == tuple((2 * scale) ** n for n in range(9))
+        monkeypatch.setattr(es.linalg, "adjacency", lambda v, e: adjacency(v, e) * 2**31)
+        with pytest.raises(es.census.CountRangeError):
+            es.count_words(b2, "v", "v", 8)
 
 
 class TestDeterminize:

@@ -445,6 +445,44 @@ class TestErrorPaths:
         assert code == 2
         assert "--depth" in report["error"]["message"]
 
+    def test_budget_error_quotes_the_vertex_and_names_the_option(self, capsys):
+        code, report = run(
+            capsys, "count", "--family", "free2_mod_cyclic", "--forbid", "ab",
+            "--depth", "14", "--budget", "1000",
+        )
+        assert code == 3
+        assert report["error"]["message"] == (
+            "search from vertex '' found more than 1000 vertices (--budget)"
+        )
+
+    @pytest.mark.parametrize("tail", ["0", "-1"])
+    def test_tail_below_one_names_the_option(self, capsys, tail):
+        code, report = run(
+            capsys, "count", "--family", "grid_Z2", "--depth", "12", "--tail", tail
+        )
+        assert code == 2
+        assert report["error"]["type"] == "GraphFormatError"
+        assert "--tail" in report["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "argv, fit",
+        [
+            (["rho", "--family", "line_Z", "--depth", "5"], False),
+            (["count", "--family", "line_Z", "--depth", "0"], True),
+            (["analyze", "--family", "line_Z", "--forbid", "rr", "--depth", "1"], True),
+            (["schreier", "--family", "free2_mod_cyclic", "--forbid", "ab", "--depth", "5"],
+             True),
+            (["count", "--family", "grid_Z2", "--depth", "12", "--tail", "1"], True),
+        ],
+        ids=["rho", "count", "analyze", "schreier", "count-tail-1"],
+    )
+    def test_small_depth_names_the_options(self, capsys, argv, fit):
+        code, report = run(capsys, *argv)
+        assert code == 2
+        assert report["error"]["type"] == "GraphFormatError"
+        message = report["error"]["message"]
+        assert "--depth" in message and ("--tail" in message) == fit
+
     def test_internal_key_error_is_not_a_config_error(self, capsys, b2_path, monkeypatch):
         def broken(*args, **kwargs):
             raise KeyError("internal")

@@ -208,8 +208,9 @@ class TestDenseness:
         w = es.forward_ball(line_z, 0, 2)
         cert = es.certify_denseness(line_z, make_forbidden("rr"), 0, w)
         for witness in cert.witnesses.values():
-            assert es.graphs.check_path(witness.approach + witness.reading)
-            assert es.graphs.label_word(witness.reading) == witness.word
+            path = witness.approach + witness.reading
+            assert all(a.target == b.source for a, b in zip(path, path[1:]))
+            assert tuple(e.label for e in witness.reading) == witness.word
 
     def test_matches_reference_search(self):
         rng = random.Random(4)

@@ -112,23 +112,19 @@ class TestDeterminism:
 class TestUniformConnectedness:
     def test_line_k1(self, line_z):
         w = es.forward_ball(line_z, 0, 3)
-        res = es.check_uniform_connectedness(line_z, w, K=1)
-        assert res.ok
-        assert all(len(p) <= 1 for p in res.witnesses.values())
+        assert es.graphs.uniform_connectedness_constant(line_z, w, K_max=1) == 1
+        assert es.graphs.uniform_connectedness_constant(line_z, w, K_max=0) is None
 
     def test_full_shift_loops(self, b2):
         w = es.forward_ball(b2, "v", 2)
-        res = es.check_uniform_connectedness(b2, w, K=1)
-        assert res.ok
-        # loops return via the empty path
-        assert all(len(p) == 0 for p in res.witnesses.values())
+        # loops return via the empty path, so a cap of 0 suffices
+        assert es.graphs.uniform_connectedness_constant(b2, w, K_max=0) == 1
 
     def test_one_way_ray_fails_everywhere(self):
         g = one_way_ray()
         w = es.forward_ball(g, 0, 4)
-        res = es.check_uniform_connectedness(g, w, K=5)
-        assert not res.ok
-        assert set(res.failures) == set(w.edges)
+        assert es.graphs.uniform_connectedness_constant(g, w, K_max=5) is None
+        assert all(es.forward_distance(g, e.target, e.source, 5) is None for e in w.edges)
 
 
 class TestExpansionPurity:
