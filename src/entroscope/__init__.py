@@ -34,7 +34,6 @@ from .chain import (
     step,
     transform_identity_check,
     uniform_weights,
-    validate,
 )
 from .factors import (
     DensenessCertificate,

@@ -8,6 +8,7 @@ graphs as the log of the Perron root of the edge-count matrix.
 
 Counts are exact integers (c_n can reach |alphabet|^n): integer matrix
 powers modulo word-size primes, joined by the Chinese remainder theorem.
+Weighted path sums run on the same states as float64 matrix powers.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import linalg
-from .factors import ForbiddenSet, avoiding
+from .factors import ForbiddenSet, avoiding, base_edge
 from .graphs import (
     DEFAULT_BUDGET,
     Edge,
@@ -44,6 +45,7 @@ __all__ = [
     "CountRangeError",
     "count_words",
     "path_counts",
+    "path_weights",
     "determinize",
     "entropy_from_counts",
     "spectral_entropy_finite",
@@ -129,6 +131,18 @@ def count_words(
     return WordCensus(x=x, y=y, counts=tuple(counts), forbidden=forbidden)
 
 
+def _reach(g, x, y, N, forbidden, budget):
+    """States within distance N of the start (x, or (x, start) on the product
+    graph) in discovery order; their out-edges but the outer shell's, which
+    lie on no path of length <= N; and the indices of the states over y."""
+    graph, start = avoiding(g, x, forbidden)
+    distances, _ = bfs(graph, start, N, budget=budget)
+    states = list(distances)
+    edges = [e for v, d in distances.items() if d < N for e in graph.out_edges(v)]
+    at_y = [i for i, s in enumerate(states) if (s if forbidden is None else s[0]) == y]
+    return states, edges, at_y
+
+
 def path_counts(
     g: LabelledGraph,
     x: Vertex,
@@ -141,16 +155,12 @@ def path_counts(
     forbidden set, of those avoiding it (paths of the product graph).
 
     The counts are entries of the powers of the edge-count matrix A of the
-    states within distance N of the start (edges out of the outer shell lie
-    on no such path), taken modulo the fewest primes below 2**31 whose
-    product M exceeds Delta^N, Delta the largest row sum of A.  No count
-    exceeds the total mass Delta^n < M, so the Chinese remainder theorem
-    recovers each one exactly from its residues.
+    states within distance N of the start, taken modulo the fewest primes
+    below 2**31 whose product M exceeds Delta^N, Delta the largest row sum
+    of A.  No count exceeds the total mass Delta^n < M, so the Chinese
+    remainder theorem recovers each one exactly from its residues.
     """
-    graph, start = avoiding(g, x, forbidden)
-    distances, _ = bfs(graph, start, N, budget=budget)
-    states = list(distances)
-    edges = [e for v, d in distances.items() if d < N for e in graph.out_edges(v)]
+    states, edges, at_y = _reach(g, x, y, N, forbidden, budget)
     A = linalg.adjacency(states, edges).astype(np.int64)
     # residue (< 2**31) times column sum (< 2**32) keeps products below 2**63
     if A.sum(axis=0).max() >= 2**32:
@@ -160,7 +170,6 @@ def path_counts(
     while math.prod(primes) <= bound:
         primes = _primes(len(primes) + 1)
     modulus = np.array(primes, dtype=np.int64)
-    at_y = [i for i, s in enumerate(states) if (s if forbidden is None else s[0]) == y]
     X = np.zeros((len(states), len(primes)), dtype=np.int64)
     X[0] = 1  # the start state, discovered first
     residues = [X[at_y].sum(axis=0)]
@@ -170,6 +179,26 @@ def path_counts(
     M = math.prod(primes)
     basis = [M // p * pow(M // p, -1, p) for p in primes]
     return [sum(a * b for a, b in zip(r, basis)) % M for r in np.array(residues).tolist()]
+
+
+def path_weights(
+    g: LabelledGraph, x: Vertex, y: Vertex, N: int, weight: Callable[[Edge], float],
+    forbidden: Optional[ForbiddenSet] = None, budget: int = DEFAULT_BUDGET,
+) -> list[float]:
+    """Summed weight of the length-n paths from x to y, for n = 0..N, a path
+    weighing the product of its edges' ``weight`` (of their base edges on the
+    product graph): float64 sparse matrix powers on ``path_counts``'s states.
+    """
+    states, edges, at_y = _reach(g, x, y, N, forbidden, budget)
+    w = weight if forbidden is None else (lambda e: weight(base_edge(e)))
+    AT = linalg.adjacency(states, edges, w).T.tocsr()
+    v = np.zeros(len(states))
+    v[0] = 1.0
+    table = [float(v[at_y].sum())]
+    for _ in range(N):
+        v = AT @ v
+        table.append(float(v[at_y].sum()))
+    return table
 
 
 def deterministic_ball(g: LabelledGraph, x: Vertex, N: int, budget: int) -> Window:

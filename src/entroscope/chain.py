@@ -25,7 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from . import linalg
-from .census import path_counts
+from .census import path_counts, path_weights
 from .factors import (
     DensenessCertificate,
     ForbiddenSet,
@@ -44,7 +44,6 @@ from .graphs import (
     check_fully_deterministic,
     forward_ball,
     full_window,
-    push,
     uniform_connectedness_constant,
     vertex_key,
 )
@@ -68,8 +67,8 @@ class WeightedChain:
     """Edge probabilities p(e) >= alpha with substochastic rows.
 
     ``uniform`` chains (every edge 1/|alphabet|) read their probability
-    tables off exact path counts, as count/|alphabet|^n.
-    Probabilities are Fractions when the weights are, and a Fraction
+    tables off exact path counts, as count/|alphabet|^n, others' are float64.
+    n-step vectors are Fractions when the weights are, and a Fraction
     ``alpha`` makes the row-sum comparisons exact.
     """
 
@@ -83,8 +82,7 @@ def uniform_weights(g: LabelledGraph) -> WeightedChain:
     """Every edge gets probability Fraction(1, |alphabet|).
 
     On deterministic graphs the rows sum to out-degree/|alphabet| <= 1; an
-    out-degree above |alphabet| shows up as a row-sum violation (checked
-    eagerly on finite graphs, by ``validate`` on windows otherwise).
+    out-degree above |alphabet| is refused on finite graphs.
     """
     sigma = len(g.alphabet)
     p = Fraction(1, sigma)
@@ -98,23 +96,6 @@ def uniform_weights(g: LabelledGraph) -> WeightedChain:
     return chain
 
 
-def validate(chain: WeightedChain, w: Window) -> list[str]:
-    """Row-sum and edge-floor violations on the window (empty list = Ok)."""
-    tol = 0 if isinstance(chain.alpha, Fraction) else 1e-12
-    problems = []
-    for v in w.sorted_vertices():
-        total = sum(chain.weight(e) for e in chain.graph.out_edges(v))
-        if total > 1 + tol:
-            problems.append(f"row sum {float(total):.12g} > 1 at {vertex_key(v)}")
-        for e in chain.graph.out_edges(v):
-            if chain.weight(e) < chain.alpha - tol:
-                problems.append(
-                    f"edge weight {float(chain.weight(e)):.12g} below alpha at "
-                    f"{vertex_key(v)} -{e.label}->"
-                )
-    return problems
-
-
 @dataclass
 class StepDistribution:
     """Mass of the particle after n steps from x.
@@ -124,16 +105,9 @@ class StepDistribution:
     ``by_vertex``.  Total mass <= 1, the deficit is the death probability.
     """
 
-    x: Vertex
-    n: int
     mass: dict
     forbidden: Optional[ForbiddenSet] = None
     graph: LabelledGraph = None  # graph the DP steps on (base or product)
-
-    def at(self, y: Vertex):
-        if self.forbidden is None:
-            return self.mass.get(y, 0)
-        return sum(m for (v, _s), m in self.mass.items() if v == y)
 
     def by_vertex(self) -> dict:
         out: dict = {}
@@ -150,7 +124,7 @@ def initial_distribution(
     chain: WeightedChain, x: Vertex, forbidden: Optional[ForbiddenSet] = None
 ) -> StepDistribution:
     graph, start = avoiding(chain.graph, x, forbidden)
-    return StepDistribution(x, 0, {start: 1}, forbidden, graph)
+    return StepDistribution({start: 1}, forbidden, graph)
 
 
 def step(
@@ -160,19 +134,13 @@ def step(
     weight = chain.weight
     if dist.forbidden is not None:
         weight = lambda e: chain.weight(base_edge(e))
-    mass = push(dist.graph, dist.mass, weight)
+    mass: dict = {}
+    for v, m in dist.mass.items():
+        for e in dist.graph.out_edges(v):
+            mass[e.target] = mass.get(e.target, 0) + m * weight(e)
     if len(mass) > budget:
         raise ExpansionBudgetExceeded(f"step frontier exceeded --budget {budget} states")
-    return StepDistribution(dist.x, dist.n + 1, mass, dist.forbidden, dist.graph)
-
-
-def _walk(chain, x, n, forbidden, budget):
-    """The distributions after 0, 1, ..., n steps from x."""
-    dist = initial_distribution(chain, x, forbidden)
-    yield dist
-    for _ in range(n):
-        dist = step(chain, dist, budget=budget)
-        yield dist
+    return StepDistribution(mass, dist.forbidden, dist.graph)
 
 
 def n_step_vector(
@@ -182,7 +150,10 @@ def n_step_vector(
     forbidden: Optional[ForbiddenSet] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> StepDistribution:
-    *_, dist = _walk(chain, x, n, forbidden, budget)
+    """The exact distribution after n steps from x, one ``step`` at a time."""
+    dist = initial_distribution(chain, x, forbidden)
+    for _ in range(n):
+        dist = step(chain, dist, budget=budget)
     return dist
 
 
@@ -197,10 +168,11 @@ def probability_table(
     """p^(n)(x, y) (or the F-restricted variant) for n = 0..N.
 
     A uniform chain's p^(n)(x, y) is c_n / |alphabet|^n for the exact path
-    count c_n of ``census.path_counts``.
+    count c_n of ``census.path_counts``; any other chain's table is the
+    float64 weighted path sum of ``census.path_weights``.
     """
     if not chain.uniform:
-        return [dist.at(y) for dist in _walk(chain, x, N, forbidden, budget)]
+        return path_weights(chain.graph, x, y, N, chain.weight, forbidden=forbidden, budget=budget)
     counts = path_counts(chain.graph, x, y, N, forbidden=forbidden, budget=budget)
     sigma = len(chain.graph.alphabet)
     return [Fraction(c, sigma**n) for n, c in enumerate(counts)]
@@ -284,9 +256,8 @@ def harmonic_vector(
     ``reflecting`` renormalizes rows that leak mass out of the window back
     to their full row sum (the default: killing the boundary biases the
     eigenvalue downward on recurrent graphs); ``absorbing`` keeps the
-    truncated rows.  The spread between the two schemes is reported in the
-    diagnostics.  The residual is measured against the untruncated rows on
-    the inner window (radius - 1), where no edge leaves the ball.
+    truncated rows.  The residual is measured against the untruncated rows
+    on the inner window (radius - 1), where no edge leaves the ball.
     """
     if radius < 2:
         raise ValueError("radius must be >= 2")
@@ -296,19 +267,18 @@ def harmonic_vector(
     verts = ball.sorted_vertices()
     index = {v: i for i, v in enumerate(verts)}
     weight = lambda e: float(chain.weight(e))
-    absorbing = linalg.adjacency(verts, ball.edges, weight)
-    if linalg.strong_components(absorbing)[0] != 1:
+    matrix = linalg.adjacency(verts, ball.edges, weight)
+    if linalg.strong_components(matrix)[0] != 1:
         raise ChainError("the window is not strongly connected; no positive harmonic vector")
-    kept = np.asarray(absorbing.sum(axis=1)).ravel()
-    leaked = np.zeros(len(verts))
-    for e in ball.boundary:
-        leaked[index[e.source]] += weight(e)
-    scale = np.divide(kept + leaked, kept, out=np.ones(len(verts)), where=kept > 0)
-    matrices = {"absorbing": absorbing, "reflecting": sparse.diags(scale) @ absorbing}
-    other = "absorbing" if scheme == "reflecting" else "reflecting"
+    if scheme == "reflecting":
+        kept = np.asarray(matrix.sum(axis=1)).ravel()
+        leaked = np.zeros(len(verts))
+        for e in ball.boundary:
+            leaked[index[e.source]] += weight(e)
+        scale = np.divide(kept + leaked, kept, out=np.ones(len(verts)), where=kept > 0)
+        matrix = sparse.diags(scale) @ matrix
     vec_tol = min(1e-10, tol * 1e-2)
-    res = linalg.perron_root(matrices[scheme], vector_tol=vec_tol)
-    res_other = linalg.perron_root(matrices[other])
+    res = linalg.perron_root(matrix, vector_tol=vec_tol)
     vec = res.vector / res.vector[index[center]]
     values = {v: float(vec[i]) for v, i in index.items()}
     rho_hat = res.value
@@ -330,8 +300,6 @@ def harmonic_vector(
         tol=tol,
         diagnostics={
             "rho_" + scheme: rho_hat,
-            "rho_" + other: res_other.value,
-            "scheme_spread": abs(rho_hat - res_other.value),
             "iterations": res.iterations,
             "window_size": len(verts),
         },
@@ -425,25 +393,25 @@ def certified_gap_bound(
     alpha = float(alpha)
     rho = float(rho)
     if not (0 < alpha <= 1):
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+        raise ChainError(f"--alpha must be in (0, 1], got {alpha}")
     if D < 0 or R < 1:
-        raise ValueError(f"need D >= 0 and R >= 1, got D={D}, R={R}")
+        raise ChainError(f"need --D >= 0 and --R >= 1, got D={D}, R={R}")
     # measured spectral radii of stochastic chains can overshoot 1 by eig noise
     if 1.0 < rho <= 1.0 + 1e-9:
         rho = 1.0
     if not (0 < rho <= 1):
-        raise ValueError(f"rho must be in (0, 1], got {rho}")
+        raise ChainError(f"--rho must be in (0, 1], got {rho}")
     k = D + R
     eps0 = alpha**k
     if stochastic:
         if abs(rho - 1.0) > 1e-12:
-            raise ValueError("stochastic fast path requires rho = 1")
+            raise ChainError(f"the stochastic fast path requires --rho 1, got {rho}")
         alpha_bar = alpha
     else:
         if conn_k is None or conn_k < 1:
-            raise ValueError("general path requires conn_k >= 1")
+            raise ChainError(f"the general path requires --conn-K >= 1, got {conn_k}")
         if alpha > rho:
-            raise ValueError(f"alpha {alpha} exceeds rho {rho}; weights are inconsistent")
+            raise ChainError(f"--alpha {alpha} exceeds --rho {rho}; weights are inconsistent")
         alpha_bar = (alpha / rho) ** (conn_k + 1)
     eps0_prime = alpha_bar**k
     if not (0 < eps0_prime < 1):
@@ -508,8 +476,9 @@ def k_step_restricted_rowsum_check(
     rather than raised.
     """
     if k != D + forbidden.max_length:
-        raise ValueError(
-            f"k must equal D + R = {D} + {forbidden.max_length}, got {k}"
+        raise ChainError(
+            f"k = {k} is not D + R = {D} + {forbidden.max_length}:"
+            " --R must be the length of the longest forbidden word"
         )
     threshold = 1 - chain.alpha**k
     slack = 0 if isinstance(threshold, Fraction) else 1e-12

@@ -151,6 +151,10 @@ def _forbidden_from(args, g: graphs.LabelledGraph, doc_words) -> Optional[factor
 
 
 def _cert_inputs(args) -> chain.CertificateInputs:
+    for option, value in (("--D", args.D), ("--d-max", args.D_max),
+                          ("--window-radius", args.window_radius)):
+        if value is not None and value < 0:
+            raise graphs.GraphFormatError(f"{option} must be >= 0, got {value}")
     return chain.CertificateInputs(
         alpha=args.alpha,
         D=args.D,
@@ -256,6 +260,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    if args.sigma_size is not None and args.sigma_size < 1:
+        raise graphs.GraphFormatError(f"--sigma-size must be >= 1, got {args.sigma_size}")
     rho = args.rho if args.rho is not None else 1.0
     config = _config(args, rho=rho, forbid=tuple(args.forbid or ()))
     try:
@@ -300,6 +306,10 @@ def cmd_rho(args) -> int:
     g, x, y, forbidden, config = _setup(args, min_depth=chain.MIN_DEPTH)
     if args.transform_check and forbidden is None:
         raise graphs.GraphFormatError("--transform-check requires --forbid")
+    if args.hv_radius is not None and args.hv_radius < 2:
+        raise graphs.GraphFormatError(f"--hv-radius must be >= 2, got {args.hv_radius}")
+    if args.hv_tol is not None and not args.hv_tol > 0:
+        raise graphs.GraphFormatError(f"--hv-tol must be > 0, got {args.hv_tol}")
     ch = chain.uniform_weights(g)
     warnings: list[str] = []
     est = chain.rho_estimate(ch, x, y, args.depth, tail=args.tail, budget=args.budget)
@@ -463,10 +473,11 @@ _CONFIG_ERRORS = (
     factors.ForbiddenWordError,
     census.NondeterministicWindow,
     census.NotStronglyConnected,
+    census.CountRangeError,
     chain.ChainError,
     FileNotFoundError,
+    UnicodeDecodeError,
     json.JSONDecodeError,
-    ValueError,
 )
 
 

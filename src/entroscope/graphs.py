@@ -75,8 +75,9 @@ class LabelledGraph:
     ``expand(v)`` must return every out-edge of ``v``, each with
     ``source == v``, and must be pure: repeated calls yield the same edge
     set.  ``out_edges`` memoizes, validates and sorts the result (by label,
-    then canonical target form) so all downstream traversals and counts are
-    reproducible regardless of evaluation order.
+    then canonical target form, built only where labels tie) so all
+    downstream traversals and counts are reproducible regardless of
+    evaluation order.
     """
 
     def __init__(
@@ -122,12 +123,14 @@ class LabelledGraph:
             if e.label not in self._alpha_set:
                 raise GraphFormatError(f"edge label {e.label!r} not in alphabet")
             edges.append(e)
-        edges.sort(key=edge_sort_key)
-        for a, b in zip(edges, edges[1:]):
-            if a == b:
-                raise GraphFormatError(
-                    f"duplicate edge {vertex_key(a.source)} -{a.label}-> {vertex_key(a.target)}"
-                )
+        edges.sort(key=lambda e: e.label)
+        # distinct labels decide edge_sort_key's order, and duplicates share a label
+        if any(a.label == b.label for a, b in zip(edges, edges[1:])):
+            edges.sort(key=edge_sort_key)
+            for a, b in zip(edges, edges[1:]):
+                if a == b:
+                    raise GraphFormatError(f"duplicate edge {vertex_key(a.source)}"
+                                           f" -{a.label}-> {vertex_key(a.target)}")
         result = tuple(edges)
         self._cache[v] = result
         return result
@@ -205,18 +208,6 @@ def path_to(parents: dict, v: Vertex) -> tuple[Edge, ...]:
         path.append(parents[v])
         v = parents[v].source
     return tuple(reversed(path))
-
-
-def push(g: LabelledGraph, mass: dict, weight: Callable[[Edge], Any]) -> dict:
-    """One propagation step: the mass on each vertex moves along its
-    out-edges, edge e carrying mass * weight(e)."""
-    nxt: dict = {}
-    get = nxt.get
-    for v, m in mass.items():
-        for e in g.out_edges(v):
-            t = e.target
-            nxt[t] = get(t, 0) + m * weight(e)
-    return nxt
 
 
 def forward_ball(

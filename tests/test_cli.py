@@ -490,3 +490,52 @@ class TestErrorPaths:
         monkeypatch.setattr(entroscope.census, "entropy_gap_report", broken)
         with pytest.raises(KeyError):
             main(["analyze", "--graph", b2_path, "--depth", "4", "--forbid", "aa"])
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--hv-tol", "-1"), ("--hv-tol", "0"), ("--hv-tol", "nan"), ("--hv-radius", "1")],
+    )
+    def test_harmonic_option_out_of_range_names_the_option(self, capsys, option, value):
+        code, report = run(
+            capsys, "rho", "--family", "grid_Z2", "--depth", "12", "--forbid", "rr",
+            "--transform-check", option, value,
+        )
+        assert code == 2
+        assert report["error"]["type"] == "GraphFormatError"
+        assert option in report["error"]["message"]
+
+    ANALYZE = ("analyze", "--family", "line_Z", "--depth", "12", "--forbid", "rr")
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (ANALYZE + ("--D", "-1"), "--D"),
+            (ANALYZE + ("--d-max", "-1"), "--d-max"),
+            (ANALYZE + ("--window-radius", "-3"), "--window-radius"),
+            (("bound", "--alpha", "2", "--D", "0", "--R", "1", "--stochastic"), "--alpha"),
+            (("bound", "--alpha", "0.5", "--D", "0", "--R", "2"), "--conn-K"),
+            (("bound", "--alpha", "0.5", "--D", "0", "--R", "2", "--stochastic",
+              "--sigma-size", "-1"), "--sigma-size"),
+        ],
+        ids=["D", "d-max", "window-radius", "alpha", "conn-K", "sigma-size"],
+    )
+    def test_out_of_range_option_is_named(self, capsys, argv, option):
+        code, report = run(capsys, *argv)
+        assert code == 2
+        assert option in report["error"]["message"]
+
+    def test_bound_R_must_match_the_forbidden_words(self, capsys, b2_path):
+        code, report = run(
+            capsys, "bound", "--alpha", "0.5", "--D", "0", "--R", "3",
+            "--graph", b2_path, "--forbid", "aa", "--stochastic",
+        )
+        assert code == 2
+        assert "--R" in report["error"]["message"]
+
+    def test_internal_value_error_is_not_a_config_error(self, capsys, b2_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(entroscope.census, "entropy_gap_report", broken)
+        with pytest.raises(ValueError, match="internal"):
+            main(["analyze", "--graph", b2_path, "--depth", "4", "--forbid", "aa"])

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -143,6 +144,25 @@ class TestExpansionPurity:
     def test_duplicate_edge_rejected(self):
         with pytest.raises(es.GraphFormatError):
             es.explicit_graph(["a"], [("x", "a", "y"), ("x", "a", "y")], roots=["x"])
+
+    @pytest.mark.parametrize("labels", ["abcd", "abcc", "aaab", "aaaa"])
+    def test_shuffled_expansion_sorts_by_edge_key(self, labels):
+        # targets whose canonical forms order differently from their values,
+        # and two (10 and "10") that tie on it
+        rng = random.Random(labels)
+        targets = [9, 10, (1, 2), "x", (10,), 100, -3, "10"]
+        for _ in range(25):
+            edges = [Edge("v", a, t) for a, t in zip(labels, rng.sample(targets, len(labels)))]
+            shuffled = rng.sample(edges, len(edges))
+            g = es.LabelledGraph("abcd", lambda v: shuffled, roots=["v"])
+            assert g.out_edges("v") == tuple(sorted(shuffled, key=es.graphs.edge_sort_key))
+
+    @pytest.mark.parametrize("extra", [[], [Edge("v", "a", 2)]])
+    def test_duplicate_from_custom_expand_rejected(self, extra):
+        edges = [Edge("v", "b", 1), Edge("v", "a", 3), Edge("v", "b", 1)] + extra
+        g = es.LabelledGraph("ab", lambda v: edges, roots=["v"])
+        with pytest.raises(es.GraphFormatError, match="duplicate edge"):
+            g.out_edges("v")
 
 
 class TestJsonInterface:
