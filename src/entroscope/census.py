@@ -134,11 +134,15 @@ def count_words(
 def _reach(g, x, y, N, forbidden, budget):
     """States within distance N of the start (x, or (x, start) on the product
     graph) in discovery order; their out-edges but the outer shell's, which
-    lie on no path of length <= N; and the indices of the states over y."""
-    graph, start = avoiding(g, x, forbidden)
-    distances, _ = bfs(graph, start, N, budget=budget)
-    states = list(distances)
-    edges = [e for v, d in distances.items() if d < N for e in graph.out_edges(v)]
+    lie on no path of length <= N; and the indices of the states over y.
+    The states and edges are memoized on g (``LabelledGraph.reaches``)."""
+    key = (x, N, forbidden, budget)
+    if key not in g.reaches:
+        graph, start = avoiding(g, x, forbidden)
+        distances, _ = bfs(graph, start, N, budget=budget)
+        edges = [e for v, d in distances.items() if d < N for e in graph.out_edges(v)]
+        g.reaches[key] = list(distances), edges
+    states, edges = g.reaches[key]
     at_y = [i for i, s in enumerate(states) if (s if forbidden is None else s[0]) == y]
     return states, edges, at_y
 

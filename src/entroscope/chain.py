@@ -96,6 +96,12 @@ def uniform_weights(g: LabelledGraph) -> WeightedChain:
     return chain
 
 
+def _float_weight(chain: WeightedChain) -> Callable[[Edge], float]:
+    """The chain's edge weight as a float; a uniform chain's is one constant."""
+    p = float(chain.alpha)
+    return (lambda e: p) if chain.uniform else (lambda e: float(chain.weight(e)))
+
+
 @dataclass
 class StepDistribution:
     """Mass of the particle after n steps from x.
@@ -266,7 +272,7 @@ def harmonic_vector(
     ball = forward_ball(chain.graph, center, radius, budget=budget)
     verts = ball.sorted_vertices()
     index = {v: i for i, v in enumerate(verts)}
-    weight = lambda e: float(chain.weight(e))
+    weight = _float_weight(chain)
     matrix = linalg.adjacency(verts, ball.edges, weight)
     if linalg.strong_components(matrix)[0] != 1:
         raise ChainError("the window is not strongly connected; no positive harmonic vector")
@@ -279,17 +285,13 @@ def harmonic_vector(
         matrix = sparse.diags(scale) @ matrix
     vec_tol = min(1e-10, tol * 1e-2)
     res = linalg.perron_root(matrix, vector_tol=vec_tol)
-    vec = res.vector / res.vector[index[center]]
-    values = {v: float(vec[i]) for v, i in index.items()}
+    h = res.vector / res.vector[index[center]]
+    values = dict(zip(verts, h.tolist()))
     rho_hat = res.value
-    residual = 0.0
-    for v in ball.inner():
-        hv = values[v]
-        ph = sum(
-            float(chain.weight(e)) * values[e.target]
-            for e in chain.graph.out_edges(v)
-        )
-        residual = max(residual, abs(ph - rho_hat * hv) / hv)
+    # verts run by distance, so the inner rows come first; no edge leaves the
+    # window from them, so they are complete and reflecting left them unscaled
+    inner = sum(d < radius for d in ball.distances.values())
+    residual = float(np.max(np.abs(matrix @ h - rho_hat * h)[:inner] / h[:inner]))
     return HarmonicVector(
         rho_hat=rho_hat,
         values=values,
@@ -325,6 +327,7 @@ def h_transform(
         )
     rho = hv.rho_hat
     values = hv.values
+    base = _float_weight(chain)
 
     def weight(e: Edge):
         try:
@@ -333,9 +336,10 @@ def h_transform(
         except KeyError as exc:
             raise ChainError(
                 f"edge {vertex_key(e.source)} -{e.label}-> {vertex_key(e.target)}"
-                " leaves the harmonic window"
+                f" leaves the harmonic window (--hv-radius {hv.radius}); the window"
+                " must cover the --depth ball around x"
             ) from exc
-        return float(chain.weight(e)) * hy / (rho * hx)
+        return base(e) * hy / (rho * hx)
 
     alpha_bar = (float(chain.alpha) / rho) ** (conn_k + 1)
     return WeightedChain(graph=chain.graph, weight=weight, alpha=alpha_bar)

@@ -77,7 +77,8 @@ class LabelledGraph:
     set.  ``out_edges`` memoizes, validates and sorts the result (by label,
     then canonical target form, built only where labels tie) so all
     downstream traversals and counts are reproducible regardless of
-    evaluation order.
+    evaluation order.  ``reaches`` memoizes the census searches from a
+    start vertex, keyed by (start, N, forbidden set, budget).
     """
 
     def __init__(
@@ -103,6 +104,7 @@ class LabelledGraph:
         self.declared = declared or Declared()
         self._alpha_set = frozenset(self.alphabet)
         self._cache: dict = {}
+        self.reaches: dict = {}
 
     @property
     def is_finite(self) -> bool:
@@ -151,11 +153,6 @@ class Window:
     distances: dict = field(compare=False)
     edges: tuple[Edge, ...] = ()
     boundary: tuple[Edge, ...] = ()
-
-    def inner(self) -> frozenset:
-        """Vertices at forward distance < radius: no edge leaves the window
-        from them."""
-        return frozenset(v for v, d in self.distances.items() if d < self.radius)
 
     def sorted_vertices(self) -> list:
         return sorted(self.vertices, key=lambda v: (self.distances[v], vertex_key(v)))
@@ -357,15 +354,22 @@ class GraphDocument:
     forbidden: tuple[str, ...] = ()
 
 
+def _strings(value, what: str) -> list:
+    if not isinstance(value, (list, tuple)) or not all(isinstance(w, str) for w in value):
+        raise GraphFormatError(f"{what} must be a list of strings, got {value!r}")
+    return list(value)
+
+
 def parse_graph_document(doc: dict, name: str = "") -> GraphDocument:
     """Parse the JSON graph schema.
 
     Expected keys: "alphabet" (list of symbols), "vertices" (list of ids),
     "edges" (list of [source, label, target]), "roots" (list of ids), and
-    optionally "forbidden" (list of word strings).
+    optionally "forbidden" (list of word strings).  An id is any JSON value
+    but a list or an object.
     """
     try:
-        alphabet = list(doc["alphabet"])
+        alphabet = _strings(doc["alphabet"], '"alphabet"')
         vertices = list(doc["vertices"])
         raw_edges = list(doc["edges"])
         roots = list(doc["roots"])
@@ -373,13 +377,17 @@ def parse_graph_document(doc: dict, name: str = "") -> GraphDocument:
         raise GraphFormatError(f"graph document missing field: {exc}") from exc
     edges = []
     for t in raw_edges:
-        if len(t) != 3:
+        if not isinstance(t, (list, tuple)) or len(t) != 3:
             raise GraphFormatError(f"edge entry {t!r} is not a [source, label, target] triple")
         if t[1] not in alphabet:
             raise GraphFormatError(f"edge label {t[1]!r} not in alphabet")
         edges.append(Edge(t[0], t[1], t[2]))
+    ids = vertices + roots + [v for e in edges for v in (e.source, e.target)]
+    for v in ids:
+        if isinstance(v, (list, dict)):
+            raise GraphFormatError(f"vertex id {v!r} is a list or an object")
     g = explicit_graph(alphabet, edges, roots, vertices=vertices, name=name)
-    forbidden = tuple(doc.get("forbidden", ()))
+    forbidden = tuple(_strings(doc.get("forbidden", ()), '"forbidden"'))
     return GraphDocument(graph=g, forbidden=forbidden)
 
 

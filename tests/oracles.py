@@ -85,6 +85,27 @@ def readable_words(g, start, max_len) -> dict[int, set]:
     return result
 
 
+def harmonic_residual(chain, hv) -> float:
+    """max |P h - rho h| / h over the vertices at distance < radius from the
+    window center, one vertex at a time over its full row of the chain."""
+    dist = {hv.center: 0}
+    layer = [hv.center]
+    for d in range(1, hv.radius):
+        nxt = []
+        for v in layer:
+            for e in chain.graph.out_edges(v):
+                if e.target not in dist:
+                    dist[e.target] = d
+                    nxt.append(e.target)
+        layer = nxt
+    h = hv.values
+    worst = 0.0
+    for v in dist:
+        ph = sum(float(chain.weight(e)) * h[e.target] for e in chain.graph.out_edges(v))
+        worst = max(worst, abs(ph - hv.rho_hat * h[v]) / h[v])
+    return worst
+
+
 def strongly_connected(g) -> bool:
     verts = list(g.vertex_list)
     if not verts:

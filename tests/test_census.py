@@ -147,6 +147,27 @@ class TestPathCounts:
         with pytest.raises(es.ExpansionBudgetExceeded):
             es.count_words(b2, "v", "v", 5, budget=2, forbidden=F)
 
+    def test_memoized_reach_keeps_its_budget(self, grid_z2):
+        # the radius-8 product ball holds more than 20 states
+        F = es.ForbiddenSet.from_strings(["ru"], grid_z2.alphabet)
+        origin = (0, 0)
+        counts = es.census.path_counts(grid_z2, origin, origin, 8, forbidden=F)
+        assert counts == dict_census(grid_z2, origin, origin, 8, F.words)
+        with pytest.raises(es.ExpansionBudgetExceeded):
+            es.census.path_counts(grid_z2, origin, origin, 8, forbidden=F, budget=20)
+        with pytest.raises(es.ExpansionBudgetExceeded):
+            es.census.path_weights(
+                grid_z2, origin, origin, 8, lambda e: 0.25, forbidden=F, budget=20
+            )
+        assert es.census.path_counts(grid_z2, origin, origin, 8, forbidden=F) == counts
+
+    def test_reach_memo_lives_on_the_graph(self):
+        spec = es.builtin_family("grid_Z2")
+        g = es.schreier_graph(spec)
+        es.census.path_counts(g, (0, 0), (1, 1), 6)
+        assert list(g.reaches) == [((0, 0), 6, None, es.DEFAULT_BUDGET)]
+        assert es.schreier_graph(spec).reaches == {}
+
     def test_column_sum_guard(self, b2, monkeypatch):
         # b2's one column sums to 2 * scale: counted exactly below 2**32, refused at it
         adjacency = es.linalg.adjacency

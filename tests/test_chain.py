@@ -9,6 +9,7 @@ import entroscope as es
 from entroscope.chain import ChainError
 
 from oracles import (
+    harmonic_residual,
     random_det_scc_graph,
     random_nfa,
     random_word_on_graph,
@@ -265,6 +266,37 @@ class TestHarmonicVector:
         )
         assert reflecting.rho_hat == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("scheme", ["reflecting", "absorbing"])
+    def test_residual_matches_vertex_loop(self, line_z, grid_z2, scheme, monkeypatch):
+        # the solver's own vector leaves a residual of rounding size; a
+        # perturbed one makes it large enough for a 1e-12 relative check
+        rng = random.Random(8)
+        perron_root = es.linalg.perron_root
+
+        def perturbed(*args, **kwargs):
+            res = perron_root(*args, **kwargs)
+            res.vector = res.vector * (1 + np.array([rng.random() for _ in res.vector]))
+            return res
+
+        monkeypatch.setattr(es.linalg, "perron_root", perturbed)
+        cases = [(es.uniform_weights(line_z), 0, 9), (es.uniform_weights(grid_z2), (0, 0), 6)]
+        while len(cases) < 40:
+            g = random_det_scc_graph(rng)
+            if len(g.vertex_list) == 1:  # h is pinned to 1 at the center
+                continue
+            sigma = len(g.alphabet)
+            weight = {
+                e: Fraction(rng.randint(1, 9), 10 * sigma)
+                for v in g.vertex_list for e in g.out_edges(v)
+            }
+            ch = es.WeightedChain(graph=g, weight=weight.__getitem__, alpha=Fraction(1, 10 * sigma))
+            cases.append((ch, 0, len(g.vertex_list) + 1))
+        for ch, center, radius in cases:
+            hv = es.harmonic_vector(ch, center, radius, tol=1.0, scheme=scheme)
+            oracle = harmonic_residual(ch, hv)
+            assert oracle > 1e-3
+            assert hv.residual == pytest.approx(oracle, rel=1e-12, abs=0)
+
     def test_radius_too_small(self, b2):
         with pytest.raises(ValueError):
             es.harmonic_vector(es.uniform_weights(b2), "v", 1)
@@ -322,6 +354,29 @@ class TestHTransform:
         out = es.h_transform(ch, hv, conn_k=1)
         for e in line_z.out_edges(0):
             assert out.weight(e) == pytest.approx(0.5, abs=1e-9)
+
+    def test_uniform_chain_matches_its_general_twin(self, grid_z2):
+        # the uniform chain reads one float weight; the twin converts its
+        # Fraction weight per edge: the windows and tables agree bit for bit
+        rng = random.Random(3)
+        dfa = random_det_scc_graph(rng)
+        while len(dfa.alphabet) != 3:
+            dfa = random_det_scc_graph(rng)
+        F = F_of(["ru"], grid_z2.alphabet)
+        for g, x, radius, forbidden in ((grid_z2, (0, 0), 14, F), (dfa, 0, 9, None)):
+            ch = es.uniform_weights(g)
+            twin = es.WeightedChain(graph=g, weight=ch.weight, alpha=ch.alpha)
+            assert not twin.uniform
+            hv = es.harmonic_vector(ch, x, radius, tol=1e-3)
+            hv_twin = es.harmonic_vector(twin, x, radius, tol=1e-3)
+            assert (hv.values, hv.rho_hat, hv.residual) == (
+                hv_twin.values, hv_twin.rho_hat, hv_twin.residual
+            )
+            tables = [
+                es.probability_table(es.h_transform(c, hv, conn_k=1), x, x, 12, forbidden)
+                for c in (ch, twin)
+            ]
+            assert tables[0] == tables[1]
 
     def test_requires_conn_k(self, b2):
         ch = es.uniform_weights(b2)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import entroscope
+from entroscope import factors
 from entroscope.cli import build_parser, main
 
 B2_DOC = {
@@ -333,6 +334,59 @@ class TestRho:
         assert identity["ok"]
         assert report["results"]["harmonic"]["rho_hat"] == pytest.approx(1.0)
 
+    def test_small_harmonic_window_names_the_options(self, capsys, b2_path):
+        code, report = run(
+            capsys, "rho", "--family", "grid_Z2", "--depth", "12", "--forbid", "rr",
+            "--transform-check", "--conn-K", "1", "--hv-radius", "6",
+        )
+        assert code == 2
+        assert report["error"]["type"] == "ChainError"
+        message = report["error"]["message"]
+        assert "leaves the harmonic window" in message
+        assert "--hv-radius 6" in message and "--depth" in message
+        # a finite graph's small window can still hold every edge
+        code, report = run(
+            capsys, "rho", "--graph", b2_path, "--depth", "15", "--forbid", "aa",
+            "--transform-check", "--conn-K", "1", "--hv-radius", "2",
+        )
+        assert code == 0
+
+    def test_transform_check_searches_the_product_ball_once(self, capsys, monkeypatch):
+        # the restricted and the transformed tables share one automaton, one
+        # product graph and one search: no product state is expanded twice
+        automata, expanded = [], []
+        automaton_init = factors.FactorAutomaton.__init__
+        product_graph = factors.product_graph
+
+        def init(self, *args, **kwargs):
+            automata.append(self)
+            automaton_init(self, *args, **kwargs)
+
+        def counted_product(*args, **kwargs):
+            g = product_graph(*args, **kwargs)
+            expand = g.expand
+
+            def counted(state):
+                expanded.append(state)
+                return expand(state)
+
+            g.expand = counted
+            return g
+
+        monkeypatch.setattr(factors.FactorAutomaton, "__init__", init)
+        monkeypatch.setattr(factors, "product_graph", counted_product)
+        argv = ("rho", "--family", "grid_Z2", "--depth", "12", "--forbid", "ru",
+                "--transform-check", "--conn-K", "1")
+        code, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(automata) == 1
+        assert expanded and len(expanded) == len(set(expanded))
+        # a second run builds a new graph, whose memo starts empty
+        code, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(automata) == 2
+        assert len(expanded) == 2 * len(set(expanded))
+
     def test_transform_check_without_forbid_fails_before_counting(self, capsys):
         # a budget the plain estimate would exceed: the config error comes first
         code, report = run(
@@ -394,6 +448,17 @@ class TestErrorPaths:
         code, report = run(capsys, "count", "--graph", str(path), "--depth", "4")
         assert code == 2
         assert "deterministic" in report["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"edges": [5]}, {"vertices": [["v"]]}, {"forbidden": 7}, {"forbidden": "ab"}],
+        ids=["edge-not-a-triple", "unhashable-vertex", "forbidden-int", "forbidden-str"],
+    )
+    def test_malformed_document_is_a_config_error(self, capsys, tmp_path, change):
+        path = write_doc(tmp_path, "bad.json", dict(B2_DOC, **change))
+        code, report = run(capsys, "count", "--graph", path, "--depth", "3")
+        assert code == 2
+        assert report["error"]["type"] == "GraphFormatError"
 
     def test_bad_vertex(self, capsys, b2_path):
         code, report = run(

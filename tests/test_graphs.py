@@ -196,3 +196,31 @@ class TestJsonInterface:
         bad = {k: v for k, v in self.DOC.items() if k != "roots"}
         with pytest.raises(es.GraphFormatError):
             es.parse_graph_document(bad)
+
+    @pytest.mark.parametrize("edges", [[5], ["vav"], [["v", "a"]], [["v", "a", "v", "b"]]])
+    def test_edge_entry_not_a_triple_rejected(self, edges):
+        with pytest.raises(es.GraphFormatError, match="triple"):
+            es.parse_graph_document(dict(self.DOC, edges=edges))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("vertices", ["v", ["v"]]),
+            ("roots", [{"id": "v"}]),
+            ("edges", [[["v"], "a", "v"]]),
+            ("edges", [["v", "a", ["v"]]]),
+        ],
+    )
+    def test_unhashable_vertex_id_rejected(self, field, value):
+        with pytest.raises(es.GraphFormatError, match="vertex id"):
+            es.parse_graph_document(dict(self.DOC, **{field: value}))
+
+    @pytest.mark.parametrize("forbidden", [7, "ab", ["aa", 3], {"aa": 1}])
+    def test_forbidden_not_a_list_of_strings_rejected(self, forbidden):
+        with pytest.raises(es.GraphFormatError, match='"forbidden"'):
+            es.parse_graph_document(dict(self.DOC, forbidden=forbidden))
+
+    @pytest.mark.parametrize("alphabet", ["ab", [["a"], "b"], ["a", 1]])
+    def test_alphabet_not_a_list_of_strings_rejected(self, alphabet):
+        with pytest.raises(es.GraphFormatError, match='"alphabet"'):
+            es.parse_graph_document(dict(self.DOC, alphabet=alphabet))
