@@ -6,7 +6,6 @@ from .census import (
     EntropyEstimate,
     GapReport,
     NondeterministicWindow,
-    NotStronglyConnected,
     WordCensus,
     count_words,
     determinize,

@@ -3,8 +3,8 @@
 Counts words of each length readable from x to y, with or without a
 forbidden factor set (via the product construction), estimates the growth
 rate from the counts, determinizes nondeterministic windows by the powerset
-construction, and computes exact entropy of finite strongly connected
-graphs as the log of the Perron root of the edge-count matrix.
+construction, and computes exact entropy of finite graphs as the log of
+the spectral radius of the edge-count matrix of their reachable part.
 
 Counts are exact integers (c_n can reach |alphabet|^n): integer matrix
 powers modulo word-size primes, joined by the Chinese remainder theorem.
@@ -31,7 +31,6 @@ from .graphs import (
     bfs,
     check_deterministic,
     explicit_graph,
-    forward_ball,
     full_window,
     vertex_key,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "WordCensus",
     "EntropyEstimate",
     "NondeterministicWindow",
-    "NotStronglyConnected",
     "CountRangeError",
     "count_words",
     "path_counts",
@@ -61,10 +59,6 @@ class NondeterministicWindow(RuntimeError):
     def __init__(self, violations):
         super().__init__(f"window is not deterministic at {violations[:5]}")
         self.violations = violations
-
-
-class NotStronglyConnected(RuntimeError):
-    pass
 
 
 class CountRangeError(ValueError):
@@ -114,19 +108,20 @@ def count_words(
     N: int,
     forbidden: Optional[ForbiddenSet] = None,
     budget: int = DEFAULT_BUDGET,
-    ball: Optional[Window] = None,
 ) -> WordCensus:
     """Exact word counts per length up to N.
 
-    The forward ball of radius N around x must be deterministic, so words
-    correspond to paths; with a forbidden set the census runs on the product
-    graph, where dead automaton states are already pruned.  A caller that
-    has already built and checked that ball passes it as ``ball``.
+    Words correspond to paths when every state a word of length <= N
+    leaves from, those within distance N - 1 of x, is deterministic; that
+    is checked on the edges the census counts.  With a forbidden set the
+    census runs on the product graph, where dead automaton states are
+    already pruned.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    if ball is None:
-        deterministic_ball(g, x, N, budget)
+    violations = check_deterministic(_reach(g, x, y, N, forbidden, budget)[1])
+    if violations:
+        raise NondeterministicWindow(violations)
     counts = path_counts(g, x, y, N, forbidden=forbidden, budget=budget)
     return WordCensus(x=x, y=y, counts=tuple(counts), forbidden=forbidden)
 
@@ -205,15 +200,6 @@ def path_weights(
     return table
 
 
-def deterministic_ball(g: LabelledGraph, x: Vertex, N: int, budget: int) -> Window:
-    """The radius-N ball around x, checked deterministic (words = paths)."""
-    ball = forward_ball(g, x, N, budget=budget)
-    violations = check_deterministic(g, ball)
-    if violations:
-        raise NondeterministicWindow(violations)
-    return ball
-
-
 def determinize(g: LabelledGraph, w: Window) -> LabelledGraph:
     """Powerset construction on the window's subgraph.
 
@@ -266,31 +252,22 @@ def entropy_from_counts(census: WordCensus, tail: int = 20) -> EntropyEstimate:
 
 
 def spectral_entropy_finite(g: LabelledGraph, budget: int = DEFAULT_BUDGET) -> EntropyEstimate:
-    """log of the Perron root of the edge-count adjacency matrix.
+    """log of the spectral radius of the edge-count adjacency matrix of the
+    part of the graph reachable from the first root.
 
-    Requires the part of the graph reachable from the first root to be
-    finite, strongly connected and deterministic; the Perron root is found
-    by power iteration until its bracket closes (``linalg.perron_root``).
+    That part must be finite and deterministic; it may be reducible, and
+    its radius is the largest Perron root of its strongly connected
+    components (``linalg.spectral_radius``).  An acyclic part has radius 0
+    and gives the -inf sentinel of a finite language.
     """
     w = full_window(g, budget=budget)
-    collisions = check_deterministic(g, w)
+    collisions = check_deterministic(w.edges)
     if collisions:
         raise NondeterministicWindow(collisions)
-    A = linalg.adjacency(w.sorted_vertices(), w.edges)
-    if linalg.strong_components(A)[0] != 1:
-        raise NotStronglyConnected(f"graph {g.name!r} is not strongly connected")
-    res = linalg.perron_root(A)
-    lam = res.value
+    lam = linalg.spectral_radius(linalg.adjacency(w.sorted_vertices(), w.edges))
     value = math.log(lam) if lam > 0 else NEG_INF
     return EntropyEstimate(
-        value=value,
-        method="spectral",
-        diagnostics={
-            "eigenvalue": lam,
-            "iterations": res.iterations,
-            "bracket": res.bracket,
-            "states": len(w.vertices),
-        },
+        value=value, method="spectral", diagnostics={"eigenvalue": lam, "states": len(w.vertices)}
     )
 
 
@@ -326,9 +303,8 @@ def entropy_gap_report(
     """
     from . import chain as chain_mod
 
-    ball = deterministic_ball(g, x, N, budget)
-    plain = count_words(g, x, y, N, budget=budget, ball=ball)
-    restricted = count_words(g, x, y, N, forbidden=forbidden, budget=budget, ball=ball)
+    plain = count_words(g, x, y, N, budget=budget)
+    restricted = count_words(g, x, y, N, forbidden=forbidden, budget=budget)
     h = entropy_from_counts(plain, tail=tail)
     h_f = entropy_from_counts(restricted, tail=tail)
     certificate, scope, D_used, warnings = chain_mod.resolve_certificate(

@@ -197,8 +197,7 @@ def _csv_rows(column, column_f=None):
 
 def cmd_count(args) -> int:
     g, x, y, forbidden, config = _setup(args)
-    ball = census.deterministic_ball(g, x, args.depth, args.budget)
-    plain = census.count_words(g, x, y, args.depth, budget=args.budget, ball=ball)
+    plain = census.count_words(g, x, y, args.depth, budget=args.budget)
     results = {
         "counts": list(plain.counts),
         "entropy": _estimate_dict(census.entropy_from_counts(plain, tail=args.tail)),
@@ -206,7 +205,7 @@ def cmd_count(args) -> int:
     restricted = None
     if forbidden is not None:
         restricted = census.count_words(
-            g, x, y, args.depth, forbidden=forbidden, budget=args.budget, ball=ball
+            g, x, y, args.depth, forbidden=forbidden, budget=args.budget
         )
         results["counts_forbidden"] = list(restricted.counts)
         results["entropy_forbidden"] = _estimate_dict(
@@ -262,6 +261,9 @@ def cmd_analyze(args) -> int:
 def cmd_bound(args) -> int:
     if args.sigma_size is not None and args.sigma_size < 1:
         raise graphs.GraphFormatError(f"--sigma-size must be >= 1, got {args.sigma_size}")
+    if bool(args.graph) != bool(args.forbid):
+        given, missing = ("--graph", "--forbid") if args.graph else ("--forbid", "--graph")
+        raise graphs.GraphFormatError(f"{missing} is required with {given} (row-sum check)")
     rho = args.rho if args.rho is not None else 1.0
     config = _config(args, rho=rho, forbid=tuple(args.forbid or ()))
     try:
@@ -277,7 +279,7 @@ def cmd_bound(args) -> int:
         _num(cert.h_bound(args.sigma_size)) if args.sigma_size else None
     )
     window_check = None
-    if args.graph and args.forbid:
+    if args.graph:
         doc = graphs.load_graph_json(args.graph)
         g = doc.graph
         forbidden = factors.ForbiddenSet.from_strings(args.forbid, g.alphabet)
@@ -472,7 +474,6 @@ _CONFIG_ERRORS = (
     graphs.GraphFormatError,
     factors.ForbiddenWordError,
     census.NondeterministicWindow,
-    census.NotStronglyConnected,
     census.CountRangeError,
     chain.ChainError,
     FileNotFoundError,

@@ -13,6 +13,7 @@ global claims about an infinite graph.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
@@ -143,8 +144,10 @@ class Window:
     """Finite forward ball of an (possibly infinite) graph.
 
     ``vertices`` are exactly those at forward distance <= radius from the
-    center; ``edges`` have both endpoints inside, ``boundary`` edges leave
-    the window (their sources necessarily sit on the outer shell).
+    center; ``distances`` runs over them by (distance, ``vertex_key``), the
+    window's one vertex order.  ``edges`` have both endpoints inside,
+    ``boundary`` edges leave the window (their sources necessarily sit on
+    the outer shell); both follow the vertex order of their sources.
     """
 
     center: Vertex
@@ -155,7 +158,7 @@ class Window:
     boundary: tuple[Edge, ...] = ()
 
     def sorted_vertices(self) -> list:
-        return sorted(self.vertices, key=lambda v: (self.distances[v], vertex_key(v)))
+        return list(self.distances)
 
 
 def bfs(
@@ -219,9 +222,10 @@ def forward_ball(
     """
     if radius is not None and radius < 0:
         raise ValueError("radius must be >= 0")
-    distances, _ = bfs(g, x, radius, budget=budget)
+    found, _ = bfs(g, x, radius, budget=budget)
+    distances = {v: found[v] for v in sorted(found, key=lambda v: (found[v], vertex_key(v)))}
     inside, boundary = [], []
-    for v in sorted(distances, key=vertex_key):
+    for v in distances:
         for e in g.out_edges(v):
             if e.target in distances:
                 inside.append(e)
@@ -259,18 +263,12 @@ def forward_distance(
     return bfs(g, x, cap, stop=lambda v: v == y, budget=budget)[0].get(y)
 
 
-def check_deterministic(g: LabelledGraph, w: Window) -> list[tuple[Vertex, str]]:
-    """(vertex, label) pairs in the window with two or more outgoing edges
-    sharing that label.  Empty list means the window is deterministic."""
-    violations = []
-    for v in w.sorted_vertices():
-        seen: dict[str, int] = {}
-        for e in g.out_edges(v):
-            seen[e.label] = seen.get(e.label, 0) + 1
-        for a in g.alphabet:
-            if seen.get(a, 0) >= 2:
-                violations.append((v, a))
-    return violations
+def check_deterministic(edges: Iterable[Edge]) -> list[tuple[Vertex, str]]:
+    """(source, label) pairs shared by two or more of the given edges, in
+    order of first appearance.  Empty list means the sources are
+    deterministic; a window passes ``w.edges + w.boundary``."""
+    seen = Counter((e.source, e.label) for e in edges)
+    return [pair for pair, n in seen.items() if n >= 2]
 
 
 def check_fully_deterministic(
@@ -354,41 +352,49 @@ class GraphDocument:
     forbidden: tuple[str, ...] = ()
 
 
-def _strings(value, what: str) -> list:
-    if not isinstance(value, (list, tuple)) or not all(isinstance(w, str) for w in value):
-        raise GraphFormatError(f"{what} must be a list of strings, got {value!r}")
-    return list(value)
+def _list(doc: dict, key: str, required: bool = True) -> list:
+    """The JSON list under ``key``; an optional key defaults to []."""
+    if key not in doc and required:
+        raise GraphFormatError(f'graph document missing field "{key}"')
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise GraphFormatError(f'"{key}" must be a JSON list, got {type(value).__name__}')
+    return value
+
+
+def _strings(doc: dict, key: str, required: bool = True) -> list:
+    value = _list(doc, key, required)
+    if not all(isinstance(w, str) for w in value):
+        raise GraphFormatError(f'"{key}" must be a list of strings, got {value!r}')
+    return value
 
 
 def parse_graph_document(doc: dict, name: str = "") -> GraphDocument:
     """Parse the JSON graph schema.
 
-    Expected keys: "alphabet" (list of symbols), "vertices" (list of ids),
-    "edges" (list of [source, label, target]), "roots" (list of ids), and
-    optionally "forbidden" (list of word strings).  An id is any JSON value
-    but a list or an object.
+    The document is a JSON object with keys "alphabet" (list of symbols),
+    "vertices" (list of ids), "edges" (list of [source, label, target]),
+    "roots" (list of ids), and optionally "forbidden" (list of word
+    strings).  An id is any JSON value but a list or an object.
     """
-    try:
-        alphabet = _strings(doc["alphabet"], '"alphabet"')
-        vertices = list(doc["vertices"])
-        raw_edges = list(doc["edges"])
-        roots = list(doc["roots"])
-    except (KeyError, TypeError) as exc:
-        raise GraphFormatError(f"graph document missing field: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise GraphFormatError(f"graph document must be a JSON object, got {type(doc).__name__}")
+    alphabet = _strings(doc, "alphabet")
     edges = []
-    for t in raw_edges:
-        if not isinstance(t, (list, tuple)) or len(t) != 3:
-            raise GraphFormatError(f"edge entry {t!r} is not a [source, label, target] triple")
+    for t in _list(doc, "edges"):
+        if not isinstance(t, list) or len(t) != 3:
+            raise GraphFormatError(f'"edges" entry {t!r} is not a [source, label, target] triple')
         if t[1] not in alphabet:
-            raise GraphFormatError(f"edge label {t[1]!r} not in alphabet")
-        edges.append(Edge(t[0], t[1], t[2]))
-    ids = vertices + roots + [v for e in edges for v in (e.source, e.target)]
-    for v in ids:
-        if isinstance(v, (list, dict)):
-            raise GraphFormatError(f"vertex id {v!r} is a list or an object")
-    g = explicit_graph(alphabet, edges, roots, vertices=vertices, name=name)
-    forbidden = tuple(_strings(doc.get("forbidden", ()), '"forbidden"'))
-    return GraphDocument(graph=g, forbidden=forbidden)
+            raise GraphFormatError(f'"edges" label {t[1]!r} not in alphabet')
+        edges.append(Edge(*t))
+    ids = {"vertices": _list(doc, "vertices"), "roots": _list(doc, "roots"),
+           "edges": [v for e in edges for v in (e.source, e.target)]}
+    for key, vs in ids.items():
+        for v in vs:
+            if isinstance(v, (list, dict)):
+                raise GraphFormatError(f'"{key}" holds vertex id {v!r}, a list or an object')
+    g = explicit_graph(alphabet, edges, ids["roots"], vertices=ids["vertices"], name=name)
+    return GraphDocument(graph=g, forbidden=tuple(_strings(doc, "forbidden", required=False)))
 
 
 def load_graph_json(path) -> GraphDocument:

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 import entroscope as es
 from entroscope.growth import InsufficientData
 
-from oracles import brute_census, dict_census, random_det_scc_graph, readable_words
+from oracles import (
+    brute_census, dict_census, random_det_scc_graph, readable_words, with_dangling_tail,
+)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -42,6 +44,24 @@ class TestCountWords:
         g = es.explicit_graph(["a"], [("x", "a", "y"), ("x", "a", "z")], roots=["x"])
         with pytest.raises(es.NondeterministicWindow):
             es.count_words(g, "x", "y", 2)
+
+    @staticmethod
+    def fork_at(d):
+        """Path 0 -a-> 1 -a-> ... -a-> 6 with b-edges back to 0 and two
+        c-edges at vertex d, which is at distance d from 0."""
+        edges = [(i, "a", i + 1) for i in range(6)] + [(i, "b", 0) for i in range(7)]
+        return es.explicit_graph(["a", "b", "c"], edges + [(d, "c", 0), (d, "c", d)], roots=[0])
+
+    def test_fork_at_distance_N_is_counted(self):
+        g = self.fork_at(4)
+        assert es.count_words(g, 0, 0, 4).counts == tuple(brute_census(g, 0, 0, 4))
+        F = es.ForbiddenSet.from_strings(["ab"], g.alphabet)
+        restricted = es.count_words(g, 0, 0, 4, forbidden=F).counts
+        assert restricted == tuple(brute_census(g, 0, 0, 4, F.words))
+
+    def test_fork_at_distance_N_minus_1_is_rejected(self):
+        with pytest.raises(es.NondeterministicWindow, match="3, 'c'"):
+            es.count_words(self.fork_at(3), 0, 0, 4)
 
     @pytest.mark.parametrize(
         "fixture,x,y", [("golden_mean", "v1", "v1"), ("two_cycle", "x", "y"), ("line_z", 0, 1)]
@@ -212,7 +232,7 @@ class TestDeterminize:
         w = es.full_window(nfa)
         dfa = es.determinize(nfa, w)
         ball = es.forward_ball(dfa, dfa.roots[0], 8)
-        assert es.check_deterministic(dfa, ball) == []
+        assert es.check_deterministic(ball.edges + ball.boundary) == []
         assert readable_words(dfa, dfa.roots[0], 8) == readable_words(nfa, "0", 8)
 
 
@@ -264,10 +284,26 @@ class TestSpectralEntropy:
     def test_three_cycle_zero(self, three_cycle):
         assert abs(es.spectral_entropy_finite(three_cycle).value) < 1e-12
 
-    def test_not_strongly_connected(self):
+    def test_acyclic_is_a_finite_language(self):
         g = es.explicit_graph(["a"], [("x", "a", "y")], roots=["x"])
-        with pytest.raises(es.NotStronglyConnected):
-            es.spectral_entropy_finite(g)
+        est = es.spectral_entropy_finite(g)
+        assert est.value == float("-inf")
+        assert est.finite_language
+
+    def test_dangling_tail_keeps_the_entropy(self):
+        # a tail ending in a sink adds only one-vertex components without loops
+        gm = es.explicit_graph(["a", "b"], [(0, "a", 1), (0, "b", 0), (1, "b", 0)], roots=[0])
+        checked = 0
+        for seed in range(40):
+            g = with_dangling_tail(random.Random(seed), gm)
+            w = es.full_window(g)
+            if es.check_deterministic(w.edges):
+                with pytest.raises(es.NondeterministicWindow):
+                    es.spectral_entropy_finite(g)
+            elif any(not g.out_edges(v) for v in w.vertices):
+                assert abs(es.spectral_entropy_finite(g).value - math.log(PHI)) < 1e-12
+                checked += 1
+        assert checked >= 3
 
     def test_nondeterministic_rejected(self):
         g = es.explicit_graph(

@@ -75,17 +75,22 @@ class TestCount:
         assert code == 0
         assert report["results"]["counts_forbidden"] == [1, 2, 3, 5, 8]
 
-    def test_forbid_builds_one_ball(self, capsys, b2_path, monkeypatch):
+    def test_forbid_builds_no_ball(self, capsys, b2_path, monkeypatch):
         calls = []
-        build = entroscope.census.deterministic_ball
+        build = entroscope.graphs.forward_ball
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return build(*args)
+            return build(*args, **kwargs)
 
-        monkeypatch.setattr(entroscope.census, "deterministic_ball", counted)
+        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "entroscope"]:
+            if getattr(module, "forward_ball", None) is build:
+                monkeypatch.setattr(module, "forward_ball", counted)
         code, _ = run(capsys, "count", "--graph", b2_path, "--depth", "5", "--forbid", "aa")
         assert code == 0
+        assert calls == []
+        # analyze's certificate still materializes the whole graph once
+        run(capsys, "analyze", "--graph", b2_path, "--depth", "5", "--forbid", "aa")
         assert len(calls) == 1
 
     def test_config_echo_has_defaults(self, capsys, b2_path):
@@ -206,6 +211,22 @@ class TestBound:
         check = report["results"]["rowsum_check"]
         assert check["ok"]
         assert check["max_row_sum"] == "3/4"
+
+    def test_graph_without_forbid_names_the_option(self, capsys, b2_path):
+        code, report = run(
+            capsys, "bound", "--alpha", "0.5", "--D", "0", "--R", "2", "--stochastic",
+            "--graph", b2_path,
+        )
+        assert code == 2
+        assert report["error"]["message"].startswith("--forbid is required")
+
+    def test_forbid_without_graph_names_the_option(self, capsys):
+        code, report = run(
+            capsys, "bound", "--alpha", "0.5", "--D", "0", "--R", "2", "--stochastic",
+            "--forbid", "aa",
+        )
+        assert code == 2
+        assert report["error"]["message"].startswith("--graph is required")
 
     def test_invalid_parameters(self, capsys):
         code, report = run(capsys, "bound", "--alpha", "1.5", "--D", "0", "--R", "2")
@@ -450,15 +471,26 @@ class TestErrorPaths:
         assert "deterministic" in report["error"]["message"]
 
     @pytest.mark.parametrize(
-        "change",
-        [{"edges": [5]}, {"vertices": [["v"]]}, {"forbidden": 7}, {"forbidden": "ab"}],
-        ids=["edge-not-a-triple", "unhashable-vertex", "forbidden-int", "forbidden-str"],
+        "doc, field",
+        [
+            (dict(B2_DOC, edges=[5]), '"edges"'),
+            (dict(B2_DOC, vertices=[["v"]]), '"vertices"'),
+            (dict(B2_DOC, forbidden=7), '"forbidden"'),
+            (dict(B2_DOC, forbidden="ab"), '"forbidden"'),
+            (dict(B2_DOC, vertices="vw"), '"vertices" must be a JSON list, got str'),
+            (dict(B2_DOC, roots="v"), '"roots" must be a JSON list, got str'),
+            (dict(B2_DOC, vertices=5), '"vertices" must be a JSON list, got int'),
+            ([B2_DOC], "graph document must be a JSON object, got list"),
+        ],
+        ids=["edge-not-a-triple", "unhashable-vertex", "forbidden-int", "forbidden-str",
+             "vertices-str", "roots-str", "vertices-int", "document-list"],
     )
-    def test_malformed_document_is_a_config_error(self, capsys, tmp_path, change):
-        path = write_doc(tmp_path, "bad.json", dict(B2_DOC, **change))
+    def test_malformed_document_is_a_config_error(self, capsys, tmp_path, doc, field):
+        path = write_doc(tmp_path, "bad.json", doc)
         code, report = run(capsys, "count", "--graph", path, "--depth", "3")
         assert code == 2
         assert report["error"]["type"] == "GraphFormatError"
+        assert field in report["error"]["message"]
 
     def test_bad_vertex(self, capsys, b2_path):
         code, report = run(

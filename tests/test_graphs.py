@@ -24,6 +24,7 @@ class TestForwardBall:
     def test_line_radius_two(self, line_z):
         w = es.forward_ball(line_z, 0, 2)
         assert w.vertices == frozenset({-2, -1, 0, 1, 2})
+        assert w.sorted_vertices() == sorted(w.vertices, key=lambda v: (abs(v), es.vertex_key(v)))
 
     def test_full_shift_single_vertex(self, b2):
         w = es.forward_ball(b2, "v", 5)
@@ -77,18 +78,18 @@ class TestForwardDistance:
 class TestDeterminism:
     def test_full_shift_ok(self, b2):
         w = es.forward_ball(b2, "v", 3)
-        assert es.check_deterministic(b2, w) == []
+        assert es.check_deterministic(w.edges + w.boundary) == []
 
     def test_collision_reported(self):
         g = es.explicit_graph(
             ["a"], [("x", "a", "y"), ("x", "a", "z")], roots=["x"]
         )
         w = es.forward_ball(g, "x", 1)
-        assert es.check_deterministic(g, w) == [("x", "a")]
+        assert es.check_deterministic(w.edges + w.boundary) == [("x", "a")]
 
     def test_line_ok(self, line_z):
         w = es.forward_ball(line_z, 0, 3)
-        assert es.check_deterministic(line_z, w) == []
+        assert es.check_deterministic(w.edges + w.boundary) == []
 
     def test_fully_deterministic(self, b2, line_z):
         for g, c in [(b2, "v"), (line_z, 0)]:
@@ -103,7 +104,7 @@ class TestDeterminism:
     def test_determinism_transfer(self, golden_mean):
         # a deterministic window has at most one path per label word
         w = es.forward_ball(golden_mean, "v1", 3)
-        assert es.check_deterministic(golden_mean, w) == []
+        assert es.check_deterministic(w.edges + w.boundary) == []
         for v in w.vertices:
             for n in range(4):
                 words = [word for word, _ in iter_paths(golden_mean, v, n)]

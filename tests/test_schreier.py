@@ -49,7 +49,7 @@ class TestBuiltinFamilies:
     def test_fully_deterministic_on_window(self, family):
         g = schreier_graph(builtin_family(family))
         w = es.forward_ball(g, g.roots[0], 3)
-        assert es.check_deterministic(g, w) == []
+        assert es.check_deterministic(w.edges + w.boundary) == []
         assert es.check_fully_deterministic(g, w) == []
 
     @pytest.mark.parametrize("family", ["line_Z", "grid_Z2", "free2_mod_cyclic"])
