@@ -4,24 +4,24 @@ __version__ = "0.1.0"
 
 from .census import (
     EntropyEstimate,
-    GapReport,
     NondeterministicWindow,
     WordCensus,
     count_words,
     determinize,
     entropy_from_counts,
-    entropy_gap_report,
     spectral_entropy_finite,
 )
 from .chain import (
     CertificateInputs,
     GapCertificate,
+    GapReport,
     HarmonicVector,
     RhoEstimate,
     StepDistribution,
     WeightedChain,
     certified_gap_bound,
     entropy_from_rho,
+    entropy_gap_report,
     h_transform,
     harmonic_vector,
     initial_distribution,

@@ -36,21 +36,6 @@ from .graphs import (
 )
 from .growth import NEG_INF, GrowthFit, fit_log_growth
 
-__all__ = [
-    "WordCensus",
-    "EntropyEstimate",
-    "NondeterministicWindow",
-    "CountRangeError",
-    "count_words",
-    "path_counts",
-    "path_weights",
-    "determinize",
-    "entropy_from_counts",
-    "spectral_entropy_finite",
-    "entropy_gap_report",
-    "GapReport",
-]
-
 
 class NondeterministicWindow(RuntimeError):
     """Counting was attempted on a window with (vertex, label) collisions;
@@ -269,55 +254,3 @@ def spectral_entropy_finite(g: LabelledGraph, budget: int = DEFAULT_BUDGET) -> E
     return EntropyEstimate(
         value=value, method="spectral", diagnostics={"eigenvalue": lam, "states": len(w.vertices)}
     )
-
-
-@dataclass
-class GapReport:
-    """Entropy with and without the forbidden set, their difference, and
-    (when the chain constants are resolvable) the certified bound."""
-
-    h: EntropyEstimate
-    h_forbidden: EntropyEstimate
-    gap: float
-    census: WordCensus
-    census_forbidden: WordCensus
-    certificate: Optional[object] = None      # chain.GapCertificate
-    certificate_scope: Optional[str] = None   # "global" | "window"
-    denseness_D: Optional[int] = None
-    warnings: list = field(default_factory=list)
-
-
-def entropy_gap_report(
-    g: LabelledGraph,
-    x: Vertex,
-    y: Vertex,
-    forbidden: ForbiddenSet,
-    N: int,
-    tail: int = 20,
-    cert_inputs=None,
-    budget: int = DEFAULT_BUDGET,
-) -> GapReport:
-    """Theorem-level analysis: measure h and h^F from counts and attach a
-    certified entropy-gap bound when alpha, D, R, conn_k and rho can be
-    declared, measured, or (finite graphs) computed exactly.
-    """
-    from . import chain as chain_mod
-
-    plain = count_words(g, x, y, N, budget=budget)
-    restricted = count_words(g, x, y, N, forbidden=forbidden, budget=budget)
-    h = entropy_from_counts(plain, tail=tail)
-    h_f = entropy_from_counts(restricted, tail=tail)
-    certificate, scope, D_used, warnings = chain_mod.resolve_certificate(
-        g, forbidden, N=N, cert_inputs=cert_inputs, budget=budget
-    )
-    report = GapReport(
-        h=h, h_forbidden=h_f, gap=h.value - h_f.value, census=plain,
-        census_forbidden=restricted, certificate=certificate,
-        certificate_scope=scope, denseness_D=D_used, warnings=warnings,
-    )
-    if h_f.value >= h.value - 1e-12 and not h.finite_language:
-        report.warnings.append(
-            "no measurable entropy drop at this depth; forbidden set may not be"
-            " relatively dense (gap ~ 0)"
-        )
-    return report

@@ -17,7 +17,7 @@ Together: rho_F <= rho * (1 - alpha_bar^k)^(1/k) < rho, strictly.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -25,15 +25,15 @@ import numpy as np
 from scipy import sparse
 
 from . import linalg
-from .census import path_counts, path_weights
-from .factors import (
-    DensenessCertificate,
-    ForbiddenSet,
-    avoiding,
-    base_edge,
-    certify_denseness,
-    estimate_denseness_constant,
+from .census import (
+    EntropyEstimate,
+    WordCensus,
+    count_words,
+    entropy_from_counts,
+    path_counts,
+    path_weights,
 )
+from .factors import ForbiddenSet, avoiding, base_edge, estimate_denseness_constant
 from .graphs import (
     DEFAULT_BUDGET,
     Edge,
@@ -320,7 +320,10 @@ def h_transform(
     if conn_k is None:
         conn_k = chain.graph.declared.conn_k
     if conn_k is None:
-        raise ChainError("h_transform requires a uniform-connectedness constant conn_k")
+        raise ChainError(
+            "h_transform requires a uniform-connectedness constant: the graph"
+            " declares none, so pass --conn-K"
+        )
     if not hv.accepted:
         raise ChainError(
             f"harmonic vector not accepted: residual {hv.residual:.3g} > tol {hv.tol:.3g}"
@@ -470,21 +473,23 @@ def k_step_restricted_rowsum_check(
     k: int,
     w: Window,
     budget: int = DEFAULT_BUDGET,
+    alpha=None,
 ) -> RowSumCheck:
     """Empirical check that restricted k-step row sums drop below 1 - alpha^k.
 
     With k = D + R and F relatively D-dense, every vertex can reach and read
     some forbidden word within k steps, and that excluded bundle of paths
-    carries mass at least alpha^k.  A counterexample indicates a wrong D (or
-    a window-boundary effect on finite inspection) and is reported as data
-    rather than raised.
+    carries mass at least alpha^k.  ``alpha`` is the floor a certificate
+    claims (default the chain's own).  A counterexample indicates a wrong D
+    or alpha (or a window-boundary effect on finite inspection) and is
+    reported as data rather than raised.
     """
     if k != D + forbidden.max_length:
         raise ChainError(
             f"k = {k} is not D + R = {D} + {forbidden.max_length}:"
             " --R must be the length of the longest forbidden word"
         )
-    threshold = 1 - chain.alpha**k
+    threshold = 1 - (chain.alpha if alpha is None else alpha) ** k
     slack = 0 if isinstance(threshold, Fraction) else 1e-12
     rows = {}
     violations = []
@@ -569,19 +574,30 @@ def resolve_certificate(
     cert_inputs: Optional[CertificateInputs] = None,
     budget: int = DEFAULT_BUDGET,
 ):
-    """Assemble a GapCertificate from declarations, measurements on a
-    window, and (finite graphs) exact computation.
+    """Assemble a GapCertificate on the graph's finite part, or on a window
+    of radius ``window_radius`` (default min(N, 12)) around the root.
 
-    Returns (certificate or None, scope, measured D or None, warnings).
-    Scope is "global" when every ingredient is declared, exactly computed,
-    or measured on a homogeneous family; otherwise "window".
+    Each constant is the option in ``cert_inputs``, else the graph's
+    ``Declared`` value, else computed exactly (finite graph) or measured on
+    the window.  D is the option once the window confirms it, else the
+    smallest D <= D_max found there.  rho is never fitted: an infinite graph
+    that declares none takes rho = 1, which bounds the spectral radius of
+    every substochastic chain, and the bound grows with rho.
+
+    Returns (certificate or None, scope, D or None, warnings).  Scope is
+    "window" when a constant of an infinite graph was measured on the window
+    (D only on a family that is not homogeneous) or rho is that default;
+    otherwise "global".
     """
     inputs = cert_inputs or CertificateInputs()
     warnings: list[str] = []
     sigma = len(g.alphabet)
     alpha = inputs.alpha if inputs.alpha is not None else 1.0 / sigma
-    R = forbidden.max_length
-
+    declared = replace(
+        g.declared,
+        conn_k=g.declared.conn_k if inputs.conn_k is None else inputs.conn_k,
+        rho=g.declared.rho if inputs.rho is None else inputs.rho,
+    )
     if g.is_finite:
         w = full_window(g, budget=budget)
     else:
@@ -589,34 +605,20 @@ def resolve_certificate(
         w = forward_ball(g, g.roots[0], radius, budget=budget)
 
     # denseness constant D
-    window_scoped = False
-    if inputs.D is not None:
-        D = inputs.D
-        result = certify_denseness(g, forbidden, D, w, budget=budget)
-        if not isinstance(result, DensenessCertificate):
-            warnings.append(
-                f"declared denseness constant D={D} fails on the inspected window"
-                f" ({len(result)} uncovered vertices); no certificate emitted"
-            )
-            return None, None, None, warnings
-    else:
-        cert = estimate_denseness_constant(g, forbidden, w, inputs.D_max, budget=budget)
-        if cert is None:
-            warnings.append(
-                f"forbidden set is not relatively dense on the window within"
-                f" D <= {inputs.D_max}; no certificate emitted"
-            )
-            return None, None, None, warnings
-        D = cert.D
-        if not g.is_finite and not g.declared.homogeneous:
-            window_scoped = True
+    cap, option = (inputs.D_max, "--d-max") if inputs.D is None else (inputs.D, "--D")
+    dense = estimate_denseness_constant(g, forbidden, w, cap, budget=budget)
+    if dense is None:
+        warnings.append(
+            f"forbidden set is not relatively dense on the window within"
+            f" D <= {cap} ({option}); no certificate emitted"
+        )
+        return None, None, None, warnings
+    D = dense.D if inputs.D is None else inputs.D
+    window_scoped = inputs.D is None and not g.is_finite and not g.declared.homogeneous
 
     # uniform-connectedness constant
-    if inputs.conn_k is not None:
-        conn_k = inputs.conn_k
-    elif g.declared.conn_k is not None:
-        conn_k = g.declared.conn_k
-    else:
+    conn_k = declared.conn_k
+    if conn_k is None:
         conn_k = uniform_connectedness_constant(
             g, w, K_max=max(len(w.vertices), 1), budget=budget
         )
@@ -630,21 +632,13 @@ def resolve_certificate(
             window_scoped = True
 
     # spectral radius of the unrestricted chain
-    if inputs.rho is not None:
-        rho = inputs.rho
-    elif g.declared.rho is not None:
-        rho = g.declared.rho
-    elif g.is_finite:
+    rho = declared.rho
+    if rho is None and g.is_finite:
         # w is the part reachable from the root: unreachable vertices do not
         # bound the root's language
         rho = linalg.spectral_radius(linalg.adjacency(w.sorted_vertices(), w.edges)) / sigma
-    else:
-        est = rho_estimate(uniform_weights(g), g.roots[0], g.roots[0], N, budget=budget)
-        rho = min(est.value, 1.0)
-        warnings.append(
-            f"rho estimated from a finite horizon (N={N}, residual"
-            f" {est.residual:.3g}); certificate is approximate"
-        )
+    elif rho is None:
+        rho = 1.0
         window_scoped = True
 
     if inputs.stochastic is not None:
@@ -658,9 +652,10 @@ def resolve_certificate(
 
     try:
         certificate = certified_gap_bound(
-            alpha=alpha, D=D, R=R, conn_k=conn_k, rho=rho, stochastic=stochastic
+            alpha=alpha, D=D, R=forbidden.max_length, conn_k=conn_k, rho=rho,
+            stochastic=stochastic,
         )
-    except ValueError as exc:
+    except (ChainError, DegenerateBound) as exc:
         warnings.append(f"certificate parameters out of range: {exc}")
         return None, None, D, warnings
     scope = "window" if window_scoped else "global"
@@ -670,3 +665,53 @@ def resolve_certificate(
             " infinite graph; the certificate is window-scoped"
         )
     return certificate, scope, D, warnings
+
+
+@dataclass
+class GapReport:
+    """Entropy with and without the forbidden set, their difference, and
+    (when the chain constants are resolvable) the certified bound."""
+
+    h: EntropyEstimate
+    h_forbidden: EntropyEstimate
+    gap: float
+    census: WordCensus
+    census_forbidden: WordCensus
+    certificate: Optional[GapCertificate] = None
+    certificate_scope: Optional[str] = None   # "global" | "window"
+    denseness_D: Optional[int] = None
+    warnings: list = field(default_factory=list)
+
+
+def entropy_gap_report(
+    g: LabelledGraph,
+    x: Vertex,
+    y: Vertex,
+    forbidden: ForbiddenSet,
+    N: int,
+    tail: int = 20,
+    cert_inputs: Optional[CertificateInputs] = None,
+    budget: int = DEFAULT_BUDGET,
+) -> GapReport:
+    """Theorem-level analysis: measure h and h^F from counts and attach a
+    certified entropy-gap bound when alpha, D, R, conn_k and rho can be
+    declared, measured, or (finite graphs) computed exactly.
+    """
+    plain = count_words(g, x, y, N, budget=budget)
+    restricted = count_words(g, x, y, N, forbidden=forbidden, budget=budget)
+    h = entropy_from_counts(plain, tail=tail)
+    h_f = entropy_from_counts(restricted, tail=tail)
+    certificate, scope, D_used, warnings = resolve_certificate(
+        g, forbidden, N=N, cert_inputs=cert_inputs, budget=budget
+    )
+    report = GapReport(
+        h=h, h_forbidden=h_f, gap=h.value - h_f.value, census=plain,
+        census_forbidden=restricted, certificate=certificate,
+        certificate_scope=scope, denseness_D=D_used, warnings=warnings,
+    )
+    if h_f.value >= h.value - 1e-12 and not h.finite_language:
+        report.warnings.append(
+            "no measurable entropy drop at this depth; forbidden set may not be"
+            " relatively dense (gap ~ 0)"
+        )
+    return report

@@ -217,7 +217,7 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _gap_results(g, report: census.GapReport) -> dict:
+def _gap_results(g, report: chain.GapReport) -> dict:
     sigma = len(g.alphabet)
     results = {
         "h": _estimate_dict(report.h),
@@ -240,7 +240,7 @@ def cmd_analyze(args) -> int:
     g, x, y, forbidden, config = _setup(args)
     if forbidden is None:
         raise graphs.GraphFormatError(f"{args.command} requires forbidden words (--forbid)")
-    report = census.entropy_gap_report(
+    report = chain.entropy_gap_report(
         g, x, y, forbidden, args.depth,
         tail=args.tail, cert_inputs=_cert_inputs(args), budget=args.budget,
     )
@@ -284,9 +284,11 @@ def cmd_bound(args) -> int:
         g = doc.graph
         forbidden = factors.ForbiddenSet.from_strings(args.forbid, g.alphabet)
         w = graphs.full_window(g, budget=args.budget)
-        ch = chain.uniform_weights(g)
+        # rows of the uniform chain against the alpha the certificate claims,
+        # read exactly as the decimal it prints as
         check = chain.k_step_restricted_rowsum_check(
-            ch, forbidden, D=args.D, k=cert.k, w=w, budget=args.budget
+            chain.uniform_weights(g), forbidden, D=args.D, k=cert.k, w=w,
+            budget=args.budget, alpha=Fraction(str(cert.alpha)),
         )
         window_check = {
             "ok": check.ok,

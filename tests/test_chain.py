@@ -570,3 +570,34 @@ class TestResolveCertificateSweep:
             certified += 1
             with_unreachable += unreachable
         assert certified >= 100 and with_unreachable >= 40
+
+
+class TestResolveCertificateRules:
+    """Each constant: the option, else the declaration, else computed or
+    measured."""
+
+    @pytest.mark.parametrize("inputs, option", [
+        (es.CertificateInputs(D=0), "--D"),
+        (es.CertificateInputs(D_max=0), "--d-max"),
+    ])
+    def test_uncovered_window_names_the_cap(self, two_cycle, inputs, option):
+        # from y the word ab needs one step first, so D = 0 fails
+        F = F_of(["ab"], two_cycle.alphabet)
+        cert, scope, D, warnings = es.resolve_certificate(two_cycle, F, N=10, cert_inputs=inputs)
+        assert (cert, scope, D) == (None, None, None)
+        assert len(warnings) == 1 and f"D <= 0 ({option})" in warnings[0]
+
+    def test_option_beats_declaration_and_measurement(self, golden_mean):
+        F = F_of(["b"], golden_mean.alphabet)
+        measured, _, D, _ = es.resolve_certificate(golden_mean, F, N=10)
+        assert (measured.conn_k, D) == (1, 0)   # declared, measured
+        inputs = es.CertificateInputs(D=3, conn_k=2, rho=0.9)
+        cert, scope, D, _ = es.resolve_certificate(golden_mean, F, N=10, cert_inputs=inputs)
+        assert (cert.D, D, cert.conn_k, cert.rho, scope) == (3, 3, 2, 0.9, "global")
+
+    def test_undeclared_infinite_rho_is_one(self, free2):
+        F = F_of(["ab"], free2.alphabet)
+        inputs = es.CertificateInputs(window_radius=3)
+        cert, scope, _, warnings = es.resolve_certificate(free2, F, N=4, cert_inputs=inputs)
+        assert (cert.rho, cert.stochastic_path, scope) == (1.0, True, "window")
+        assert len(warnings) == 1

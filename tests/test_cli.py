@@ -211,6 +211,21 @@ class TestBound:
         check = report["results"]["rowsum_check"]
         assert check["ok"]
         assert check["max_row_sum"] == "3/4"
+        assert check["threshold"] == "3/4"
+
+    def test_rowsum_check_uses_the_certificates_alpha(self, capsys, b2_path):
+        # b2's edges carry 1/2, so alpha = 0.9 overstates the floor: the bound
+        # 0.436 lies below the true restricted rho, the golden ratio over 2
+        code, report = run(
+            capsys, "bound", "--alpha", "0.9", "--D", "0", "--R", "2", "--stochastic",
+            "--sigma-size", "2", "--graph", b2_path, "--forbid", "aa",
+        )
+        assert code == 4
+        assert report["results"]["bound"] < (1 + math.sqrt(5)) / 4
+        check = report["results"]["rowsum_check"]
+        assert not check["ok"]
+        assert check["threshold"] == "19/100"
+        assert check["violations"] == [["v", "3/4"]]
 
     def test_graph_without_forbid_names_the_option(self, capsys, b2_path):
         code, report = run(
@@ -253,6 +268,28 @@ class TestBound:
 
 
 class TestCertificateRegressions:
+    def test_undeclared_infinite_rho_bounds_the_measured_growth(self, capsys):
+        # free2_mod_cyclic declares no rho; a fit at this depth gave 0.7547
+        # and h_bound 1.0989, below the counts' own log-ratio 1.131.  The
+        # default radius-12 window gives the same certificate (every vertex
+        # reads ab at once, so D = 0) but takes four times as long
+        code, report = run(
+            capsys, "schreier", "--family", "free2_mod_cyclic", "--forbid", "ab",
+            "--depth", "12", "--window-radius", "4",
+        )
+        assert code == 0
+        results = report["results"]
+        counts = results["counts_forbidden"]
+        assert counts[-3:] == [27572, 79944, 247754]
+        cert = results["certificate"]
+        assert (cert["rho"], cert["path"]) == (1.0, "stochastic")
+        assert results["certificate_scope"] == "window"
+        assert cert["h_bound"] == pytest.approx(1.354025100551105)
+        ratios = [math.log(b / a) for a, b in zip(counts, counts[1:])]
+        assert max(ratios) == pytest.approx(1.131109928828045)
+        assert cert["h_bound"] >= max(ratios)
+        assert not any("approximate" in w for w in report["warnings"])
+
     def test_unreachable_component_does_not_set_rho(self, capsys, tmp_path):
         # w is unreachable from the root v; only v's two loops bound L_{v,v}
         doc = {
@@ -354,6 +391,25 @@ class TestRho:
         identity = report["results"]["transform_identity"]
         assert identity["ok"]
         assert report["results"]["harmonic"]["rho_hat"] == pytest.approx(1.0)
+
+    def test_transform_check_without_conn_k_names_the_option(self, capsys, b2_path):
+        code, report = run(
+            capsys, "rho", "--graph", b2_path, "--depth", "15", "--forbid", "aa",
+            "--transform-check",
+        )
+        assert code == 2
+        assert "--conn-K" in report["error"]["message"]
+
+    def test_conn_k_only_sets_the_transformed_floor(self, capsys):
+        results = []
+        for conn_k in ("1", "7", "30"):
+            code, report = run(
+                capsys, "rho", "--family", "grid_Z2", "--depth", "12", "--forbid", "rr",
+                "--transform-check", "--conn-K", conn_k,
+            )
+            assert code == 0
+            results.append(report["results"])
+        assert results[0] == results[1] == results[2]
 
     def test_small_harmonic_window_names_the_options(self, capsys, b2_path):
         code, report = run(
@@ -567,7 +623,7 @@ class TestErrorPaths:
             (["rho", "--family", "line_Z", "--depth", "5"], False),
             (["count", "--family", "line_Z", "--depth", "0"], True),
             (["analyze", "--family", "line_Z", "--forbid", "rr", "--depth", "1"], True),
-            (["schreier", "--family", "free2_mod_cyclic", "--forbid", "ab", "--depth", "5"],
+            (["schreier", "--family", "free2_mod_cyclic", "--forbid", "ab", "--depth", "0"],
              True),
             (["count", "--family", "grid_Z2", "--depth", "12", "--tail", "1"], True),
         ],
@@ -584,7 +640,7 @@ class TestErrorPaths:
         def broken(*args, **kwargs):
             raise KeyError("internal")
 
-        monkeypatch.setattr(entroscope.census, "entropy_gap_report", broken)
+        monkeypatch.setattr(entroscope.chain, "entropy_gap_report", broken)
         with pytest.raises(KeyError):
             main(["analyze", "--graph", b2_path, "--depth", "4", "--forbid", "aa"])
 
@@ -633,6 +689,16 @@ class TestErrorPaths:
         def broken(*args, **kwargs):
             raise ValueError("internal")
 
-        monkeypatch.setattr(entroscope.census, "entropy_gap_report", broken)
+        monkeypatch.setattr(entroscope.chain, "entropy_gap_report", broken)
+        with pytest.raises(ValueError, match="internal"):
+            main(["analyze", "--graph", b2_path, "--depth", "4", "--forbid", "aa"])
+
+    def test_certificate_bug_is_not_a_certification_failure(self, b2_path, monkeypatch):
+        # resolve_certificate turns only ChainError and DegenerateBound into
+        # a warning; any other error of certified_gap_bound is a bug
+        def broken(*args, **kwargs):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(entroscope.chain, "certified_gap_bound", broken)
         with pytest.raises(ValueError, match="internal"):
             main(["analyze", "--graph", b2_path, "--depth", "4", "--forbid", "aa"])
