@@ -8,7 +8,10 @@ the spectral radius of the edge-count matrix of their reachable part.
 
 Counts are exact integers (c_n can reach |alphabet|^n): integer matrix
 powers modulo word-size primes, joined by the Chinese remainder theorem.
-Weighted path sums run on the same states as float64 matrix powers.
+Weighted path sums run on the same states as float64 matrix powers.  Both
+read a memoized search (``Reach``) held as index arrays: a breadth-first
+search of the graph, and with forbidden words the product search derived
+from it by a layered numpy search over (vertex, automaton state).
 """
 
 from __future__ import annotations
@@ -16,12 +19,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import linalg
-from .factors import ForbiddenSet, avoiding, base_edge
+from .factors import FactorAutomaton, ForbiddenSet
 from .graphs import (
     DEFAULT_BUDGET,
     Edge,
@@ -29,6 +32,7 @@ from .graphs import (
     Vertex,
     Window,
     bfs,
+    budget_exceeded,
     check_deterministic,
     explicit_graph,
     full_window,
@@ -104,27 +108,97 @@ def count_words(
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    violations = check_deterministic(_reach(g, x, y, N, forbidden, budget)[1])
+    reach, _ = _reach(g, x, y, N, forbidden, budget)
+    violations = check_deterministic(zip(reach.source.tolist(), reach.label.tolist()))
     if violations:
-        raise NondeterministicWindow(violations)
+        raise NondeterministicWindow(
+            [(reach.state_at(s), g.alphabet[a]) for s, a in violations])
     counts = path_counts(g, x, y, N, forbidden=forbidden, budget=budget)
     return WordCensus(x=x, y=y, counts=tuple(counts), forbidden=forbidden)
 
 
+class Reach(NamedTuple):
+    """A census search from x to depth N as index arrays.  ``vertices`` and
+    ``edges``: the base vertices within distance N of x and the edges out of
+    those within N - 1, in discovery order.  Per state (vertex, or (vertex,
+    automaton state) with F), numbered in discovery order: its ``vertex``
+    index and automaton ``state`` (None without F).  Per edge out of a state
+    within N - 1: ``source``, ``label`` (alphabet index), ``target`` and
+    ``base`` (the index of its base edge in ``edges``)."""
+
+    vertices: list
+    edges: list
+    vertex: np.ndarray
+    state: Optional[np.ndarray]
+    source: np.ndarray
+    label: np.ndarray
+    target: np.ndarray
+    base: np.ndarray
+
+    def state_at(self, i: int) -> Vertex:
+        v = self.vertices[self.vertex[i]]
+        return v if self.state is None else (v, int(self.state[i]))
+
+
 def _reach(g, x, y, N, forbidden, budget):
-    """States within distance N of the start (x, or (x, start) on the product
-    graph) in discovery order; their out-edges but the outer shell's, which
-    lie on no path of length <= N; and the indices of the states over y.
-    The states and edges are memoized on g (``LabelledGraph.reaches``)."""
+    """The census search memoized on g (``LabelledGraph.reaches``) and the
+    indices of its states over y; the product search is derived from the
+    plain one, a breadth-first search of g."""
     key = (x, N, forbidden, budget)
     if key not in g.reaches:
-        graph, start = avoiding(g, x, forbidden)
-        distances, _ = bfs(graph, start, N, budget=budget)
-        edges = [e for v, d in distances.items() if d < N for e in graph.out_edges(v)]
-        g.reaches[key] = list(distances), edges
-    states, edges = g.reaches[key]
-    at_y = [i for i, s in enumerate(states) if (s if forbidden is None else s[0]) == y]
-    return states, edges, at_y
+        if forbidden is None:
+            distances, _ = bfs(g, x, N, budget=budget)
+            index = {v: i for i, v in enumerate(distances)}
+            labels = {a: i for i, a in enumerate(g.alphabet)}
+            edges = [e for v, d in distances.items() if d < N for e in g.out_edges(v)]
+            columns = [np.array([d[e[i]] for e in edges], dtype=np.int64)
+                       for i, d in ((0, index), (1, labels), (2, index))]
+            g.reaches[key] = Reach(list(distances), edges, np.arange(len(index)), None,
+                                   *columns, np.arange(len(edges)))
+        else:
+            plain, _ = _reach(g, x, y, N, None, budget)
+            g.reaches[key] = _product_reach(g, plain, N, forbidden, budget)
+    reach = g.reaches[key]
+    at_y = [i for i, v in enumerate(reach.vertices) if v == y]
+    return reach, np.flatnonzero(np.isin(reach.vertex, at_y))
+
+
+def _product_reach(g, plain: Reach, N, forbidden, budget) -> Reach:
+    """The product graph's breadth-first search from (x, start), layer by
+    layer over keys vertex index * m + automaton state: gather the frontier's
+    base out-edges, step the automaton, drop dead steps and number each new
+    key at its first occurrence, in the base edge order (the lazy product's
+    order but on tied labels, where it compares the paired targets)."""
+    automaton = FactorAutomaton(forbidden, g.alphabet)
+    m = len(automaton.states)
+    # next automaton state per (state, label), -1 where a forbidden word ends
+    step = np.array([[automaton.step(s, a) for a in g.alphabet] for s in automaton.states])
+    step[np.isin(step, list(automaton.dead))] = -1
+    first_edge = np.searchsorted(plain.source, np.arange(len(plain.vertices) + 1))
+    layers, edges, found = [np.array([automaton.start])], [(np.zeros(0, np.int64),) * 3], 1
+    for _ in range(N):
+        fv, fs = np.divmod(layers[-1], m)
+        out = first_edge[fv + 1] - first_edge[fv]
+        e = np.repeat(first_edge[fv] - np.cumsum(out) + out, out) + np.arange(out.sum())
+        src = np.repeat(np.arange(found - len(fv), found), out)
+        s2 = step[np.repeat(fs, out), plain.label[e]]
+        live = s2 >= 0
+        src, e, key = src[live], e[live], plain.target[e[live]] * m + s2[live]
+        edges.append((src, e, key))
+        unique, first = np.unique(key, return_index=True)
+        new = key[np.sort(first[~np.isin(unique, np.concatenate(layers))])]
+        if not len(new):
+            break
+        layers.append(new)
+        found += len(new)
+        if found > budget:
+            raise budget_exceeded((plain.vertices[0], automaton.start), budget)
+    src, e, key = (np.concatenate(c) for c in zip(*edges))
+    keys = np.concatenate(layers)
+    order = np.argsort(keys)
+    vertex, state = np.divmod(keys, m)
+    target = order[np.searchsorted(keys[order], key)]
+    return Reach(plain.vertices, plain.edges, vertex, state, src, plain.label[e], target, e)
 
 
 def path_counts(
@@ -144,21 +218,22 @@ def path_counts(
     of A.  No count exceeds the total mass Delta^n < M, so the Chinese
     remainder theorem recovers each one exactly from its residues.
     """
-    states, edges, at_y = _reach(g, x, y, N, forbidden, budget)
-    A = linalg.adjacency(states, edges).astype(np.int64)
-    # residue (< 2**31) times column sum (< 2**32) keeps products below 2**63
-    if A.sum(axis=0).max() >= 2**32:
+    reach, at_y = _reach(g, x, y, N, forbidden, budget)
+    n = len(reach.vertex)
+    AT = linalg.adjacency(n, reach.target, reach.source).astype(np.int64)
+    # residue (< 2**31) times column sum of A (< 2**32) keeps products below 2**63
+    if AT.sum(axis=1).max() >= 2**32:
         raise CountRangeError("a state has 2**32 or more incoming edges")
-    bound = max(int(A.sum(axis=1).max()), 1) ** N
+    bound = max(int(AT.sum(axis=0).max()), 1) ** N
     primes = _primes(1)
     while math.prod(primes) <= bound:
         primes = _primes(len(primes) + 1)
     modulus = np.array(primes, dtype=np.int64)
-    X = np.zeros((len(states), len(primes)), dtype=np.int64)
+    X = np.zeros((n, len(primes)), dtype=np.int64)
     X[0] = 1  # the start state, discovered first
     residues = [X[at_y].sum(axis=0)]
     for _ in range(N):
-        X = (A.T @ X) % modulus
+        X = (AT @ X) % modulus
         residues.append(X[at_y].sum(axis=0))
     M = math.prod(primes)
     basis = [M // p * pow(M // p, -1, p) for p in primes]
@@ -171,12 +246,13 @@ def path_weights(
 ) -> list[float]:
     """Summed weight of the length-n paths from x to y, for n = 0..N, a path
     weighing the product of its edges' ``weight`` (of their base edges on the
-    product graph): float64 sparse matrix powers on ``path_counts``'s states.
+    product graph, each weighed once): float64 sparse matrix powers on
+    ``path_counts``'s states.
     """
-    states, edges, at_y = _reach(g, x, y, N, forbidden, budget)
-    w = weight if forbidden is None else (lambda e: weight(base_edge(e)))
-    AT = linalg.adjacency(states, edges, w).T.tocsr()
-    v = np.zeros(len(states))
+    reach, at_y = _reach(g, x, y, N, forbidden, budget)
+    w = np.array([weight(e) for e in reach.edges], dtype=float)
+    AT = linalg.adjacency(len(reach.vertex), reach.target, reach.source, w[reach.base])
+    v = np.zeros(len(reach.vertex))
     v[0] = 1.0
     table = [float(v[at_y].sum())]
     for _ in range(N):
@@ -249,7 +325,7 @@ def spectral_entropy_finite(g: LabelledGraph, budget: int = DEFAULT_BUDGET) -> E
     collisions = check_deterministic(w.edges)
     if collisions:
         raise NondeterministicWindow(collisions)
-    lam = linalg.spectral_radius(linalg.adjacency(w.sorted_vertices(), w.edges))
+    lam = linalg.spectral_radius(w.adjacency())
     value = math.log(lam) if lam > 0 else NEG_INF
     return EntropyEstimate(
         value=value, method="spectral", diagnostics={"eigenvalue": lam, "states": len(w.vertices)}

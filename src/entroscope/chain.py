@@ -273,7 +273,7 @@ def harmonic_vector(
     verts = ball.sorted_vertices()
     index = {v: i for i, v in enumerate(verts)}
     weight = _float_weight(chain)
-    matrix = linalg.adjacency(verts, ball.edges, weight)
+    matrix = ball.adjacency(weight)
     if linalg.strong_components(matrix)[0] != 1:
         raise ChainError("the window is not strongly connected; no positive harmonic vector")
     if scheme == "reflecting":
@@ -356,7 +356,7 @@ class GapCertificate:
     computed from the post-transform floor ``eps0_prime`` = alpha_bar^k.
     On the stochastic fast path (rows sum to 1, rho = 1) no transform is
     needed and alpha_bar = alpha.  ``eps`` is the per-step drop:
-    bound = rho * (1 - eps).
+    bound = rho * (1 - eps), rounded outward.
     """
 
     alpha: float
@@ -428,6 +428,14 @@ def certified_gap_bound(
         )
     eps = -math.expm1(math.log1p(-eps0_prime) / k)
     bound = rho * (1.0 - eps)
+    # round outward, by 1, 2, 4, ... ulps (when alpha_bar^k is near 1 the
+    # float formula can fall far short), until bound^k >= rho^k (1 - alpha_bar^k)
+    # holds exactly for the inputs' exact alpha_bar (alpha on the stochastic path)
+    r = Fraction(1 if stochastic else rho)
+    exact = r**k * (1 - (Fraction(alpha) / r) ** (k if stochastic else (conn_k + 1) * k))
+    step = math.ulp(bound)
+    while Fraction(bound) ** k < exact:
+        bound, step = bound + step, 2 * step
     if not bound < rho:
         raise DegenerateBound(
             f"per-step drop eps = {eps:.3g} is below float resolution at rho = {rho};"
@@ -636,7 +644,7 @@ def resolve_certificate(
     if rho is None and g.is_finite:
         # w is the part reachable from the root: unreachable vertices do not
         # bound the root's language
-        rho = linalg.spectral_radius(linalg.adjacency(w.sorted_vertices(), w.edges)) / sigma
+        rho = linalg.spectral_radius(w.adjacency()) / sigma
     elif rho is None:
         rho = 1.0
         window_scoped = True

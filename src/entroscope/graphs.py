@@ -17,6 +17,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
+from . import linalg
+
 Vertex = Any
 
 DEFAULT_BUDGET = 10**6
@@ -79,7 +81,9 @@ class LabelledGraph:
     then canonical target form, built only where labels tie) so all
     downstream traversals and counts are reproducible regardless of
     evaluation order.  ``reaches`` memoizes the census searches from a
-    start vertex, keyed by (start, N, forbidden set, budget).
+    start vertex as index arrays (``census.Reach``), keyed by (start, N,
+    forbidden set, budget); a search with forbidden words is derived from
+    the one without.
     """
 
     def __init__(
@@ -160,6 +164,13 @@ class Window:
     def sorted_vertices(self) -> list:
         return list(self.distances)
 
+    def adjacency(self, weight: Optional[Callable[[Edge], float]] = None):
+        """``linalg.adjacency`` of ``edges`` in the vertex order."""
+        index = {v: i for i, v in enumerate(self.distances)}
+        weights = None if weight is None else [weight(e) for e in self.edges]
+        return linalg.adjacency(len(index), [index[e.source] for e in self.edges],
+                                [index[e.target] for e in self.edges], weights)
+
 
 def bfs(
     g: LabelledGraph,
@@ -191,14 +202,16 @@ def bfs(
                     parents[e.target] = e
                     nxt.append(e.target)
                     if len(distances) > budget:
-                        raise ExpansionBudgetExceeded(
-                            f"search from vertex {vertex_key(x)!r} found more than"
-                            f" {budget} vertices (--budget)"
-                        )
+                        raise budget_exceeded(x, budget)
                     if stop is not None and stop(e.target):
                         found = True
         frontier = nxt
     return distances, parents
+
+
+def budget_exceeded(x: Vertex, budget: int) -> ExpansionBudgetExceeded:
+    return ExpansionBudgetExceeded(
+        f"search from vertex {vertex_key(x)!r} found more than {budget} vertices (--budget)")
 
 
 def path_to(parents: dict, v: Vertex) -> tuple[Edge, ...]:
@@ -263,11 +276,12 @@ def forward_distance(
     return bfs(g, x, cap, stop=lambda v: v == y, budget=budget)[0].get(y)
 
 
-def check_deterministic(edges: Iterable[Edge]) -> list[tuple[Vertex, str]]:
+def check_deterministic(edges: Iterable[tuple]) -> list[tuple[Vertex, str]]:
     """(source, label) pairs shared by two or more of the given edges, in
-    order of first appearance.  Empty list means the sources are
-    deterministic; a window passes ``w.edges + w.boundary``."""
-    seen = Counter((e.source, e.label) for e in edges)
+    order of first appearance; an edge is any tuple that starts with its
+    source and label.  Empty list means the sources are deterministic; a
+    window passes ``w.edges + w.boundary``."""
+    seen = Counter(e[:2] for e in edges)
     return [pair for pair, n in seen.items() if n >= 2]
 
 
@@ -292,14 +306,23 @@ def uniform_connectedness_constant(
     g: LabelledGraph, w: Window, K_max: int, budget: int = DEFAULT_BUDGET
 ) -> Optional[int]:
     """Smallest K <= K_max certifying uniform connectedness on the window,
-    or None.  Length-0 returns (loops) count, matching the definition."""
-    worst = 0
+    or None: the largest return distance d(e.target, e.source) over its
+    edges, at least 1 (loops return by the empty path).  One search per edge
+    target t, stopped at the layer where it has found every source of an
+    edge into t."""
+    sources: dict = {}
     for e in w.edges:
-        back = forward_distance(g, e.target, e.source, K_max, budget)
-        if back is None:
+        sources.setdefault(e.target, set()).add(e.source)
+    worst = 1
+    for t, wanted in sources.items():
+        pending = set(wanted)
+        # discard returns None, so the search stops once nothing is pending
+        distances, _ = bfs(g, t, K_max, stop=lambda v: pending.discard(v) or not pending,
+                           budget=budget)
+        if pending:
             return None
-        worst = max(worst, back)
-    return max(worst, 1)
+        worst = max(worst, *(distances[s] for s in wanted))
+    return worst
 
 
 def explicit_graph(

@@ -34,16 +34,11 @@ class PerronResult:
     bracket: tuple[float, float]   # Collatz-Wielandt bounds on the Perron root
 
 
-def adjacency(vertices, edges, weight=None) -> sparse.csr_matrix:
-    """Matrix indexed by ``vertices`` (in the given order) with entry (i, j)
-    the number of edges i -> j, or their summed ``weight(e)``.  Every edge
-    endpoint must be one of the vertices."""
-    index = {v: i for i, v in enumerate(vertices)}
-    rows = [index[e.source] for e in edges]
-    cols = [index[e.target] for e in edges]
-    data = np.ones(len(rows)) if weight is None else np.array([weight(e) for e in edges], float)
-    n = len(index)
-    return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+def adjacency(n, sources, targets, weights=None) -> sparse.csr_matrix:
+    """n x n matrix of edges given as parallel index sequences: entry (i, j)
+    is the number of edges i -> j, or the sum of their ``weights``."""
+    data = np.ones(len(sources)) if weights is None else np.asarray(weights, dtype=float)
+    return sparse.csr_matrix((data, (sources, targets)), shape=(n, n))
 
 
 def strong_components(A) -> tuple[int, np.ndarray]:

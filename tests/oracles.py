@@ -69,6 +69,29 @@ def dict_census(g, x, y, N, forbidden=()) -> list[int]:
     return counts
 
 
+def lazy_reach(g, x, N, forbidden=None):
+    """The census search as a breadth-first search of the lazy product
+    graph (``factors.product_graph``): the states within distance N of the
+    start in discovery order, and the out-edges of those within N - 1."""
+    graph, start = es.factors.avoiding(g, x, forbidden)
+    distances, _ = es.graphs.bfs(graph, start, N)
+    edges = [e for v, d in distances.items() if d < N for e in graph.out_edges(v)]
+    return list(distances), edges
+
+
+def connectedness_per_edge(g, w, K_max):
+    """Uniform-connectedness constant by its definition: the largest return
+    distance d(e.target, e.source) over the window's edges (at least 1), or
+    None when some edge has no return path of length <= K_max."""
+    worst = 0
+    for e in w.edges:
+        back = es.forward_distance(g, e.target, e.source, K_max)
+        if back is None:
+            return None
+        worst = max(worst, back)
+    return max(worst, 1)
+
+
 def readable_words(g, start, max_len) -> dict[int, set]:
     """Words per length readable from start (NFA-safe: frontier of vertex
     sets per word)."""

@@ -10,7 +10,8 @@ import entroscope as es
 from entroscope.growth import InsufficientData
 
 from oracles import (
-    brute_census, dict_census, random_det_scc_graph, readable_words, with_dangling_tail,
+    brute_census, dict_census, lazy_reach, random_det_scc_graph, random_nfa, readable_words,
+    with_dangling_tail,
 )
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -192,11 +193,81 @@ class TestPathCounts:
         # b2's one column sums to 2 * scale: counted exactly below 2**32, refused at it
         adjacency = es.linalg.adjacency
         scale = 2**31 - 1
-        monkeypatch.setattr(es.linalg, "adjacency", lambda v, e: adjacency(v, e) * scale)
+        monkeypatch.setattr(es.linalg, "adjacency", lambda *args: adjacency(*args) * scale)
         assert es.count_words(b2, "v", "v", 8).counts == tuple((2 * scale) ** n for n in range(9))
-        monkeypatch.setattr(es.linalg, "adjacency", lambda v, e: adjacency(v, e) * 2**31)
+        monkeypatch.setattr(es.linalg, "adjacency", lambda *args: adjacency(*args) * 2**31)
         with pytest.raises(es.census.CountRangeError):
             es.count_words(b2, "v", "v", 8)
+
+
+def _reach_cases():
+    """(graph, x, y, N, forbidden set or None): a seeded sweep over random
+    finite graphs, deterministic, nondeterministic and reducible ones, and
+    the built-in families, with F of words of length <= 3."""
+    rng = random.Random(2024)
+    cases = []
+    for i in range(60):
+        g = [
+            lambda: random_det_scc_graph(rng),
+            lambda: random_nfa(rng),
+            lambda: with_dangling_tail(rng, random_det_scc_graph(rng)),
+        ][i % 3]()
+        cases.append((g, 0, rng.choice(g.vertex_list), rng.randint(0, 12)))
+    families = [("grid_Z2", (0, 0), 12), ("grid_Z2", (1, 1), 9), ("line_Z", 0, 12),
+                ("line_Z", 3, 11), ("free2_mod_cyclic", "", 7), ("free2_mod_cyclic", "b", 6)]
+    for name, y, N in families:
+        spec = es.builtin_family(name)
+        cases += [(es.schreier_graph(spec), spec.root, y, N) for _ in range(3)]
+    for g, x, y, N in cases:
+        words = {
+            tuple(rng.choice(g.alphabet) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 3))
+        }
+        F = None if rng.random() < 0.2 else es.ForbiddenSet(tuple(sorted(words)))
+        yield g, x, y, N, F
+
+
+class TestArrayReach:
+    """The census's index-array search against the breadth-first search of
+    the lazy product graph."""
+
+    def test_sweep_matches_the_lazy_product_search(self):
+        for g, x, y, N, F in _reach_cases():
+            reach, _ = es.census._reach(g, x, y, N, F, es.DEFAULT_BUDGET)
+            states, edges = lazy_reach(g, x, N, F)
+            assert [reach.state_at(i) for i in range(len(reach.vertex))] == states
+            assert [
+                (reach.state_at(s), g.alphabet[a], reach.state_at(t))
+                for s, a, t in zip(reach.source, reach.label, reach.target)
+            ] == [tuple(e) for e in edges]
+            expected = dict_census(g, x, y, N, F.words if F else ())
+            assert es.census.path_counts(g, x, y, N, forbidden=F) == expected
+            violations = es.check_deterministic(edges)
+            if violations:
+                with pytest.raises(es.NondeterministicWindow) as info:
+                    es.count_words(g, x, y, N, forbidden=F)
+                assert info.value.violations == violations
+            else:
+                assert list(es.count_words(g, x, y, N, forbidden=F).counts) == expected
+
+    def test_weights_are_read_per_base_edge(self):
+        # a weighted sum over the lazy product's edges, each weighed by its base edge
+        for g, x, y, N, F in _reach_cases():
+            weight = lambda e: 1.0 / (2 + len(es.vertex_key(e.target)) + g.alphabet.index(e.label))
+            states, edges = lazy_reach(g, x, N, F)
+            at_y = [s for s in states if (s if F is None else s[0]) == y]
+            mass = {states[0]: 1.0}
+            expected = [mass.get(s, 0.0) for s in at_y]
+            table = [sum(expected)]
+            for _ in range(N):
+                nxt = dict.fromkeys(states, 0.0)
+                for e in edges:
+                    base = e if F is None else es.Edge(e.source[0], e.label, e.target[0])
+                    nxt[e.target] += mass.get(e.source, 0.0) * weight(base)
+                mass = nxt
+                table.append(sum(mass[s] for s in at_y))
+            got = es.census.path_weights(g, x, y, N, weight, forbidden=F)
+            assert got == pytest.approx(table, rel=1e-12, abs=1e-300)
 
 
 class TestDeterminize:

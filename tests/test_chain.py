@@ -419,6 +419,21 @@ class TestCertifiedGapBound:
         assert cert.eps0_prime == pytest.approx(1 / 16)
         assert cert.bound == pytest.approx(math.sqrt(15) / 4, abs=1e-12)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(alpha=0.25, D=4, R=1, stochastic=True),
+        dict(alpha=0.2, D=3, R=1, conn_k=4, rho=0.5902853252193181),
+        # alpha_bar^k is 1 - 2e-15: the float formula falls 8% short
+        dict(alpha=1 / 3, D=2, R=3, conn_k=2, rho=0.33333333333333337),
+    ])
+    def test_bound_is_rounded_outward(self, kwargs):
+        cert = es.certified_gap_bound(**kwargs)
+        k, rho = cert.k, Fraction(cert.rho)
+        power = k if cert.stochastic_path else (cert.conn_k + 1) * k
+        exact = rho**k * (1 - (Fraction(cert.alpha) / rho) ** power)
+        float_formula = cert.rho * (1.0 - cert.eps)
+        assert Fraction(float_formula) ** k < exact <= Fraction(cert.bound) ** k
+        assert cert.bound < cert.rho
+
     def test_bound_strictly_below_rho(self):
         cert = es.certified_gap_bound(alpha=0.4, D=2, R=3, conn_k=2, rho=0.9)
         assert 0 < cert.eps0_prime < 1

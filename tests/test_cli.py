@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import entroscope
-from entroscope import factors
+from entroscope import census, factors
 from entroscope.cli import build_parser, main
 
 B2_DOC = {
@@ -429,15 +429,21 @@ class TestRho:
         assert code == 0
 
     def test_transform_check_searches_the_product_ball_once(self, capsys, monkeypatch):
-        # the restricted and the transformed tables share one automaton, one
-        # product graph and one search: no product state is expanded twice
-        automata, expanded = [], []
+        # the restricted and the transformed tables share one automaton and
+        # one product search, derived from the plain census's search; no
+        # state of the lazy product graph is expanded
+        automata, searches, expanded = [], [], []
         automaton_init = factors.FactorAutomaton.__init__
+        product_reach = census._product_reach
         product_graph = factors.product_graph
 
         def init(self, *args, **kwargs):
             automata.append(self)
             automaton_init(self, *args, **kwargs)
+
+        def counted_reach(g, *args, **kwargs):
+            searches.append(g)
+            return product_reach(g, *args, **kwargs)
 
         def counted_product(*args, **kwargs):
             g = product_graph(*args, **kwargs)
@@ -451,18 +457,19 @@ class TestRho:
             return g
 
         monkeypatch.setattr(factors.FactorAutomaton, "__init__", init)
+        monkeypatch.setattr(census, "_product_reach", counted_reach)
         monkeypatch.setattr(factors, "product_graph", counted_product)
         argv = ("rho", "--family", "grid_Z2", "--depth", "12", "--forbid", "ru",
                 "--transform-check", "--conn-K", "1")
         code, _ = run(capsys, *argv)
         assert code == 0
-        assert len(automata) == 1
-        assert expanded and len(expanded) == len(set(expanded))
+        assert len(automata) == len(searches) == 1
         # a second run builds a new graph, whose memo starts empty
         code, _ = run(capsys, *argv)
         assert code == 0
-        assert len(automata) == 2
-        assert len(expanded) == 2 * len(set(expanded))
+        assert len(automata) == len(searches) == 2
+        assert searches[0] is not searches[1]
+        assert expanded == []
 
     def test_transform_check_without_forbid_fails_before_counting(self, capsys):
         # a budget the plain estimate would exceed: the config error comes first

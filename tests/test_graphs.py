@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 import entroscope as es
 from entroscope.graphs import Edge
 
-from oracles import iter_paths
+from oracles import (
+    connectedness_per_edge, iter_paths, random_det_scc_graph, random_nfa, with_dangling_tail,
+)
 
 
 def one_way_ray():
@@ -127,6 +129,23 @@ class TestUniformConnectedness:
         w = es.forward_ball(g, 0, 4)
         assert es.graphs.uniform_connectedness_constant(g, w, K_max=5) is None
         assert all(es.forward_distance(g, e.target, e.source, 5) is None for e in w.edges)
+
+    def test_one_search_per_target_matches_the_per_edge_definition(self, grid_z2, free2):
+        rng = random.Random(7)
+        cases = [(one_way_ray(), es.forward_ball(one_way_ray(), 0, 3))]
+        cases += [(g, es.forward_ball(g, g.roots[0], r)) for g, r in [(grid_z2, 3), (free2, 2)]]
+        for _ in range(20):
+            # reducible and nondeterministic graphs too; a sink has no return path
+            for g in (random_det_scc_graph(rng), random_nfa(rng),
+                      with_dangling_tail(rng, random_det_scc_graph(rng))):
+                cases.append((g, es.full_window(g)))
+        results = set()
+        for g, w in cases:
+            for K_max in range(5):
+                K = es.graphs.uniform_connectedness_constant(g, w, K_max)
+                assert K == connectedness_per_edge(g, w, K_max)
+                results.add(K)
+        assert None in results and {1, 2, 3, 4} <= results
 
 
 class TestExpansionPurity:
