@@ -17,7 +17,7 @@ Together: rho_F <= rho * (1 - alpha_bar^k)^(1/k) < rho, strictly.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -431,11 +431,13 @@ def certified_gap_bound(
     # round outward, by 1, 2, 4, ... ulps (when alpha_bar^k is near 1 the
     # float formula can fall far short), until bound^k >= rho^k (1 - alpha_bar^k)
     # holds exactly for the inputs' exact alpha_bar (alpha on the stochastic path)
-    r = Fraction(1 if stochastic else rho)
-    exact = r**k * (1 - (Fraction(alpha) / r) ** (k if stochastic else (conn_k + 1) * k))
+    # (no exact power when the float bound already equals rho: it degenerates)
     step = math.ulp(bound)
-    while Fraction(bound) ** k < exact:
-        bound, step = bound + step, 2 * step
+    if bound < rho:
+        r = Fraction(1 if stochastic else rho)
+        exact = r**k * (1 - (Fraction(alpha) / r) ** (k if stochastic else (conn_k + 1) * k))
+        while bound < rho and Fraction(bound) ** k < exact:
+            bound, step = bound + step, 2 * step
     if not bound < rho:
         raise DegenerateBound(
             f"per-step drop eps = {eps:.3g} is below float resolution at rho = {rho};"
@@ -571,93 +573,86 @@ class CertificateInputs:
     D_max: int = 8
     conn_k: Optional[int] = None
     rho: Optional[float] = None
-    stochastic: Optional[bool] = None   # None = auto-detect
-    window_radius: Optional[int] = None
 
 
 def resolve_certificate(
     g: LabelledGraph,
     forbidden: ForbiddenSet,
-    N: int,
     cert_inputs: Optional[CertificateInputs] = None,
     budget: int = DEFAULT_BUDGET,
 ):
-    """Assemble a GapCertificate on the graph's finite part, or on a window
-    of radius ``window_radius`` (default min(N, 12)) around the root.
+    """Assemble a GapCertificate for the graph.
 
     Each constant is the option in ``cert_inputs``, else the graph's
-    ``Declared`` value, else computed exactly (finite graph) or measured on
-    the window.  D is the option once the window confirms it, else the
-    smallest D <= D_max found there.  rho is never fitted: an infinite graph
-    that declares none takes rho = 1, which bounds the spectral radius of
-    every substochastic chain, and the bound grows with rho.
+    ``Declared`` value or structure, else computed exactly on a finite
+    graph (its part reachable from the root).  D is the option once the
+    finite graph confirms it, else the smallest D <= D_max found there.  A
+    complete infinite graph reads every word of F from every vertex, so
+    D = 0 (or the option), and its uniform chain is stochastic.  An
+    infinite graph gets no certificate when it is not complete or has no
+    conn_k: nothing is measured on a finite part of it.  rho is never
+    fitted: an infinite graph that declares none takes rho = 1, which
+    bounds the spectral radius of every substochastic chain, and the bound
+    grows with rho.
 
     Returns (certificate or None, scope, D or None, warnings).  Scope is
-    "window" when a constant of an infinite graph was measured on the window
-    (D only on a family that is not homogeneous) or rho is that default;
-    otherwise "global".
+    "window" when rho is that default, otherwise "global".
     """
     inputs = cert_inputs or CertificateInputs()
     warnings: list[str] = []
     sigma = len(g.alphabet)
     alpha = inputs.alpha if inputs.alpha is not None else 1.0 / sigma
-    declared = replace(
-        g.declared,
-        conn_k=g.declared.conn_k if inputs.conn_k is None else inputs.conn_k,
-        rho=g.declared.rho if inputs.rho is None else inputs.rho,
-    )
+    conn_k = g.declared.conn_k if inputs.conn_k is None else inputs.conn_k
+    rho = g.declared.rho if inputs.rho is None else inputs.rho
+    scope = "global"
     if g.is_finite:
         w = full_window(g, budget=budget)
-    else:
-        radius = inputs.window_radius if inputs.window_radius is not None else min(N, 12)
-        w = forward_ball(g, g.roots[0], radius, budget=budget)
-
-    # denseness constant D
-    cap, option = (inputs.D_max, "--d-max") if inputs.D is None else (inputs.D, "--D")
-    dense = estimate_denseness_constant(g, forbidden, w, cap, budget=budget)
-    if dense is None:
-        warnings.append(
-            f"forbidden set is not relatively dense on the window within"
-            f" D <= {cap} ({option}); no certificate emitted"
-        )
-        return None, None, None, warnings
-    D = dense.D if inputs.D is None else inputs.D
-    window_scoped = inputs.D is None and not g.is_finite and not g.declared.homogeneous
-
-    # uniform-connectedness constant
-    conn_k = declared.conn_k
-    if conn_k is None:
-        conn_k = uniform_connectedness_constant(
-            g, w, K_max=max(len(w.vertices), 1), budget=budget
-        )
+        cap, option = (inputs.D_max, "--d-max") if inputs.D is None else (inputs.D, "--D")
+        dense = estimate_denseness_constant(g, forbidden, w, cap, budget=budget)
+        if dense is None:
+            warnings.append(
+                f"forbidden set is not relatively dense on the window within"
+                f" D <= {cap} ({option}); no certificate emitted"
+            )
+            return None, None, None, warnings
+        D = dense.D if inputs.D is None else inputs.D
+        if conn_k is None:
+            conn_k = uniform_connectedness_constant(
+                g, w, K_max=max(len(w.vertices), 1), budget=budget
+            )
         if conn_k is None:
             warnings.append(
                 "window is not uniformly connected (some edge has no short return"
                 " path); no certificate emitted"
             )
             return None, None, D, warnings
-        if not g.is_finite:
-            window_scoped = True
-
-    # spectral radius of the unrestricted chain
-    rho = declared.rho
-    if rho is None and g.is_finite:
-        # w is the part reachable from the root: unreachable vertices do not
-        # bound the root's language
-        rho = linalg.spectral_radius(w.adjacency()) / sigma
-    elif rho is None:
-        rho = 1.0
-        window_scoped = True
-
-    if inputs.stochastic is not None:
-        stochastic = inputs.stochastic
+        if rho is None:
+            # w is the part reachable from the root: unreachable vertices do
+            # not bound the root's language
+            rho = linalg.spectral_radius(w.adjacency()) / sigma
     else:
-        stochastic = (
-            abs(rho - 1.0) <= 1e-12
-            and abs(alpha - 1.0 / sigma) <= 1e-12
-            and not check_fully_deterministic(g, w)
-        )
+        if not g.declared.complete:
+            warnings.append(
+                "the infinite graph is not declared complete, so no denseness"
+                " constant is known on all of it; no certificate emitted"
+            )
+            return None, None, None, warnings
+        D = 0 if inputs.D is None else inputs.D
+        if conn_k is None:
+            warnings.append(
+                "the infinite graph declares no uniform-connectedness constant"
+                " (--conn-K); no certificate emitted"
+            )
+            return None, None, D, warnings
+        if rho is None:
+            rho, scope = 1.0, "window"
 
+    # a complete graph is fully deterministic
+    stochastic = (
+        abs(rho - 1.0) <= 1e-12
+        and abs(alpha - 1.0 / sigma) <= 1e-12
+        and (g.declared.complete or not check_fully_deterministic(g, w))
+    )
     try:
         certificate = certified_gap_bound(
             alpha=alpha, D=D, R=forbidden.max_length, conn_k=conn_k, rho=rho,
@@ -666,11 +661,11 @@ def resolve_certificate(
     except (ChainError, DegenerateBound) as exc:
         warnings.append(f"certificate parameters out of range: {exc}")
         return None, None, D, warnings
-    scope = "window" if window_scoped else "global"
     if scope == "window":
         warnings.append(
-            "certificate constants were measured on a finite window of an"
-            " infinite graph; the certificate is window-scoped"
+            "the graph declares no rho, so rho = 1 was taken (it bounds the"
+            " spectral radius of every substochastic chain); the certificate"
+            " scope reads 'window'"
         )
     return certificate, scope, D, warnings
 
@@ -710,7 +705,7 @@ def entropy_gap_report(
     h = entropy_from_counts(plain, tail=tail)
     h_f = entropy_from_counts(restricted, tail=tail)
     certificate, scope, D_used, warnings = resolve_certificate(
-        g, forbidden, N=N, cert_inputs=cert_inputs, budget=budget
+        g, forbidden, cert_inputs=cert_inputs, budget=budget
     )
     report = GapReport(
         h=h, h_forbidden=h_f, gap=h.value - h_f.value, census=plain,

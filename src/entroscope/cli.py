@@ -151,8 +151,7 @@ def _forbidden_from(args, g: graphs.LabelledGraph, doc_words) -> Optional[factor
 
 
 def _cert_inputs(args) -> chain.CertificateInputs:
-    for option, value in (("--D", args.D), ("--d-max", args.D_max),
-                          ("--window-radius", args.window_radius)):
+    for option, value in (("--D", args.D), ("--d-max", args.D_max)):
         if value is not None and value < 0:
             raise graphs.GraphFormatError(f"{option} must be >= 0, got {value}")
     return chain.CertificateInputs(
@@ -161,8 +160,6 @@ def _cert_inputs(args) -> chain.CertificateInputs:
         D_max=args.D_max,
         conn_k=args.conn_K,
         rho=args.rho,
-        stochastic=True if args.stochastic else None,
-        window_radius=args.window_radius,
     )
 
 
@@ -247,11 +244,7 @@ def cmd_analyze(args) -> int:
     results = _gap_results(g, report)
     if args.command == "schreier":
         results["family"] = args.family
-        results["declared"] = {
-            "conn_K": g.declared.conn_k,
-            "rho": g.declared.rho,
-            "homogeneous": g.declared.homogeneous,
-        }
+        results["declared"] = {"conn_K": g.declared.conn_k, "rho": g.declared.rho}
     out = _report(config, results, report.warnings)
     _emit(out, config, _csv_rows(report.census.counts, report.census_forbidden.counts),
           ("n", "c_n", "c_n_F"))
@@ -406,10 +399,6 @@ def _add_certificate(p: argparse.ArgumentParser) -> None:
     p.add_argument("--conn-K", dest="conn_K", type=int, default=None,
                    help="declared uniform-connectedness constant")
     p.add_argument("--rho", type=float, default=None, help="declared spectral radius")
-    p.add_argument("--stochastic", action="store_true",
-                   help="force the stochastic fast path (rows sum to 1, rho = 1)")
-    p.add_argument("--window-radius", type=int, default=None,
-                   help="window radius for measured certificate constants")
 
 
 def build_parser() -> argparse.ArgumentParser:

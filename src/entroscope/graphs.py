@@ -58,18 +58,19 @@ def edge_sort_key(e: Edge):
 
 @dataclass(frozen=True)
 class Declared:
-    """Constants known to hold globally for a built-in graph family.
+    """Constants and structure known to hold on the whole graph.
 
     ``conn_k``: uniform-connectedness constant (every edge has a return
     path of length <= conn_k).  ``rho``: spectral radius of the uniform
-    chain on the graph.  ``homogeneous``: the graph has a vertex-transitive
-    group of label-preserving automorphisms, so window-local denseness
-    measurements made at the root extend globally.
+    chain on the graph.  ``complete``: every vertex has exactly one
+    out-edge per symbol, so every word is read from every vertex (each
+    forbidden set is relatively 0-dense) and the uniform chain is
+    stochastic.
     """
 
     conn_k: Optional[int] = None
     rho: Optional[float] = None
-    homogeneous: bool = False
+    complete: bool = False
 
 
 class LabelledGraph:

@@ -13,7 +13,7 @@ text descriptors and a pure ``act`` callable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .graphs import Declared, Edge, LabelledGraph, Vertex
@@ -37,8 +37,8 @@ class ActionSpec:
 def schreier_graph(spec: ActionSpec) -> LabelledGraph:
     """Lazy graph with expand(v) = [(v, a, act(v, a)) for a in the alphabet].
 
-    Out-degree is exactly |alphabet| everywhere; an action failure is a
-    hard error, not a missing edge.
+    Out-degree is exactly |alphabet| everywhere, so the graph is declared
+    complete; an action failure is a hard error, not a missing edge.
     """
 
     def expand(v):
@@ -56,22 +56,22 @@ def schreier_graph(spec: ActionSpec) -> LabelledGraph:
         expand=expand,
         roots=[spec.root],
         name=spec.name,
-        declared=spec.declared,
+        declared=replace(spec.declared, complete=True),
     )
 
 
 def line_z() -> ActionSpec:
     """The integer line: generator r steps +1, its inverse l steps -1.
 
-    Cayley graph of the integers, so denseness measured at the root is
-    global; the uniform chain is the simple random walk, rho = 1.
+    Cayley graph of the integers; the uniform chain is the simple random
+    walk, rho = 1.
     """
     return ActionSpec(
         name="line_Z",
         alphabet=("l", "r"),
         act=lambda n, a: n + 1 if a == "r" else n - 1,
         root=0,
-        declared=Declared(conn_k=1, rho=1.0, homogeneous=True),
+        declared=Declared(conn_k=1, rho=1.0),
     )
 
 
@@ -88,7 +88,7 @@ def grid_z2() -> ActionSpec:
         alphabet=("d", "l", "r", "u"),
         act=act,
         root=(0, 0),
-        declared=Declared(conn_k=1, rho=1.0, homogeneous=True),
+        declared=Declared(conn_k=1, rho=1.0),
     )
 
 
@@ -107,7 +107,8 @@ def free2_mod_cyclic() -> ActionSpec:
 
     A coset descriptor is the freely reduced word with its maximal leading
     run of a/A letters removed: the root coset reads both a and A as loops.
-    Not vertex-transitive, so denseness stays window-scoped.
+    Not vertex-transitive, and no rho is declared, so a certificate takes
+    rho = 1.
     """
 
     def act(d, sym):
@@ -119,7 +120,7 @@ def free2_mod_cyclic() -> ActionSpec:
         alphabet=("A", "B", "a", "b"),
         act=act,
         root="",
-        declared=Declared(conn_k=1, homogeneous=False),
+        declared=Declared(conn_k=1),
     )
 
 

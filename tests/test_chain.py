@@ -443,6 +443,20 @@ class TestCertifiedGapBound:
         cert = es.certified_gap_bound(alpha=0.5, D=0, R=2, stochastic=True)
         assert cert.h_bound(2) == pytest.approx(math.log(math.sqrt(3)), abs=1e-12)
 
+    def test_degenerate_bound_builds_no_exact_power(self, monkeypatch):
+        # alpha^k ~ 1e-13 at k = 300001: the float bound already equals rho,
+        # so the outward rounding must not build the exact power first
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(es.chain, "Fraction", counted)
+        with pytest.raises(es.chain.DegenerateBound):
+            es.certified_gap_bound(alpha=0.9999, D=300000, R=1, stochastic=True)
+        assert calls == []
+
     @pytest.mark.parametrize("kwargs", [
         dict(alpha=0.0, D=0, R=2),
         dict(alpha=0.5, D=-1, R=2),
@@ -577,7 +591,7 @@ class TestResolveCertificateSweep:
             if unreachable:
                 edges += [("u", a, "u") for a in g0.alphabet]
             g = es.explicit_graph(g0.alphabet, edges, roots=[0])
-            cert, _scope, _D, _warnings = es.resolve_certificate(g, F, N=20)
+            cert, _scope, _D, _warnings = es.resolve_certificate(g, F)
             if cert is None:
                 continue
             assert cert.rho == pytest.approx(base_rho_measured(g0), abs=1e-9)
@@ -598,21 +612,44 @@ class TestResolveCertificateRules:
     def test_uncovered_window_names_the_cap(self, two_cycle, inputs, option):
         # from y the word ab needs one step first, so D = 0 fails
         F = F_of(["ab"], two_cycle.alphabet)
-        cert, scope, D, warnings = es.resolve_certificate(two_cycle, F, N=10, cert_inputs=inputs)
+        cert, scope, D, warnings = es.resolve_certificate(two_cycle, F, cert_inputs=inputs)
         assert (cert, scope, D) == (None, None, None)
         assert len(warnings) == 1 and f"D <= 0 ({option})" in warnings[0]
 
     def test_option_beats_declaration_and_measurement(self, golden_mean):
         F = F_of(["b"], golden_mean.alphabet)
-        measured, _, D, _ = es.resolve_certificate(golden_mean, F, N=10)
+        measured, _, D, _ = es.resolve_certificate(golden_mean, F)
         assert (measured.conn_k, D) == (1, 0)   # declared, measured
         inputs = es.CertificateInputs(D=3, conn_k=2, rho=0.9)
-        cert, scope, D, _ = es.resolve_certificate(golden_mean, F, N=10, cert_inputs=inputs)
+        cert, scope, D, _ = es.resolve_certificate(golden_mean, F, cert_inputs=inputs)
         assert (cert.D, D, cert.conn_k, cert.rho, scope) == (3, 3, 2, 0.9, "global")
+
+    def test_incomplete_infinite_graph_gets_no_certificate(self):
+        # one out-edge per vertex over two symbols: bb is read nowhere
+        ray = es.LabelledGraph(("a", "b"), lambda n: [es.Edge(n, "a", n + 1)], roots=[0])
+        inputs = es.CertificateInputs(conn_k=1, rho=1.0)
+        cert, scope, D, warnings = es.resolve_certificate(
+            ray, F_of(["bb"], ray.alphabet), cert_inputs=inputs
+        )
+        assert (cert, scope, D) == (None, None, None)
+        assert len(warnings) == 1 and "not declared complete" in warnings[0]
+
+    def test_complete_family_needs_conn_k(self):
+        spec = es.ActionSpec(
+            name="cycle_5", alphabet=("l", "r"),
+            act=lambda n, a: (n + (1 if a == "r" else -1)) % 5, root=0,
+        )
+        g, F = es.schreier_graph(spec), F_of(["rr"], spec.alphabet)
+        cert, scope, D, warnings = es.resolve_certificate(g, F)
+        assert (cert, scope, D) == (None, None, 0)
+        assert len(warnings) == 1 and "--conn-K" in warnings[0]
+        inputs = es.CertificateInputs(conn_k=1)
+        cert, scope, D, warnings = es.resolve_certificate(g, F, cert_inputs=inputs)
+        assert (cert.D, cert.conn_k, cert.rho, cert.stochastic_path) == (0, 1, 1.0, True)
+        assert (scope, D, len(warnings)) == ("window", 0, 1)
 
     def test_undeclared_infinite_rho_is_one(self, free2):
         F = F_of(["ab"], free2.alphabet)
-        inputs = es.CertificateInputs(window_radius=3)
-        cert, scope, _, warnings = es.resolve_certificate(free2, F, N=4, cert_inputs=inputs)
+        cert, scope, _, warnings = es.resolve_certificate(free2, F)
         assert (cert.rho, cert.stochastic_path, scope) == (1.0, True, "window")
         assert len(warnings) == 1

@@ -270,12 +270,10 @@ class TestBound:
 class TestCertificateRegressions:
     def test_undeclared_infinite_rho_bounds_the_measured_growth(self, capsys):
         # free2_mod_cyclic declares no rho; a fit at this depth gave 0.7547
-        # and h_bound 1.0989, below the counts' own log-ratio 1.131.  The
-        # default radius-12 window gives the same certificate (every vertex
-        # reads ab at once, so D = 0) but takes four times as long
+        # and h_bound 1.0989, below the counts' own log-ratio 1.131
         code, report = run(
             capsys, "schreier", "--family", "free2_mod_cyclic", "--forbid", "ab",
-            "--depth", "12", "--window-radius", "4",
+            "--depth", "12",
         )
         assert code == 0
         results = report["results"]
@@ -491,7 +489,35 @@ class TestSchreierCommand:
         assert abs(results["h"]["value"] - math.log(2)) < 0.05
         assert results["certificate"]["D"] == 0
         assert results["certificate"]["conn_K"] == 1
-        assert results["declared"]["homogeneous"] is True
+
+    @pytest.mark.parametrize("family, word", [
+        ("line_Z", "rr"), ("grid_Z2", "uu"), ("free2_mod_cyclic", "bab"),
+    ])
+    def test_schreier_certificate_searches_nothing(self, capsys, monkeypatch, family, word):
+        # a complete family's D and stochastic rows are structural: no ball,
+        # no denseness or connectedness search, no determinism check
+        calls = []
+        originals = [
+            entroscope.graphs.forward_ball,
+            entroscope.factors.estimate_denseness_constant,
+            entroscope.graphs.uniform_connectedness_constant,
+            entroscope.graphs.check_fully_deterministic,
+        ]
+
+        def counted(fn):
+            def call(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return call
+
+        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "entroscope"]:
+            for name, value in list(vars(module).items()):
+                if any(value is fn for fn in originals):
+                    monkeypatch.setattr(module, name, counted(value))
+        code, report = run(capsys, "schreier", "--family", family, "--forbid", word,
+                           "--depth", "10")
+        assert code == 0 and report["results"]["certificate"]["D"] == 0
+        assert calls == []
 
     def test_unknown_family(self):
         # argparse rejects the choice itself, exiting with the config code
@@ -671,13 +697,12 @@ class TestErrorPaths:
         [
             (ANALYZE + ("--D", "-1"), "--D"),
             (ANALYZE + ("--d-max", "-1"), "--d-max"),
-            (ANALYZE + ("--window-radius", "-3"), "--window-radius"),
             (("bound", "--alpha", "2", "--D", "0", "--R", "1", "--stochastic"), "--alpha"),
             (("bound", "--alpha", "0.5", "--D", "0", "--R", "2"), "--conn-K"),
             (("bound", "--alpha", "0.5", "--D", "0", "--R", "2", "--stochastic",
               "--sigma-size", "-1"), "--sigma-size"),
         ],
-        ids=["D", "d-max", "window-radius", "alpha", "conn-K", "sigma-size"],
+        ids=["D", "d-max", "alpha", "conn-K", "sigma-size"],
     )
     def test_out_of_range_option_is_named(self, capsys, argv, option):
         code, report = run(capsys, *argv)

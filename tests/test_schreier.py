@@ -51,6 +51,7 @@ class TestBuiltinFamilies:
         w = es.forward_ball(g, g.roots[0], 3)
         assert es.check_deterministic(w.edges + w.boundary) == []
         assert es.check_fully_deterministic(g, w) == []
+        assert g.declared.complete
 
     @pytest.mark.parametrize("family", ["line_Z", "grid_Z2", "free2_mod_cyclic"])
     def test_inverse_closure(self, family):
@@ -126,11 +127,8 @@ class TestGrowthSensitivity:
     def test_free2_window_scoped(self):
         spec = builtin_family("free2_mod_cyclic")
         F = es.ForbiddenSet.from_strings(["bb"], spec.alphabet)
-        report = es.entropy_gap_report(
-            schreier_graph(spec), spec.root, spec.root, F, 10,
-            cert_inputs=es.CertificateInputs(window_radius=4),
-        )
+        report = es.entropy_gap_report(schreier_graph(spec), spec.root, spec.root, F, 10)
         assert report.h_forbidden.value < report.h.value
-        if report.certificate is not None:
-            assert report.certificate_scope == "window"
-            assert any("window" in w for w in report.warnings)
+        assert report.certificate is not None
+        assert report.certificate_scope == "window"
+        assert any("declares no rho" in w for w in report.warnings)
