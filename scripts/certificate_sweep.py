@@ -119,7 +119,7 @@ def main():
             continue
         forbidden = es.ForbiddenSet((word,))
         w = es.full_window(g)
-        dense = es.estimate_denseness_constant(g, forbidden, w, D_max=args.d_max)
+        dense = es.estimate_denseness_constant(forbidden, w, D_max=args.d_max)
         if dense is None:
             skipped_undense += 1
             continue

@@ -102,17 +102,19 @@ def count_words(
 
     Words correspond to paths when every state a word of length <= N
     leaves from, those within distance N - 1 of x, is deterministic; that
-    is checked on the edges the census counts.  With a forbidden set the
-    census runs on the product graph, where dead automaton states are
-    already pruned.
+    is checked on the edges the census counts, unless the graph declares
+    itself complete (one out-edge per symbol by construction).  With a
+    forbidden set the census runs on the product graph, where dead
+    automaton states are already pruned.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    reach, _ = _reach(g, x, y, N, forbidden, budget)
-    violations = check_deterministic(zip(reach.source.tolist(), reach.label.tolist()))
-    if violations:
-        raise NondeterministicWindow(
-            [(reach.state_at(s), g.alphabet[a]) for s, a in violations])
+    if not g.declared.complete:
+        reach, _ = _reach(g, x, y, N, forbidden, budget)
+        violations = check_deterministic(zip(reach.source.tolist(), reach.label.tolist()))
+        if violations:
+            raise NondeterministicWindow(
+                [(reach.state_at(s), g.alphabet[a]) for s, a in violations])
     counts = path_counts(g, x, y, N, forbidden=forbidden, budget=budget)
     return WordCensus(x=x, y=y, counts=tuple(counts), forbidden=forbidden)
 
@@ -147,7 +149,7 @@ def _reach(g, x, y, N, forbidden, budget):
     key = (x, N, forbidden, budget)
     if key not in g.reaches:
         if forbidden is None:
-            distances, _ = bfs(g, x, N, budget=budget)
+            distances = bfs(g, x, N, budget=budget)
             index = {v: i for i, v in enumerate(distances)}
             labels = {a: i for i, a in enumerate(g.alphabet)}
             edges = [e for v, d in distances.items() if d < N for e in g.out_edges(v)]

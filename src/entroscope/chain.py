@@ -274,7 +274,9 @@ def harmonic_vector(
     index = {v: i for i, v in enumerate(verts)}
     weight = _float_weight(chain)
     matrix = ball.adjacency(weight)
-    if linalg.strong_components(matrix)[0] != 1:
+    # every vertex of a forward ball is reached from the center, so the
+    # window is strongly connected iff every vertex reaches the center
+    if (linalg.steps_to(matrix, np.arange(len(verts)) == index[center]) < 0).any():
         raise ChainError("the window is not strongly connected; no positive harmonic vector")
     if scheme == "reflecting":
         kept = np.asarray(matrix.sum(axis=1)).ravel()
@@ -283,8 +285,7 @@ def harmonic_vector(
             leaked[index[e.source]] += weight(e)
         scale = np.divide(kept + leaked, kept, out=np.ones(len(verts)), where=kept > 0)
         matrix = sparse.diags(scale) @ matrix
-    vec_tol = min(1e-10, tol * 1e-2)
-    res = linalg.perron_root(matrix, vector_tol=vec_tol)
+    res = linalg.perron_root(matrix)
     h = res.vector / res.vector[index[center]]
     values = dict(zip(verts, h.tolist()))
     rho_hat = res.value
@@ -608,7 +609,7 @@ def resolve_certificate(
     if g.is_finite:
         w = full_window(g, budget=budget)
         cap, option = (inputs.D_max, "--d-max") if inputs.D is None else (inputs.D, "--D")
-        dense = estimate_denseness_constant(g, forbidden, w, cap, budget=budget)
+        dense = estimate_denseness_constant(forbidden, w, cap)
         if dense is None:
             warnings.append(
                 f"forbidden set is not relatively dense on the window within"

@@ -9,7 +9,7 @@ reports except for the timestamp field.
 
 Exit codes: 0 success, 2 configuration error, 3 expansion budget exceeded,
 4 certification failed (the analysis report is still emitted, or an error
-report when the bound degenerates or a Perron solve does not converge).
+report when the bound degenerates).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Optional
 
-from . import __version__, census, chain, factors, graphs, growth, linalg, schreier
+from . import __version__, census, chain, factors, graphs, growth, schreier
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -481,9 +481,6 @@ def main(argv=None) -> int:
     except graphs.ExpansionBudgetExceeded as exc:
         _error(exc, "budget-exceeded")
         return EXIT_BUDGET
-    except linalg.ConvergenceError as exc:
-        _error(exc)
-        return EXIT_CERTIFICATION
     except growth.InsufficientData as exc:
         _error(graphs.GraphFormatError(
             f"too little data at --depth {args.depth}, --tail {args.tail}: {exc}"))

@@ -3,27 +3,17 @@
 Builds the matching automaton for a finite set F of forbidden words
 (prefix trie plus failure links, with factor detection closed under the
 failure chain), forms the product graph whose paths are exactly the
-F-avoiding paths of a base graph, and searches for relative-denseness
-certificates: from every vertex, within forward distance D, some word of F
-can be read.
+F-avoiding paths of a base graph, and certifies relative denseness: from
+every vertex, within forward distance D, some word of F can be read.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .graphs import (
-    DEFAULT_BUDGET,
-    Edge,
-    LabelledGraph,
-    Vertex,
-    Window,
-    bfs,
-    path_to,
-    vertex_key,
-)
+from . import linalg
+from .graphs import Edge, LabelledGraph, Vertex, Window
 
 Word = tuple[str, ...]
 
@@ -165,7 +155,8 @@ def product_graph(
 
     Edges stepping into a dead automaton state are pruned, so path counting
     on the product directly counts F-avoiding paths.  ``roots`` defaults to
-    the base roots paired with the start state.
+    the base roots paired with the start state.  The product declares
+    nothing: it is not complete even when the base graph is.
     """
     if set(automaton.alphabet) != set(g.alphabet):
         raise ForbiddenWordError("graph and factor automaton use different alphabets")
@@ -187,7 +178,6 @@ def product_graph(
         expand=expand,
         roots=[(r, start) for r in roots],
         name=f"{g.name}/avoiding" if g.name else "product",
-        declared=g.declared,
     )
 
 
@@ -209,90 +199,51 @@ def base_edge(e: Edge) -> Edge:
 
 
 @dataclass(frozen=True)
-class DensenessWitness:
-    vertex: Vertex
-    via: Vertex            # y with d+(vertex, y) <= D
-    word: Word             # the forbidden word readable from y
-    approach: tuple[Edge, ...]   # path vertex -> y
-    reading: tuple[Edge, ...]    # path from y labelled word
-
-
-@dataclass(frozen=True)
 class DensenessCertificate:
-    """Witness map proving F relatively dense on a window, with constant D."""
+    """Proof that F is relatively D-dense on a window: per vertex, the
+    number of steps to its nearest reader of a forbidden word, each <= D."""
 
     D: int
-    witnesses: dict = field(compare=False)  # vertex -> DensenessWitness
+    distances: dict = field(compare=False)  # vertex -> steps
 
 
-def _first_reading(g: LabelledGraph, start: Vertex, forbidden: ForbiddenSet) -> Optional[tuple]:
-    """(word, path): the first word of F labelling a path from start, with
-    one such path, or None.
+def certify_denseness(forbidden: ForbiddenSet, D: int, w: Window):
+    """Check that from every vertex of a closed window some forbidden word
+    can be read within forward distance D.
 
-    The graph need not be deterministic; a depth-first search over label
-    matches is used.
-    """
-    for word in forbidden.words:
-        stack = [(start, 0, ())]
-        while stack:
-            v, i, path = stack.pop()
-            if i == len(word):
-                return word, path
-            for e in g.out_edges(v):
-                if e.label == word[i]:
-                    stack.append((e.target, i + 1, path + (e,)))
-    return None
-
-
-def certify_denseness(
-    g: LabelledGraph,
-    forbidden: ForbiddenSet,
-    D: int,
-    w: Window,
-    budget: int = DEFAULT_BUDGET,
-):
-    """Search, for every window vertex x, a vertex y within forward distance
-    D from which some forbidden word labels a path.
-
-    The witness is the nearest such y, the first in ``vertex_key`` order
-    among the nearest, found by one breadth-first search from x.  Returns a
-    DensenessCertificate covering every window vertex, or the sorted list of
-    uncovered vertices.  The searches may expand the graph beyond the window.
+    The readers, vertices from which a word of F labels a path, come from a
+    backward pass over each word's letters on the window's edges; the
+    distances to them from one backward search (``linalg.steps_to``).
+    Returns a DensenessCertificate, or the uncovered vertices in window
+    order.  A window with boundary edges raises ValueError: its distances
+    would ignore the paths that leave it.
     """
     if D < 0:
         raise ValueError("D must be >= 0")
-    reading = functools.cache(lambda y: _first_reading(g, y, forbidden))
-    witnesses = {}
-    uncovered = []
-    for x in w.sorted_vertices():
-        distances, parents = bfs(g, x, D, stop=reading, budget=budget)
-        near = [y for y in distances if reading(y)]
-        if near:
-            y = min(near, key=lambda v: (distances[v], vertex_key(v)))
-            word, path = reading(y)
-            witnesses[x] = DensenessWitness(
-                vertex=x, via=y, word=word, approach=path_to(parents, y), reading=path
-            )
-        else:
-            uncovered.append(x)
+    if w.boundary:
+        raise ValueError("denseness is certified on closed windows only (no boundary edges)")
+    readers: set = set()
+    for word in forbidden.words:
+        r = w.vertices
+        for a in reversed(word):
+            r = {e.source for e in w.edges if e.label == a and e.target in r}
+        readers |= r
+    order = w.sorted_vertices()
+    steps = linalg.steps_to(w.adjacency(), [v in readers for v in order], D).tolist()
+    uncovered = [v for v, d in zip(order, steps) if d < 0]
     if uncovered:
         return uncovered
-    return DensenessCertificate(D=D, witnesses=witnesses)
+    return DensenessCertificate(D=D, distances=dict(zip(order, steps)))
 
 
 def estimate_denseness_constant(
-    g: LabelledGraph,
-    forbidden: ForbiddenSet,
-    w: Window,
-    D_max: int,
-    budget: int = DEFAULT_BUDGET,
+    forbidden: ForbiddenSet, w: Window, D_max: int
 ) -> Optional[DensenessCertificate]:
-    """Smallest D <= D_max admitting a denseness certificate on the window,
-    or None: the largest distance from a window vertex to its witness."""
+    """Smallest D <= D_max admitting a denseness certificate on the closed
+    window, or None: the largest distance from a window vertex to a reader."""
     if D_max < 0:
         raise ValueError("D_max must be >= 0")
-    cert = certify_denseness(g, forbidden, D_max, w, budget=budget)
+    cert = certify_denseness(forbidden, D_max, w)
     if not isinstance(cert, DensenessCertificate):
         return None
-    D = max((len(wit.approach) for wit in cert.witnesses.values()), default=0)
-    return DensenessCertificate(D=D, witnesses=cert.witnesses)
+    return DensenessCertificate(D=max(cert.distances.values()), distances=cert.distances)

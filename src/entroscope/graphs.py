@@ -179,8 +179,8 @@ def bfs(
     radius: Optional[int] = None,
     stop: Optional[Callable[[Vertex], Any]] = None,
     budget: int = DEFAULT_BUDGET,
-) -> tuple[dict, dict]:
-    """Breadth-first search from ``x``: (distances, parent edges).
+) -> dict:
+    """Breadth-first search from ``x``: the distance of each vertex found.
 
     Explores at most ``radius`` layers (the whole reachable part when None)
     and stops after the first layer holding a vertex on which ``stop``
@@ -189,7 +189,6 @@ def bfs(
     been discovered.
     """
     distances = {x: 0}
-    parents: dict = {x: None}
     frontier = [x]
     d = 0
     found = stop is not None and stop(x)
@@ -200,28 +199,18 @@ def bfs(
             for e in g.out_edges(v):
                 if e.target not in distances:
                     distances[e.target] = d
-                    parents[e.target] = e
                     nxt.append(e.target)
                     if len(distances) > budget:
                         raise budget_exceeded(x, budget)
                     if stop is not None and stop(e.target):
                         found = True
         frontier = nxt
-    return distances, parents
+    return distances
 
 
 def budget_exceeded(x: Vertex, budget: int) -> ExpansionBudgetExceeded:
     return ExpansionBudgetExceeded(
         f"search from vertex {vertex_key(x)!r} found more than {budget} vertices (--budget)")
-
-
-def path_to(parents: dict, v: Vertex) -> tuple[Edge, ...]:
-    """The search-tree path from the search start to ``v``."""
-    path = []
-    while parents[v] is not None:
-        path.append(parents[v])
-        v = parents[v].source
-    return tuple(reversed(path))
 
 
 def forward_ball(
@@ -236,7 +225,7 @@ def forward_ball(
     """
     if radius is not None and radius < 0:
         raise ValueError("radius must be >= 0")
-    found, _ = bfs(g, x, radius, budget=budget)
+    found = bfs(g, x, radius, budget=budget)
     distances = {v: found[v] for v in sorted(found, key=lambda v: (found[v], vertex_key(v)))}
     inside, boundary = [], []
     for v in distances:
@@ -274,7 +263,7 @@ def forward_distance(
     """Minimal path length from x to y if <= cap, else None."""
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    return bfs(g, x, cap, stop=lambda v: v == y, budget=budget)[0].get(y)
+    return bfs(g, x, cap, stop=lambda v: v == y, budget=budget).get(y)
 
 
 def check_deterministic(edges: Iterable[tuple]) -> list[tuple[Vertex, str]]:
@@ -318,8 +307,8 @@ def uniform_connectedness_constant(
     for t, wanted in sources.items():
         pending = set(wanted)
         # discard returns None, so the search stops once nothing is pending
-        distances, _ = bfs(g, t, K_max, stop=lambda v: pending.discard(v) or not pending,
-                           budget=budget)
+        distances = bfs(g, t, K_max, stop=lambda v: pending.discard(v) or not pending,
+                        budget=budget)
         if pending:
             return None
         worst = max(worst, *(distances[s] for s in wanted))

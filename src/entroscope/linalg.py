@@ -3,11 +3,12 @@
 Power iteration on A + I makes periodic cases (cycles) converge, and the
 Collatz-Wielandt quotients min_i (Bx)_i/x_i <= lambda <= max_i (Bx)_i/x_i
 give a certified bracket around the Perron root of the shifted matrix at
-every step; ``perron_root`` returns only once that bracket has closed,
-which it does for irreducible matrices.  Reducible matrices (product
-graphs, windows with unreachable parts) go through their strongly
-connected components: the spectral radius is the largest Perron root of
-a component.
+every step; ``perron_root`` takes the bracket's upper end, an upper bound
+on the root whether or not the bracket has closed.  Reducible matrices
+(product graphs, windows with unreachable parts) go through their
+strongly connected components: the spectral radius is the largest Perron
+root of a component.  ``steps_to`` is the one multi-source search over a
+nonnegative matrix's entries.
 """
 
 from __future__ import annotations
@@ -19,16 +20,12 @@ from scipy import sparse
 
 
 TOL = 1e-12          # relative width at which a Perron bracket counts as closed
-MAX_ITER = 10**5     # power-iteration steps before ConvergenceError
-
-
-class ConvergenceError(RuntimeError):
-    """Iteration cap reached before the bracket closed."""
+MAX_ITER = 10**5     # power-iteration steps before the open bracket is returned
 
 
 @dataclass
 class PerronResult:
-    value: float
+    value: float                   # the bracket's upper end
     vector: np.ndarray
     iterations: int
     bracket: tuple[float, float]   # Collatz-Wielandt bounds on the Perron root
@@ -85,15 +82,14 @@ def strong_components(A) -> tuple[int, np.ndarray]:
     return components, np.array(labels, dtype=int)
 
 
-def perron_root(A, vector_tol: float | None = None) -> PerronResult:
+def perron_root(A) -> PerronResult:
     """Leading eigenvalue and positive eigenvector of an irreducible
     nonnegative matrix (ndarray or scipy sparse), by power iteration on A + I.
 
     Stops once the Collatz-Wielandt bracket [lo, hi] of A + I has closed,
-    hi - lo <= TOL * hi (and, when ``vector_tol`` is given, the
-    sup-normalized iterate moved by at most that much, for callers that
-    need the eigenvector itself).  Raises ConvergenceError after MAX_ITER
-    steps, which is where reducible inputs end.
+    hi - lo <= TOL * hi, or after MAX_ITER steps (where reducible inputs
+    end) with the bracket still open.  ``value`` is the upper end, which
+    bounds the root from above either way.
     """
     n = A.shape[0]
     if n == 0:
@@ -104,19 +100,25 @@ def perron_root(A, vector_tol: float | None = None) -> PerronResult:
         y = B @ x
         quot = y / x
         lo, hi = float(quot.min()), float(quot.max())
-        x_new = y / y.max()
-        moved = float(np.max(np.abs(x_new - x)))
-        x = x_new
-        if hi - lo <= TOL * hi and (vector_tol is None or moved <= vector_tol):
-            return PerronResult(
-                value=(lo + hi) / 2.0 - 1.0,
-                vector=x,
-                iterations=it,
-                bracket=(lo - 1.0, hi - 1.0),
-            )
-    raise ConvergenceError(
-        f"power iteration bracket still ({lo - 1.0:.6g}, {hi - 1.0:.6g}) after {MAX_ITER} steps"
-    )
+        x = y / y.max()
+        if hi - lo <= TOL * hi:
+            break
+    return PerronResult(value=hi - 1.0, vector=x, iterations=it, bracket=(lo - 1.0, hi - 1.0))
+
+
+def steps_to(A, target, cap: int | None = None) -> np.ndarray:
+    """Per index, the fewest steps along A's positive entries (rows are
+    sources) to an index where the boolean mask ``target`` holds, or -1
+    when there is none within ``cap`` steps (at any distance when None)."""
+    A = sparse.csr_matrix(A)
+    steps = np.where(target, 0, -1)
+    frontier = np.asarray(target, dtype=bool)
+    d = 0
+    while frontier.any() and d != cap:
+        d += 1
+        frontier = (A @ frontier.astype(float) > 0) & (steps < 0)
+        steps[frontier] = d
+    return steps
 
 
 def spectral_radius(A) -> float:

@@ -74,7 +74,7 @@ def lazy_reach(g, x, N, forbidden=None):
     graph (``factors.product_graph``): the states within distance N of the
     start in discovery order, and the out-edges of those within N - 1."""
     graph, start = es.factors.avoiding(g, x, forbidden)
-    distances, _ = es.graphs.bfs(graph, start, N)
+    distances = es.graphs.bfs(graph, start, N)
     edges = [e for v, d in distances.items() if d < N for e in graph.out_edges(v)]
     return list(distances), edges
 

@@ -301,6 +301,26 @@ class TestHarmonicVector:
         with pytest.raises(ValueError):
             es.harmonic_vector(es.uniform_weights(b2), "v", 1)
 
+    def test_window_with_a_sink_is_refused(self):
+        # 0 <-> 1 -> 2, and 2 has no way back to the center
+        g = es.explicit_graph(["a", "b"], [(0, "a", 1), (1, "a", 0), (1, "b", 2)], roots=[0])
+        with pytest.raises(ChainError, match="not strongly connected"):
+            es.harmonic_vector(es.uniform_weights(g), 0, 3)
+
+    def test_connectivity_check_runs_no_tarjan(self, grid_z2, monkeypatch):
+        calls = []
+        tarjan = es.linalg.strong_components
+
+        def counted(A):
+            calls.append(A.shape)
+            return tarjan(A)
+
+        monkeypatch.setattr(es.linalg, "strong_components", counted)
+        hv = es.harmonic_vector(es.uniform_weights(grid_z2), (0, 0), 6, tol=1e-6)
+        assert hv.accepted and calls == []
+        es.linalg.spectral_radius(np.eye(2))  # the patch takes
+        assert calls == [(2, 2)]
+
     def test_tree_like_window(self, free2):
         # stochastic chain: reflecting pins the trivial pair, absorbing
         # approximates from below, and the spread flags the difference
@@ -561,7 +581,7 @@ class TestCertificateSoundnessFixtures:
         assert strongly_connected(g)
         F = F_of(words, g.alphabet)
         w = es.full_window(g)
-        dense = es.estimate_denseness_constant(g, F, w, D_max=4)
+        dense = es.estimate_denseness_constant(F, w, D_max=4)
         assert dense is not None
         conn_k = es.graphs.uniform_connectedness_constant(g, w, K_max=len(w.vertices))
         rho = base_rho_measured(g)
@@ -631,6 +651,15 @@ class TestResolveCertificateRules:
         cert, scope, D, warnings = es.resolve_certificate(
             ray, F_of(["bb"], ray.alphabet), cert_inputs=inputs
         )
+        assert (cert, scope, D) == (None, None, None)
+        assert len(warnings) == 1 and "not declared complete" in warnings[0]
+
+    def test_product_of_a_complete_graph_declares_nothing(self, free2):
+        # on the product of free2 with the ab-automaton, ab is read nowhere
+        F = F_of(["ab"], free2.alphabet)
+        product = es.product_graph(free2, es.FactorAutomaton(F, free2.alphabet))
+        assert product.declared == es.Declared()
+        cert, scope, D, warnings = es.resolve_certificate(product, F)
         assert (cert, scope, D) == (None, None, None)
         assert len(warnings) == 1 and "not declared complete" in warnings[0]
 

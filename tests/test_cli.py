@@ -93,6 +93,28 @@ class TestCount:
         run(capsys, "analyze", "--graph", b2_path, "--depth", "5", "--forbid", "aa")
         assert len(calls) == 1
 
+    def test_complete_family_skips_the_determinism_check(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        check = entroscope.graphs.check_deterministic
+
+        def counted(edges):
+            calls.append(edges)
+            return check(edges)
+
+        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "entroscope"]:
+            if getattr(module, "check_deterministic", None) is check:
+                monkeypatch.setattr(module, "check_deterministic", counted)
+        code, _ = run(capsys, "count", "--family", "free2_mod_cyclic", "--depth", "5",
+                      "--forbid", "ab")
+        assert code == 0 and calls == []
+        # an explicit graph is still checked, and a nondeterministic one refused
+        doc = dict(B2_DOC, edges=B2_DOC["edges"] + [["v", "a", "w"]], vertices=["v", "w"])
+        path = tmp_path / "nfa.json"
+        path.write_text(json.dumps(doc))
+        code, report = run(capsys, "count", "--graph", str(path), "--depth", "3")
+        assert code == 2 and "deterministic" in report["error"]["message"]
+        assert len(calls) == 1
+
     def test_config_echo_has_defaults(self, capsys, b2_path):
         _, report = run(capsys, "count", "--graph", b2_path, "--depth", "4")
         config = report["config"]
@@ -343,9 +365,10 @@ class TestCertificateRegressions:
         assert report["results"]["certificate"] is None
         assert any("degenerates" in w for w in report["warnings"])
 
-    def test_unclosed_perron_bracket_is_an_error_not_a_traceback(self, capsys, tmp_path):
+    def test_unclosed_perron_bracket_still_certifies(self, capsys, tmp_path):
         # a 200-cycle read by a and b with a c-loop at 0 mixes so slowly that
-        # the bracket of A + I is still open after the 10^5-step cap
+        # the bracket of A + I is still open after the 10^5-step cap; its
+        # upper end bounds the spectral radius all the same
         n = 200
         edges = [["0", "c", "0"]]
         for i in range(n):
@@ -360,8 +383,14 @@ class TestCertificateRegressions:
         code, report = run(
             capsys, "analyze", "--graph", path, "--forbid", "bb", "--depth", "20", "--conn-K", "1"
         )
-        assert code == 4
-        assert report["error"]["type"] == "ConvergenceError"
+        assert code == 0
+        A = np.zeros((n, n))
+        for s, _, t in edges:
+            A[int(s), int(t)] += 1
+        true_rho = max(abs(np.linalg.eigvals(A))) / 3
+        certificate = report["results"]["certificate"]
+        assert certificate["rho"] >= true_rho
+        assert certificate["bound"] < certificate["rho"]
 
 
 class TestRho:
