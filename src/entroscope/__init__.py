@@ -55,7 +55,6 @@ from .graphs import (
     check_fully_deterministic,
     explicit_graph,
     forward_ball,
-    forward_distance,
     full_window,
     load_graph_json,
     parse_graph_document,

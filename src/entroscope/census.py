@@ -9,9 +9,10 @@ the spectral radius of the edge-count matrix of their reachable part.
 Counts are exact integers (c_n can reach |alphabet|^n): integer matrix
 powers modulo word-size primes, joined by the Chinese remainder theorem.
 Weighted path sums run on the same states as float64 matrix powers.  Both
-read a memoized search (``Reach``) held as index arrays: a breadth-first
-search of the graph, and with forbidden words the product search derived
-from it by a layered numpy search over (vertex, automaton state).
+read a memoized search held as index arrays (``graphs.Reach``): the plain
+breadth-first search of the graph (``graphs.search``, which windows read
+too), and with forbidden words the product search derived from it here by
+a layered numpy search over (vertex, automaton state).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,13 +30,14 @@ from .graphs import (
     DEFAULT_BUDGET,
     Edge,
     LabelledGraph,
+    Reach,
     Vertex,
     Window,
-    bfs,
     budget_exceeded,
     check_deterministic,
     explicit_graph,
     full_window,
+    search,
     vertex_key,
 )
 from .growth import NEG_INF, GrowthFit, fit_log_growth
@@ -107,8 +109,6 @@ def count_words(
     forbidden set the census runs on the product graph, where dead
     automaton states are already pruned.
     """
-    if N < 0:
-        raise ValueError("N must be >= 0")
     if not g.declared.complete:
         reach, _ = _reach(g, x, y, N, forbidden, budget)
         violations = check_deterministic(zip(reach.source.tolist(), reach.label.tolist()))
@@ -119,48 +119,16 @@ def count_words(
     return WordCensus(x=x, y=y, counts=tuple(counts), forbidden=forbidden)
 
 
-class Reach(NamedTuple):
-    """A census search from x to depth N as index arrays.  ``vertices`` and
-    ``edges``: the base vertices within distance N of x and the edges out of
-    those within N - 1, in discovery order.  Per state (vertex, or (vertex,
-    automaton state) with F), numbered in discovery order: its ``vertex``
-    index and automaton ``state`` (None without F).  Per edge out of a state
-    within N - 1: ``source``, ``label`` (alphabet index), ``target`` and
-    ``base`` (the index of its base edge in ``edges``)."""
-
-    vertices: list
-    edges: list
-    vertex: np.ndarray
-    state: Optional[np.ndarray]
-    source: np.ndarray
-    label: np.ndarray
-    target: np.ndarray
-    base: np.ndarray
-
-    def state_at(self, i: int) -> Vertex:
-        v = self.vertices[self.vertex[i]]
-        return v if self.state is None else (v, int(self.state[i]))
-
-
 def _reach(g, x, y, N, forbidden, budget):
-    """The census search memoized on g (``LabelledGraph.reaches``) and the
-    indices of its states over y; the product search is derived from the
-    plain one, a breadth-first search of g."""
-    key = (x, N, forbidden, budget)
-    if key not in g.reaches:
-        if forbidden is None:
-            distances = bfs(g, x, N, budget=budget)
-            index = {v: i for i, v in enumerate(distances)}
-            labels = {a: i for i, a in enumerate(g.alphabet)}
-            edges = [e for v, d in distances.items() if d < N for e in g.out_edges(v)]
-            columns = [np.array([d[e[i]] for e in edges], dtype=np.int64)
-                       for i, d in ((0, index), (1, labels), (2, index))]
-            g.reaches[key] = Reach(list(distances), edges, np.arange(len(index)), None,
-                                   *columns, np.arange(len(edges)))
-        else:
-            plain, _ = _reach(g, x, y, N, None, budget)
-            g.reaches[key] = _product_reach(g, plain, N, forbidden, budget)
-    reach = g.reaches[key]
+    """The census search (``graphs.search``; with F, the product search
+    derived from it, memoized on g under F) and the indices of its states
+    over y."""
+    reach = search(g, x, N, budget)
+    if forbidden is not None:
+        key = (x, N, forbidden, budget)
+        if key not in g.reaches:
+            g.reaches[key] = _product_reach(g, reach, N, forbidden, budget)
+        reach = g.reaches[key]
     at_y = [i for i, v in enumerate(reach.vertices) if v == y]
     return reach, np.flatnonzero(np.isin(reach.vertex, at_y))
 
@@ -200,7 +168,8 @@ def _product_reach(g, plain: Reach, N, forbidden, budget) -> Reach:
     order = np.argsort(keys)
     vertex, state = np.divmod(keys, m)
     target = order[np.searchsorted(keys[order], key)]
-    return Reach(plain.vertices, plain.edges, vertex, state, src, plain.label[e], target, e)
+    return Reach(plain.vertices, plain.edges, plain.distance, vertex, state, src,
+                 plain.label[e], target, e)
 
 
 def path_counts(

@@ -270,23 +270,21 @@ def harmonic_vector(
     if scheme not in ("reflecting", "absorbing"):
         raise ValueError(f"unknown truncation scheme {scheme!r}")
     ball = forward_ball(chain.graph, center, radius, budget=budget)
-    verts = ball.sorted_vertices()
-    index = {v: i for i, v in enumerate(verts)}
+    verts = list(ball.distances)
     weight = _float_weight(chain)
     matrix = ball.adjacency(weight)
-    # every vertex of a forward ball is reached from the center, so the
-    # window is strongly connected iff every vertex reaches the center
-    if (linalg.steps_to(matrix, np.arange(len(verts)) == index[center]) < 0).any():
+    # every vertex of a forward ball is reached from the center (index 0),
+    # so the window is strongly connected iff every vertex reaches it
+    if (linalg.steps_to(matrix, np.arange(len(verts)) == 0) < 0).any():
         raise ChainError("the window is not strongly connected; no positive harmonic vector")
     if scheme == "reflecting":
         kept = np.asarray(matrix.sum(axis=1)).ravel()
-        leaked = np.zeros(len(verts))
-        for e in ball.boundary:
-            leaked[index[e.source]] += weight(e)
+        leaked = np.bincount(ball.source[len(ball.edges):], [weight(e) for e in ball.boundary],
+                             minlength=len(verts))
         scale = np.divide(kept + leaked, kept, out=np.ones(len(verts)), where=kept > 0)
         matrix = sparse.diags(scale) @ matrix
     res = linalg.perron_root(matrix)
-    h = res.vector / res.vector[index[center]]
+    h = res.vector / res.vector[0]
     values = dict(zip(verts, h.tolist()))
     rho_hat = res.value
     # verts run by distance, so the inner rows come first; no edge leaves the
@@ -504,7 +502,7 @@ def k_step_restricted_rowsum_check(
     slack = 0 if isinstance(threshold, Fraction) else 1e-12
     rows = {}
     violations = []
-    for x in w.sorted_vertices():
+    for x in w.distances:
         total = n_step_vector(chain, x, k, forbidden=forbidden, budget=budget).total()
         rows[x] = total
         if total > threshold + slack:
@@ -618,9 +616,7 @@ def resolve_certificate(
             return None, None, None, warnings
         D = dense.D if inputs.D is None else inputs.D
         if conn_k is None:
-            conn_k = uniform_connectedness_constant(
-                g, w, K_max=max(len(w.vertices), 1), budget=budget
-            )
+            conn_k = uniform_connectedness_constant(g, w, K_max=len(w.vertices), budget=budget)
         if conn_k is None:
             warnings.append(
                 "window is not uniformly connected (some edge has no short return"

@@ -151,9 +151,14 @@ def _forbidden_from(args, g: graphs.LabelledGraph, doc_words) -> Optional[factor
 
 
 def _cert_inputs(args) -> chain.CertificateInputs:
-    for option, value in (("--D", args.D), ("--d-max", args.D_max)):
-        if value is not None and value < 0:
-            raise graphs.GraphFormatError(f"{option} must be >= 0, got {value}")
+    for option, value, ok, rule in (
+        ("--D", args.D, lambda v: v >= 0, ">= 0"), ("--d-max", args.D_max, lambda v: v >= 0, ">= 0"),
+        ("--conn-K", args.conn_K, lambda v: v >= 1, ">= 1"),
+        ("--alpha", args.alpha, lambda v: 0 < v <= 1, "in (0, 1]"),
+        ("--rho", args.rho, lambda v: 0 < v <= 1, "in (0, 1]"),
+    ):
+        if value is not None and not ok(value):
+            raise graphs.GraphFormatError(f"{option} must be {rule}, got {value}")
     return chain.CertificateInputs(
         alpha=args.alpha,
         D=args.D,

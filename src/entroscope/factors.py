@@ -228,7 +228,7 @@ def certify_denseness(forbidden: ForbiddenSet, D: int, w: Window):
         for a in reversed(word):
             r = {e.source for e in w.edges if e.label == a and e.target in r}
         readers |= r
-    order = w.sorted_vertices()
+    order = list(w.distances)
     steps = linalg.steps_to(w.adjacency(), [v in readers for v in order], D).tolist()
     uncovered = [v for v, d in zip(order, steps) if d < 0]
     if uncovered:

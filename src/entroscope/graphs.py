@@ -2,8 +2,8 @@
 
 A graph is an alphabet, a vertex-expansion function and a nonempty list of
 root vertices.  Infinite graphs never enumerate their vertex set: every
-algorithm in this package works on finite forward balls ("windows")
-materialized on demand, under a configurable vertex budget.
+algorithm in this package works on finite memoized searches (``search``)
+and the forward balls ("windows") read off them, under a vertex budget.
 
 Structural predicates (determinism, uniform connectedness) are checked on
 windows and their results are certificates about the window only, never
@@ -16,6 +16,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, NamedTuple, Optional
+
+import numpy as np
 
 from . import linalg
 
@@ -81,10 +83,10 @@ class LabelledGraph:
     set.  ``out_edges`` memoizes, validates and sorts the result (by label,
     then canonical target form, built only where labels tie) so all
     downstream traversals and counts are reproducible regardless of
-    evaluation order.  ``reaches`` memoizes the census searches from a
-    start vertex as index arrays (``census.Reach``), keyed by (start, N,
-    forbidden set, budget); a search with forbidden words is derived from
-    the one without.
+    evaluation order.  ``reaches`` memoizes searches from a start vertex as
+    index arrays (``Reach``), keyed by (start, N, forbidden set, budget):
+    the plain ones (``search``, forbidden set None) behind censuses and
+    windows, and the census's product searches derived from them.
     """
 
     def __init__(
@@ -149,28 +151,52 @@ class Window:
     """Finite forward ball of an (possibly infinite) graph.
 
     ``vertices`` are exactly those at forward distance <= radius from the
-    center; ``distances`` runs over them by (distance, ``vertex_key``), the
-    window's one vertex order.  ``edges`` have both endpoints inside,
-    ``boundary`` edges leave the window (their sources necessarily sit on
-    the outer shell); both follow the vertex order of their sources.
+    center; ``distances`` runs over them in discovery order (layered, center
+    first), the window's one vertex order.  ``edges`` have both endpoints
+    inside, ``boundary`` edges leave the window from its outer shell; both
+    follow the vertex order of their sources.  ``source`` and ``target``
+    index the ends of ``edges`` and then ``boundary`` (from len(vertices) on
+    outside the window).
     """
 
     center: Vertex
     radius: int
     vertices: frozenset
     distances: dict = field(compare=False)
-    edges: tuple[Edge, ...] = ()
-    boundary: tuple[Edge, ...] = ()
-
-    def sorted_vertices(self) -> list:
-        return list(self.distances)
+    edges: tuple[Edge, ...]
+    boundary: tuple[Edge, ...]
+    source: np.ndarray = field(compare=False)
+    target: np.ndarray = field(compare=False)
 
     def adjacency(self, weight: Optional[Callable[[Edge], float]] = None):
         """``linalg.adjacency`` of ``edges`` in the vertex order."""
-        index = {v: i for i, v in enumerate(self.distances)}
+        k = len(self.edges)
         weights = None if weight is None else [weight(e) for e in self.edges]
-        return linalg.adjacency(len(index), [index[e.source] for e in self.edges],
-                                [index[e.target] for e in self.edges], weights)
+        return linalg.adjacency(len(self.distances), self.source[:k], self.target[:k], weights)
+
+
+class Reach(NamedTuple):
+    """A search from x to depth N as index arrays.  ``vertices`` within N
+    of x, in discovery order, with their ``distance``, and ``edges`` out of
+    those within N - 1.  Per state (vertex, or (vertex, automaton state) on
+    a census's product search), in discovery order: ``vertex`` index and
+    automaton ``state`` (None on a plain search).  Per edge out of a state
+    within N - 1: ``source``, ``label`` (alphabet index), ``target`` and
+    ``base`` (its base edge's index in ``edges``)."""
+
+    vertices: list
+    edges: list
+    distance: np.ndarray
+    vertex: np.ndarray
+    state: Optional[np.ndarray]
+    source: np.ndarray
+    label: np.ndarray
+    target: np.ndarray
+    base: np.ndarray
+
+    def state_at(self, i: int) -> Vertex:
+        v = self.vertices[self.vertex[i]]
+        return v if self.state is None else (v, int(self.state[i]))
 
 
 def bfs(
@@ -213,11 +239,35 @@ def budget_exceeded(x: Vertex, budget: int) -> ExpansionBudgetExceeded:
         f"search from vertex {vertex_key(x)!r} found more than {budget} vertices (--budget)")
 
 
+def search(
+    g: LabelledGraph, x: Vertex, N: Optional[int] = None, budget: int = DEFAULT_BUDGET
+) -> Reach:
+    """``bfs`` from ``x`` to depth N (the whole reachable part when None) as
+    a ``Reach``, memoized on ``g.reaches``; its discovery order is layered,
+    and canonical because ``out_edges`` is sorted."""
+    if N is not None and N < 0:
+        raise ValueError("N must be >= 0")
+    key = (x, N, None, budget)
+    if key not in g.reaches:
+        distances = bfs(g, x, N, budget=budget)
+        index = {v: i for i, v in enumerate(distances)}
+        labels = {a: i for i, a in enumerate(g.alphabet)}
+        # d != N: every vertex when N is None, else those within N - 1
+        edges = [e for v, d in distances.items() if d != N for e in g.out_edges(v)]
+        columns = [np.array([d[e[i]] for e in edges], dtype=np.int64)
+                   for i, d in ((0, index), (1, labels), (2, index))]
+        g.reaches[key] = Reach(list(distances), edges, np.array(list(distances.values())),
+                               np.arange(len(index)), None, *columns, np.arange(len(edges)))
+    return g.reaches[key]
+
+
 def forward_ball(
     g: LabelledGraph, x: Vertex, radius: Optional[int], budget: int = DEFAULT_BUDGET
 ) -> Window:
-    """Materialize the forward ball of the given radius around ``x`` (the
-    whole reachable part when radius is None).
+    """The forward ball of the given radius around ``x`` (the whole
+    reachable part when radius is None), read off ``search`` to depth
+    radius + 1: its edges are exactly those out of the ball, so the budget
+    counts the boundary's targets too.
 
     Raises ExpansionBudgetExceeded once more than ``budget`` vertices have
     been discovered, signalling that the ball is too large for desk-scale
@@ -225,23 +275,14 @@ def forward_ball(
     """
     if radius is not None and radius < 0:
         raise ValueError("radius must be >= 0")
-    found = bfs(g, x, radius, budget=budget)
-    distances = {v: found[v] for v in sorted(found, key=lambda v: (found[v], vertex_key(v)))}
-    inside, boundary = [], []
-    for v in distances:
-        for e in g.out_edges(v):
-            if e.target in distances:
-                inside.append(e)
-            else:
-                boundary.append(e)
-    return Window(
-        center=x,
-        radius=max(distances.values()) if radius is None else radius,
-        vertices=frozenset(distances),
-        distances=distances,
-        edges=tuple(inside),
-        boundary=tuple(boundary),
-    )
+    reach = search(g, x, None if radius is None else radius + 1, budget)
+    n = len(reach.vertices) if radius is None else int(np.sum(reach.distance <= radius))
+    order = np.argsort(reach.target >= n, kind="stable")  # inside edges first
+    edges, k = [reach.edges[i] for i in order.tolist()], int(np.sum(reach.target < n))
+    inside = reach.vertices[:n]
+    return Window(x, int(reach.distance[-1]) if radius is None else radius, frozenset(inside),
+                  dict(zip(inside, reach.distance[:n].tolist())), tuple(edges[:k]),
+                  tuple(edges[k:]), reach.source[order], reach.target[order])
 
 
 def full_window(g: LabelledGraph, budget: int = DEFAULT_BUDGET) -> Window:
@@ -251,19 +292,6 @@ def full_window(g: LabelledGraph, budget: int = DEFAULT_BUDGET) -> Window:
     guards against accidentally calling this on an infinite family.
     """
     return forward_ball(g, g.roots[0], None, budget)
-
-
-def forward_distance(
-    g: LabelledGraph,
-    x: Vertex,
-    y: Vertex,
-    cap: int,
-    budget: int = DEFAULT_BUDGET,
-) -> Optional[int]:
-    """Minimal path length from x to y if <= cap, else None."""
-    if cap < 0:
-        raise ValueError("cap must be >= 0")
-    return bfs(g, x, cap, stop=lambda v: v == y, budget=budget).get(y)
 
 
 def check_deterministic(edges: Iterable[tuple]) -> list[tuple[Vertex, str]]:
@@ -284,7 +312,7 @@ def check_fully_deterministic(
     means every window vertex has exactly one out-edge per symbol.
     """
     missing = []
-    for v in w.sorted_vertices():
+    for v in w.distances:
         present = {e.label for e in g.out_edges(v)}
         gap = tuple(a for a in g.alphabet if a not in present)
         if gap:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 import entroscope as es
 
 
@@ -79,13 +81,28 @@ def lazy_reach(g, x, N, forbidden=None):
     return list(distances), edges
 
 
+def reference_window(g, x, radius):
+    """The forward ball by its definition: ``bfs`` to the radius, then each
+    ball vertex's out-edges split by whether their target is in the ball.
+    Returns (distances, inside edges, boundary edges, dense adjacency in the
+    search's vertex order)."""
+    distances = es.graphs.bfs(g, x, radius)
+    edges = [e for v in distances for e in g.out_edges(v)]
+    inside = [e for e in edges if e.target in distances]
+    index = {v: i for i, v in enumerate(distances)}
+    A = np.zeros((len(index), len(index)))
+    for e in inside:
+        A[index[e.source], index[e.target]] += 1
+    return distances, inside, [e for e in edges if e.target not in distances], A
+
+
 def connectedness_per_edge(g, w, K_max):
     """Uniform-connectedness constant by its definition: the largest return
     distance d(e.target, e.source) over the window's edges (at least 1), or
     None when some edge has no return path of length <= K_max."""
     worst = 0
     for e in w.edges:
-        back = es.forward_distance(g, e.target, e.source, K_max)
+        back = es.graphs.bfs(g, e.target, K_max).get(e.source)
         if back is None:
             return None
         worst = max(worst, back)

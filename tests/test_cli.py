@@ -730,12 +730,33 @@ class TestErrorPaths:
             (("bound", "--alpha", "0.5", "--D", "0", "--R", "2"), "--conn-K"),
             (("bound", "--alpha", "0.5", "--D", "0", "--R", "2", "--stochastic",
               "--sigma-size", "-1"), "--sigma-size"),
+            (ANALYZE + ("--alpha", "2"), "--alpha"),
+            (ANALYZE + ("--alpha", "0"), "--alpha"),
+            (ANALYZE + ("--rho", "1.5"), "--rho"),
+            (ANALYZE + ("--rho", "0"), "--rho"),
+            (ANALYZE + ("--conn-K", "0"), "--conn-K"),
+            # the stochastic path never reads conn_K, so it used to certify
+            (("schreier", "--family", "line_Z", "--depth", "12", "--forbid", "rr",
+              "--conn-K", "0"), "--conn-K"),
         ],
-        ids=["D", "d-max", "alpha", "conn-K", "sigma-size"],
+        ids=["D", "d-max", "alpha", "conn-K", "sigma-size", "analyze-alpha-2", "analyze-alpha-0",
+             "analyze-rho-1.5", "analyze-rho-0", "analyze-conn-K-0", "schreier-conn-K-0"],
     )
     def test_out_of_range_option_is_named(self, capsys, argv, option):
         code, report = run(capsys, *argv)
         assert code == 2
+        assert option in report["error"]["message"]
+
+    @pytest.mark.parametrize("option, value", [
+        ("--alpha", "2"), ("--alpha", "0"), ("--rho", "1.5"), ("--rho", "0"), ("--conn-K", "0"),
+    ])
+    def test_out_of_range_certificate_option_on_a_graph_is_named(
+        self, capsys, b2_path, option, value
+    ):
+        code, report = run(capsys, "analyze", "--graph", b2_path, "--depth", "12",
+                           "--forbid", "ab", option, value)
+        assert code == 2
+        assert report["error"]["type"] == "GraphFormatError"
         assert option in report["error"]["message"]
 
     def test_bound_R_must_match_the_forbidden_words(self, capsys, b2_path):

@@ -9,7 +9,8 @@ import entroscope as es
 from entroscope.graphs import Edge
 
 from oracles import (
-    connectedness_per_edge, iter_paths, random_det_scc_graph, random_nfa, with_dangling_tail,
+    connectedness_per_edge, iter_paths, random_det_scc_graph, random_nfa, reference_window,
+    with_dangling_tail,
 )
 
 
@@ -26,7 +27,7 @@ class TestForwardBall:
     def test_line_radius_two(self, line_z):
         w = es.forward_ball(line_z, 0, 2)
         assert w.vertices == frozenset({-2, -1, 0, 1, 2})
-        assert w.sorted_vertices() == sorted(w.vertices, key=lambda v: (abs(v), es.vertex_key(v)))
+        assert list(w.distances) == [0, -1, 1, -2, 2]  # discovery order: l before r
 
     def test_full_shift_single_vertex(self, b2):
         w = es.forward_ball(b2, "v", 5)
@@ -55,15 +56,66 @@ class TestForwardBall:
         assert small.vertices <= big.vertices
 
 
+class TestWindowSearch:
+    """Windows are read off the memoized ``graphs.search`` one layer deeper
+    than their radius; ``oracles.reference_window`` is the ball by its
+    definition."""
+
+    def test_matches_the_reference_ball(self):
+        rng = random.Random(11)
+        cases = [(es.schreier_graph(es.builtin_family(name)), r)
+                 for name in ("line_Z", "grid_Z2", "free2_mod_cyclic") for r in range(5)]
+        for i in range(30):
+            g = random_det_scc_graph(rng)
+            if i % 2:
+                g = with_dangling_tail(rng, g)
+            cases += [(g, r) for r in (0, 1, 2, 3, 4, None)]
+        for g, r in cases:
+            x = g.roots[0]
+            w = es.forward_ball(g, x, r)
+            distances, inside, boundary, A = reference_window(g, x, r)
+            assert w.vertices == frozenset(distances) and w.distances == distances
+            assert list(w.distances) == list(distances)  # bfs's discovery order
+            assert sorted(w.edges) == sorted(inside) and sorted(w.boundary) == sorted(boundary)
+            assert w.center == x and w.radius == (max(distances.values()) if r is None else r)
+            assert (w.adjacency().toarray() == A).all()
+
+    def test_second_call_searches_nothing(self, monkeypatch):
+        calls = []
+        bfs = es.graphs.bfs
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return bfs(*args, **kwargs)
+
+        monkeypatch.setattr(es.graphs, "bfs", counted)
+        g = es.schreier_graph(es.builtin_family("grid_Z2"))
+        first, second = es.forward_ball(g, (0, 0), 3), es.forward_ball(g, (0, 0), 3)
+        assert len(calls) == 1 and first == second
+
+    def test_negative_depth_is_refused(self, line_z, b2):
+        with pytest.raises(ValueError):
+            es.graphs.search(line_z, 0, -1)
+        with pytest.raises(ValueError):
+            es.census.path_counts(b2, "v", "v", -1)
+
+    @pytest.mark.parametrize("r", range(5))
+    def test_budget_counts_the_boundary_targets(self, line_z, r):
+        # the ball holds 2r + 1 vertices, its search to r + 1 finds 2r + 3
+        with pytest.raises(es.ExpansionBudgetExceeded):
+            es.forward_ball(line_z, 0, r, budget=2 * r + 2)
+        assert len(es.forward_ball(line_z, 0, r, budget=2 * r + 3).vertices) == 2 * r + 1
+
+
 class TestForwardDistance:
     def test_line(self, line_z):
-        assert es.forward_distance(line_z, 0, 3, cap=10) == 3
+        assert es.graphs.bfs(line_z, 0, 10).get(3) == 3
 
     def test_self_distance_zero(self, golden_mean):
-        assert es.forward_distance(golden_mean, "v2", "v2", cap=0) == 0
+        assert es.graphs.bfs(golden_mean, "v2", 0).get("v2") == 0
 
     def test_not_found_under_cap(self, line_z):
-        assert es.forward_distance(line_z, 0, 5, cap=3) is None
+        assert es.graphs.bfs(line_z, 0, 3).get(5) is None
 
     def test_triangle_inequality(self, golden_mean, line_z):
         for g, triples in [
@@ -71,9 +123,9 @@ class TestForwardDistance:
             (line_z, [(0, 2, -1), (-2, 1, 3)]),
         ]:
             for x, y, z in triples:
-                dxy = es.forward_distance(g, x, y, cap=20)
-                dyz = es.forward_distance(g, y, z, cap=20)
-                dxz = es.forward_distance(g, x, z, cap=20)
+                dxy = es.graphs.bfs(g, x, 20).get(y)
+                dyz = es.graphs.bfs(g, y, 20).get(z)
+                dxz = es.graphs.bfs(g, x, 20).get(z)
                 assert dxz <= dxy + dyz
 
 
@@ -128,7 +180,7 @@ class TestUniformConnectedness:
         g = one_way_ray()
         w = es.forward_ball(g, 0, 4)
         assert es.graphs.uniform_connectedness_constant(g, w, K_max=5) is None
-        assert all(es.forward_distance(g, e.target, e.source, 5) is None for e in w.edges)
+        assert all(es.graphs.bfs(g, e.target, 5).get(e.source) is None for e in w.edges)
 
     def test_one_search_per_target_matches_the_per_edge_definition(self, grid_z2, free2):
         rng = random.Random(7)

@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 
+import entroscope as es
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -41,3 +43,23 @@ def test_install_finds_every_name():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_observe_reads_the_real_results():
+    # _observe reads fields of the results it is handed; a change to Window,
+    # PerronResult or HarmonicVector that drops one fails here
+    tracer = load_tracer().Tracer()
+    tracer.begin_job("job")
+    grid = es.schreier_graph(es.builtin_family("grid_Z2"))
+    ball = es.forward_ball(grid, (0, 0), 2)
+    window = es.full_window(es.explicit_graph(["a"], [(0, "a", 1), (1, "a", 0)], roots=[0]))
+    hv = es.harmonic_vector(es.uniform_weights(grid), (0, 0), 3, tol=1e-3)
+    perron = es.linalg.perron_root(window.adjacency())
+    tracer._observe("graphs.forward_ball", ball)
+    tracer._observe("graphs.full_window", window)
+    tracer._observe("linalg.perron_root", perron)
+    tracer._observe("chain.harmonic_vector", hv)
+    assert tracer.counts["graphs.ball_vertices"] == 13 + 2
+    assert tracer.counts["linalg.perron_iterations"] == perron.iterations
+    assert tracer.bracket_width == perron.bracket[1] - perron.bracket[0]
+    assert tracer.counts["chain.harmonic_window"] == 25
