@@ -6,13 +6,13 @@ rate from the counts, determinizes nondeterministic windows by the powerset
 construction, and computes exact entropy of finite graphs as the log of
 the spectral radius of the edge-count matrix of their reachable part.
 
-Counts are exact integers (c_n can reach |alphabet|^n): integer matrix
-powers modulo word-size primes, joined by the Chinese remainder theorem.
-Weighted path sums run on the same states as float64 matrix powers.  Both
-read a memoized search held as index arrays (``graphs.Reach``): the plain
-breadth-first search of the graph (``graphs.search``, which windows read
-too), and with forbidden words the product search derived from it here by
-a layered numpy search over (vertex, automaton state).
+Counts are exact integers (c_n can reach |alphabet|^n): int64 matrix
+powers reduced modulo word-size primes only as often as overflow demands,
+joined by the Chinese remainder theorem.  Weighted path sums run on the
+same states as float64 matrix powers.  Both read a memoized search held as
+index arrays (``graphs.Reach``): the plain one (``graphs.search``, which
+windows read too), and with forbidden words the product search derived
+from it here by a layered numpy search over (vertex, automaton state).
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def count_words(
     """
     if not g.declared.complete:
         reach, _ = _reach(g, x, y, N, forbidden, budget)
-        violations = check_deterministic(zip(reach.source.tolist(), reach.label.tolist()))
+        violations = check_deterministic(reach.source, reach.label)
         if violations:
             raise NondeterministicWindow(
                 [(reach.state_at(s), g.alphabet[a]) for s, a in violations])
@@ -186,15 +186,18 @@ def path_counts(
     The counts are entries of the powers of the edge-count matrix A of the
     states within distance N of the start, taken modulo the fewest primes
     below 2**31 whose product M exceeds Delta^N, Delta the largest row sum
-    of A.  No count exceeds the total mass Delta^n < M, so the Chinese
-    remainder theorem recovers each one exactly from its residues.
+    of A, and reduced every L products (below).  No count exceeds the total
+    mass Delta^n < M: the Chinese remainder theorem recovers each exactly.
     """
     reach, at_y = _reach(g, x, y, N, forbidden, budget)
     n = len(reach.vertex)
     AT = linalg.adjacency(n, reach.target, reach.source).astype(np.int64)
-    # residue (< 2**31) times column sum of A (< 2**32) keeps products below 2**63
-    if AT.sum(axis=1).max() >= 2**32:
+    # scipy's int64 product wraps silently: residues (< 2**31) grow at most d-fold per
+    # product, d the largest in-degree, so reducing every L products (d**L <= 2**32) suffices
+    d = int(AT.sum(axis=1).max())
+    if d >= 2**32:
         raise CountRangeError("a state has 2**32 or more incoming edges")
+    L = 32 // (d - 1).bit_length() if d > 1 else N
     bound = max(int(AT.sum(axis=0).max()), 1) ** N
     primes = _primes(1)
     while math.prod(primes) <= bound:
@@ -203,9 +206,9 @@ def path_counts(
     X = np.zeros((n, len(primes)), dtype=np.int64)
     X[0] = 1  # the start state, discovered first
     residues = [X[at_y].sum(axis=0)]
-    for _ in range(N):
-        X = (AT @ X) % modulus
-        residues.append(X[at_y].sum(axis=0))
+    for j in range(1, N + 1):
+        X = AT @ X if j % L else (AT @ X) % modulus
+        residues.append((X[at_y] % modulus).sum(axis=0))
     M = math.prod(primes)
     basis = [M // p * pow(M // p, -1, p) for p in primes]
     return [sum(a * b for a, b in zip(r, basis)) % M for r in np.array(residues).tolist()]
@@ -293,9 +296,10 @@ def spectral_entropy_finite(g: LabelledGraph, budget: int = DEFAULT_BUDGET) -> E
     and gives the -inf sentinel of a finite language.
     """
     w = full_window(g, budget=budget)
-    collisions = check_deterministic(w.edges)
+    collisions = check_deterministic(w.source, w.label)
     if collisions:
-        raise NondeterministicWindow(collisions)
+        vertices = list(w.distances)
+        raise NondeterministicWindow([(vertices[s], g.alphabet[a]) for s, a in collisions])
     lam = linalg.spectral_radius(w.adjacency())
     value = math.log(lam) if lam > 0 else NEG_INF
     return EntropyEstimate(

@@ -13,7 +13,6 @@ global claims about an infinite graph.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
@@ -154,9 +153,9 @@ class Window:
     center; ``distances`` runs over them in discovery order (layered, center
     first), the window's one vertex order.  ``edges`` have both endpoints
     inside, ``boundary`` edges leave the window from its outer shell; both
-    follow the vertex order of their sources.  ``source`` and ``target``
-    index the ends of ``edges`` and then ``boundary`` (from len(vertices) on
-    outside the window).
+    follow the vertex order of their sources.  ``source``, ``label``
+    (alphabet index) and ``target`` are the columns of ``edges`` then
+    ``boundary`` (ends from len(vertices) on lie outside the window).
     """
 
     center: Vertex
@@ -166,6 +165,7 @@ class Window:
     edges: tuple[Edge, ...]
     boundary: tuple[Edge, ...]
     source: np.ndarray = field(compare=False)
+    label: np.ndarray = field(compare=False)
     target: np.ndarray = field(compare=False)
 
     def adjacency(self, weight: Optional[Callable[[Edge], float]] = None):
@@ -244,11 +244,22 @@ def search(
 ) -> Reach:
     """``bfs`` from ``x`` to depth N (the whole reachable part when None) as
     a ``Reach``, memoized on ``g.reaches``; its discovery order is layered,
-    and canonical because ``out_edges`` is sorted."""
+    and canonical because ``out_edges`` is sorted.  A memoized search from x
+    under the same budget that is complete (out of vertices before its depth)
+    or deeper answers by prefixes: vertices within N, edges out of those within N - 1."""
     if N is not None and N < 0:
         raise ValueError("N must be >= 0")
     key = (x, N, None, budget)
-    if key not in g.reaches:
+    r = None if key in g.reaches else next((r for (y, M, F, b), r in g.reaches.items() if (
+        F is None and b == budget and y == x
+        and (M is None or r.distance[-1] < M or N is not None and N <= M))), None)
+    if r is not None:
+        cut = r.distance[-1] + 1 if N is None else N  # edges are grouped by source
+        v = slice(np.searchsorted(r.distance, cut, side="right"))
+        e = slice(np.searchsorted(r.source, np.searchsorted(r.distance, cut - 1, side="right")))
+        g.reaches[key] = Reach(r.vertices[v], r.edges[e], r.distance[v], r.vertex[v], None,
+                               r.source[e], r.label[e], r.target[e], r.base[e])
+    elif key not in g.reaches:
         distances = bfs(g, x, N, budget=budget)
         index = {v: i for i, v in enumerate(distances)}
         labels = {a: i for i, a in enumerate(g.alphabet)}
@@ -282,7 +293,7 @@ def forward_ball(
     inside = reach.vertices[:n]
     return Window(x, int(reach.distance[-1]) if radius is None else radius, frozenset(inside),
                   dict(zip(inside, reach.distance[:n].tolist())), tuple(edges[:k]),
-                  tuple(edges[k:]), reach.source[order], reach.target[order])
+                  tuple(edges[k:]), reach.source[order], reach.label[order], reach.target[order])
 
 
 def full_window(g: LabelledGraph, budget: int = DEFAULT_BUDGET) -> Window:
@@ -294,13 +305,15 @@ def full_window(g: LabelledGraph, budget: int = DEFAULT_BUDGET) -> Window:
     return forward_ball(g, g.roots[0], None, budget)
 
 
-def check_deterministic(edges: Iterable[tuple]) -> list[tuple[Vertex, str]]:
-    """(source, label) pairs shared by two or more of the given edges, in
-    order of first appearance; an edge is any tuple that starts with its
-    source and label.  Empty list means the sources are deterministic; a
-    window passes ``w.edges + w.boundary``."""
-    seen = Counter(e[:2] for e in edges)
-    return [pair for pair, n in seen.items() if n >= 2]
+def check_deterministic(source: np.ndarray, label: np.ndarray) -> list[tuple[int, int]]:
+    """(source, label) index pairs shared by two or more of the edges given
+    as parallel integer arrays, in order of first appearance.  Empty list
+    means the sources are deterministic; a window passes its ``source`` and
+    ``label`` columns (edges and boundary), a census its ``Reach``'s."""
+    key = source * (int(label.max(initial=0)) + 1) + label
+    _, first, count = np.unique(key, return_index=True, return_counts=True)
+    shared = np.sort(first[count >= 2])
+    return list(zip(source[shared].tolist(), label[shared].tolist()))
 
 
 def check_fully_deterministic(
@@ -325,21 +338,24 @@ def uniform_connectedness_constant(
 ) -> Optional[int]:
     """Smallest K <= K_max certifying uniform connectedness on the window,
     or None: the largest return distance d(e.target, e.source) over its
-    edges, at least 1 (loops return by the empty path).  One search per edge
-    target t, stopped at the layer where it has found every source of an
-    edge into t."""
+    edges, at least 1.  One array pass finds loops (the empty path returns)
+    and edges s -> t with an edge t -> s, inside the window; the others take
+    one search per target t, stopped at the layer holding all their sources."""
+    k, n, vertices = len(w.edges), len(w.distances), list(w.distances)
+    s, t = w.source[:k], w.target[:k]
+    near = (s == t) | (K_max >= 1) & np.isin(s * n + t, t * n + s)
     sources: dict = {}
-    for e in w.edges:
-        sources.setdefault(e.target, set()).add(e.source)
+    for i, j in zip(t[~near].tolist(), s[~near].tolist()):
+        sources.setdefault(vertices[i], set()).add(vertices[j])
     worst = 1
-    for t, wanted in sources.items():
+    for target, wanted in sources.items():
         pending = set(wanted)
         # discard returns None, so the search stops once nothing is pending
-        distances = bfs(g, t, K_max, stop=lambda v: pending.discard(v) or not pending,
+        distances = bfs(g, target, K_max, stop=lambda v: pending.discard(v) or not pending,
                         budget=budget)
         if pending:
             return None
-        worst = max(worst, *(distances[s] for s in wanted))
+        worst = max(worst, *(distances[v] for v in wanted))
     return worst
 
 

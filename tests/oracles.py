@@ -7,6 +7,7 @@ never calls the code paths it is used to check.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import numpy as np
 
@@ -109,6 +110,13 @@ def connectedness_per_edge(g, w, K_max):
     return max(worst, 1)
 
 
+def shared_pairs(edges) -> list:
+    """Determinism check over edge tuples: the (source, label) pairs shared
+    by two or more edges, in order of first appearance."""
+    seen = Counter(tuple(e[:2]) for e in edges)
+    return [pair for pair, n in seen.items() if n >= 2]
+
+
 def readable_words(g, start, max_len) -> dict[int, set]:
     """Words per length readable from start (NFA-safe: frontier of vertex
     sets per word)."""
@@ -207,6 +215,18 @@ def random_det_scc_graph(rng: random.Random, max_states=8, max_sigma=3):
         g = es.explicit_graph(alphabet, edges, roots=[0])
         if len(g.vertex_list) == n and strongly_connected(g):
             return g
+
+
+def random_inverse_closed_graph(rng: random.Random, max_states=8, keep_reverse=1.0):
+    """Random graph on "A", "B", "a", "b" with root 0: ``a`` a permutation,
+    ``b`` a partial injection, and each a- or b-edge s -> t joined, with
+    probability ``keep_reverse``, by its reverse t -> s labelled A or B."""
+    n = rng.randint(1, max_states)
+    a, b = rng.sample(range(n), n), rng.sample(range(n), n)
+    edges = [(v, "a", a[v]) for v in range(n)]
+    edges += [(v, "b", b[v]) for v in range(n) if rng.random() < 0.6]
+    edges += [(t, c.upper(), s) for s, c, t in list(edges) if rng.random() < keep_reverse]
+    return es.explicit_graph(("A", "B", "a", "b"), edges, roots=[0], vertices=list(range(n)))
 
 
 def random_word_on_graph(rng: random.Random, g, max_len=3):

@@ -281,7 +281,7 @@ def test_criterion_8_determinization_soundness():
             w = es.full_window(nfa)
             dfa = es.determinize(nfa, w)
             ball = es.forward_ball(dfa, dfa.roots[0], 8)
-            assert es.check_deterministic(ball.edges + ball.boundary) == []
+            assert es.check_deterministic(ball.source, ball.label) == []
             assert readable_words(dfa, dfa.roots[0], 8) == readable_words(nfa, 0, 8)
 
 

@@ -11,7 +11,7 @@ from entroscope.growth import InsufficientData
 
 from oracles import (
     brute_census, dict_census, lazy_reach, random_det_scc_graph, random_nfa, readable_words,
-    with_dangling_tail,
+    shared_pairs, with_dangling_tail,
 )
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -189,8 +189,24 @@ class TestPathCounts:
         assert list(g.reaches) == [((0, 0), 6, None, es.DEFAULT_BUDGET)]
         assert es.schreier_graph(spec).reaches == {}
 
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_lazy_reduction_at_odd_in_degree(self, k):
+        # each vertex sends label i to vertex i: in-degree k, so residues are
+        # reduced every 16 (k = 3) or 10 (k = 5) products
+        alphabet = "abcde"[:k]
+        edges = [(v, a, i) for v in range(k) for i, a in enumerate(alphabet)]
+        g = es.explicit_graph(alphabet, edges, roots=[0])
+        for x in range(k):
+            for y in range(k):
+                expected = [int(x == y)] + [k ** (n - 1) for n in range(1, 151)]
+                assert es.census.path_counts(g, x, y, 150) == expected
+        F = es.ForbiddenSet.from_strings(["ab" + alphabet[-1]], alphabet)
+        expected = dict_census(g, 0, 1, 100, F.words)
+        assert es.census.path_counts(g, 0, 1, 100, forbidden=F) == expected
+
     def test_column_sum_guard(self, b2, monkeypatch):
-        # b2's one column sums to 2 * scale: counted exactly below 2**32, refused at it
+        # b2's one column sums to 2 * scale: counted exactly below 2**32, with
+        # residues reduced after every product, and refused at it
         adjacency = es.linalg.adjacency
         scale = 2**31 - 1
         monkeypatch.setattr(es.linalg, "adjacency", lambda *args: adjacency(*args) * scale)
@@ -242,7 +258,9 @@ class TestArrayReach:
             ] == [tuple(e) for e in edges]
             expected = dict_census(g, x, y, N, F.words if F else ())
             assert es.census.path_counts(g, x, y, N, forbidden=F) == expected
-            violations = es.check_deterministic(edges)
+            violations = shared_pairs(edges)
+            assert [(reach.state_at(s), g.alphabet[a])
+                    for s, a in es.check_deterministic(reach.source, reach.label)] == violations
             if violations:
                 with pytest.raises(es.NondeterministicWindow) as info:
                     es.count_words(g, x, y, N, forbidden=F)
@@ -303,7 +321,7 @@ class TestDeterminize:
         w = es.full_window(nfa)
         dfa = es.determinize(nfa, w)
         ball = es.forward_ball(dfa, dfa.roots[0], 8)
-        assert es.check_deterministic(ball.edges + ball.boundary) == []
+        assert es.check_deterministic(ball.source, ball.label) == []
         assert readable_words(dfa, dfa.roots[0], 8) == readable_words(nfa, "0", 8)
 
 
@@ -368,7 +386,7 @@ class TestSpectralEntropy:
         for seed in range(40):
             g = with_dangling_tail(random.Random(seed), gm)
             w = es.full_window(g)
-            if es.check_deterministic(w.edges):
+            if es.check_deterministic(w.source, w.label):
                 with pytest.raises(es.NondeterministicWindow):
                     es.spectral_entropy_finite(g)
             elif any(not g.out_edges(v) for v in w.vertices):

@@ -97,9 +97,9 @@ class TestCount:
         calls = []
         check = entroscope.graphs.check_deterministic
 
-        def counted(edges):
-            calls.append(edges)
-            return check(edges)
+        def counted(source, label):
+            calls.append(source)
+            return check(source, label)
 
         for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "entroscope"]:
             if getattr(module, "check_deterministic", None) is check:

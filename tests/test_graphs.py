@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,9 +10,18 @@ import entroscope as es
 from entroscope.graphs import Edge
 
 from oracles import (
-    connectedness_per_edge, iter_paths, random_det_scc_graph, random_nfa, reference_window,
-    with_dangling_tail,
+    connectedness_per_edge, iter_paths, random_det_scc_graph, random_inverse_closed_graph,
+    random_nfa, reference_window, shared_pairs, with_dangling_tail,
 )
+
+
+@pytest.fixture
+def bfs_calls(monkeypatch):
+    """The positional arguments of every ``graphs.bfs`` call from here on."""
+    calls = []
+    bfs = es.graphs.bfs
+    monkeypatch.setattr(es.graphs, "bfs", lambda *a, **k: calls.append(a) or bfs(*a, **k))
+    return calls
 
 
 def one_way_ray():
@@ -93,6 +103,35 @@ class TestWindowSearch:
         first, second = es.forward_ball(g, (0, 0), 3), es.forward_ball(g, (0, 0), 3)
         assert len(calls) == 1 and first == second
 
+    def test_reused_search_matches_a_fresh_one(self, bfs_calls):
+        # a complete search (None, or 30 on at most 8 vertices) answers every
+        # depth, a deeper one each shallower depth; a shallower one none
+        rng = random.Random(3)
+        cases = [(random_det_scc_graph(rng), deep, [None, 0, 1, 2, 3, 5, 40])
+                 for deep in (None, 30) for _ in range(10)]
+        cases += [(es.schreier_graph(es.builtin_family(name)), 6, range(9))
+                  for name in ("line_Z", "grid_Z2")]
+        for g, deep, depths in cases:
+            x = g.roots[0]
+            for N in depths:
+                g.reaches.clear()
+                fresh = es.graphs.search(g, x, N)
+                g.reaches.clear()
+                es.graphs.search(g, x, deep)
+                bfs_calls.clear()
+                reused = es.graphs.search(g, x, N)
+                assert (bfs_calls == []) == (g.is_finite or N <= deep)
+                assert reused.vertices == fresh.vertices and reused.edges == fresh.edges
+                assert reused.state is None and fresh.state is None
+                for column in ("distance", "vertex", "source", "label", "target", "base"):
+                    assert np.array_equal(getattr(reused, column), getattr(fresh, column))
+
+    def test_full_window_reuses_the_census_search(self, bfs_calls, golden_mean):
+        es.count_words(golden_mean, "v1", "v1", 10)  # eccentricity 1
+        w = es.full_window(golden_mean)
+        assert len(bfs_calls) == 1
+        assert w.vertices == frozenset(golden_mean.vertex_list) and len(w.edges) == 3
+
     def test_negative_depth_is_refused(self, line_z, b2):
         with pytest.raises(ValueError):
             es.graphs.search(line_z, 0, -1)
@@ -132,18 +171,18 @@ class TestForwardDistance:
 class TestDeterminism:
     def test_full_shift_ok(self, b2):
         w = es.forward_ball(b2, "v", 3)
-        assert es.check_deterministic(w.edges + w.boundary) == []
+        assert es.check_deterministic(w.source, w.label) == []
 
     def test_collision_reported(self):
         g = es.explicit_graph(
             ["a"], [("x", "a", "y"), ("x", "a", "z")], roots=["x"]
         )
         w = es.forward_ball(g, "x", 1)
-        assert es.check_deterministic(w.edges + w.boundary) == [("x", "a")]
+        assert es.check_deterministic(w.source, w.label) == [(0, 0)]  # ("x", "a")
 
     def test_line_ok(self, line_z):
         w = es.forward_ball(line_z, 0, 3)
-        assert es.check_deterministic(w.edges + w.boundary) == []
+        assert es.check_deterministic(w.source, w.label) == []
 
     def test_fully_deterministic(self, b2, line_z):
         for g, c in [(b2, "v"), (line_z, 0)]:
@@ -155,10 +194,24 @@ class TestDeterminism:
         w = es.forward_ball(g, "v", 2)
         assert es.check_fully_deterministic(g, w) == [("v", ("b",))]
 
+    def test_index_pairs_match_the_reference(self):
+        rng = random.Random(5)
+        collided = 0
+        for _ in range(40):
+            g = random_nfa(rng)
+            for r in (0, 1, 2, None):
+                w = es.forward_ball(g, 0, r)
+                vertices = list(w.distances)
+                pairs = [(vertices[s], g.alphabet[a])
+                         for s, a in es.check_deterministic(w.source, w.label)]
+                assert pairs == shared_pairs(w.edges + w.boundary)
+                collided += bool(pairs)
+        assert collided >= 20
+
     def test_determinism_transfer(self, golden_mean):
         # a deterministic window has at most one path per label word
         w = es.forward_ball(golden_mean, "v1", 3)
-        assert es.check_deterministic(w.edges + w.boundary) == []
+        assert es.check_deterministic(w.source, w.label) == []
         for v in w.vertices:
             for n in range(4):
                 words = [word for word, _ in iter_paths(golden_mean, v, n)]
@@ -188,8 +241,12 @@ class TestUniformConnectedness:
         cases += [(g, es.forward_ball(g, g.roots[0], r)) for g, r in [(grid_z2, 3), (free2, 2)]]
         for _ in range(20):
             # reducible and nondeterministic graphs too; a sink has no return path
+            # inverse-closed graphs return every edge in one step, and lose
+            # that when half their reverse edges are dropped
             for g in (random_det_scc_graph(rng), random_nfa(rng),
-                      with_dangling_tail(rng, random_det_scc_graph(rng))):
+                      with_dangling_tail(rng, random_det_scc_graph(rng)),
+                      random_inverse_closed_graph(rng),
+                      random_inverse_closed_graph(rng, keep_reverse=0.5)):
                 cases.append((g, es.full_window(g)))
         results = set()
         for g, w in cases:
@@ -198,6 +255,16 @@ class TestUniformConnectedness:
                 assert K == connectedness_per_edge(g, w, K_max)
                 results.add(K)
         assert None in results and {1, 2, 3, 4} <= results
+
+    def test_inverse_closed_windows_search_nothing(self, bfs_calls, grid_z2, free2):
+        rng = random.Random(9)
+        graphs = [random_inverse_closed_graph(rng) for _ in range(20)]
+        cases = [(g, es.full_window(g)) for g in graphs]
+        cases += [(g, es.forward_ball(g, g.roots[0], 3)) for g in (grid_z2, free2)]
+        bfs_calls.clear()
+        for g, w in cases:
+            assert es.graphs.uniform_connectedness_constant(g, w, K_max=len(w.vertices)) == 1
+        assert bfs_calls == []
 
 
 class TestExpansionPurity:

@@ -49,7 +49,7 @@ class TestBuiltinFamilies:
     def test_fully_deterministic_on_window(self, family):
         g = schreier_graph(builtin_family(family))
         w = es.forward_ball(g, g.roots[0], 3)
-        assert es.check_deterministic(w.edges + w.boundary) == []
+        assert es.check_deterministic(w.source, w.label) == []
         assert es.check_fully_deterministic(g, w) == []
         assert g.declared.complete
 
