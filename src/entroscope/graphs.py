@@ -244,22 +244,13 @@ def search(
 ) -> Reach:
     """``bfs`` from ``x`` to depth N (the whole reachable part when None) as
     a ``Reach``, memoized on ``g.reaches``; its discovery order is layered,
-    and canonical because ``out_edges`` is sorted.  A memoized search from x
-    under the same budget that is complete (out of vertices before its depth)
-    or deeper answers by prefixes: vertices within N, edges out of those within N - 1."""
+    and canonical because ``out_edges`` is sorted.  A search that runs out of
+    vertices before depth N holds no vertex at N, so it keeps every edge and
+    is also memoized as the whole search (N = None)."""
     if N is not None and N < 0:
         raise ValueError("N must be >= 0")
     key = (x, N, None, budget)
-    r = None if key in g.reaches else next((r for (y, M, F, b), r in g.reaches.items() if (
-        F is None and b == budget and y == x
-        and (M is None or r.distance[-1] < M or N is not None and N <= M))), None)
-    if r is not None:
-        cut = r.distance[-1] + 1 if N is None else N  # edges are grouped by source
-        v = slice(np.searchsorted(r.distance, cut, side="right"))
-        e = slice(np.searchsorted(r.source, np.searchsorted(r.distance, cut - 1, side="right")))
-        g.reaches[key] = Reach(r.vertices[v], r.edges[e], r.distance[v], r.vertex[v], None,
-                               r.source[e], r.label[e], r.target[e], r.base[e])
-    elif key not in g.reaches:
+    if key not in g.reaches:
         distances = bfs(g, x, N, budget=budget)
         index = {v: i for i, v in enumerate(distances)}
         labels = {a: i for i, a in enumerate(g.alphabet)}
@@ -267,8 +258,10 @@ def search(
         edges = [e for v, d in distances.items() if d != N for e in g.out_edges(v)]
         columns = [np.array([d[e[i]] for e in edges], dtype=np.int64)
                    for i, d in ((0, index), (1, labels), (2, index))]
-        g.reaches[key] = Reach(list(distances), edges, np.array(list(distances.values())),
-                               np.arange(len(index)), None, *columns, np.arange(len(edges)))
+        r = g.reaches[key] = Reach(list(distances), edges, np.array(list(distances.values())),
+                                   np.arange(len(index)), None, *columns, np.arange(len(edges)))
+        if N is not None and r.distance[-1] < N:
+            g.reaches.setdefault((x, None, None, budget), r)
     return g.reaches[key]
 
 

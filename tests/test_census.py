@@ -398,8 +398,9 @@ class TestSpectralEntropy:
         g = es.explicit_graph(
             ["a"], [("x", "a", "y"), ("x", "a", "x"), ("y", "a", "x")], roots=["x"]
         )
-        with pytest.raises(es.NondeterministicWindow):
+        with pytest.raises(es.NondeterministicWindow) as info:
             es.spectral_entropy_finite(g)
+        assert info.value.violations == [("x", "a")]
 
     @pytest.mark.parametrize("fixture", ["b2", "golden_mean", "three_cycle"])
     def test_count_agreement(self, fixture, request):

@@ -103,28 +103,25 @@ class TestWindowSearch:
         first, second = es.forward_ball(g, (0, 0), 3), es.forward_ball(g, (0, 0), 3)
         assert len(calls) == 1 and first == second
 
-    def test_reused_search_matches_a_fresh_one(self, bfs_calls):
-        # a complete search (None, or 30 on at most 8 vertices) answers every
-        # depth, a deeper one each shallower depth; a shallower one none
+    def test_complete_search_is_the_whole_search(self, bfs_calls):
+        # depth 30 on at most 8 vertices runs out of vertices first; a search
+        # that stops at its depth on an infinite graph answers only itself
         rng = random.Random(3)
-        cases = [(random_det_scc_graph(rng), deep, [None, 0, 1, 2, 3, 5, 40])
-                 for deep in (None, 30) for _ in range(10)]
-        cases += [(es.schreier_graph(es.builtin_family(name)), 6, range(9))
-                  for name in ("line_Z", "grid_Z2")]
-        for g, deep, depths in cases:
+        for g in [random_det_scc_graph(rng) for _ in range(10)]:
             x = g.roots[0]
-            for N in depths:
-                g.reaches.clear()
-                fresh = es.graphs.search(g, x, N)
-                g.reaches.clear()
-                es.graphs.search(g, x, deep)
-                bfs_calls.clear()
-                reused = es.graphs.search(g, x, N)
-                assert (bfs_calls == []) == (g.is_finite or N <= deep)
-                assert reused.vertices == fresh.vertices and reused.edges == fresh.edges
-                assert reused.state is None and fresh.state is None
-                for column in ("distance", "vertex", "source", "label", "target", "base"):
-                    assert np.array_equal(getattr(reused, column), getattr(fresh, column))
+            fresh = es.graphs.search(g, x)
+            g.reaches.clear()
+            es.graphs.search(g, x, 30)
+            bfs_calls.clear()
+            reused = es.graphs.search(g, x)
+            assert bfs_calls == []
+            assert reused.vertices == fresh.vertices and reused.edges == fresh.edges
+            for column in ("distance", "vertex", "source", "label", "target", "base"):
+                assert np.array_equal(getattr(reused, column), getattr(fresh, column))
+        for name in ("line_Z", "grid_Z2"):
+            g = es.schreier_graph(es.builtin_family(name))
+            es.graphs.search(g, g.roots[0], 6)
+            assert list(g.reaches) == [(g.roots[0], 6, None, es.graphs.DEFAULT_BUDGET)]
 
     def test_full_window_reuses_the_census_search(self, bfs_calls, golden_mean):
         es.count_words(golden_mean, "v1", "v1", 10)  # eccentricity 1
