@@ -7,7 +7,6 @@ from .census import (
     NondeterministicWindow,
     WordCensus,
     count_words,
-    determinize,
     entropy_from_counts,
     spectral_entropy_finite,
 )

@@ -2,9 +2,9 @@
 
 Counts words of each length readable from x to y, with or without a
 forbidden factor set (via the product construction), estimates the growth
-rate from the counts, determinizes nondeterministic windows by the powerset
-construction, and computes exact entropy of finite graphs as the log of
-the spectral radius of the edge-count matrix of their reachable part.
+rate from the counts, and computes exact entropy of finite graphs as the
+log of the spectral radius of the edge-count matrix of their reachable
+part.
 
 Counts are exact integers (c_n can reach |alphabet|^n): int64 matrix
 powers reduced modulo word-size primes only as often as overflow demands,
@@ -12,7 +12,8 @@ joined by the Chinese remainder theorem.  Weighted path sums run on the
 same states as float64 matrix powers.  Both read a memoized search held as
 index arrays (``graphs.Reach``): the plain one (``graphs.search``, which
 windows read too), and with forbidden words the product search derived
-from it here by a layered numpy search over (vertex, automaton state).
+from it here by the same layered numpy search (``graphs.layered_search``)
+over (vertex, automaton state).
 """
 
 from __future__ import annotations
@@ -32,20 +33,16 @@ from .graphs import (
     LabelledGraph,
     Reach,
     Vertex,
-    Window,
-    budget_exceeded,
     check_deterministic,
-    explicit_graph,
     full_window,
+    layered_search,
     search,
-    vertex_key,
 )
 from .growth import NEG_INF, GrowthFit, fit_log_growth
 
 
 class NondeterministicWindow(RuntimeError):
-    """Counting was attempted on a window with (vertex, label) collisions;
-    determinize first."""
+    """Counting was attempted on a window with (vertex, label) collisions."""
 
     def __init__(self, violations):
         super().__init__(f"window is not deterministic at {violations[:5]}")
@@ -134,10 +131,9 @@ def _reach(g, x, y, N, forbidden, budget):
 
 
 def _product_reach(g, plain: Reach, N, forbidden, budget) -> Reach:
-    """The product graph's breadth-first search from (x, start), layer by
-    layer over keys vertex index * m + automaton state: gather the frontier's
-    base out-edges, step the automaton, drop dead steps and number each new
-    key at its first occurrence, in the base edge order (the lazy product's
+    """The product graph's breadth-first search from (x, start): the
+    ``graphs.layered_search`` of the plain search's edges over keys vertex
+    index * m + automaton state, in the base edge order (the lazy product's
     order but on tied labels, where it compares the paired targets)."""
     automaton = FactorAutomaton(forbidden, g.alphabet)
     m = len(automaton.states)
@@ -145,29 +141,10 @@ def _product_reach(g, plain: Reach, N, forbidden, budget) -> Reach:
     step = np.array([[automaton.step(s, a) for a in g.alphabet] for s in automaton.states])
     step[np.isin(step, list(automaton.dead))] = -1
     first_edge = np.searchsorted(plain.source, np.arange(len(plain.vertices) + 1))
-    layers, edges, found = [np.array([automaton.start])], [(np.zeros(0, np.int64),) * 3], 1
-    for _ in range(N):
-        fv, fs = np.divmod(layers[-1], m)
-        out = first_edge[fv + 1] - first_edge[fv]
-        e = np.repeat(first_edge[fv] - np.cumsum(out) + out, out) + np.arange(out.sum())
-        src = np.repeat(np.arange(found - len(fv), found), out)
-        s2 = step[np.repeat(fs, out), plain.label[e]]
-        live = s2 >= 0
-        src, e, key = src[live], e[live], plain.target[e[live]] * m + s2[live]
-        edges.append((src, e, key))
-        unique, first = np.unique(key, return_index=True)
-        new = key[np.sort(first[~np.isin(unique, np.concatenate(layers))])]
-        if not len(new):
-            break
-        layers.append(new)
-        found += len(new)
-        if found > budget:
-            raise budget_exceeded((plain.vertices[0], automaton.start), budget)
-    src, e, key = (np.concatenate(c) for c in zip(*edges))
-    keys = np.concatenate(layers)
-    order = np.argsort(keys)
+    keys, _, src, e, target, _ = layered_search(
+        first_edge, plain.label, plain.target, automaton.start, N, budget,
+        (plain.vertices[0], automaton.start), m, step)
     vertex, state = np.divmod(keys, m)
-    target = order[np.searchsorted(keys[order], key)]
     return Reach(plain.vertices, plain.edges, plain.distance, vertex, state, src,
                  plain.label[e], target, e)
 
@@ -233,36 +210,6 @@ def path_weights(
         v = AT @ v
         table.append(float(v[at_y].sum()))
     return table
-
-
-def determinize(g: LabelledGraph, w: Window) -> LabelledGraph:
-    """Powerset construction on the window's subgraph.
-
-    Vertices of the result are canonically sorted tuples of window vertices;
-    the root is the singleton of the window center.  Word sets L_{x, .} of
-    the window's reachable portion are preserved.
-    """
-    adjacency: dict[Vertex, dict[str, set]] = {}
-    for e in w.edges:
-        adjacency.setdefault(e.source, {}).setdefault(e.label, set()).add(e.target)
-
-    def expand(subset):
-        for a in g.alphabet:
-            targets: set = set()
-            for v in subset:
-                targets |= adjacency.get(v, {}).get(a, set())
-            if targets:
-                yield Edge(subset, a, tuple(sorted(targets, key=vertex_key)))
-
-    start = (w.center,)
-    reached = full_window(LabelledGraph(g.alphabet, expand, roots=[start]))
-    return explicit_graph(
-        alphabet=g.alphabet,
-        edges=reached.edges,
-        roots=[start],
-        vertices=sorted(reached.vertices, key=vertex_key),
-        name=f"{g.name}/determinized" if g.name else "determinized",
-    )
 
 
 def entropy_from_counts(census: WordCensus, tail: int = 20) -> EntropyEstimate:

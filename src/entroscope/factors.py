@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+import numpy as np
+
 from . import linalg
 from .graphs import Edge, LabelledGraph, Vertex, Window
 
@@ -212,8 +214,9 @@ def certify_denseness(forbidden: ForbiddenSet, D: int, w: Window):
     can be read within forward distance D.
 
     The readers, vertices from which a word of F labels a path, come from a
-    backward pass over each word's letters on the window's edges; the
-    distances to them from one backward search (``linalg.steps_to``).
+    backward pass over each word's letters on boolean masks of the window's
+    ``label`` and ``target`` columns; the distances to them from one
+    backward search (``linalg.steps_to``).
     Returns a DensenessCertificate, or the uncovered vertices in window
     order.  A window with boundary edges raises ValueError: its distances
     would ignore the paths that leave it.
@@ -222,14 +225,15 @@ def certify_denseness(forbidden: ForbiddenSet, D: int, w: Window):
         raise ValueError("D must be >= 0")
     if w.boundary:
         raise ValueError("denseness is certified on closed windows only (no boundary edges)")
-    readers: set = set()
+    n, code = len(w.distances), {a: i for i, a in enumerate(w.alphabet)}
+    readers = np.zeros(n, dtype=bool)
     for word in forbidden.words:
-        r = w.vertices
+        r = np.ones(n, dtype=bool)
         for a in reversed(word):
-            r = {e.source for e in w.edges if e.label == a and e.target in r}
+            r = np.bincount(w.source[(w.label == code.get(a, -1)) & r[w.target]], minlength=n) > 0
         readers |= r
     order = list(w.distances)
-    steps = linalg.steps_to(w.adjacency(), [v in readers for v in order], D).tolist()
+    steps = linalg.steps_to(w.adjacency(), readers, D).tolist()
     uncovered = [v for v, d in zip(order, steps) if d < 0]
     if uncovered:
         return uncovered

@@ -12,6 +12,7 @@ global claims about an infinite graph.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, NamedTuple, Optional
@@ -74,6 +75,17 @@ class Declared:
     complete: bool = False
 
 
+class EdgeArrays(NamedTuple):
+    """A finite graph's edges in ``out_edges`` order, v's at ``offsets[index[v]]:
+    offsets[index[v] + 1]``, with ``label`` and ``target`` (alphabet, vertex index) columns."""
+
+    index: dict
+    offsets: np.ndarray
+    label: np.ndarray
+    target: np.ndarray
+    edges: list
+
+
 class LabelledGraph:
     """Immutable edge-labelled graph given by an expansion function.
 
@@ -85,7 +97,8 @@ class LabelledGraph:
     evaluation order.  ``reaches`` memoizes searches from a start vertex as
     index arrays (``Reach``), keyed by (start, N, forbidden set, budget):
     the plain ones (``search``, forbidden set None) behind censuses and
-    windows, and the census's product searches derived from them.
+    windows, and the census's product searches derived from them.  A finite
+    graph's ``search`` walks its ``arrays`` instead of ``out_edges``.
     """
 
     def __init__(
@@ -96,6 +109,7 @@ class LabelledGraph:
         name: str = "",
         vertex_list: Optional[Iterable[Vertex]] = None,
         declared: Optional[Declared] = None,
+        arrays: Optional[EdgeArrays] = None,
     ):
         self.alphabet = tuple(alphabet)
         if not self.alphabet:
@@ -109,6 +123,7 @@ class LabelledGraph:
         self.name = name
         self.vertex_list = tuple(vertex_list) if vertex_list is not None else None
         self.declared = declared or Declared()
+        self.arrays = arrays
         self._alpha_set = frozenset(self.alphabet)
         self._cache: dict = {}
         self.reaches: dict = {}
@@ -154,7 +169,7 @@ class Window:
     first), the window's one vertex order.  ``edges`` have both endpoints
     inside, ``boundary`` edges leave the window from its outer shell; both
     follow the vertex order of their sources.  ``source``, ``label``
-    (alphabet index) and ``target`` are the columns of ``edges`` then
+    (index in ``alphabet``) and ``target`` are the columns of ``edges`` then
     ``boundary`` (ends from len(vertices) on lie outside the window).
     """
 
@@ -167,6 +182,7 @@ class Window:
     source: np.ndarray = field(compare=False)
     label: np.ndarray = field(compare=False)
     target: np.ndarray = field(compare=False)
+    alphabet: tuple = field(compare=False)
 
     def adjacency(self, weight: Optional[Callable[[Edge], float]] = None):
         """``linalg.adjacency`` of ``edges`` in the vertex order."""
@@ -242,27 +258,77 @@ def budget_exceeded(x: Vertex, budget: int) -> ExpansionBudgetExceeded:
 def search(
     g: LabelledGraph, x: Vertex, N: Optional[int] = None, budget: int = DEFAULT_BUDGET
 ) -> Reach:
-    """``bfs`` from ``x`` to depth N (the whole reachable part when None) as
-    a ``Reach``, memoized on ``g.reaches``; its discovery order is layered,
-    and canonical because ``out_edges`` is sorted.  A search that runs out of
-    vertices before depth N holds no vertex at N, so it keeps every edge and
-    is also memoized as the whole search (N = None)."""
+    """The search from ``x`` to depth N (the whole reachable part when None)
+    as a ``Reach``, memoized on ``g.reaches``: ``layered_search`` over a
+    finite graph's ``arrays``, else ``bfs``.  Its discovery order is
+    layered, and canonical because ``out_edges`` is sorted.  A search that
+    runs out of vertices before depth N holds no vertex at N, so it keeps
+    every edge and is also memoized as the whole search (N = None)."""
     if N is not None and N < 0:
         raise ValueError("N must be >= 0")
     key = (x, N, None, budget)
     if key not in g.reaches:
-        distances = bfs(g, x, N, budget=budget)
-        index = {v: i for i, v in enumerate(distances)}
-        labels = {a: i for i, a in enumerate(g.alphabet)}
-        # d != N: every vertex when N is None, else those within N - 1
-        edges = [e for v, d in distances.items() if d != N for e in g.out_edges(v)]
-        columns = [np.array([d[e[i]] for e in edges], dtype=np.int64)
-                   for i, d in ((0, index), (1, labels), (2, index))]
-        r = g.reaches[key] = Reach(list(distances), edges, np.array(list(distances.values())),
-                                   np.arange(len(index)), None, *columns, np.arange(len(edges)))
+        arrays = g.arrays
+        if arrays is not None and x in arrays.index:
+            _, distance, source, e, target, via = layered_search(
+                arrays.offsets, arrays.label, arrays.target, arrays.index[x], N, budget, x)
+            # each vertex as the target of the edge that found it, as bfs keys it
+            vertices = [x] + [arrays.edges[i].target for i in via.tolist()]
+            edges, label = [arrays.edges[i] for i in e.tolist()], arrays.label[e]
+        else:
+            distances = bfs(g, x, N, budget=budget)
+            index = {v: i for i, v in enumerate(distances)}
+            labels = {a: i for i, a in enumerate(g.alphabet)}
+            # d != N: every vertex when N is None, else those within N - 1
+            edges = [e for v, d in distances.items() if d != N for e in g.out_edges(v)]
+            source, label, target = (np.array([d[e[i]] for e in edges], dtype=np.int64)
+                                     for i, d in ((0, index), (1, labels), (2, index)))
+            vertices, distance = list(distances), np.array(list(distances.values()))
+        r = g.reaches[key] = Reach(vertices, edges, distance, np.arange(len(vertices)), None,
+                                   source, label, target, np.arange(len(edges)))
         if N is not None and r.distance[-1] < N:
             g.reaches.setdefault((x, None, None, budget), r)
     return g.reaches[key]
+
+
+def layered_search(offsets, label, target, start: int, N: Optional[int], budget: int,
+                   origin: Vertex, m: int = 1, step: Optional[np.ndarray] = None):
+    """``bfs`` to depth N (all of it when None) over index arrays: i's
+    out-edges are ``offsets[i]:offsets[i + 1]`` of ``label`` and ``target``.
+    A state is a key i * m + s, and an edge steps s to ``step[s, label]``
+    (-1 drops it; no ``step``: m = 1).  Per layer it numbers each new key at
+    its first occurrence among the frontier's out-edges.  Returns the keys
+    in that order, their distances, per edge out of a key within N - 1 its
+    source's number, column index and target's number, and per key after
+    ``start`` the edge that found it; over ``budget`` keys raise from
+    ``origin``."""
+    number = np.full((len(offsets) - 1) * m, -1)
+    number[start] = 0
+    empty = np.zeros(0, np.int64)
+    layers, edges, via, found = [np.array([start])], [(empty,) * 3], [empty], 1
+    for _ in itertools.count() if N is None else range(N):
+        fv, fs = np.divmod(layers[-1], m)
+        out = offsets[fv + 1] - offsets[fv]
+        e = np.repeat(offsets[fv] - np.cumsum(out) + out, out) + np.arange(out.sum())
+        src, key = np.repeat(np.arange(found - len(fv), found), out), target[e] * m
+        if step is not None:
+            s2 = step[np.repeat(fs, out), label[e]]
+            live = s2 >= 0
+            src, e, key = src[live], e[live], key[live] + s2[live]
+        edges.append((src, e, key))
+        unique, first = np.unique(key, return_index=True)
+        first = np.sort(first[number[unique] < 0])
+        if not len(first):
+            break
+        layers.append(key[first])
+        via.append(e[first])
+        number[key[first]] = np.arange(found, found + len(first))
+        found += len(first)
+        if found > budget:
+            raise budget_exceeded(origin, budget)
+    src, e, key = (np.concatenate(c) for c in zip(*edges))
+    return (np.concatenate(layers), np.repeat(np.arange(len(layers)), [len(k) for k in layers]),
+            src, e, number[key], np.concatenate(via))
 
 
 def forward_ball(
@@ -286,7 +352,8 @@ def forward_ball(
     inside = reach.vertices[:n]
     return Window(x, int(reach.distance[-1]) if radius is None else radius, frozenset(inside),
                   dict(zip(inside, reach.distance[:n].tolist())), tuple(edges[:k]),
-                  tuple(edges[k:]), reach.source[order], reach.label[order], reach.target[order])
+                  tuple(edges[k:]), reach.source[order], reach.label[order], reach.target[order],
+                  g.alphabet)
 
 
 def full_window(g: LabelledGraph, budget: int = DEFAULT_BUDGET) -> Window:
@@ -360,40 +427,63 @@ def explicit_graph(
     name: str = "",
     declared: Optional[Declared] = None,
 ) -> LabelledGraph:
-    """Finite graph from an explicit edge list of (source, label, target)."""
-    triples = [Edge(*t) for t in edges]
-    adj: dict[Vertex, list[Edge]] = {}
-    seen = set()
-    for e in triples:
-        if e in seen:
-            raise GraphFormatError(
-                f"duplicate edge {vertex_key(e.source)} -{e.label}-> {vertex_key(e.target)}"
-            )
-        seen.add(e)
-        adj.setdefault(e.source, []).append(e)
-    if vertices is None:
-        vset = set(adj)
-        for e in triples:
-            vset.add(e.target)
-        vset.update(roots)
-        vertex_list = sorted(vset, key=vertex_key)
-    else:
-        vertex_list = list(vertices)
-        vset = set(vertex_list)
-        for e in triples:
-            if e.source not in vset or e.target not in vset:
-                raise GraphFormatError(f"edge {e} references unknown vertex")
-        for r in roots:
-            if r not in vset:
-                raise GraphFormatError(f"root {vertex_key(r)} not in vertex list")
-    return LabelledGraph(
-        alphabet=alphabet,
-        expand=lambda v: adj.get(v, ()),
-        roots=roots,
-        name=name,
-        vertex_list=vertex_list,
-        declared=declared,
-    )
+    """Finite graph from an explicit edge list of (source, label, target),
+    validated in one bulk pass (triples, labels in the alphabet, hashable
+    ids, listed in ``vertices`` when given, no repeated id or edge) and
+    sorted into its ``EdgeArrays``, which ``expand`` slices."""
+    alphabet, edges, roots = tuple(alphabet), list(edges), list(roots)
+    bad = [t for t in edges if not isinstance(t, (list, tuple)) or len(t) != 3]
+    if bad:
+        raise GraphFormatError(f'"edges" entry {bad[0]!r} is not a [source, label, target] triple')
+    sources, labels, targets = zip(*edges) if edges else ((), (), ())
+    bad = [a for a in labels if a not in alphabet]
+    if bad:
+        raise GraphFormatError(f'"edges" label {bad[0]!r} not in alphabet')
+    listed = None if vertices is None else list(vertices)
+    ids = {"vertices": listed or [], "roots": roots, "edges": sources + targets}
+    try:
+        vertex_list = listed if listed is not None else sorted(dict.fromkeys(
+            ids["edges"] + tuple(roots)), key=vertex_key)
+        index = {v: i for i, v in enumerate(vertex_list)}
+        lost = [r for r in roots if r not in index]
+        symbols = {a: i for i, a in enumerate(alphabet)}
+        source, label, target = (
+            np.fromiter(map(d.get, v, itertools.repeat(-1)), np.int64, len(v))
+            for d, v in ((index, sources), (symbols, labels), (index, targets)))
+    except TypeError:  # JSON's unhashable values are lists and objects
+        found = [(k, v) for k, vs in ids.items() for v in vs if isinstance(v, (list, dict))]
+        if not found:
+            raise
+        raise GraphFormatError('"%s" holds vertex id %r, a list or an object' % found[0]) from None
+    if len(index) < len(vertex_list):
+        v = next(v for i, v in enumerate(vertex_list) if index[v] != i)
+        raise GraphFormatError(f'"vertices" repeats vertex id {v!r} (1, 1.0 and true are one id)')
+    if (source < 0).any() or (target < 0).any():
+        e = Edge(*edges[np.flatnonzero((source < 0) | (target < 0))[0]])
+        raise GraphFormatError(f"edge {e} references unknown vertex")
+    if lost:
+        raise GraphFormatError(f"root {vertex_key(lost[0])} not in vertex list")
+    n, sigma = len(vertex_list), len(alphabet)
+    # out_edges order: by source, label text, then canonical target form where labels tie
+    pair, label_rank = source * sigma + label, np.argsort(np.argsort(alphabet))[label]
+    order = np.argsort(source * sigma + label_rank, kind="stable")
+    if (np.diff(pair[order]) == 0).any():
+        keys = list(map(vertex_key, targets))
+        rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+        order = np.lexsort((np.fromiter(map(rank.get, keys), np.int64, len(keys)), label_rank,
+                            source))
+        _, first = np.unique(pair * n + target, return_index=True)
+        if len(first) < len(edges):
+            s, a, t = edges[np.setdiff1d(np.arange(len(edges)), first)[0]]
+            raise GraphFormatError(f"duplicate edge {vertex_key(s)} -{a}-> {vertex_key(t)}")
+    out = [Edge(*edges[i]) for i in order.tolist()]
+    offsets = np.searchsorted(source[order], np.arange(n + 1))
+
+    def expand(v):
+        return out[offsets[index[v]]:offsets[index[v] + 1]] if v in index else ()
+
+    return LabelledGraph(alphabet, expand, roots, name, vertex_list, declared,
+                         EdgeArrays(index, offsets, label[order], target[order], out))
 
 
 @dataclass(frozen=True)
@@ -423,27 +513,16 @@ def parse_graph_document(doc: dict, name: str = "") -> GraphDocument:
     """Parse the JSON graph schema.
 
     The document is a JSON object with keys "alphabet" (list of symbols),
-    "vertices" (list of ids), "edges" (list of [source, label, target]),
-    "roots" (list of ids), and optionally "forbidden" (list of word
-    strings).  An id is any JSON value but a list or an object.
+    "vertices" (list of distinct ids), "edges" (list of [source, label,
+    target]), "roots" (list of ids), and optionally "forbidden" (list of
+    word strings).  An id is any JSON value but a list or an object; ids
+    that compare equal in Python (1, 1.0 and true) are one id.
     """
     if not isinstance(doc, dict):
         raise GraphFormatError(f"graph document must be a JSON object, got {type(doc).__name__}")
-    alphabet = _strings(doc, "alphabet")
-    edges = []
-    for t in _list(doc, "edges"):
-        if not isinstance(t, list) or len(t) != 3:
-            raise GraphFormatError(f'"edges" entry {t!r} is not a [source, label, target] triple')
-        if t[1] not in alphabet:
-            raise GraphFormatError(f'"edges" label {t[1]!r} not in alphabet')
-        edges.append(Edge(*t))
-    ids = {"vertices": _list(doc, "vertices"), "roots": _list(doc, "roots"),
-           "edges": [v for e in edges for v in (e.source, e.target)]}
-    for key, vs in ids.items():
-        for v in vs:
-            if isinstance(v, (list, dict)):
-                raise GraphFormatError(f'"{key}" holds vertex id {v!r}, a list or an object')
-    g = explicit_graph(alphabet, edges, ids["roots"], vertices=ids["vertices"], name=name)
+    alphabet, edges = _strings(doc, "alphabet"), _list(doc, "edges")
+    vertices = _list(doc, "vertices")
+    g = explicit_graph(alphabet, edges, _list(doc, "roots"), vertices=vertices, name=name)
     return GraphDocument(graph=g, forbidden=tuple(_strings(doc, "forbidden", required=False)))
 
 

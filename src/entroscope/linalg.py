@@ -6,9 +6,9 @@ give a certified bracket around the Perron root of the shifted matrix at
 every step; ``perron_root`` takes the bracket's upper end, an upper bound
 on the root whether or not the bracket has closed.  Reducible matrices
 (product graphs, windows with unreachable parts) go through their
-strongly connected components: the spectral radius is the largest Perron
-root of a component.  ``steps_to`` is the one multi-source search over a
-nonnegative matrix's entries.
+strongly connected components, which two searches rule out first: the
+spectral radius is the largest Perron root of a component.  ``steps_to`` is
+the one multi-source search over a nonnegative matrix's entries.
 """
 
 from __future__ import annotations
@@ -40,46 +40,12 @@ def adjacency(n, sources, targets, weights=None) -> sparse.csr_matrix:
 
 def strong_components(A) -> tuple[int, np.ndarray]:
     """(number of strongly connected components, component label of each
-    index) of the directed graph of A's stored entries; iterative Tarjan."""
-    # not scipy.sparse.csgraph: its import lifts `import entroscope.cli` from 51.5 to 61 MB RSS
-    A = sparse.csr_matrix(A)
-    n = A.shape[0]
-    indptr, indices = A.indptr.tolist(), A.indices.tolist()
-    order = [-1] * n
-    low = [0] * n
-    labels = [-1] * n
-    stack: list[int] = []
-    count = components = 0
-    # work items (v, i): i is v's next stored entry, or -1 before v is entered
-    work = [(root, -1) for root in reversed(range(n))]
-    while work:
-        v, i = work.pop()
-        if i < 0:
-            if order[v] >= 0:
-                continue
-            order[v] = low[v] = count
-            count += 1
-            stack.append(v)
-            i = indptr[v]
-        if i < indptr[v + 1]:
-            w = indices[i]
-            work.append((v, i + 1))
-            if order[w] < 0:
-                work.append((w, -1))
-            elif labels[w] < 0:
-                low[v] = min(low[v], order[w])
-            continue
-        if work and work[-1][1] >= 0:
-            u = work[-1][0]
-            low[u] = min(low[u], low[v])
-        if low[v] == order[v]:
-            while True:
-                w = stack.pop()
-                labels[w] = components
-                if w == v:
-                    break
-            components += 1
-    return components, np.array(labels, dtype=int)
+    index) of the directed graph of A's stored entries."""
+    # imported here: scipy.sparse.csgraph lifts `import entroscope.cli` from 51.5 to
+    # 61 MB RSS, and spectral_radius needs it only for a reducible matrix
+    from scipy.sparse.csgraph import connected_components
+
+    return connected_components(A, directed=True, connection="strong")
 
 
 def perron_root(A) -> PerronResult:
@@ -122,9 +88,14 @@ def steps_to(A, target, cap: int | None = None) -> np.ndarray:
 
 
 def spectral_radius(A) -> float:
-    """Spectral radius of a nonnegative matrix, reducible or not: the
-    largest Perron root over its strongly connected components."""
+    """Spectral radius of a nonnegative matrix, reducible or not: one Perron
+    root when index 0 reaches every index and every index reaches it (two
+    ``steps_to`` sweeps, on A and on its transpose), else the largest Perron
+    root over its strongly connected components."""
     A = sparse.csr_matrix(A)
+    start = np.arange(A.shape[0]) == 0
+    if start.any() and (steps_to(A, start) >= 0).all() and (steps_to(A.T, start) >= 0).all():
+        return perron_root(A).value
     components, labels = strong_components(A)
     sizes = np.bincount(labels, minlength=components)
     # a one-vertex component's radius is its loop weight

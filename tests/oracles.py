@@ -117,6 +117,36 @@ def shared_pairs(edges) -> list:
     return [pair for pair, n in seen.items() if n >= 2]
 
 
+def determinize(g, w):
+    """Powerset construction on the window's subgraph.
+
+    Vertices of the result are canonically sorted tuples of window vertices;
+    the root is the singleton of the window center.  Word sets L_{x, .} of
+    the window's reachable portion are preserved.
+    """
+    adjacency: dict = {}
+    for e in w.edges:
+        adjacency.setdefault(e.source, {}).setdefault(e.label, set()).add(e.target)
+
+    def expand(subset):
+        for a in g.alphabet:
+            targets: set = set()
+            for v in subset:
+                targets |= adjacency.get(v, {}).get(a, set())
+            if targets:
+                yield es.Edge(subset, a, tuple(sorted(targets, key=es.vertex_key)))
+
+    start = (w.center,)
+    reached = es.full_window(es.LabelledGraph(g.alphabet, expand, roots=[start]))
+    return es.explicit_graph(
+        alphabet=g.alphabet,
+        edges=reached.edges,
+        roots=[start],
+        vertices=sorted(reached.vertices, key=es.vertex_key),
+        name=f"{g.name}/determinized" if g.name else "determinized",
+    )
+
+
 def readable_words(g, start, max_len) -> dict[int, set]:
     """Words per length readable from start (NFA-safe: frontier of vertex
     sets per word)."""
@@ -291,6 +321,18 @@ def nearest_denseness_witnesses(g, words, xs, D) -> dict:
                 result[x] = (y, word, dist[y])
                 break
     return result
+
+
+def readers_by_sets(words, w) -> set:
+    """The window vertices from which some word labels a path: a backward
+    pass over each word's letters on sets of the window's edge objects."""
+    readers: set = set()
+    for word in words:
+        r = w.vertices
+        for a in reversed(word):
+            r = {e.source for e in w.edges if e.label == a and e.target in r}
+        readers |= r
+    return readers
 
 
 def with_dangling_tail(rng: random.Random, g):

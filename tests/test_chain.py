@@ -344,6 +344,39 @@ def exact_golden_hv():
     )
 
 
+class TestSpectralRadius:
+    """Two ``steps_to`` sweeps send an irreducible matrix straight to one
+    Perron root, anything else to Tarjan's components; both routes agree
+    with numpy's eigenvalues on the strongly connected blocks."""
+
+    @staticmethod
+    def reference(A):
+        n = len(A)
+        reach = np.linalg.matrix_power(np.eye(n) + (A > 0), n) > 0
+        blocks = {tuple(np.flatnonzero(reach[i] & reach[:, i])) for i in range(n)}
+        return max(max(abs(np.linalg.eigvals(A[np.ix_(b, b)]))) for b in blocks), len(blocks) == 1
+
+    def test_both_routes_match_eigvals(self, monkeypatch):
+        calls = []
+        tarjan = es.linalg.strong_components
+        monkeypatch.setattr(es.linalg, "strong_components",
+                            lambda A: calls.append(A.shape) or tarjan(A))
+        rng = np.random.default_rng(16)
+        matrices = [np.zeros((1, 1)), np.full((1, 1), 2.0), np.eye(2), np.ones((3, 3))]
+        for _ in range(80):
+            n = int(rng.integers(1, 9))
+            mask = rng.random((n, n)) < rng.uniform(0.1, 0.6)
+            matrices.append(mask * rng.integers(1, 3, (n, n)).astype(float))
+        routes = []
+        for A in matrices:
+            calls.clear()
+            want, irreducible = self.reference(A)
+            assert es.linalg.spectral_radius(A) == pytest.approx(want, rel=1e-9, abs=1e-12)
+            assert (calls == []) == irreducible
+            routes.append(irreducible)
+        assert routes[:4] == [True, True, False, True] and 10 < sum(routes) < len(routes) - 10
+
+
 class TestHTransform:
     def test_identity_when_harmonic_constant(self, b2):
         ch = es.uniform_weights(b2)

@@ -610,6 +610,25 @@ class TestErrorPaths:
         assert report["error"]["type"] == "GraphFormatError"
         assert field in report["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "vertices, edges, repeated",
+        [
+            ([1, True], [[1, "a", True]], "vertex id 1 "),
+            (["v", "v"], [["v", "a", "v"]], "vertex id 'v' "),
+            ([0, 1.0, 1], [[0, "a", 1]], "vertex id 1.0 "),
+        ],
+        ids=["one-and-true", "same-string", "one-and-one-point-zero"],
+    )
+    def test_repeated_vertex_id_is_a_config_error(self, capsys, tmp_path, vertices, edges,
+                                                  repeated):
+        doc = dict(B2_DOC, vertices=vertices, edges=edges, roots=vertices[:1], forbidden=[])
+        code, report = run(capsys, "count", "--graph", write_doc(tmp_path, "rep.json", doc),
+                           "--depth", "4")
+        assert code == 2
+        assert report["error"]["type"] == "GraphFormatError"
+        message = report["error"]["message"]
+        assert message.startswith('"vertices" repeats ') and repeated in message
+
     def test_bad_vertex(self, capsys, b2_path):
         code, report = run(
             capsys, "count", "--graph", b2_path, "--depth", "4", "--x", "nope"

@@ -14,7 +14,9 @@ from oracles import (
     iter_paths,
     nearest_denseness_witnesses,
     random_det_scc_graph,
+    random_nfa,
     random_word_on_graph,
+    readers_by_sets,
     with_dangling_tail,
 )
 
@@ -218,20 +220,37 @@ class TestDenseness:
 
     def test_runs_no_graph_search(self, monkeypatch):
         # one backward sweep of the window's own edges, no breadth-first search
+        # (bfs on lazy graphs, the layered kernel on finite ones)
         calls = []
-        bfs = es.graphs.bfs
 
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return bfs(*args, **kwargs)
+        def counted(search):
+            return lambda *args, **kwargs: calls.append(args[1]) or search(*args, **kwargs)
 
-        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "entroscope"]:
-            if getattr(module, "bfs", None) is bfs:
-                monkeypatch.setattr(module, "bfs", counted)
+        for name in ("bfs", "layered_search"):
+            search = getattr(es.graphs, name)
+            for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "entroscope"]:
+                if getattr(module, name, None) is search:
+                    monkeypatch.setattr(module, name, counted(search))
         w = es.full_window(cycle_z(7))
         assert len(calls) == 1  # the patch takes: full_window searches once
         cert = es.estimate_denseness_constant(make_forbidden("rrl", "ll"), w, D_max=4)
         assert cert.D == 0 and len(calls) == 1
+
+    def test_readers_match_the_set_pass(self):
+        # at D = 0 the covered vertices are the readers, the rest come back
+        rng = random.Random(16)
+        for i in range(150):
+            g = random_det_scc_graph(rng) if i % 3 else random_nfa(rng)
+            if i % 3 == 1:
+                g = with_dangling_tail(rng, g)
+            w = es.full_window(g)
+            words = {random_word_on_graph(rng, g) for _ in range(rng.choice((1, 2, 3)))}
+            words |= {tuple(rng.choices(g.alphabet, k=rng.randint(1, 3)))}
+            F = es.ForbiddenSet(words=tuple(sorted(wd for wd in words if wd)))
+            cert = es.certify_denseness(F, 0, w)
+            covered = (w.vertices if isinstance(cert, es.DensenessCertificate)
+                       else w.vertices - set(cert))
+            assert covered == readers_by_sets(F.words, w)
 
     def test_matches_reference_search(self):
         rng = random.Random(4)

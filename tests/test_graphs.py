@@ -24,6 +24,17 @@ def bfs_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The start of every ``graphs.layered_search`` that ``graphs.search``
+    runs on a finite graph from here on."""
+    calls = []
+    kernel = es.graphs.layered_search
+    monkeypatch.setattr(es.graphs, "layered_search",
+                        lambda *a, **k: calls.append(a[3]) or kernel(*a, **k))
+    return calls
+
+
 def one_way_ray():
     return es.LabelledGraph(
         alphabet=["f"],
@@ -103,7 +114,7 @@ class TestWindowSearch:
         first, second = es.forward_ball(g, (0, 0), 3), es.forward_ball(g, (0, 0), 3)
         assert len(calls) == 1 and first == second
 
-    def test_complete_search_is_the_whole_search(self, bfs_calls):
+    def test_complete_search_is_the_whole_search(self, kernel_calls):
         # depth 30 on at most 8 vertices runs out of vertices first; a search
         # that stops at its depth on an infinite graph answers only itself
         rng = random.Random(3)
@@ -112,9 +123,10 @@ class TestWindowSearch:
             fresh = es.graphs.search(g, x)
             g.reaches.clear()
             es.graphs.search(g, x, 30)
-            bfs_calls.clear()
+            assert len(kernel_calls) == 2  # the patch takes
+            kernel_calls.clear()
             reused = es.graphs.search(g, x)
-            assert bfs_calls == []
+            assert kernel_calls == []
             assert reused.vertices == fresh.vertices and reused.edges == fresh.edges
             for column in ("distance", "vertex", "source", "label", "target", "base"):
                 assert np.array_equal(getattr(reused, column), getattr(fresh, column))
@@ -123,10 +135,10 @@ class TestWindowSearch:
             es.graphs.search(g, g.roots[0], 6)
             assert list(g.reaches) == [(g.roots[0], 6, None, es.graphs.DEFAULT_BUDGET)]
 
-    def test_full_window_reuses_the_census_search(self, bfs_calls, golden_mean):
+    def test_full_window_reuses_the_census_search(self, kernel_calls, golden_mean):
         es.count_words(golden_mean, "v1", "v1", 10)  # eccentricity 1
         w = es.full_window(golden_mean)
-        assert len(bfs_calls) == 1
+        assert len(kernel_calls) == 1
         assert w.vertices == frozenset(golden_mean.vertex_list) and len(w.edges) == 3
 
     def test_negative_depth_is_refused(self, line_z, b2):
@@ -141,6 +153,67 @@ class TestWindowSearch:
         with pytest.raises(es.ExpansionBudgetExceeded):
             es.forward_ball(line_z, 0, r, budget=2 * r + 2)
         assert len(es.forward_ball(line_z, 0, r, budget=2 * r + 3).vertices) == 2 * r + 1
+
+
+class TestArraySearch:
+    """On a finite graph ``graphs.search`` runs ``layered_search`` over the
+    graph's arrays; the same expansion function behind a bare
+    ``LabelledGraph`` is searched by ``bfs``, and the two ``Reach``es agree
+    column for column."""
+
+    COLUMNS = ("distance", "vertex", "source", "label", "target", "base")
+
+    @staticmethod
+    def cases(rng, count=40):
+        # deterministic SCCs, dangling tails, nondeterministic graphs, and
+        # unreachable parts (vertices listed but not reached from the start);
+        # first an edge naming a listed id by an equal one (1.0 for 1), which
+        # a search keys by the edge that found it
+        yield es.explicit_graph("a", [(0, "a", 1.0), (1, "a", 0)], roots=[0], vertices=[0, 1])
+        for i in range(count):
+            g = random_det_scc_graph(rng)
+            yield with_dangling_tail(rng, g) if i % 2 else g
+            yield random_nfa(rng)
+            yield random_inverse_closed_graph(rng, keep_reverse=0.5)
+
+    @staticmethod
+    def outcome(g, x, N, budget=es.graphs.DEFAULT_BUDGET):
+        try:
+            return es.graphs.search(g, x, N, budget)
+        except es.ExpansionBudgetExceeded as exc:
+            return str(exc)
+
+    def test_matches_the_bfs_search(self, kernel_calls):
+        rng = random.Random(16)
+        for g in self.cases(rng):
+            lazy = es.LabelledGraph(g.alphabet, g.expand, g.roots)
+            for x in dict.fromkeys([g.roots[0], rng.choice(g.vertex_list)]):
+                for N in (0, 1, 2, 5, None):
+                    kernel_calls.clear()
+                    g.reaches.clear()  # a shallower search may hold the whole one
+                    got, want = es.graphs.search(g, x, N), es.graphs.search(lazy, x, N)
+                    assert kernel_calls == [g.arrays.index[x]]
+                    assert got.vertices == want.vertices and got.edges == want.edges
+                    assert list(map(type, got.vertices)) == list(map(type, want.vertices))
+                    assert got.state is None and want.state is None
+                    for column in self.COLUMNS:
+                        assert np.array_equal(getattr(got, column), getattr(want, column))
+
+    def test_budget_overflow_matches_the_bfs_search(self):
+        rng = random.Random(17)
+        raised = 0
+        for g in self.cases(rng, 20):
+            x = g.roots[0]
+            for budget in range(len(g.vertex_list) + 1):
+                for N in (2, None):
+                    lazy = es.LabelledGraph(g.alphabet, g.expand, g.roots)
+                    got, want = self.outcome(g, x, N, budget), self.outcome(lazy, x, N, budget)
+                    if isinstance(want, str):
+                        raised += 1
+                        assert got == want
+                    else:
+                        assert got.vertices == want.vertices and got.edges == want.edges
+        assert raised > 100
 
 
 class TestForwardDistance:
@@ -318,6 +391,37 @@ class TestJsonInterface:
         assert doc.graph.vertex_list == ("v",)
         assert len(doc.graph.out_edges("v")) == 2
 
+    def test_document_loads_as_its_triples(self):
+        # ids whose canonical forms order differently from their values, two
+        # pairs that tie on it (10 and "10", 9 and "9"), and a shuffled alphabet
+        rng = random.Random(16)
+        pool = [9, 10, "10", "x", -3, 100, "9", "b", (1, 2)]
+        for i in range(60):
+            g = random_nfa(rng) if i % 2 else random_inverse_closed_graph(rng)
+            ids = dict(zip(g.vertex_list, rng.sample(pool[:-1], len(g.vertex_list))))
+            triples = [[ids[e.source], e.label, ids[e.target]]
+                       for v in g.vertex_list for e in g.out_edges(v)]
+            rng.shuffle(triples)
+            alphabet, vertices = rng.sample(g.alphabet, len(g.alphabet)), list(ids.values())
+            doc = {"alphabet": alphabet, "vertices": vertices, "edges": triples,
+                   "roots": vertices[:1]}
+            loaded = es.parse_graph_document(doc).graph
+            built = es.explicit_graph(alphabet, map(tuple, triples), vertices[:1],
+                                      vertices=vertices)
+            for v in vertices:
+                want = sorted((Edge(*t) for t in triples if t[0] == v),
+                              key=es.graphs.edge_sort_key)
+                assert loaded.out_edges(v) == built.out_edges(v) == tuple(want)
+            arrays = loaded.arrays
+            assert arrays.edges == [e for v in vertices for e in loaded.out_edges(v)]
+            assert arrays.label.tolist() == [alphabet.index(e.label) for e in arrays.edges]
+            assert arrays.target.tolist() == [vertices.index(e.target) for e in arrays.edges]
+        # without a vertex list the ids come from the edges and roots
+        edges = [(pool[-1], "a", 10), (10, "a", "10"), ("10", "b", 9)]
+        g = es.explicit_graph("ab", edges, roots=["x"])
+        assert g.vertex_list == tuple(sorted([(1, 2), 10, "10", 9, "x"], key=es.vertex_key))
+        assert g.out_edges("x") == () and g.out_edges(10) == (Edge(10, "a", "10"),)
+
     def test_unknown_vertex_rejected(self):
         bad = dict(self.DOC, edges=[["v", "a", "w"]])
         with pytest.raises(es.GraphFormatError):
@@ -350,6 +454,11 @@ class TestJsonInterface:
     def test_unhashable_vertex_id_rejected(self, field, value):
         with pytest.raises(es.GraphFormatError, match="vertex id"):
             es.parse_graph_document(dict(self.DOC, **{field: value}))
+
+    def test_other_unhashable_id_keeps_its_type_error(self):
+        # only JSON's unhashable values (lists, objects) get a document message
+        with pytest.raises(TypeError, match="unhashable"):
+            es.explicit_graph(["a"], [({"v"}, "a", "w")], roots=["w"])
 
     @pytest.mark.parametrize("forbidden", [7, "ab", ["aa", 3], {"aa": 1}])
     def test_forbidden_not_a_list_of_strings_rejected(self, forbidden):
