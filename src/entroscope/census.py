@@ -28,7 +28,6 @@ import numpy as np
 from . import linalg
 from .factors import FactorAutomaton, ForbiddenSet
 from .graphs import (
-    DEFAULT_BUDGET,
     Edge,
     LabelledGraph,
     Reach,
@@ -95,7 +94,6 @@ def count_words(
     y: Vertex,
     N: int,
     forbidden: Optional[ForbiddenSet] = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> WordCensus:
     """Exact word counts per length up to N.
 
@@ -107,30 +105,30 @@ def count_words(
     automaton states are already pruned.
     """
     if not g.declared.complete:
-        reach, _ = _reach(g, x, y, N, forbidden, budget)
+        reach, _ = _reach(g, x, y, N, forbidden)
         violations = check_deterministic(reach.source, reach.label)
         if violations:
             raise NondeterministicWindow(
                 [(reach.state_at(s), g.alphabet[a]) for s, a in violations])
-    counts = path_counts(g, x, y, N, forbidden=forbidden, budget=budget)
+    counts = path_counts(g, x, y, N, forbidden=forbidden)
     return WordCensus(x=x, y=y, counts=tuple(counts), forbidden=forbidden)
 
 
-def _reach(g, x, y, N, forbidden, budget):
+def _reach(g, x, y, N, forbidden):
     """The census search (``graphs.search``; with F, the product search
     derived from it, memoized on g under F) and the indices of its states
     over y."""
-    reach = search(g, x, N, budget)
+    reach = search(g, x, N)
     if forbidden is not None:
-        key = (x, N, forbidden, budget)
+        key = (x, N, forbidden, g.budget)
         if key not in g.reaches:
-            g.reaches[key] = _product_reach(g, reach, N, forbidden, budget)
+            g.reaches[key] = _product_reach(g, reach, N, forbidden)
         reach = g.reaches[key]
     at_y = [i for i, v in enumerate(reach.vertices) if v == y]
     return reach, np.flatnonzero(np.isin(reach.vertex, at_y))
 
 
-def _product_reach(g, plain: Reach, N, forbidden, budget) -> Reach:
+def _product_reach(g, plain: Reach, N, forbidden) -> Reach:
     """The product graph's breadth-first search from (x, start): the
     ``graphs.layered_search`` of the plain search's edges over keys vertex
     index * m + automaton state, in the base edge order (the lazy product's
@@ -142,7 +140,7 @@ def _product_reach(g, plain: Reach, N, forbidden, budget) -> Reach:
     step[np.isin(step, list(automaton.dead))] = -1
     first_edge = np.searchsorted(plain.source, np.arange(len(plain.vertices) + 1))
     keys, _, src, e, target, _ = layered_search(
-        first_edge, plain.label, plain.target, automaton.start, N, budget,
+        first_edge, plain.label, plain.target, automaton.start, N, g.budget,
         (plain.vertices[0], automaton.start), m, step)
     vertex, state = np.divmod(keys, m)
     return Reach(plain.vertices, plain.edges, plain.distance, vertex, state, src,
@@ -155,7 +153,6 @@ def path_counts(
     y: Vertex,
     N: int,
     forbidden: Optional[ForbiddenSet] = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> list[int]:
     """Exact number of length-n paths from x to y, for n = 0..N; with a
     forbidden set, of those avoiding it (paths of the product graph).
@@ -166,7 +163,7 @@ def path_counts(
     of A, and reduced every L products (below).  No count exceeds the total
     mass Delta^n < M: the Chinese remainder theorem recovers each exactly.
     """
-    reach, at_y = _reach(g, x, y, N, forbidden, budget)
+    reach, at_y = _reach(g, x, y, N, forbidden)
     n = len(reach.vertex)
     AT = linalg.adjacency(n, reach.target, reach.source).astype(np.int64)
     # scipy's int64 product wraps silently: residues (< 2**31) grow at most d-fold per
@@ -193,14 +190,14 @@ def path_counts(
 
 def path_weights(
     g: LabelledGraph, x: Vertex, y: Vertex, N: int, weight: Callable[[Edge], float],
-    forbidden: Optional[ForbiddenSet] = None, budget: int = DEFAULT_BUDGET,
+    forbidden: Optional[ForbiddenSet] = None,
 ) -> list[float]:
     """Summed weight of the length-n paths from x to y, for n = 0..N, a path
     weighing the product of its edges' ``weight`` (of their base edges on the
     product graph, each weighed once): float64 sparse matrix powers on
     ``path_counts``'s states.
     """
-    reach, at_y = _reach(g, x, y, N, forbidden, budget)
+    reach, at_y = _reach(g, x, y, N, forbidden)
     w = np.array([weight(e) for e in reach.edges], dtype=float)
     AT = linalg.adjacency(len(reach.vertex), reach.target, reach.source, w[reach.base])
     v = np.zeros(len(reach.vertex))
@@ -233,7 +230,7 @@ def entropy_from_counts(census: WordCensus, tail: int = 20) -> EntropyEstimate:
     )
 
 
-def spectral_entropy_finite(g: LabelledGraph, budget: int = DEFAULT_BUDGET) -> EntropyEstimate:
+def spectral_entropy_finite(g: LabelledGraph) -> EntropyEstimate:
     """log of the spectral radius of the edge-count adjacency matrix of the
     part of the graph reachable from the first root.
 
@@ -242,7 +239,7 @@ def spectral_entropy_finite(g: LabelledGraph, budget: int = DEFAULT_BUDGET) -> E
     components (``linalg.spectral_radius``).  An acyclic part has radius 0
     and gives the -inf sentinel of a finite language.
     """
-    w = full_window(g, budget=budget)
+    w = full_window(g)
     collisions = check_deterministic(w.source, w.label)
     if collisions:
         vertices = list(w.distances)

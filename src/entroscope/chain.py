@@ -35,7 +35,6 @@ from .census import (
 )
 from .factors import ForbiddenSet, avoiding, base_edge, estimate_denseness_constant
 from .graphs import (
-    DEFAULT_BUDGET,
     Edge,
     ExpansionBudgetExceeded,
     LabelledGraph,
@@ -133,10 +132,9 @@ def initial_distribution(
     return StepDistribution({start: 1}, forbidden, graph)
 
 
-def step(
-    chain: WeightedChain, dist: StepDistribution, budget: int = DEFAULT_BUDGET
-) -> StepDistribution:
-    """One transition-matrix multiplication over lazily expanded edges."""
+def step(chain: WeightedChain, dist: StepDistribution) -> StepDistribution:
+    """One transition-matrix multiplication over lazily expanded edges; a
+    frontier of more than the graph's budget states raises."""
     weight = chain.weight
     if dist.forbidden is not None:
         weight = lambda e: chain.weight(base_edge(e))
@@ -144,8 +142,9 @@ def step(
     for v, m in dist.mass.items():
         for e in dist.graph.out_edges(v):
             mass[e.target] = mass.get(e.target, 0) + m * weight(e)
-    if len(mass) > budget:
-        raise ExpansionBudgetExceeded(f"step frontier exceeded --budget {budget} states")
+    if len(mass) > dist.graph.budget:
+        raise ExpansionBudgetExceeded(
+            f"step frontier exceeded --budget {dist.graph.budget} states")
     return StepDistribution(mass, dist.forbidden, dist.graph)
 
 
@@ -154,12 +153,11 @@ def n_step_vector(
     x: Vertex,
     n: int,
     forbidden: Optional[ForbiddenSet] = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> StepDistribution:
     """The exact distribution after n steps from x, one ``step`` at a time."""
     dist = initial_distribution(chain, x, forbidden)
     for _ in range(n):
-        dist = step(chain, dist, budget=budget)
+        dist = step(chain, dist)
     return dist
 
 
@@ -169,7 +167,6 @@ def probability_table(
     y: Vertex,
     N: int,
     forbidden: Optional[ForbiddenSet] = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> list:
     """p^(n)(x, y) (or the F-restricted variant) for n = 0..N.
 
@@ -178,8 +175,8 @@ def probability_table(
     float64 weighted path sum of ``census.path_weights``.
     """
     if not chain.uniform:
-        return path_weights(chain.graph, x, y, N, chain.weight, forbidden=forbidden, budget=budget)
-    counts = path_counts(chain.graph, x, y, N, forbidden=forbidden, budget=budget)
+        return path_weights(chain.graph, x, y, N, chain.weight, forbidden=forbidden)
+    counts = path_counts(chain.graph, x, y, N, forbidden=forbidden)
     sigma = len(chain.graph.alphabet)
     return [Fraction(c, sigma**n) for n, c in enumerate(counts)]
 
@@ -203,7 +200,6 @@ def rho_estimate(
     N: int,
     forbidden: Optional[ForbiddenSet] = None,
     tail: int = 20,
-    budget: int = DEFAULT_BUDGET,
 ) -> RhoEstimate:
     """Periodicity-aware decay-rate estimate of the n-step probabilities.
 
@@ -213,7 +209,7 @@ def rho_estimate(
     """
     if N < MIN_DEPTH:
         raise InsufficientData(f"a decay-rate fit needs N >= {MIN_DEPTH}, got N = {N}")
-    table = probability_table(chain, x, y, N, forbidden=forbidden, budget=budget)
+    table = probability_table(chain, x, y, N, forbidden=forbidden)
     fit = fit_log_growth(table, tail=tail)
     if fit.finite:
         flag = "finite_support" if any(table) else "all_zero"
@@ -255,7 +251,6 @@ def harmonic_vector(
     radius: int,
     tol: float = 1e-8,
     scheme: str = "reflecting",
-    budget: int = DEFAULT_BUDGET,
 ) -> HarmonicVector:
     """Leading eigenpair of the window-truncated transition matrix.
 
@@ -269,7 +264,7 @@ def harmonic_vector(
         raise ValueError("radius must be >= 2")
     if scheme not in ("reflecting", "absorbing"):
         raise ValueError(f"unknown truncation scheme {scheme!r}")
-    ball = forward_ball(chain.graph, center, radius, budget=budget)
+    ball = forward_ball(chain.graph, center, radius)
     verts = list(ball.distances)
     weight = _float_weight(chain)
     matrix = ball.adjacency(weight)
@@ -481,7 +476,6 @@ def k_step_restricted_rowsum_check(
     D: int,
     k: int,
     w: Window,
-    budget: int = DEFAULT_BUDGET,
     alpha=None,
 ) -> RowSumCheck:
     """Empirical check that restricted k-step row sums drop below 1 - alpha^k.
@@ -503,7 +497,7 @@ def k_step_restricted_rowsum_check(
     rows = {}
     violations = []
     for x in w.distances:
-        total = n_step_vector(chain, x, k, forbidden=forbidden, budget=budget).total()
+        total = n_step_vector(chain, x, k, forbidden=forbidden).total()
         rows[x] = total
         if total > threshold + slack:
             violations.append((x, total))
@@ -535,17 +529,16 @@ def transform_identity_check(
     conn_k: Optional[int] = None,
     threshold: float = 0.05,
     tail: int = 20,
-    budget: int = DEFAULT_BUDGET,
     restricted: Optional[RhoEstimate] = None,
 ) -> TransformIdentityReport:
     """Compare the decay rates of the transformed and original restricted
     chains; ``restricted`` is the original's estimate when the caller
     already has it (same x, y, N, tail)."""
     transformed = h_transform(chain, hv, conn_k=conn_k)
-    lhs = rho_estimate(transformed, x, y, N, forbidden=forbidden, tail=tail, budget=budget)
+    lhs = rho_estimate(transformed, x, y, N, forbidden=forbidden, tail=tail)
     rhs = restricted
     if rhs is None:
-        rhs = rho_estimate(chain, x, y, N, forbidden=forbidden, tail=tail, budget=budget)
+        rhs = rho_estimate(chain, x, y, N, forbidden=forbidden, tail=tail)
     difference = abs(lhs.value - rhs.value / hv.rho_hat)
     return TransformIdentityReport(
         lhs=lhs.value,
@@ -578,7 +571,6 @@ def resolve_certificate(
     g: LabelledGraph,
     forbidden: ForbiddenSet,
     cert_inputs: Optional[CertificateInputs] = None,
-    budget: int = DEFAULT_BUDGET,
 ):
     """Assemble a GapCertificate for the graph.
 
@@ -605,7 +597,7 @@ def resolve_certificate(
     rho = g.declared.rho if inputs.rho is None else inputs.rho
     scope = "global"
     if g.is_finite:
-        w = full_window(g, budget=budget)
+        w = full_window(g)
         cap, option = (inputs.D_max, "--d-max") if inputs.D is None else (inputs.D, "--D")
         dense = estimate_denseness_constant(forbidden, w, cap)
         if dense is None:
@@ -616,7 +608,7 @@ def resolve_certificate(
             return None, None, None, warnings
         D = dense.D if inputs.D is None else inputs.D
         if conn_k is None:
-            conn_k = uniform_connectedness_constant(g, w, K_max=len(w.vertices), budget=budget)
+            conn_k = uniform_connectedness_constant(g, w, K_max=len(w.vertices))
         if conn_k is None:
             warnings.append(
                 "window is not uniformly connected (some edge has no short return"
@@ -648,7 +640,7 @@ def resolve_certificate(
     stochastic = (
         abs(rho - 1.0) <= 1e-12
         and abs(alpha - 1.0 / sigma) <= 1e-12
-        and (g.declared.complete or not check_fully_deterministic(g, w))
+        and (g.declared.complete or not check_fully_deterministic(w))
     )
     try:
         certificate = certified_gap_bound(
@@ -691,19 +683,16 @@ def entropy_gap_report(
     N: int,
     tail: int = 20,
     cert_inputs: Optional[CertificateInputs] = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> GapReport:
     """Theorem-level analysis: measure h and h^F from counts and attach a
     certified entropy-gap bound when alpha, D, R, conn_k and rho can be
     declared, measured, or (finite graphs) computed exactly.
     """
-    plain = count_words(g, x, y, N, budget=budget)
-    restricted = count_words(g, x, y, N, forbidden=forbidden, budget=budget)
+    plain = count_words(g, x, y, N)
+    restricted = count_words(g, x, y, N, forbidden=forbidden)
     h = entropy_from_counts(plain, tail=tail)
     h_f = entropy_from_counts(restricted, tail=tail)
-    certificate, scope, D_used, warnings = resolve_certificate(
-        g, forbidden, cert_inputs=cert_inputs, budget=budget
-    )
+    certificate, scope, D_used, warnings = resolve_certificate(g, forbidden, cert_inputs)
     report = GapReport(
         h=h, h_forbidden=h_f, gap=h.value - h_f.value, census=plain,
         census_forbidden=restricted, certificate=certificate,

@@ -86,15 +86,34 @@ def _emit(report: dict, config: dict, csv_rows=None, csv_header=None) -> None:
             writer.writerows(csv_rows)
 
 
+def _budget(args) -> int:
+    """The per-search vertex budget: --budget, else ENTROSCOPE_BUDGET, else
+    the default; anything but an integer >= 1 is a configuration error."""
+    option, value = "--budget", args.budget
+    if value is None:
+        option = "ENTROSCOPE_BUDGET"
+        value = os.environ.get(option, graphs.DEFAULT_BUDGET)
+    try:
+        budget = int(value)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise graphs.GraphFormatError(f"{option} must be an integer >= 1, got {value!r}")
+    return budget
+
+
 def _load_graph(args) -> tuple[graphs.LabelledGraph, tuple[str, ...]]:
-    """Graph plus any forbidden words carried by the source document."""
+    """Graph, under the budget, plus any forbidden words carried by the
+    source document."""
     if getattr(args, "graph", None):
         doc = graphs.load_graph_json(args.graph)
-        return doc.graph, doc.forbidden
-    if getattr(args, "family", None):
-        spec = schreier.builtin_family(args.family)
-        return schreier.schreier_graph(spec), ()
-    raise graphs.GraphFormatError("a graph source is required: --graph FILE or --family NAME")
+        g, words = doc.graph, doc.forbidden
+    elif getattr(args, "family", None):
+        g, words = schreier.schreier_graph(schreier.builtin_family(args.family)), ()
+    else:
+        raise graphs.GraphFormatError("a graph source is required: --graph FILE or --family NAME")
+    g.budget = _budget(args)
+    return g, words
 
 
 def _parse_vertex(text: str):
@@ -171,7 +190,8 @@ def _cert_inputs(args) -> chain.CertificateInputs:
 def _config(args, **resolved) -> dict:
     """The echoed config: the subcommand's parsed options, each replaced by
     its ``resolved`` value if it has one (canonical vertex ids, parsed
-    forbidden words)."""
+    forbidden words, the budget)."""
+    resolved["budget"] = _budget(args)
     return {k: resolved.get(k, v) for k, v in vars(args).items() if k != "handler"}
 
 
@@ -199,16 +219,14 @@ def _csv_rows(column, column_f=None):
 
 def cmd_count(args) -> int:
     g, x, y, forbidden, config = _setup(args)
-    plain = census.count_words(g, x, y, args.depth, budget=args.budget)
+    plain = census.count_words(g, x, y, args.depth)
     results = {
         "counts": list(plain.counts),
         "entropy": _estimate_dict(census.entropy_from_counts(plain, tail=args.tail)),
     }
     restricted = None
     if forbidden is not None:
-        restricted = census.count_words(
-            g, x, y, args.depth, forbidden=forbidden, budget=args.budget
-        )
+        restricted = census.count_words(g, x, y, args.depth, forbidden=forbidden)
         results["counts_forbidden"] = list(restricted.counts)
         results["entropy_forbidden"] = _estimate_dict(
             census.entropy_from_counts(restricted, tail=args.tail)
@@ -243,8 +261,7 @@ def cmd_analyze(args) -> int:
     if forbidden is None:
         raise graphs.GraphFormatError(f"{args.command} requires forbidden words (--forbid)")
     report = chain.entropy_gap_report(
-        g, x, y, forbidden, args.depth,
-        tail=args.tail, cert_inputs=_cert_inputs(args), budget=args.budget,
+        g, x, y, forbidden, args.depth, tail=args.tail, cert_inputs=_cert_inputs(args)
     )
     results = _gap_results(g, report)
     if args.command == "schreier":
@@ -278,15 +295,14 @@ def cmd_bound(args) -> int:
     )
     window_check = None
     if args.graph:
-        doc = graphs.load_graph_json(args.graph)
-        g = doc.graph
+        g, _ = _load_graph(args)
         forbidden = factors.ForbiddenSet.from_strings(args.forbid, g.alphabet)
-        w = graphs.full_window(g, budget=args.budget)
+        w = graphs.full_window(g)
         # rows of the uniform chain against the alpha the certificate claims,
         # read exactly as the decimal it prints as
         check = chain.k_step_restricted_rowsum_check(
             chain.uniform_weights(g), forbidden, D=args.D, k=cert.k, w=w,
-            budget=args.budget, alpha=Fraction(str(cert.alpha)),
+            alpha=Fraction(str(cert.alpha)),
         )
         window_check = {
             "ok": check.ok,
@@ -314,7 +330,7 @@ def cmd_rho(args) -> int:
         raise graphs.GraphFormatError(f"--hv-tol must be > 0, got {args.hv_tol}")
     ch = chain.uniform_weights(g)
     warnings: list[str] = []
-    est = chain.rho_estimate(ch, x, y, args.depth, tail=args.tail, budget=args.budget)
+    est = chain.rho_estimate(ch, x, y, args.depth, tail=args.tail)
     dictionary = census.EntropyEstimate(
         value=chain.entropy_from_rho(est.value, len(g.alphabet)),
         method="rho-dictionary",
@@ -330,9 +346,7 @@ def cmd_rho(args) -> int:
     }
     table_f = None
     if forbidden is not None:
-        est_f = chain.rho_estimate(
-            ch, x, y, args.depth, forbidden=forbidden, tail=args.tail, budget=args.budget
-        )
+        est_f = chain.rho_estimate(ch, x, y, args.depth, forbidden=forbidden, tail=args.tail)
         table_f = [float(p) for p in est_f.table]
         results["rho_forbidden"] = _num(est_f.value)
         results["period_forbidden"] = est_f.period
@@ -343,13 +357,11 @@ def cmd_rho(args) -> int:
         # the transformed DP needs h wherever mass can reach within N steps
         radius = args.hv_radius if args.hv_radius is not None else args.depth + 2
         tol = args.hv_tol if args.hv_tol is not None else (1e-8 if g.is_finite else 1e-3)
-        hv = chain.harmonic_vector(
-            ch, x, radius, tol=tol, scheme=args.hv_scheme, budget=args.budget
-        )
+        hv = chain.harmonic_vector(ch, x, radius, tol=tol, scheme=args.hv_scheme)
         identity = chain.transform_identity_check(
             ch, hv, forbidden, x, y, args.depth,
             conn_k=args.conn_K, threshold=args.identity_threshold,
-            tail=args.tail, budget=args.budget, restricted=est_f,
+            tail=args.tail, restricted=est_f,
         )
         results["harmonic"] = {
             "rho_hat": _num(hv.rho_hat),
@@ -374,8 +386,7 @@ def cmd_rho(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int,
-                   default=int(os.environ.get("ENTROSCOPE_BUDGET", graphs.DEFAULT_BUDGET)),
-                   help="expansion budget in vertices per ball (env ENTROSCOPE_BUDGET)")
+                   help="expansion budget in vertices per search (env ENTROSCOPE_BUDGET)")
     p.add_argument("--out", help="also write the JSON report to this file")
 
 

@@ -158,7 +158,8 @@ def product_graph(
     Edges stepping into a dead automaton state are pruned, so path counting
     on the product directly counts F-avoiding paths.  ``roots`` defaults to
     the base roots paired with the start state.  The product declares
-    nothing: it is not complete even when the base graph is.
+    nothing: it is not complete even when the base graph is.  It keeps the
+    base graph's search budget.
     """
     if set(automaton.alphabet) != set(g.alphabet):
         raise ForbiddenWordError("graph and factor automaton use different alphabets")
@@ -180,6 +181,7 @@ def product_graph(
         expand=expand,
         roots=[(r, start) for r in roots],
         name=f"{g.name}/avoiding" if g.name else "product",
+        budget=g.budget,
     )
 
 

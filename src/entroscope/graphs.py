@@ -3,7 +3,8 @@
 A graph is an alphabet, a vertex-expansion function and a nonempty list of
 root vertices.  Infinite graphs never enumerate their vertex set: every
 algorithm in this package works on finite memoized searches (``search``)
-and the forward balls ("windows") read off them, under a vertex budget.
+and the forward balls ("windows") read off them, each under the graph's
+vertex budget.
 
 Structural predicates (determinism, uniform connectedness) are checked on
 windows and their results are certificates about the window only, never
@@ -94,11 +95,14 @@ class LabelledGraph:
     set.  ``out_edges`` memoizes, validates and sorts the result (by label,
     then canonical target form, built only where labels tie) so all
     downstream traversals and counts are reproducible regardless of
-    evaluation order.  ``reaches`` memoizes searches from a start vertex as
-    index arrays (``Reach``), keyed by (start, N, forbidden set, budget):
-    the plain ones (``search``, forbidden set None) behind censuses and
-    windows, and the census's product searches derived from them.  A finite
-    graph's ``search`` walks its ``arrays`` instead of ``out_edges``.
+    evaluation order.  ``budget`` caps the vertices one search may find;
+    every search of the graph reads it (set ``g.budget = n`` to change it).
+    ``reaches`` memoizes searches from a start vertex as index arrays
+    (``Reach``): the plain ones (``search``, forbidden set None) behind
+    censuses and windows, and the census's product searches derived from
+    them, keyed by (start, N, forbidden set, budget) so that a search made
+    under another budget is never reused.  A finite graph's ``search``
+    walks its ``arrays`` instead of ``out_edges``.
     """
 
     def __init__(
@@ -110,6 +114,7 @@ class LabelledGraph:
         vertex_list: Optional[Iterable[Vertex]] = None,
         declared: Optional[Declared] = None,
         arrays: Optional[EdgeArrays] = None,
+        budget: int = DEFAULT_BUDGET,
     ):
         self.alphabet = tuple(alphabet)
         if not self.alphabet:
@@ -124,6 +129,7 @@ class LabelledGraph:
         self.vertex_list = tuple(vertex_list) if vertex_list is not None else None
         self.declared = declared or Declared()
         self.arrays = arrays
+        self.budget = budget
         self._alpha_set = frozenset(self.alphabet)
         self._cache: dict = {}
         self.reaches: dict = {}
@@ -220,15 +226,14 @@ def bfs(
     x: Vertex,
     radius: Optional[int] = None,
     stop: Optional[Callable[[Vertex], Any]] = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> dict:
     """Breadth-first search from ``x``: the distance of each vertex found.
 
     Explores at most ``radius`` layers (the whole reachable part when None)
     and stops after the first layer holding a vertex on which ``stop``
     returns a true value; ``stop`` is called on every discovered vertex.
-    Raises ExpansionBudgetExceeded once more than ``budget`` vertices have
-    been discovered.
+    Raises ExpansionBudgetExceeded once more than ``g.budget`` vertices
+    have been discovered.
     """
     distances = {x: 0}
     frontier = [x]
@@ -242,8 +247,8 @@ def bfs(
                 if e.target not in distances:
                     distances[e.target] = d
                     nxt.append(e.target)
-                    if len(distances) > budget:
-                        raise budget_exceeded(x, budget)
+                    if len(distances) > g.budget:
+                        raise budget_exceeded(x, g.budget)
                     if stop is not None and stop(e.target):
                         found = True
         frontier = nxt
@@ -255,9 +260,7 @@ def budget_exceeded(x: Vertex, budget: int) -> ExpansionBudgetExceeded:
         f"search from vertex {vertex_key(x)!r} found more than {budget} vertices (--budget)")
 
 
-def search(
-    g: LabelledGraph, x: Vertex, N: Optional[int] = None, budget: int = DEFAULT_BUDGET
-) -> Reach:
+def search(g: LabelledGraph, x: Vertex, N: Optional[int] = None) -> Reach:
     """The search from ``x`` to depth N (the whole reachable part when None)
     as a ``Reach``, memoized on ``g.reaches``: ``layered_search`` over a
     finite graph's ``arrays``, else ``bfs``.  Its discovery order is
@@ -266,17 +269,17 @@ def search(
     every edge and is also memoized as the whole search (N = None)."""
     if N is not None and N < 0:
         raise ValueError("N must be >= 0")
-    key = (x, N, None, budget)
+    key = (x, N, None, g.budget)
     if key not in g.reaches:
         arrays = g.arrays
         if arrays is not None and x in arrays.index:
             _, distance, source, e, target, via = layered_search(
-                arrays.offsets, arrays.label, arrays.target, arrays.index[x], N, budget, x)
+                arrays.offsets, arrays.label, arrays.target, arrays.index[x], N, g.budget, x)
             # each vertex as the target of the edge that found it, as bfs keys it
             vertices = [x] + [arrays.edges[i].target for i in via.tolist()]
             edges, label = [arrays.edges[i] for i in e.tolist()], arrays.label[e]
         else:
-            distances = bfs(g, x, N, budget=budget)
+            distances = bfs(g, x, N)
             index = {v: i for i, v in enumerate(distances)}
             labels = {a: i for i, a in enumerate(g.alphabet)}
             # d != N: every vertex when N is None, else those within N - 1
@@ -287,7 +290,7 @@ def search(
         r = g.reaches[key] = Reach(vertices, edges, distance, np.arange(len(vertices)), None,
                                    source, label, target, np.arange(len(edges)))
         if N is not None and r.distance[-1] < N:
-            g.reaches.setdefault((x, None, None, budget), r)
+            g.reaches.setdefault((x, None, None, g.budget), r)
     return g.reaches[key]
 
 
@@ -331,21 +334,19 @@ def layered_search(offsets, label, target, start: int, N: Optional[int], budget:
             src, e, number[key], np.concatenate(via))
 
 
-def forward_ball(
-    g: LabelledGraph, x: Vertex, radius: Optional[int], budget: int = DEFAULT_BUDGET
-) -> Window:
+def forward_ball(g: LabelledGraph, x: Vertex, radius: Optional[int]) -> Window:
     """The forward ball of the given radius around ``x`` (the whole
     reachable part when radius is None), read off ``search`` to depth
     radius + 1: its edges are exactly those out of the ball, so the budget
     counts the boundary's targets too.
 
-    Raises ExpansionBudgetExceeded once more than ``budget`` vertices have
-    been discovered, signalling that the ball is too large for desk-scale
-    inspection.
+    Raises ExpansionBudgetExceeded once more than ``g.budget`` vertices
+    have been discovered, signalling that the ball is too large for
+    desk-scale inspection.
     """
     if radius is not None and radius < 0:
         raise ValueError("radius must be >= 0")
-    reach = search(g, x, None if radius is None else radius + 1, budget)
+    reach = search(g, x, None if radius is None else radius + 1)
     n = len(reach.vertices) if radius is None else int(np.sum(reach.distance <= radius))
     order = np.argsort(reach.target >= n, kind="stable")  # inside edges first
     edges, k = [reach.edges[i] for i in order.tolist()], int(np.sum(reach.target < n))
@@ -356,13 +357,13 @@ def forward_ball(
                   g.alphabet)
 
 
-def full_window(g: LabelledGraph, budget: int = DEFAULT_BUDGET) -> Window:
+def full_window(g: LabelledGraph) -> Window:
     """The whole part of the graph reachable from the first root.
 
     Only terminates for graphs whose reachable part is finite; the budget
     guards against accidentally calling this on an infinite family.
     """
-    return forward_ball(g, g.roots[0], None, budget)
+    return forward_ball(g, g.roots[0], None)
 
 
 def check_deterministic(source: np.ndarray, label: np.ndarray) -> list[tuple[int, int]]:
@@ -376,26 +377,21 @@ def check_deterministic(source: np.ndarray, label: np.ndarray) -> list[tuple[int
     return list(zip(source[shared].tolist(), label[shared].tolist()))
 
 
-def check_fully_deterministic(
-    g: LabelledGraph, w: Window
-) -> list[tuple[Vertex, tuple[str, ...]]]:
-    """(vertex, missing labels) for window vertices with out-degree < |alphabet|.
+def check_fully_deterministic(w: Window) -> list[tuple[Vertex, tuple[str, ...]]]:
+    """(vertex, missing labels) for window vertices with out-degree < |alphabet|,
+    read off the ``source`` and ``label`` columns, which hold every out-edge
+    of every window vertex (edges and boundary).
 
     Assumes the window already passed check_deterministic; an empty result
     means every window vertex has exactly one out-edge per symbol.
     """
-    missing = []
-    for v in w.distances:
-        present = {e.label for e in g.out_edges(v)}
-        gap = tuple(a for a in g.alphabet if a not in present)
-        if gap:
-            missing.append((v, gap))
-    return missing
+    present = np.zeros((len(w.distances), len(w.alphabet)), dtype=bool)
+    present[w.source, w.label] = True
+    return [(v, tuple(a for a, p in zip(w.alphabet, row) if not p))
+            for v, row in zip(w.distances, present.tolist()) if not all(row)]
 
 
-def uniform_connectedness_constant(
-    g: LabelledGraph, w: Window, K_max: int, budget: int = DEFAULT_BUDGET
-) -> Optional[int]:
+def uniform_connectedness_constant(g: LabelledGraph, w: Window, K_max: int) -> Optional[int]:
     """Smallest K <= K_max certifying uniform connectedness on the window,
     or None: the largest return distance d(e.target, e.source) over its
     edges, at least 1.  One array pass finds loops (the empty path returns)
@@ -411,8 +407,7 @@ def uniform_connectedness_constant(
     for target, wanted in sources.items():
         pending = set(wanted)
         # discard returns None, so the search stops once nothing is pending
-        distances = bfs(g, target, K_max, stop=lambda v: pending.discard(v) or not pending,
-                        budget=budget)
+        distances = bfs(g, target, K_max, stop=lambda v: pending.discard(v) or not pending)
         if pending:
             return None
         worst = max(worst, *(distances[v] for v in wanted))

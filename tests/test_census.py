@@ -164,9 +164,11 @@ class TestPathCounts:
     def test_product_search_respects_budget(self, b2):
         # the base ball has one vertex, the product three states
         F = es.ForbiddenSet.from_strings(["aaa"], b2.alphabet)
-        assert es.count_words(b2, "v", "v", 5, budget=3, forbidden=F).counts[5] == 24
+        b2.budget = 3
+        assert es.count_words(b2, "v", "v", 5, forbidden=F).counts[5] == 24
+        b2.budget = 2
         with pytest.raises(es.ExpansionBudgetExceeded):
-            es.count_words(b2, "v", "v", 5, budget=2, forbidden=F)
+            es.count_words(b2, "v", "v", 5, forbidden=F)
 
     def test_memoized_reach_keeps_its_budget(self, grid_z2):
         # the radius-8 product ball holds more than 20 states
@@ -174,12 +176,12 @@ class TestPathCounts:
         origin = (0, 0)
         counts = es.census.path_counts(grid_z2, origin, origin, 8, forbidden=F)
         assert counts == dict_census(grid_z2, origin, origin, 8, F.words)
+        grid_z2.budget = 20
         with pytest.raises(es.ExpansionBudgetExceeded):
-            es.census.path_counts(grid_z2, origin, origin, 8, forbidden=F, budget=20)
+            es.census.path_counts(grid_z2, origin, origin, 8, forbidden=F)
         with pytest.raises(es.ExpansionBudgetExceeded):
-            es.census.path_weights(
-                grid_z2, origin, origin, 8, lambda e: 0.25, forbidden=F, budget=20
-            )
+            es.census.path_weights(grid_z2, origin, origin, 8, lambda e: 0.25, forbidden=F)
+        grid_z2.budget = es.DEFAULT_BUDGET
         assert es.census.path_counts(grid_z2, origin, origin, 8, forbidden=F) == counts
 
     def test_reach_memo_lives_on_the_graph(self):
@@ -249,7 +251,7 @@ class TestArrayReach:
 
     def test_sweep_matches_the_lazy_product_search(self):
         for g, x, y, N, F in _reach_cases():
-            reach, _ = es.census._reach(g, x, y, N, F, es.DEFAULT_BUDGET)
+            reach, _ = es.census._reach(g, x, y, N, F)
             states, edges = lazy_reach(g, x, N, F)
             assert [reach.state_at(i) for i in range(len(reach.vertex))] == states
             assert [

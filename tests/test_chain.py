@@ -90,6 +90,15 @@ class TestStepDistributions:
         table = es.probability_table(ch, "v", "v", 2, forbidden=F_of(["aa"], b2.alphabet))
         assert table[2] == Fraction(3, 4)
 
+    def test_product_frontier_keeps_the_budget(self, b2):
+        # avoiding aaa, the product's second step reaches all three states
+        b2.budget = 2
+        F = F_of(["aaa"], b2.alphabet)
+        assert es.factors.avoiding(b2, "v", F)[0].budget == 2
+        assert len(es.n_step_vector(es.uniform_weights(b2), "v", 1, forbidden=F).mass) == 2
+        with pytest.raises(es.ExpansionBudgetExceeded, match="--budget 2 states"):
+            es.n_step_vector(es.uniform_weights(b2), "v", 2, forbidden=F)
+
     def test_line_return_probability(self, line_z):
         ch = es.uniform_weights(line_z)
         assert es.probability_table(ch, 0, 0, 2)[2] == Fraction(1, 2)

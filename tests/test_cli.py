@@ -508,6 +508,36 @@ class TestRho:
         assert "--forbid" in report["error"]["message"]
 
 
+class TestBudgetReachesEveryStage:
+    """The budget set on the graph bounds the searches after the census too."""
+
+    def test_harmonic_window(self, capsys):
+        # the radius-30 window is read off the depth-31 search: 1,985 vertices
+        argv = ["rho", "--family", "grid_Z2", "--depth", "10", "--forbid", "rr",
+                "--transform-check", "--conn-K", "1", "--hv-radius", "30"]
+        code, report = run(capsys, *argv, "--budget", "1984")
+        assert code == 3
+        assert report["error"]["message"] == (
+            "search from vertex '(0,0)' found more than 1984 vertices (--budget)")
+        assert run(capsys, *argv, "--budget", "1985")[0] == 0
+
+    def test_certificate_window(self, capsys, tmp_path):
+        # a 900-vertex ring, a forward and b back: the depth-3 census finds 7
+        # vertices, the certificate's full window all 900
+        n = 900
+        doc = {"alphabet": ["a", "b"], "vertices": list(range(n)), "roots": [0],
+               "edges": [[i, "a", (i + 1) % n] for i in range(n)]
+               + [[(i + 1) % n, "b", i] for i in range(n)]}
+        argv = ["analyze", "--graph", write_doc(tmp_path, "ring.json", doc),
+                "--depth", "3", "--forbid", "ab"]
+        code, report = run(capsys, *argv, "--budget", "899")
+        assert code == 3
+        assert report["error"]["message"] == (
+            "search from vertex '0' found more than 899 vertices (--budget)")
+        code, report = run(capsys, *argv, "--budget", "900")
+        assert code == 0 and report["results"]["certificate"] is not None
+
+
 class TestSchreierCommand:
     def test_line_certified(self, capsys):
         code, report = run(
@@ -564,12 +594,39 @@ class TestErrorPaths:
         assert code == 3
         assert report["error"]["type"] == "budget-exceeded"
 
-    def test_env_budget(self, capsys, monkeypatch):
+    def test_env_budget(self, capsys, b2_path, monkeypatch):
         monkeypatch.setenv("ENTROSCOPE_BUDGET", "50")
         code, report = run(
             capsys, "schreier", "--family", "grid_Z2", "--forbid", "uu", "--depth", "40"
         )
         assert code == 3
+        # the config echo shows the budget the variable set, with or without a graph
+        for argv in (["count", "--graph", b2_path, "--depth", "3"],
+                     ["bound", "--alpha", "0.5", "--D", "0", "--R", "2", "--stochastic"]):
+            code, report = run(capsys, *argv)
+            assert code == 0 and report["config"]["budget"] == 50
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    @pytest.mark.parametrize("argv", [
+        ["count", "--graph", "B2", "--depth", "3"],
+        ["bound", "--alpha", "0.5", "--D", "0", "--R", "2", "--stochastic"],
+    ], ids=lambda argv: argv[0])
+    def test_budget_below_one_names_the_option(self, capsys, b2_path, argv, budget):
+        # a search never counts its start vertex, so such a budget would pass it
+        argv = [b2_path if a == "B2" else a for a in argv]
+        code, report = run(capsys, *argv, "--budget", budget)
+        assert code == 2
+        assert "--budget" in report["error"]["message"]
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0"])
+    def test_bad_env_budget_names_the_variable(self, capsys, b2_path, monkeypatch, value):
+        monkeypatch.setenv("ENTROSCOPE_BUDGET", value)
+        code, report = run(capsys, "count", "--graph", b2_path, "--depth", "3")
+        assert code == 2
+        assert "ENTROSCOPE_BUDGET" in report["error"]["message"]
+        # --budget wins, and the variable is not read
+        code, report = run(capsys, "count", "--graph", b2_path, "--depth", "3", "--budget", "5")
+        assert code == 0 and report["config"]["budget"] == 5
 
     def test_missing_graph_source(self, capsys):
         code, report = run(capsys, "count", "--depth", "5")

@@ -60,8 +60,9 @@ class TestForwardBall:
         assert len(w.vertices) == 5
 
     def test_budget(self, grid_z2):
+        grid_z2.budget = 100
         with pytest.raises(es.ExpansionBudgetExceeded):
-            es.forward_ball(grid_z2, (0, 0), 40, budget=100)
+            es.forward_ball(grid_z2, (0, 0), 40)
 
     def test_boundary_edges_flagged(self, line_z):
         w = es.forward_ball(line_z, 0, 2)
@@ -150,9 +151,11 @@ class TestWindowSearch:
     @pytest.mark.parametrize("r", range(5))
     def test_budget_counts_the_boundary_targets(self, line_z, r):
         # the ball holds 2r + 1 vertices, its search to r + 1 finds 2r + 3
+        line_z.budget = 2 * r + 2
         with pytest.raises(es.ExpansionBudgetExceeded):
-            es.forward_ball(line_z, 0, r, budget=2 * r + 2)
-        assert len(es.forward_ball(line_z, 0, r, budget=2 * r + 3).vertices) == 2 * r + 1
+            es.forward_ball(line_z, 0, r)
+        line_z.budget = 2 * r + 3
+        assert len(es.forward_ball(line_z, 0, r).vertices) == 2 * r + 1
 
 
 class TestArraySearch:
@@ -177,9 +180,9 @@ class TestArraySearch:
             yield random_inverse_closed_graph(rng, keep_reverse=0.5)
 
     @staticmethod
-    def outcome(g, x, N, budget=es.graphs.DEFAULT_BUDGET):
+    def outcome(g, x, N):
         try:
-            return es.graphs.search(g, x, N, budget)
+            return es.graphs.search(g, x, N)
         except es.ExpansionBudgetExceeded as exc:
             return str(exc)
 
@@ -207,7 +210,8 @@ class TestArraySearch:
             for budget in range(len(g.vertex_list) + 1):
                 for N in (2, None):
                     lazy = es.LabelledGraph(g.alphabet, g.expand, g.roots)
-                    got, want = self.outcome(g, x, N, budget), self.outcome(lazy, x, N, budget)
+                    g.budget = lazy.budget = budget
+                    got, want = self.outcome(g, x, N), self.outcome(lazy, x, N)
                     if isinstance(want, str):
                         raised += 1
                         assert got == want
@@ -257,12 +261,29 @@ class TestDeterminism:
     def test_fully_deterministic(self, b2, line_z):
         for g, c in [(b2, "v"), (line_z, 0)]:
             w = es.forward_ball(g, c, 3)
-            assert es.check_fully_deterministic(g, w) == []
+            assert es.check_fully_deterministic(w) == []
 
     def test_missing_label_listed(self):
         g = es.explicit_graph(["a", "b"], [("v", "a", "v")], roots=["v"])
         w = es.forward_ball(g, "v", 2)
-        assert es.check_fully_deterministic(g, w) == [("v", ("b",))]
+        assert es.check_fully_deterministic(w) == [("v", ("b",))]
+
+    def test_missing_labels_match_the_out_edges_pass(self, grid_z2):
+        rng = random.Random(6)
+        graphs = [random_nfa(rng) for _ in range(20)]
+        graphs += [with_dangling_tail(rng, random_det_scc_graph(rng)) for _ in range(20)]
+        missing = 0
+        for g in graphs + [grid_z2]:
+            for r in (0, 1, 2, None if g.is_finite else 3):
+                w = es.forward_ball(g, g.roots[0], r)
+                want = []
+                for v in w.distances:
+                    present = {e.label for e in g.out_edges(v)}
+                    gap = tuple(a for a in g.alphabet if a not in present)
+                    want += [(v, gap)] if gap else []
+                assert es.check_fully_deterministic(w) == want
+                missing += bool(want)
+        assert missing >= 20
 
     def test_index_pairs_match_the_reference(self):
         rng = random.Random(5)

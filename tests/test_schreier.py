@@ -50,7 +50,7 @@ class TestBuiltinFamilies:
         g = schreier_graph(builtin_family(family))
         w = es.forward_ball(g, g.roots[0], 3)
         assert es.check_deterministic(w.source, w.label) == []
-        assert es.check_fully_deterministic(g, w) == []
+        assert es.check_fully_deterministic(w) == []
         assert g.declared.complete
 
     @pytest.mark.parametrize("family", ["line_Z", "grid_Z2", "free2_mod_cyclic"])
