@@ -7,18 +7,17 @@ log of the spectral radius of the edge-count matrix of their reachable
 part.
 
 Counts are exact integers (c_n can reach |alphabet|^n): int64 matrix
-powers reduced modulo word-size primes only as often as overflow demands,
-joined by the Chinese remainder theorem.  Weighted path sums run on the
-same states as float64 matrix powers.  Both read a memoized search held as
-index arrays (``graphs.Reach``): the plain one (``graphs.search``, which
-windows read too), and with forbidden words the product search derived
-from it here by the same layered numpy search (``graphs.layered_search``)
-over (vertex, automaton state).
+powers modulo pairwise coprime moduli just below 2**51, reduced only as
+often as overflow demands, joined by the Chinese remainder theorem.
+Weighted path sums run on the same states as float64 matrix powers.  Both
+read a memoized search held as index arrays (``graphs.Reach``): the plain
+one (``graphs.search``, which windows read too), and with forbidden words
+the product search derived from it here by the same layered numpy search
+(``graphs.layered_search``) over (vertex, automaton state).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -49,19 +48,24 @@ class NondeterministicWindow(RuntimeError):
 
 
 class CountRangeError(ValueError):
-    """A state has 2**32 or more incoming edges, so a sparse product of
-    residues modulo a prime below 2**31 could overflow int64."""
+    """A state has 2**32 or more incoming edges, so the census moduli would
+    have to fall below 2**31 to keep a sparse product within int64."""
 
 
-@functools.cache
-def _primes(k: int) -> tuple[int, ...]:
-    """The k largest primes below 2**31, by trial division up to 46,341."""
-    found = _primes(k - 1) if k > 1 else ()
-    c = found[-1] - 2 if found else 2**31 - 1
-    divisors = np.arange(3, 46342, 2)
-    while not (c % divisors).all():
-        c -= 2
-    return found + (c,)
+def _moduli(d: int, states: int, bound: int) -> tuple[int, list[int]]:
+    """(L, moduli): pairwise coprime moduli below 2**b, greedily from the
+    top, whose product exceeds ``bound``, and a reduction every L products.
+    With in-degree d, d**L * 2**b <= 2**63 and ``states`` * 2**b <= 2**63
+    keep L products and a sum over ``states`` rows exact in int64."""
+    c = max((d - 1).bit_length(), 1)
+    h = max(12, c, (states - 1).bit_length())  # b = 51 for in-degrees up to 4,096
+    moduli, product, m = [], 1, 2 ** (63 - h)
+    while product <= bound:
+        m -= 1
+        if math.gcd(m, product) == 1:
+            moduli.append(m)
+            product *= m
+    return h // c, moduli
 
 
 @dataclass(frozen=True)
@@ -158,34 +162,32 @@ def path_counts(
     forbidden set, of those avoiding it (paths of the product graph).
 
     The counts are entries of the powers of the edge-count matrix A of the
-    states within distance N of the start, taken modulo the fewest primes
-    below 2**31 whose product M exceeds Delta^N, Delta the largest row sum
-    of A, and reduced every L products (below).  No count exceeds the total
-    mass Delta^n < M: the Chinese remainder theorem recovers each exactly.
+    states within distance N of the start, taken modulo ``_moduli``'s
+    coprime moduli, whose product M exceeds Delta^N (Delta the largest row
+    sum of A), and reduced every L products; the y rows are reduced once,
+    after the last.  No count exceeds the total mass Delta^n < M: the
+    Chinese remainder theorem recovers each exactly.
     """
     reach, at_y = _reach(g, x, y, N, forbidden)
     n = len(reach.vertex)
     AT = linalg.adjacency(n, reach.target, reach.source).astype(np.int64)
-    # scipy's int64 product wraps silently: residues (< 2**31) grow at most d-fold per
-    # product, d the largest in-degree, so reducing every L products (d**L <= 2**32) suffices
+    # scipy's int64 product wraps silently: _moduli's L and b keep every entry exact
     d = int(AT.sum(axis=1).max())
     if d >= 2**32:
         raise CountRangeError("a state has 2**32 or more incoming edges")
-    L = 32 // (d - 1).bit_length() if d > 1 else N
-    bound = max(int(AT.sum(axis=0).max()), 1) ** N
-    primes = _primes(1)
-    while math.prod(primes) <= bound:
-        primes = _primes(len(primes) + 1)
-    modulus = np.array(primes, dtype=np.int64)
-    X = np.zeros((n, len(primes)), dtype=np.int64)
+    L, moduli = _moduli(d, len(at_y), max(int(AT.sum(axis=0).max()), 1) ** N)
+    modulus = np.array(moduli, dtype=np.int64)
+    X = np.zeros((n, len(moduli)), dtype=np.int64)
     X[0] = 1  # the start state, discovered first
-    residues = [X[at_y].sum(axis=0)]
+    rows = np.empty((N + 1, len(at_y), len(moduli)), dtype=np.int64)
+    rows[0] = X[at_y]
     for j in range(1, N + 1):
         X = AT @ X if j % L else (AT @ X) % modulus
-        residues.append((X[at_y] % modulus).sum(axis=0))
-    M = math.prod(primes)
-    basis = [M // p * pow(M // p, -1, p) for p in primes]
-    return [sum(a * b for a, b in zip(r, basis)) % M for r in np.array(residues).tolist()]
+        rows[j] = X[at_y]
+    M = math.prod(moduli)
+    basis = [M // p * pow(M // p, -1, p) for p in moduli]
+    return [sum(a * b for a, b in zip(r, basis)) % M
+            for r in (rows % modulus).sum(axis=1).tolist()]
 
 
 def path_weights(

@@ -113,6 +113,7 @@ class StepDistribution:
     mass: dict
     forbidden: Optional[ForbiddenSet] = None
     graph: LabelledGraph = None  # graph the DP steps on (base or product)
+    origin: Vertex = None        # x, named by a budget error
 
     def by_vertex(self) -> dict:
         out: dict = {}
@@ -129,7 +130,7 @@ def initial_distribution(
     chain: WeightedChain, x: Vertex, forbidden: Optional[ForbiddenSet] = None
 ) -> StepDistribution:
     graph, start = avoiding(chain.graph, x, forbidden)
-    return StepDistribution({start: 1}, forbidden, graph)
+    return StepDistribution({start: 1}, forbidden, graph, x)
 
 
 def step(chain: WeightedChain, dist: StepDistribution) -> StepDistribution:
@@ -144,8 +145,9 @@ def step(chain: WeightedChain, dist: StepDistribution) -> StepDistribution:
             mass[e.target] = mass.get(e.target, 0) + m * weight(e)
     if len(mass) > dist.graph.budget:
         raise ExpansionBudgetExceeded(
-            f"step frontier exceeded --budget {dist.graph.budget} states")
-    return StepDistribution(mass, dist.forbidden, dist.graph)
+            f"step frontier from vertex {vertex_key(dist.origin)!r} exceeded"
+            f" --budget {dist.graph.budget} states")
+    return StepDistribution(mass, dist.forbidden, dist.graph, dist.origin)
 
 
 def n_step_vector(

@@ -235,6 +235,8 @@ def bfs(
     Raises ExpansionBudgetExceeded once more than ``g.budget`` vertices
     have been discovered.
     """
+    if g.budget < 1:
+        raise budget_exceeded(x, g.budget)
     distances = {x: 0}
     frontier = [x]
     d = 0
@@ -305,6 +307,8 @@ def layered_search(offsets, label, target, start: int, N: Optional[int], budget:
     source's number, column index and target's number, and per key after
     ``start`` the edge that found it; over ``budget`` keys raise from
     ``origin``."""
+    if budget < 1:
+        raise budget_exceeded(origin, budget)
     number = np.full((len(offsets) - 1) * m, -1)
     number[start] = 0
     empty = np.zeros(0, np.int64)

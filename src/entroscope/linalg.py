@@ -1,18 +1,19 @@
 """Nonnegative-matrix spectral helpers, on scipy sparse matrices.
 
-Power iteration on A + I makes periodic cases (cycles) converge, and the
-Collatz-Wielandt quotients min_i (Bx)_i/x_i <= lambda <= max_i (Bx)_i/x_i
-give a certified bracket around the Perron root of the shifted matrix at
-every step; ``perron_root`` takes the bracket's upper end, an upper bound
-on the root whether or not the bracket has closed.  Reducible matrices
-(product graphs, windows with unreachable parts) go through their
-strongly connected components, which two searches rule out first: the
-spectral radius is the largest Perron root of a component.  ``steps_to`` is
-the one multi-source search over a nonnegative matrix's entries.
+The Collatz-Wielandt quotients min_i (Bx)_i/x_i <= lambda <= max_i (Bx)_i/x_i
+of B = A + I bracket its Perron root for any positive x, and ``perron_root``
+takes the upper end, an upper bound on the root whether or not the bracket
+has closed.  x comes from power iteration (the shift makes cycles converge)
+or, where that would take long, from restarted Arnoldi (Saad 2011, ch. 6).
+Reducible matrices (product graphs, windows with unreachable parts) go
+through their strongly connected components, which two searches rule out
+first: the spectral radius is the largest Perron root of a component.
+``steps_to`` is the one multi-source search over a nonnegative matrix.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,11 @@ from scipy import sparse
 
 
 TOL = 1e-12          # relative width at which a Perron bracket counts as closed
-MAX_ITER = 10**5     # power-iteration steps before the open bracket is returned
+MAX_ITER = 10**5     # products before the open bracket is returned
+WARMUP = 8           # power steps over which the bracket's shrinking rate is read
+SLOW = 64            # further power steps that would call for an Arnoldi restart
+KRYLOV = 16          # Arnoldi steps (products) per restart
+RESTARTS = 8         # restarts before power iteration runs alone
 
 
 @dataclass
@@ -50,26 +55,56 @@ def strong_components(A) -> tuple[int, np.ndarray]:
 
 def perron_root(A) -> PerronResult:
     """Leading eigenvalue and positive eigenvector of an irreducible
-    nonnegative matrix (ndarray or scipy sparse), by power iteration on A + I.
+    nonnegative matrix (ndarray or scipy sparse), by power iteration on
+    B = A + I, with Arnoldi restarts where that is slow (``_arnoldi_restart``).
 
-    Stops once the Collatz-Wielandt bracket [lo, hi] of A + I has closed,
-    hi - lo <= TOL * hi, or after MAX_ITER steps (where reducible inputs
-    end) with the bracket still open.  ``value`` is the upper end, which
-    bounds the root from above either way.
+    Stops once the Collatz-Wielandt bracket [lo, hi] of B has closed,
+    hi - lo <= TOL * hi, or after MAX_ITER products with B (where reducible
+    inputs end; ``iterations`` counts them) with the bracket still open.
+    ``value`` is the upper end, which bounds the root from above either way.
     """
     n = A.shape[0]
     if n == 0:
         raise ValueError("empty matrix")
     B = sparse.csr_matrix(A) + sparse.identity(n, format="csr")
-    x = np.ones(n)
-    for it in range(1, MAX_ITER + 1):
+    x, widths, it, restarts = np.ones(n), deque(maxlen=WARMUP + 1), 0, 0
+    while True:
         y = B @ x
+        it += 1
         quot = y / x
         lo, hi = float(quot.min()), float(quot.max())
-        x = y / y.max()
-        if hi - lo <= TOL * hi:
+        widths.append(hi - lo)
+        if hi - lo <= TOL * hi or it >= MAX_ITER:
             break
-    return PerronResult(value=hi - 1.0, vector=x, iterations=it, bracket=(lo - 1.0, hi - 1.0))
+        ritz = None
+        # restart where, shrinking as over its last WARMUP steps, the bracket needs over SLOW more
+        if restarts < RESTARTS and (restarts or it > WARMUP and (hi - lo) * (
+                widths[-1] / widths[0]) ** (SLOW / WARMUP) > TOL * hi):
+            ritz, products = _arnoldi_restart(B, x, y)
+            it += products
+            restarts = restarts + 1 if ritz is not None else RESTARTS
+        x = y / y.max() if ritz is None else ritz
+    return PerronResult(hi - 1.0, y / y.max(), it, (lo - 1.0, hi - 1.0))
+
+
+def _arnoldi_restart(B, x, y):
+    """The Ritz vector of the largest real Ritz value after KRYLOV Arnoldi
+    steps of B from x (y = B @ x), scaled to maximum 1, or None unless it is
+    positive; and the number of products taken beyond y."""
+    V, H = np.empty((KRYLOV + 1, len(x))), np.zeros((KRYLOV + 1, KRYLOV))
+    V[0] = x / np.linalg.norm(x)
+    for j in range(KRYLOV):
+        w = B @ V[j] if j else y / np.linalg.norm(x)
+        H[:j + 1, j] = h = V[:j + 1] @ w  # one classical Gram-Schmidt pass
+        w = w - h @ V[:j + 1]
+        H[j + 1, j] = np.linalg.norm(w)
+        if H[j + 1, j] <= TOL * H[0, 0]:  # x's Krylov space is invariant
+            break
+        V[j + 1] = w / H[j + 1, j]
+    values, vectors = np.linalg.eig(H[:j + 1, :j + 1])
+    u = vectors[:, np.argmax(np.where(values.imag == 0, values.real, -np.inf))].real @ V[:j + 1]
+    u /= u[np.argmax(np.abs(u))]
+    return (u if (u > 0).all() else None), j
 
 
 def steps_to(A, target, cap: int | None = None) -> np.ndarray:

@@ -66,7 +66,7 @@ def dict_census(g, x, y, N, forbidden=()) -> list[int]:
                 if any(read[len(read) - len(w):] == tuple(w) for w in forbidden
                        if len(w) <= len(read)):
                     continue
-                key = (e.target, read[len(read) - keep:])
+                key = (e.target, read[max(len(read) - keep, 0):])
                 nxt[key] = nxt.get(key, 0) + c
         frontier = nxt
     return counts

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -103,15 +104,67 @@ class TestCountWords:
 
 
 class TestPathCounts:
-    def test_full_shift_beyond_int64(self, b2):
-        # six primes below 2**31 multiply to less than 2**200
-        assert math.prod(es.census._primes(6)) <= 2**200
+    @pytest.fixture
+    def plans(self, monkeypatch):
+        """Every census's ((d, states, bound), (L, moduli)) from ``_moduli``,
+        checked on teardown: pairwise coprime moduli below 2**b whose product
+        exceeds the bound, with d**L * 2**b and states * 2**b within 2**63."""
+        plans, moduli = [], es.census._moduli
+        monkeypatch.setattr(es.census, "_moduli",
+                            lambda *args: plans.append((args, moduli(*args))) or plans[-1][1])
+        yield plans
+        assert plans
+        for (d, states, bound), (L, ms) in plans:
+            b = max(ms).bit_length()
+            assert all(math.gcd(p, q) == 1 for p, q in itertools.combinations(ms, 2))
+            assert d**L * 2**b <= 2**63 and states * 2**b <= 2**63
+            assert math.prod(ms) > bound
+
+    def test_full_shift_beyond_int64(self, b2, plans):
         counts = es.count_words(b2, "v", "v", 200).counts
         assert counts == tuple(2**n for n in range(201))
+        # 2**200 takes four 51-bit moduli, reduced every 12 products
+        assert plans[0][0] == (2, 1, 2**200)
+        L, moduli = plans[0][1]
+        assert L == 12 and len(moduli) == 4 and max(moduli) < 2**51
         F = es.ForbiddenSet.from_strings(["aa"], b2.alphabet)
         restricted = es.count_words(b2, "v", "v", 200, forbidden=F).counts
         assert restricted[200] > 2**64
         assert list(restricted) == dict_census(b2, "v", "v", 200, F.words)
+
+    def test_in_degree_nine_through_parallel_labels(self, plans):
+        # v sends all nine labels to w and w all nine back: every state has
+        # in-degree 9, so residues are reduced every 3 products
+        alphabet = "abcdefghi"
+        edges = [(s, a, t) for s, t in (("v", "w"), ("w", "v")) for a in alphabet]
+        g = es.explicit_graph(alphabet, edges, roots=["v"])
+        assert es.count_words(g, "v", "v", 40).counts == tuple(
+            9**n * (n % 2 == 0) for n in range(41))
+        assert plans[0][0][0] == 9 and plans[0][1][0] == 3
+        F = es.ForbiddenSet.from_strings(["ab", "ca", "iii"], alphabet)
+        for y in ("v", "w"):
+            counts = list(es.count_words(g, "v", y, 40, forbidden=F).counts)
+            assert counts == dict_census(g, "v", y, 40, F.words)
+            assert counts[:5] == brute_census(g, "v", y, 4, F.words)
+        assert counts[39] > 2**63
+
+    def test_many_automaton_states_over_y(self, b2, plans):
+        # twelve words of length 8 leave dozens of automaton states over v,
+        # each holding its own residues; the census sums them after the loop
+        rng = random.Random(3)
+        words = ["".join(rng.choice("ab") for _ in range(8)) for _ in range(12)]
+        F = es.ForbiddenSet.from_strings(words, b2.alphabet)
+        counts = es.census.path_counts(b2, "v", "v", 100, forbidden=F)
+        assert plans[-1][0][1] > 50
+        assert counts == dict_census(b2, "v", "v", 100, F.words)
+        assert counts[:13] == brute_census(b2, "v", "v", 12, F.words)
+        assert counts[100] > 2**63
+
+    def test_moduli_leave_room_for_the_sum_over_many_states(self):
+        # 2**20 states over y leave 43-bit moduli, reduced every 10 products at d = 4
+        L, moduli = es.census._moduli(4, 2**20, 4**100)
+        assert max(moduli) < 2**43 <= 2 * max(moduli) and L == 10
+        assert math.prod(moduli) > 4**100
 
     def test_two_labels_to_one_target(self):
         g = es.explicit_graph(
@@ -194,7 +247,7 @@ class TestPathCounts:
     @pytest.mark.parametrize("k", [3, 5])
     def test_lazy_reduction_at_odd_in_degree(self, k):
         # each vertex sends label i to vertex i: in-degree k, so residues are
-        # reduced every 16 (k = 3) or 10 (k = 5) products
+        # reduced every 6 (k = 3) or 4 (k = 5) products
         alphabet = "abcde"[:k]
         edges = [(v, a, i) for v in range(k) for i, a in enumerate(alphabet)]
         g = es.explicit_graph(alphabet, edges, roots=[0])

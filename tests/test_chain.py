@@ -96,7 +96,8 @@ class TestStepDistributions:
         F = F_of(["aaa"], b2.alphabet)
         assert es.factors.avoiding(b2, "v", F)[0].budget == 2
         assert len(es.n_step_vector(es.uniform_weights(b2), "v", 1, forbidden=F).mass) == 2
-        with pytest.raises(es.ExpansionBudgetExceeded, match="--budget 2 states"):
+        with pytest.raises(es.ExpansionBudgetExceeded,
+                           match="step frontier from vertex 'v' exceeded --budget 2 states"):
             es.n_step_vector(es.uniform_weights(b2), "v", 2, forbidden=F)
 
     def test_line_return_probability(self, line_z):

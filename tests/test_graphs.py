@@ -220,6 +220,24 @@ class TestArraySearch:
         assert raised > 100
 
 
+    def test_start_vertex_counts_against_the_budget(self, b2):
+        # a budget below 1 leaves no room for the start vertex: on the bfs
+        # path (constructor keyword), the array path (attribute) and the
+        # product search; a budget of 1 holds it
+        lazy = es.LabelledGraph(b2.alphabet, b2.expand, b2.roots, budget=0)
+        b2.budget = 0
+        for g in (lazy, b2):
+            with pytest.raises(es.ExpansionBudgetExceeded, match="from vertex 'v' found more"):
+                es.graphs.search(g, "v", 0)
+            g.budget = 1
+            assert es.graphs.search(g, "v", 0).vertices == ["v"]
+        with pytest.raises(es.ExpansionBudgetExceeded, match="from vertex 'v' found more"):
+            es.graphs.layered_search(np.array([0, 2]), np.array([0, 1]), np.array([0, 0]),
+                                     0, 0, 0, "v")
+        F = es.ForbiddenSet.from_strings(["aa"], b2.alphabet)
+        assert es.count_words(b2, "v", "v", 0, forbidden=F).counts == (1,)
+
+
 class TestForwardDistance:
     def test_line(self, line_z):
         assert es.graphs.bfs(line_z, 0, 10).get(3) == 3
