@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Soundness sweep of the certified gap bound over random finite automata.
+"""Soundness sweep of the certificates the program emits over random finite
+automata.
 
 Generates random deterministic strongly connected graphs, forbids a random
-readable word that is relatively dense within a small D, and compares the
-measured restricted spectral radius (dense eigensolve on the product
-graph) against the certificate.  Prints worst-case margins.
+readable word, takes the certificate ``resolve_certificate`` assembles for
+the pair (None counts as skipped), and compares the measured restricted
+spectral radius (dense eigensolve on the product graph) against its bound.
+Prints worst-case margins and exits 1 on any violation.
 """
 
 import argparse
 import random
+import sys
 
 import numpy as np
 
@@ -105,9 +108,8 @@ def main():
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
-    accepted = 0
-    skipped_undense = 0
-    skipped_degenerate = 0
+    inputs = es.CertificateInputs(D_max=args.d_max)
+    accepted = skipped = stochastic = 0
     worst_margin = float("inf")     # bound - rho_F
     smallest_gap = float("inf")     # rho - rho_F
     violations = 0
@@ -118,36 +120,27 @@ def main():
         if word is None:
             continue
         forbidden = es.ForbiddenSet((word,))
-        w = es.full_window(g)
-        dense = es.estimate_denseness_constant(forbidden, w, D_max=args.d_max)
-        if dense is None:
-            skipped_undense += 1
+        cert, _scope, _D, _warnings = es.resolve_certificate(g, forbidden, inputs)
+        if cert is None:
+            skipped += 1
             continue
-        alpha = 1.0 / len(g.alphabet)
-        rho = spectral(weighted_matrix(g, g.vertex_list))
-        if rho <= alpha + 1e-9:
-            skipped_degenerate += 1
-            continue
-        conn_k = es.graphs.uniform_connectedness_constant(g, w, K_max=len(w.vertices))
-        cert = es.certified_gap_bound(
-            alpha=alpha, D=dense.D, R=forbidden.max_length, conn_k=conn_k, rho=rho
-        )
         rho_f = product_rho(g, forbidden)
-        margin = cert.bound - rho_f
-        worst_margin = min(worst_margin, margin)
-        smallest_gap = min(smallest_gap, rho - rho_f)
+        worst_margin = min(worst_margin, cert.bound - rho_f)
+        smallest_gap = min(smallest_gap, cert.rho - rho_f)
         if rho_f > cert.bound + 1e-9:
             violations += 1
             print(f"VIOLATION: rho_F={rho_f:.12f} > bound={cert.bound:.12f} "
                   f"states={len(g.vertex_list)} word={''.join(word)}")
         accepted += 1
+        stochastic += cert.stochastic_path
 
-    print(f"checked {accepted} certified pairs "
-          f"(skipped: {skipped_undense} not dense, {skipped_degenerate} degenerate)")
+    print(f"checked {accepted} certified pairs, {stochastic} on the stochastic path "
+          f"(skipped: {skipped} without a certificate)")
     print(f"violations          : {violations}")
     print(f"worst bound margin  : {worst_margin:.6f} (bound - measured rho_F)")
     print(f"smallest strict gap : {smallest_gap:.6f} (rho - rho_F)")
+    return 1 if violations else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

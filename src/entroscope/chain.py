@@ -85,14 +85,14 @@ def uniform_weights(g: LabelledGraph) -> WeightedChain:
     """
     sigma = len(g.alphabet)
     p = Fraction(1, sigma)
-    chain = WeightedChain(graph=g, weight=lambda e: p, alpha=p, uniform=True)
     if g.is_finite:
-        for v in g.vertex_list:
-            if len(g.out_edges(v)) > sigma:
-                raise ChainError(
-                    f"vertex {vertex_key(v)} has out-degree {len(g.out_edges(v))} > |alphabet|"
-                )
-    return chain
+        degree = np.diff(g.arrays.offsets)
+        i = np.argmax(degree > sigma)   # the first overfull vertex, if any
+        if degree[i] > sigma:
+            raise ChainError(
+                f"vertex {vertex_key(g.vertex_list[i])} has out-degree {degree[i]} > |alphabet|"
+            )
+    return WeightedChain(graph=g, weight=lambda e: p, alpha=p, uniform=True)
 
 
 def _float_weight(chain: WeightedChain) -> Callable[[Edge], float]:
@@ -304,17 +304,14 @@ def harmonic_vector(
     )
 
 
-def h_transform(
-    chain: WeightedChain, hv: HarmonicVector, conn_k: Optional[int] = None
-) -> WeightedChain:
+def h_transform(chain: WeightedChain, hv: HarmonicVector) -> WeightedChain:
     """Reweight p^h(e) = p(e) h(e+) / (rho h(e-)) on the harmonic window.
 
     With an exact harmonic vector the result is stochastic; the new edge
     floor is alpha_bar = (alpha/rho)^(conn_k + 1), which requires the
-    uniform-connectedness constant.
+    graph's declared uniform-connectedness constant.
     """
-    if conn_k is None:
-        conn_k = chain.graph.declared.conn_k
+    conn_k = chain.graph.declared.conn_k
     if conn_k is None:
         raise ChainError(
             "h_transform requires a uniform-connectedness constant: the graph"
@@ -392,6 +389,7 @@ def certified_gap_bound(
     Set k = D + R.  General path: alpha_bar = (alpha/rho)^(conn_k+1),
     eps0' = alpha_bar^k, bound = rho * (1 - eps0')^(1/k).  Stochastic fast
     path (rows sum to 1 and rho = 1): no transform, eps0' = eps0 = alpha^k.
+    A given conn_k below 1 is refused on either path.
     """
     alpha = float(alpha)
     rho = float(rho)
@@ -404,18 +402,19 @@ def certified_gap_bound(
         rho = 1.0
     if not (0 < rho <= 1):
         raise ChainError(f"--rho must be in (0, 1], got {rho}")
+    if not stochastic and (conn_k is None or conn_k < 1):
+        raise ChainError(f"the general path requires --conn-K >= 1, got {conn_k}")
+    if conn_k is not None and conn_k < 1:
+        raise ChainError(f"--conn-K must be >= 1, got {conn_k}")
+    if stochastic and abs(rho - 1.0) > 1e-12:
+        raise ChainError(f"the stochastic fast path requires --rho 1, got {rho}")
+    if not stochastic and alpha > rho:
+        raise ChainError(f"--alpha {alpha} exceeds --rho {rho}; weights are inconsistent")
+    # the stochastic path is the general one without a transform
+    r, j = (1.0, 1) if stochastic else (rho, conn_k + 1)
     k = D + R
     eps0 = alpha**k
-    if stochastic:
-        if abs(rho - 1.0) > 1e-12:
-            raise ChainError(f"the stochastic fast path requires --rho 1, got {rho}")
-        alpha_bar = alpha
-    else:
-        if conn_k is None or conn_k < 1:
-            raise ChainError(f"the general path requires --conn-K >= 1, got {conn_k}")
-        if alpha > rho:
-            raise ChainError(f"--alpha {alpha} exceeds --rho {rho}; weights are inconsistent")
-        alpha_bar = (alpha / rho) ** (conn_k + 1)
+    alpha_bar = (alpha / r) ** j
     eps0_prime = alpha_bar**k
     if not (0 < eps0_prime < 1):
         raise DegenerateBound(
@@ -425,13 +424,13 @@ def certified_gap_bound(
     eps = -math.expm1(math.log1p(-eps0_prime) / k)
     bound = rho * (1.0 - eps)
     # round outward, by 1, 2, 4, ... ulps (when alpha_bar^k is near 1 the
-    # float formula can fall far short), until bound^k >= rho^k (1 - alpha_bar^k)
-    # holds exactly for the inputs' exact alpha_bar (alpha on the stochastic path)
+    # float formula can fall far short), until bound^k >= r^k (1 - alpha_bar^k)
+    # holds exactly for the inputs' exact alpha_bar = (alpha/r)^j
     # (no exact power when the float bound already equals rho: it degenerates)
     step = math.ulp(bound)
     if bound < rho:
-        r = Fraction(1 if stochastic else rho)
-        exact = r**k * (1 - (Fraction(alpha) / r) ** (k if stochastic else (conn_k + 1) * k))
+        r = Fraction(r)
+        exact = r**k * (1 - (Fraction(alpha) / r) ** (j * k))
         while bound < rho and Fraction(bound) ** k < exact:
             bound, step = bound + step, 2 * step
     if not bound < rho:
@@ -528,7 +527,6 @@ def transform_identity_check(
     x: Vertex,
     y: Vertex,
     N: int,
-    conn_k: Optional[int] = None,
     threshold: float = 0.05,
     tail: int = 20,
     restricted: Optional[RhoEstimate] = None,
@@ -536,7 +534,7 @@ def transform_identity_check(
     """Compare the decay rates of the transformed and original restricted
     chains; ``restricted`` is the original's estimate when the caller
     already has it (same x, y, N, tail)."""
-    transformed = h_transform(chain, hv, conn_k=conn_k)
+    transformed = h_transform(chain, hv)
     lhs = rho_estimate(transformed, x, y, N, forbidden=forbidden, tail=tail)
     rhs = restricted
     if rhs is None:
@@ -560,13 +558,12 @@ def entropy_from_rho(rho: float, sigma_size: int) -> float:
 
 @dataclass
 class CertificateInputs:
-    """User declarations and search limits for certificate resolution."""
+    """Certificate options that are not facts about the graph: the edge
+    floor, the denseness constant and the search limit for it."""
 
     alpha: Optional[float] = None
     D: Optional[int] = None
     D_max: int = 8
-    conn_k: Optional[int] = None
-    rho: Optional[float] = None
 
 
 def resolve_certificate(
@@ -576,11 +573,12 @@ def resolve_certificate(
 ):
     """Assemble a GapCertificate for the graph.
 
-    Each constant is the option in ``cert_inputs``, else the graph's
-    ``Declared`` value or structure, else computed exactly on a finite
-    graph (its part reachable from the root).  D is the option once the
-    finite graph confirms it, else the smallest D <= D_max found there.  A
-    complete infinite graph reads every word of F from every vertex, so
+    alpha is the option in ``cert_inputs``, else 1/|alphabet|.  conn_k and
+    rho are the graph's ``Declared`` values (where the CLI's --conn-K and
+    --rho put theirs), else computed exactly on a finite graph (its part
+    reachable from the root).  D is the option once the finite graph
+    confirms it, else the smallest D <= D_max found there.  A complete
+    infinite graph reads every word of F from every vertex, so
     D = 0 (or the option), and its uniform chain is stochastic.  An
     infinite graph gets no certificate when it is not complete or has no
     conn_k: nothing is measured on a finite part of it.  rho is never
@@ -595,8 +593,7 @@ def resolve_certificate(
     warnings: list[str] = []
     sigma = len(g.alphabet)
     alpha = inputs.alpha if inputs.alpha is not None else 1.0 / sigma
-    conn_k = g.declared.conn_k if inputs.conn_k is None else inputs.conn_k
-    rho = g.declared.rho if inputs.rho is None else inputs.rho
+    conn_k, rho = g.declared.conn_k, g.declared.rho
     scope = "global"
     if g.is_finite:
         w = full_window(g)

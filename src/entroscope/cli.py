@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Optional
@@ -169,24 +170,6 @@ def _forbidden_from(args, g: graphs.LabelledGraph, doc_words) -> Optional[factor
     return factors.ForbiddenSet.from_strings(words, g.alphabet)
 
 
-def _cert_inputs(args) -> chain.CertificateInputs:
-    for option, value, ok, rule in (
-        ("--D", args.D, lambda v: v >= 0, ">= 0"), ("--d-max", args.D_max, lambda v: v >= 0, ">= 0"),
-        ("--conn-K", args.conn_K, lambda v: v >= 1, ">= 1"),
-        ("--alpha", args.alpha, lambda v: 0 < v <= 1, "in (0, 1]"),
-        ("--rho", args.rho, lambda v: 0 < v <= 1, "in (0, 1]"),
-    ):
-        if value is not None and not ok(value):
-            raise graphs.GraphFormatError(f"{option} must be {rule}, got {value}")
-    return chain.CertificateInputs(
-        alpha=args.alpha,
-        D=args.D,
-        D_max=args.D_max,
-        conn_k=args.conn_K,
-        rho=args.rho,
-    )
-
-
 def _config(args, **resolved) -> dict:
     """The echoed config: the subcommand's parsed options, each replaced by
     its ``resolved`` value if it has one (canonical vertex ids, parsed
@@ -197,7 +180,8 @@ def _config(args, **resolved) -> dict:
 
 def _setup(args, min_depth: int = 0):
     """Graph, endpoints, forbidden set and echoed config of a subcommand
-    that reads a graph."""
+    that reads a graph, its options checked.  --conn-K and --rho replace
+    the graph's declaration, which every stage reads."""
     if args.depth < min_depth:
         raise graphs.GraphFormatError(f"--depth must be >= {min_depth}, got {args.depth}")
     if args.tail < 1:
@@ -209,6 +193,17 @@ def _setup(args, min_depth: int = 0):
         args, x=graphs.vertex_key(x), y=graphs.vertex_key(y),
         forbid=forbidden.as_strings() if forbidden else (),
     )
+    for option, name, ok, rule in (
+        ("--D", "D", lambda v: v >= 0, ">= 0"), ("--d-max", "D_max", lambda v: v >= 0, ">= 0"),
+        ("--conn-K", "conn_K", lambda v: v >= 1, ">= 1"),
+        ("--alpha", "alpha", lambda v: 0 < v <= 1, "in (0, 1]"),
+        ("--rho", "rho", lambda v: 0 < v <= 1, "in (0, 1]"),
+    ):
+        value = getattr(args, name, None)
+        if value is not None and not ok(value):
+            raise graphs.GraphFormatError(f"{option} must be {rule}, got {value}")
+    given = {"conn_k": getattr(args, "conn_K", None), "rho": getattr(args, "rho", None)}
+    g.declared = replace(g.declared, **{k: v for k, v in given.items() if v is not None})
     return g, x, y, forbidden, config
 
 
@@ -260,13 +255,16 @@ def cmd_analyze(args) -> int:
     g, x, y, forbidden, config = _setup(args)
     if forbidden is None:
         raise graphs.GraphFormatError(f"{args.command} requires forbidden words (--forbid)")
+    inputs = chain.CertificateInputs(alpha=args.alpha, D=args.D, D_max=args.D_max)
     report = chain.entropy_gap_report(
-        g, x, y, forbidden, args.depth, tail=args.tail, cert_inputs=_cert_inputs(args)
+        g, x, y, forbidden, args.depth, tail=args.tail, cert_inputs=inputs
     )
     results = _gap_results(g, report)
     if args.command == "schreier":
+        # the family's own declaration, not the one --conn-K and --rho replaced
+        declared = schreier.builtin_family(args.family).declared
         results["family"] = args.family
-        results["declared"] = {"conn_K": g.declared.conn_k, "rho": g.declared.rho}
+        results["declared"] = {"conn_K": declared.conn_k, "rho": declared.rho}
     out = _report(config, results, report.warnings)
     _emit(out, config, _csv_rows(report.census.counts, report.census_forbidden.counts),
           ("n", "c_n", "c_n_F"))
@@ -359,8 +357,7 @@ def cmd_rho(args) -> int:
         tol = args.hv_tol if args.hv_tol is not None else (1e-8 if g.is_finite else 1e-3)
         hv = chain.harmonic_vector(ch, x, radius, tol=tol, scheme=args.hv_scheme)
         identity = chain.transform_identity_check(
-            ch, hv, forbidden, x, y, args.depth,
-            conn_k=args.conn_K, threshold=args.identity_threshold,
+            ch, hv, forbidden, x, y, args.depth, threshold=args.identity_threshold,
             tail=args.tail, restricted=est_f,
         )
         results["harmonic"] = {

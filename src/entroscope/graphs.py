@@ -68,7 +68,9 @@ class Declared:
     chain on the graph.  ``complete``: every vertex has exactly one
     out-edge per symbol, so every word is read from every vertex (each
     forbidden set is relatively 0-dense) and the uniform chain is
-    stochastic.
+    stochastic.  Every stage reads the constants off ``g.declared``; to
+    assert one, replace it there (``dataclasses.replace(g.declared,
+    conn_k=2)``), as the CLI's --conn-K and --rho do.
     """
 
     conn_k: Optional[int] = None

@@ -222,6 +222,7 @@ def test_criterion_6_h_transform_identity():
             ["a", "b"],
             [("v1", "a", "v2"), ("v1", "b", "v1"), ("v2", "b", "v1")],
             roots=["v1"],
+            declared=es.Declared(conn_k=1),
         )
         rho = PHI / 2
         hv = es.HarmonicVector(
@@ -232,7 +233,7 @@ def test_criterion_6_h_transform_identity():
             radius=4,
         )
         ch = es.uniform_weights(golden)
-        transformed = es.h_transform(ch, hv, conn_k=1)
+        transformed = es.h_transform(ch, hv)
 
         for v in ("v1", "v2"):
             row = sum(transformed.weight(e) for e in golden.out_edges(v))

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -76,6 +77,17 @@ class TestUniformWeights:
             ["a"], [("x", "a", "y"), ("x", "a", "z")], roots=["x"]
         )
         with pytest.raises(ChainError):
+            es.uniform_weights(g)
+
+    def test_first_overfull_vertex_is_named(self):
+        # v lists first and is full; u is the first overfull vertex in vertex order
+        g = es.explicit_graph(
+            ["a", "b"],
+            [("v", "a", "u"), ("v", "b", "v"), ("u", "a", "u"), ("u", "a", "v"),
+             ("u", "b", "v"), ("w", "a", "w"), ("w", "a", "v"), ("w", "b", "u")],
+            roots=["v"], vertices=["v", "u", "w"],
+        )
+        with pytest.raises(ChainError, match=r"^vertex u has out-degree 3 > \|alphabet\|$"):
             es.uniform_weights(g)
 
 
@@ -208,7 +220,7 @@ class TestWeightedTables:
     def test_weights_leaving_the_domain_raise(self, line_z):
         # the table reads every edge out of the states within N - 1 steps
         hv = es.harmonic_vector(es.uniform_weights(line_z), 0, 3, tol=1e-3)
-        out = es.h_transform(es.uniform_weights(line_z), hv, conn_k=1)
+        out = es.h_transform(es.uniform_weights(line_z), hv)
         assert len(es.probability_table(out, 0, 0, 3)) == 4
         with pytest.raises(ChainError):
             es.probability_table(out, 0, 0, 4)
@@ -389,22 +401,23 @@ class TestSpectralRadius:
 
 class TestHTransform:
     def test_identity_when_harmonic_constant(self, b2):
+        b2.declared = replace(b2.declared, conn_k=1)
         ch = es.uniform_weights(b2)
         hv = es.harmonic_vector(ch, "v", 2)
-        out = es.h_transform(ch, hv, conn_k=1)
+        out = es.h_transform(ch, hv)
         for e in b2.out_edges("v"):
             assert out.weight(e) == pytest.approx(0.5, abs=1e-12)
 
     def test_golden_mean_rows_stochastic(self, golden_mean):
         ch = es.uniform_weights(golden_mean)
-        out = es.h_transform(ch, exact_golden_hv(), conn_k=1)
+        out = es.h_transform(ch, exact_golden_hv())
         for v in ("v1", "v2"):
             row = sum(out.weight(e) for e in golden_mean.out_edges(v))
             assert row == pytest.approx(1.0, abs=1e-12)
 
     def test_floor_preserved(self, golden_mean):
         ch = es.uniform_weights(golden_mean)
-        out = es.h_transform(ch, exact_golden_hv(), conn_k=1)
+        out = es.h_transform(ch, exact_golden_hv())
         expected_floor = (0.5 / (PHI / 2)) ** 2
         assert out.alpha == pytest.approx(expected_floor, abs=1e-12)
         for v in ("v1", "v2"):
@@ -414,7 +427,7 @@ class TestHTransform:
     def test_line_unchanged(self, line_z):
         ch = es.uniform_weights(line_z)
         hv = es.harmonic_vector(ch, 0, 12, tol=1e-6)
-        out = es.h_transform(ch, hv, conn_k=1)
+        out = es.h_transform(ch, hv)
         for e in line_z.out_edges(0):
             assert out.weight(e) == pytest.approx(0.5, abs=1e-9)
 
@@ -425,6 +438,7 @@ class TestHTransform:
         dfa = random_det_scc_graph(rng)
         while len(dfa.alphabet) != 3:
             dfa = random_det_scc_graph(rng)
+        dfa.declared = replace(dfa.declared, conn_k=1)
         F = F_of(["ru"], grid_z2.alphabet)
         for g, x, radius, forbidden in ((grid_z2, (0, 0), 14, F), (dfa, 0, 9, None)):
             ch = es.uniform_weights(g)
@@ -436,7 +450,7 @@ class TestHTransform:
                 hv_twin.values, hv_twin.rho_hat, hv_twin.residual
             )
             tables = [
-                es.probability_table(es.h_transform(c, hv, conn_k=1), x, x, 12, forbidden)
+                es.probability_table(es.h_transform(c, hv), x, x, 12, forbidden)
                 for c in (ch, twin)
             ]
             assert tables[0] == tables[1]
@@ -451,12 +465,12 @@ class TestHTransform:
         hv = exact_golden_hv()
         hv.residual = 1.0
         with pytest.raises(ChainError):
-            es.h_transform(es.uniform_weights(golden_mean), hv, conn_k=1)
+            es.h_transform(es.uniform_weights(golden_mean), hv)
 
     def test_edge_out_of_window(self, line_z):
         ch = es.uniform_weights(line_z)
         hv = es.harmonic_vector(ch, 0, 3, tol=1e-3)
-        out = es.h_transform(ch, hv, conn_k=1)
+        out = es.h_transform(ch, hv)
         far_edge = line_z.out_edges(3)[1]
         assert far_edge.target == 4
         with pytest.raises(ChainError):
@@ -528,6 +542,8 @@ class TestCertifiedGapBound:
         dict(alpha=0.5, D=0, R=2, rho=0.9, stochastic=True),
         dict(alpha=0.5, D=0, R=2, rho=0.9),              # conn_k missing
         dict(alpha=0.5, D=0, R=2, conn_k=1, rho=0.5),    # alpha == rho degenerates
+        dict(alpha=0.5, D=0, R=2, conn_k=0),
+        dict(alpha=0.5, D=0, R=2, conn_k=-4, stochastic=True),
     ])
     def test_parameter_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -577,18 +593,17 @@ class TestRowSumCheck:
 
 class TestTransformIdentity:
     def test_trivial_fixture(self, b2):
+        b2.declared = replace(b2.declared, conn_k=1)
         ch = es.uniform_weights(b2)
         hv = es.harmonic_vector(ch, "v", 2)
-        rep = es.transform_identity_check(
-            ch, hv, F_of(["aa"], b2.alphabet), "v", "v", 40, conn_k=1
-        )
+        rep = es.transform_identity_check(ch, hv, F_of(["aa"], b2.alphabet), "v", "v", 40)
         assert rep.difference < 1e-12
 
     def test_golden_mean_exact(self, golden_mean):
         ch = es.uniform_weights(golden_mean)
         rep = es.transform_identity_check(
             ch, exact_golden_hv(), F_of(["a"], golden_mean.alphabet),
-            "v1", "v1", 40, conn_k=1,
+            "v1", "v1", 40,
         )
         # lhs = 1/phi exactly; rhs = 1/2, rho = phi/2
         assert rep.lhs == pytest.approx(1 / PHI, abs=1e-9)
@@ -598,9 +613,7 @@ class TestTransformIdentity:
     def test_line_within_threshold(self, line_z):
         ch = es.uniform_weights(line_z)
         hv = es.harmonic_vector(ch, 0, 42, tol=1e-3)
-        rep = es.transform_identity_check(
-            ch, hv, F_of(["rr"], line_z.alphabet), 0, 0, 40, conn_k=1
-        )
+        rep = es.transform_identity_check(ch, hv, F_of(["rr"], line_z.alphabet), 0, 0, 40)
         assert rep.difference < 0.05
 
 
@@ -665,8 +678,9 @@ class TestResolveCertificateSweep:
 
 
 class TestResolveCertificateRules:
-    """Each constant: the option, else the declaration, else computed or
-    measured."""
+    """alpha and D: the option, else 1/|alphabet| and the measured D.
+    conn_k and rho: the graph's declaration (the CLI's --conn-K and --rho
+    replace it), else computed or measured."""
 
     @pytest.mark.parametrize("inputs, option", [
         (es.CertificateInputs(D=0), "--D"),
@@ -683,17 +697,16 @@ class TestResolveCertificateRules:
         F = F_of(["b"], golden_mean.alphabet)
         measured, _, D, _ = es.resolve_certificate(golden_mean, F)
         assert (measured.conn_k, D) == (1, 0)   # declared, measured
-        inputs = es.CertificateInputs(D=3, conn_k=2, rho=0.9)
+        golden_mean.declared = replace(golden_mean.declared, conn_k=2, rho=0.9)
+        inputs = es.CertificateInputs(D=3)
         cert, scope, D, _ = es.resolve_certificate(golden_mean, F, cert_inputs=inputs)
         assert (cert.D, D, cert.conn_k, cert.rho, scope) == (3, 3, 2, 0.9, "global")
 
     def test_incomplete_infinite_graph_gets_no_certificate(self):
         # one out-edge per vertex over two symbols: bb is read nowhere
-        ray = es.LabelledGraph(("a", "b"), lambda n: [es.Edge(n, "a", n + 1)], roots=[0])
-        inputs = es.CertificateInputs(conn_k=1, rho=1.0)
-        cert, scope, D, warnings = es.resolve_certificate(
-            ray, F_of(["bb"], ray.alphabet), cert_inputs=inputs
-        )
+        ray = es.LabelledGraph(("a", "b"), lambda n: [es.Edge(n, "a", n + 1)], roots=[0],
+                               declared=es.Declared(conn_k=1, rho=1.0))
+        cert, scope, D, warnings = es.resolve_certificate(ray, F_of(["bb"], ray.alphabet))
         assert (cert, scope, D) == (None, None, None)
         assert len(warnings) == 1 and "not declared complete" in warnings[0]
 
@@ -715,8 +728,8 @@ class TestResolveCertificateRules:
         cert, scope, D, warnings = es.resolve_certificate(g, F)
         assert (cert, scope, D) == (None, None, 0)
         assert len(warnings) == 1 and "--conn-K" in warnings[0]
-        inputs = es.CertificateInputs(conn_k=1)
-        cert, scope, D, warnings = es.resolve_certificate(g, F, cert_inputs=inputs)
+        g.declared = replace(g.declared, conn_k=1)
+        cert, scope, D, warnings = es.resolve_certificate(g, F)
         assert (cert.D, cert.conn_k, cert.rho, cert.stochastic_path) == (0, 1, 1.0, True)
         assert (scope, D, len(warnings)) == ("window", 0, 1)
 

@@ -419,6 +419,16 @@ class TestRho:
         assert identity["ok"]
         assert report["results"]["harmonic"]["rho_hat"] == pytest.approx(1.0)
 
+    def test_overfull_vertex_is_named(self, capsys, tmp_path):
+        path = write_doc(tmp_path, "overfull.json", {
+            "alphabet": ["a", "b"], "vertices": ["u", "v"], "roots": ["u"],
+            "edges": [["u", "a", "u"], ["u", "a", "v"], ["u", "b", "v"],
+                      ["v", "a", "u"], ["v", "b", "v"]],
+        })
+        code, report = run(capsys, "rho", "--graph", path, "--depth", "12")
+        assert code == 2
+        assert report["error"]["message"] == "vertex u has out-degree 3 > |alphabet|"
+
     def test_transform_check_without_conn_k_names_the_option(self, capsys, b2_path):
         code, report = run(
             capsys, "rho", "--graph", b2_path, "--depth", "15", "--forbid", "aa",
@@ -548,6 +558,17 @@ class TestSchreierCommand:
         assert abs(results["h"]["value"] - math.log(2)) < 0.05
         assert results["certificate"]["D"] == 0
         assert results["certificate"]["conn_K"] == 1
+
+    def test_declared_block_is_the_familys(self, capsys):
+        code, report = run(
+            capsys, "schreier", "--family", "line_Z", "--forbid", "rr", "--depth", "40",
+            "--conn-K", "2", "--rho", "0.9",
+        )
+        assert code == 0
+        results = report["results"]
+        assert results["declared"] == {"conn_K": 1, "rho": 1.0}
+        cert = results["certificate"]
+        assert (cert["conn_K"], cert["rho"], cert["path"]) == (2, 0.9, "general")
 
     @pytest.mark.parametrize("family, word", [
         ("line_Z", "rr"), ("grid_Z2", "uu"), ("free2_mod_cyclic", "bab"),
@@ -796,6 +817,7 @@ class TestErrorPaths:
         assert option in report["error"]["message"]
 
     ANALYZE = ("analyze", "--family", "line_Z", "--depth", "12", "--forbid", "rr")
+    RHO = ("rho", "--family", "grid_Z2", "--depth", "12", "--forbid", "rr", "--transform-check")
 
     @pytest.mark.parametrize(
         "argv, option",
@@ -814,9 +836,15 @@ class TestErrorPaths:
             # the stochastic path never reads conn_K, so it used to certify
             (("schreier", "--family", "line_Z", "--depth", "12", "--forbid", "rr",
               "--conn-K", "0"), "--conn-K"),
+            # rho and the stochastic bound never read conn_K, so they used to run
+            (RHO + ("--conn-K", "0"), "--conn-K"),
+            (RHO + ("--conn-K", "-3"), "--conn-K"),
+            (("bound", "--alpha", "0.5", "--D", "0", "--R", "2", "--stochastic",
+              "--conn-K", "-4"), "--conn-K"),
         ],
         ids=["D", "d-max", "alpha", "conn-K", "sigma-size", "analyze-alpha-2", "analyze-alpha-0",
-             "analyze-rho-1.5", "analyze-rho-0", "analyze-conn-K-0", "schreier-conn-K-0"],
+             "analyze-rho-1.5", "analyze-rho-0", "analyze-conn-K-0", "schreier-conn-K-0",
+             "rho-conn-K-0", "rho-conn-K-minus-3", "bound-stochastic-conn-K-minus-4"],
     )
     def test_out_of_range_option_is_named(self, capsys, argv, option):
         code, report = run(capsys, *argv)
