@@ -27,7 +27,6 @@ import numpy as np
 from . import linalg
 from .factors import FactorAutomaton, ForbiddenSet
 from .graphs import (
-    Edge,
     LabelledGraph,
     Reach,
     Vertex,
@@ -143,12 +142,11 @@ def _product_reach(g, plain: Reach, N, forbidden) -> Reach:
     step = np.array([[automaton.step(s, a) for a in g.alphabet] for s in automaton.states])
     step[np.isin(step, list(automaton.dead))] = -1
     first_edge = np.searchsorted(plain.source, np.arange(len(plain.vertices) + 1))
-    keys, _, src, e, target, _ = layered_search(
+    keys, _, src, e, target = layered_search(
         first_edge, plain.label, plain.target, automaton.start, N, g.budget,
         (plain.vertices[0], automaton.start), m, step)
     vertex, state = np.divmod(keys, m)
-    return Reach(plain.vertices, plain.edges, plain.distance, vertex, state, src,
-                 plain.label[e], target, e)
+    return Reach(plain.vertices, plain.distance, vertex, state, src, plain.label[e], target, e)
 
 
 def path_counts(
@@ -170,7 +168,7 @@ def path_counts(
     """
     reach, at_y = _reach(g, x, y, N, forbidden)
     n = len(reach.vertex)
-    AT = linalg.adjacency(n, reach.target, reach.source).astype(np.int64)
+    AT = linalg.adjacency(n, reach.target, reach.source)
     # scipy's int64 product wraps silently: _moduli's L and b keep every entry exact
     d = int(AT.sum(axis=1).max())
     if d >= 2**32:
@@ -191,16 +189,18 @@ def path_counts(
 
 
 def path_weights(
-    g: LabelledGraph, x: Vertex, y: Vertex, N: int, weight: Callable[[Edge], float],
+    g: LabelledGraph, x: Vertex, y: Vertex, N: int, weights: Callable[..., np.ndarray],
     forbidden: Optional[ForbiddenSet] = None,
 ) -> list[float]:
     """Summed weight of the length-n paths from x to y, for n = 0..N, a path
-    weighing the product of its edges' ``weight`` (of their base edges on the
-    product graph, each weighed once): float64 sparse matrix powers on
-    ``path_counts``'s states.
+    weighing the product of its edges' weights (of their base edges on the
+    product graph): float64 sparse matrix powers on ``path_counts``'s
+    states.  ``weights(vertices, source, label, target)`` is the weight
+    column of the plain search's edges, given as its index columns.
     """
     reach, at_y = _reach(g, x, y, N, forbidden)
-    w = np.array([weight(e) for e in reach.edges], dtype=float)
+    plain = search(g, x, N)
+    w = np.asarray(weights(plain.vertices, plain.source, plain.label, plain.target), dtype=float)
     AT = linalg.adjacency(len(reach.vertex), reach.target, reach.source, w[reach.base])
     v = np.zeros(len(reach.vertex))
     v[0] = 1.0
@@ -246,7 +246,7 @@ def spectral_entropy_finite(g: LabelledGraph) -> EntropyEstimate:
     if collisions:
         vertices = list(w.distances)
         raise NondeterministicWindow([(vertices[s], g.alphabet[a]) for s, a in collisions])
-    lam = linalg.spectral_radius(w.adjacency())
+    lam = linalg.spectral_radius(w.adjacency())[1]
     value = math.log(lam) if lam > 0 else NEG_INF
     return EntropyEstimate(
         value=value, method="spectral", diagnostics={"eigenvalue": lam, "states": len(w.vertices)}

@@ -16,6 +16,7 @@ Together: rho_F <= rho * (1 - alpha_bar^k)^(1/k) < rho, strictly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -41,6 +42,7 @@ from .graphs import (
     Vertex,
     Window,
     check_fully_deterministic,
+    edge_list,
     forward_ball,
     full_window,
     uniform_connectedness_constant,
@@ -68,13 +70,15 @@ class WeightedChain:
     ``uniform`` chains (every edge 1/|alphabet|) read their probability
     tables off exact path counts, as count/|alphabet|^n, others' are float64.
     n-step vectors are Fractions when the weights are, and a Fraction
-    ``alpha`` makes the row-sum comparisons exact.
+    ``alpha`` makes the row-sum comparisons exact.  ``column``, when given,
+    computes ``edge_weights`` from index columns without ``Edge`` tuples.
     """
 
     graph: LabelledGraph
     weight: Callable[[Edge], object] = field(compare=False)
     alpha: object = 0.0            # Fraction or float lower bound
     uniform: bool = False
+    column: Optional[Callable[..., np.ndarray]] = field(default=None, compare=False)
 
 
 def uniform_weights(g: LabelledGraph) -> WeightedChain:
@@ -95,10 +99,16 @@ def uniform_weights(g: LabelledGraph) -> WeightedChain:
     return WeightedChain(graph=g, weight=lambda e: p, alpha=p, uniform=True)
 
 
-def _float_weight(chain: WeightedChain) -> Callable[[Edge], float]:
-    """The chain's edge weight as a float; a uniform chain's is one constant."""
-    p = float(chain.alpha)
-    return (lambda e: p) if chain.uniform else (lambda e: float(chain.weight(e)))
+def edge_weights(chain: WeightedChain, vertices, source, label, target) -> np.ndarray:
+    """The chain's float weights of the edges given as index columns into
+    ``vertices`` and the alphabet: a uniform chain's one constant, else its
+    ``column``, else ``weight`` called on each edge."""
+    if chain.uniform:
+        return np.full(len(source), float(chain.alpha))
+    if chain.column is not None:
+        return chain.column(vertices, source, label, target)
+    edges = edge_list(vertices, chain.graph.alphabet, source, label, target)
+    return np.array([float(chain.weight(e)) for e in edges], dtype=float)
 
 
 @dataclass
@@ -177,7 +187,8 @@ def probability_table(
     float64 weighted path sum of ``census.path_weights``.
     """
     if not chain.uniform:
-        return path_weights(chain.graph, x, y, N, chain.weight, forbidden=forbidden)
+        weights = functools.partial(edge_weights, chain)
+        return path_weights(chain.graph, x, y, N, weights, forbidden=forbidden)
     counts = path_counts(chain.graph, x, y, N, forbidden=forbidden)
     sigma = len(chain.graph.alphabet)
     return [Fraction(c, sigma**n) for n, c in enumerate(counts)]
@@ -268,15 +279,15 @@ def harmonic_vector(
         raise ValueError(f"unknown truncation scheme {scheme!r}")
     ball = forward_ball(chain.graph, center, radius)
     verts = list(ball.distances)
-    weight = _float_weight(chain)
-    matrix = ball.adjacency(weight)
+    weights = edge_weights(chain, ball.ids, ball.source, ball.label, ball.target)
+    matrix = ball.adjacency(weights)
     # every vertex of a forward ball is reached from the center (index 0),
     # so the window is strongly connected iff every vertex reaches it
     if (linalg.steps_to(matrix, np.arange(len(verts)) == 0) < 0).any():
         raise ChainError("the window is not strongly connected; no positive harmonic vector")
     if scheme == "reflecting":
         kept = np.asarray(matrix.sum(axis=1)).ravel()
-        leaked = np.bincount(ball.source[len(ball.edges):], [weight(e) for e in ball.boundary],
+        leaked = np.bincount(ball.source[ball.inside:], weights[ball.inside:],
                              minlength=len(verts))
         scale = np.divide(kept + leaked, kept, out=np.ones(len(verts)), where=kept > 0)
         matrix = sparse.diags(scale) @ matrix
@@ -321,24 +332,26 @@ def h_transform(chain: WeightedChain, hv: HarmonicVector) -> WeightedChain:
         raise ChainError(
             f"harmonic vector not accepted: residual {hv.residual:.3g} > tol {hv.tol:.3g}"
         )
-    rho = hv.rho_hat
-    values = hv.values
-    base = _float_weight(chain)
+    rho, values, alphabet = hv.rho_hat, hv.values, chain.graph.alphabet
 
-    def weight(e: Edge):
-        try:
-            hy = values[e.target]
-            hx = values[e.source]
-        except KeyError as exc:
+    def column(vertices, source, label, target):
+        h = np.array([values.get(v, np.nan) for v in vertices])  # NaN: outside the window
+        hs, ht = h[source], h[target]
+        outside = np.flatnonzero(np.isnan(hs) | np.isnan(ht))[:1]
+        if len(outside):
+            e = edge_list(vertices, alphabet, source[outside], label[outside], target[outside])[0]
             raise ChainError(
                 f"edge {vertex_key(e.source)} -{e.label}-> {vertex_key(e.target)}"
                 f" leaves the harmonic window (--hv-radius {hv.radius}); the window"
-                " must cover the --depth ball around x"
-            ) from exc
-        return base(e) * hy / (rho * hx)
+                " must cover the --depth ball around x")
+        return edge_weights(chain, vertices, source, label, target) * ht / (rho * hs)
+
+    def weight(e: Edge):
+        one = np.array([[0], [alphabet.index(e.label)], [1]])  # e as index columns
+        return float(column([e.source, e.target], *one)[0])
 
     alpha_bar = (float(chain.alpha) / rho) ** (conn_k + 1)
-    return WeightedChain(graph=chain.graph, weight=weight, alpha=alpha_bar)
+    return WeightedChain(graph=chain.graph, weight=weight, alpha=alpha_bar, column=column)
 
 
 @dataclass(frozen=True)
@@ -584,7 +597,10 @@ def resolve_certificate(
     conn_k: nothing is measured on a finite part of it.  rho is never
     fitted: an infinite graph that declares none takes rho = 1, which
     bounds the spectral radius of every substochastic chain, and the bound
-    grows with rho.
+    grows with rho.  A computed rho is the upper end of its Perron bracket
+    (``linalg.spectral_radius``), and the certificate is emitted only when
+    the bound lies below the lower end, so that bound < rho holds for the
+    true rho.
 
     Returns (certificate or None, scope, D or None, warnings).  Scope is
     "window" when rho is that default, otherwise "global".
@@ -594,6 +610,7 @@ def resolve_certificate(
     sigma = len(g.alphabet)
     alpha = inputs.alpha if inputs.alpha is not None else 1.0 / sigma
     conn_k, rho = g.declared.conn_k, g.declared.rho
+    lo = rho
     scope = "global"
     if g.is_finite:
         w = full_window(g)
@@ -617,7 +634,7 @@ def resolve_certificate(
         if rho is None:
             # w is the part reachable from the root: unreachable vertices do
             # not bound the root's language
-            rho = linalg.spectral_radius(w.adjacency()) / sigma
+            lo, rho = (end / sigma for end in linalg.spectral_radius(w.adjacency()))
     else:
         if not g.declared.complete:
             warnings.append(
@@ -633,7 +650,7 @@ def resolve_certificate(
             )
             return None, None, D, warnings
         if rho is None:
-            rho, scope = 1.0, "window"
+            lo, rho, scope = 1.0, 1.0, "window"
 
     # a complete graph is fully deterministic
     stochastic = (
@@ -648,6 +665,12 @@ def resolve_certificate(
         )
     except (ChainError, DegenerateBound) as exc:
         warnings.append(f"certificate parameters out of range: {exc}")
+        return None, None, D, warnings
+    if not certificate.bound < lo:
+        warnings.append(
+            f"rho's Perron bracket [{lo!r}, {rho!r}] is too wide for the drop: the bound"
+            f" {certificate.bound!r} is not below its lower end; no certificate emitted"
+        )
         return None, None, D, warnings
     if scope == "window":
         warnings.append(

@@ -225,7 +225,7 @@ def certify_denseness(forbidden: ForbiddenSet, D: int, w: Window):
     """
     if D < 0:
         raise ValueError("D must be >= 0")
-    if w.boundary:
+    if w.inside < len(w.source):
         raise ValueError("denseness is certified on closed windows only (no boundary edges)")
     n, code = len(w.distances), {a: i for i, a in enumerate(w.alphabet)}
     readers = np.zeros(n, dtype=bool)

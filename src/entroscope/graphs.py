@@ -4,7 +4,9 @@ A graph is an alphabet, a vertex-expansion function and a nonempty list of
 root vertices.  Infinite graphs never enumerate their vertex set: every
 algorithm in this package works on finite memoized searches (``search``)
 and the forward balls ("windows") read off them, each under the graph's
-vertex budget.
+vertex budget.  Searches are index columns (source, label, target) over a
+vertex list; ``Edge`` tuples are built only where a caller asks for one
+(``out_edges``, ``edge_list``).
 
 Structural predicates (determinism, uniform connectedness) are checked on
 windows and their results are certificates about the window only, never
@@ -15,6 +17,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
@@ -86,25 +90,27 @@ class EdgeArrays(NamedTuple):
     offsets: np.ndarray
     label: np.ndarray
     target: np.ndarray
-    edges: list
 
 
 class LabelledGraph:
     """Immutable edge-labelled graph given by an expansion function.
 
-    ``expand(v)`` must return every out-edge of ``v``, each with
-    ``source == v``, and must be pure: repeated calls yield the same edge
-    set.  ``out_edges`` memoizes, validates and sorts the result (by label,
-    then canonical target form, built only where labels tie) so all
-    downstream traversals and counts are reproducible regardless of
-    evaluation order.  ``budget`` caps the vertices one search may find;
-    every search of the graph reads it (set ``g.budget = n`` to change it).
-    ``reaches`` memoizes searches from a start vertex as index arrays
-    (``Reach``): the plain ones (``search``, forbidden set None) behind
-    censuses and windows, and the census's product searches derived from
-    them, keyed by (start, N, forbidden set, budget) so that a search made
-    under another budget is never reused.  A finite graph's ``search``
-    walks its ``arrays`` instead of ``out_edges``.
+    ``expand(v)`` must return every out-edge of ``v`` as an ``Edge`` or a
+    plain (source, label, target) triple, each with ``source == v``, and
+    must be pure: repeated calls yield the same edge set.  ``expansions``
+    checks a list of vertices' expansions in one pass and sorts each (by
+    label, then canonical target form where labels tie), so all downstream
+    traversals and counts are reproducible regardless of evaluation order;
+    ``out_edges`` is that pass on one vertex, memoized, as ``Edge``s.
+    ``budget`` caps the vertices one search may find; every search of the
+    graph reads it (set ``g.budget = n`` to change it).  ``grown`` keeps the
+    ``Growth`` from each start vertex of a lazy graph, which a deeper
+    search resumes.  ``reaches`` memoizes searches from a start vertex as
+    index arrays (``Reach``): the plain ones (``search``, forbidden set
+    None) behind censuses and windows, and the census's product searches
+    derived from them, keyed by (start, N, forbidden set, budget) so that
+    a search made under another budget is never reused.  A finite graph's
+    ``search`` walks its ``arrays`` instead.
     """
 
     def __init__(
@@ -132,40 +138,70 @@ class LabelledGraph:
         self.declared = declared or Declared()
         self.arrays = arrays
         self.budget = budget
-        self._alpha_set = frozenset(self.alphabet)
+        self._code = {a: i for i, a in enumerate(self.alphabet)}
+        self._rank = {a: i for i, a in enumerate(sorted(self.alphabet))}
         self._cache: dict = {}
+        self.grown: dict = {}
         self.reaches: dict = {}
 
     @property
     def is_finite(self) -> bool:
         return self.vertex_list is not None
 
+    def expansions(self, vertices: list) -> tuple[list, list, list]:
+        """Out-degrees of ``vertices``, and the label (alphabet index) and
+        target columns of their out-edges grouped by vertex in order: each
+        vertex expanded once through ``self.expand``, every edge checked
+        (a triple, the vertex as source, a label in the alphabet), and each
+        vertex's edges sorted by label, then canonical target form where
+        labels tie, with no edge twice."""
+        outs = [list(self.expand(v)) for v in vertices]
+        degree = list(map(len, outs))
+        edges = list(itertools.chain.from_iterable(outs))
+        if not edges:
+            return degree, [], []
+        if set(map(len, edges)) != {3}:
+            bad = next(e for e in edges if len(e) != 3)
+            raise GraphFormatError(f"expand returned {bad!r}, not a (source, label, target) triple")
+        sources, labels, targets = zip(*edges)
+        owners = list(itertools.chain.from_iterable(map(itertools.repeat, vertices, degree)))
+        if not all(map(operator.eq, sources, owners)):
+            v, s = next((v, s) for v, s in zip(owners, sources) if s != v)
+            raise GraphFormatError(
+                f"expand({vertex_key(v)}) returned edge with source {vertex_key(s)}")
+        rank = list(map(self._rank.get, labels))
+        if None in rank:
+            raise GraphFormatError(f"edge label {labels[rank.index(None)]!r} not in alphabet")
+        sigma = len(self.alphabet)
+        first = itertools.chain.from_iterable(
+            map(itertools.repeat, range(0, sigma * len(vertices), sigma), degree))
+        key = list(map(operator.add, first, rank))
+        # strictly rising keys: every vertex's labels rise, so no tie needs a sort
+        if not all(map(operator.lt, key, itertools.islice(key, 1, None))):
+            edges = []
+            for edges_v in outs:
+                edges_v = sorted(map(Edge._make, edges_v), key=edge_sort_key)
+                for a, b in zip(edges_v, edges_v[1:]):
+                    if a == b:
+                        raise GraphFormatError(f"duplicate edge {vertex_key(a.source)}"
+                                               f" -{a.label}-> {vertex_key(a.target)}")
+                edges += edges_v
+            _, labels, targets = zip(*edges)
+        return degree, list(map(self._code.__getitem__, labels)), list(targets)
+
     def out_edges(self, v: Vertex) -> tuple[Edge, ...]:
         cached = self._cache.get(v)
-        if cached is not None:
-            return cached
-        edges = []
-        for e in self.expand(v):
-            if not isinstance(e, Edge):
-                e = Edge(*e)
-            if e.source != v:
-                raise GraphFormatError(
-                    f"expand({vertex_key(v)}) returned edge with source {vertex_key(e.source)}"
-                )
-            if e.label not in self._alpha_set:
-                raise GraphFormatError(f"edge label {e.label!r} not in alphabet")
-            edges.append(e)
-        edges.sort(key=lambda e: e.label)
-        # distinct labels decide edge_sort_key's order, and duplicates share a label
-        if any(a.label == b.label for a, b in zip(edges, edges[1:])):
-            edges.sort(key=edge_sort_key)
-            for a, b in zip(edges, edges[1:]):
-                if a == b:
-                    raise GraphFormatError(f"duplicate edge {vertex_key(a.source)}"
-                                           f" -{a.label}-> {vertex_key(a.target)}")
-        result = tuple(edges)
-        self._cache[v] = result
-        return result
+        if cached is None:
+            _, labels, targets = self.expansions([v])
+            cached = self._cache[v] = tuple(
+                Edge(v, self.alphabet[a], t) for a, t in zip(labels, targets))
+        return cached
+
+
+def edge_list(vertices, alphabet, source, label, target) -> list[Edge]:
+    """The edges given as index columns into ``vertices`` and ``alphabet``."""
+    return [Edge(vertices[s], alphabet[a], vertices[t])
+            for s, a, t in zip(source.tolist(), label.tolist(), target.tolist())]
 
 
 @dataclass(frozen=True)
@@ -174,42 +210,54 @@ class Window:
 
     ``vertices`` are exactly those at forward distance <= radius from the
     center; ``distances`` runs over them in discovery order (layered, center
-    first), the window's one vertex order.  ``edges`` have both endpoints
-    inside, ``boundary`` edges leave the window from its outer shell; both
-    follow the vertex order of their sources.  ``source``, ``label``
-    (index in ``alphabet``) and ``target`` are the columns of ``edges`` then
-    ``boundary`` (ends from len(vertices) on lie outside the window).
+    first), the window's one vertex order, and ``ids`` continues it with
+    the boundary edges' targets outside.  ``source``, ``label`` (index in
+    ``alphabet``) and ``target`` are index columns into ``ids`` of the
+    ``inside`` edges with both endpoints in the window, then of the
+    boundary edges that leave it from its outer shell; both follow the
+    vertex order of their sources.  ``edges`` and ``boundary`` build their
+    ``Edge`` tuples on demand.
     """
 
     center: Vertex
     radius: int
     vertices: frozenset
     distances: dict = field(compare=False)
-    edges: tuple[Edge, ...]
-    boundary: tuple[Edge, ...]
+    ids: list = field(compare=False)
+    inside: int
     source: np.ndarray = field(compare=False)
     label: np.ndarray = field(compare=False)
     target: np.ndarray = field(compare=False)
     alphabet: tuple = field(compare=False)
 
-    def adjacency(self, weight: Optional[Callable[[Edge], float]] = None):
-        """``linalg.adjacency`` of ``edges`` in the vertex order."""
-        k = len(self.edges)
-        weights = None if weight is None else [weight(e) for e in self.edges]
-        return linalg.adjacency(len(self.distances), self.source[:k], self.target[:k], weights)
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        columns = self.source, self.label, self.target
+        return tuple(edge_list(self.ids, self.alphabet, *columns)[:self.inside])
+
+    @property
+    def boundary(self) -> tuple[Edge, ...]:
+        columns = self.source, self.label, self.target
+        return tuple(edge_list(self.ids, self.alphabet, *columns)[self.inside:])
+
+    def adjacency(self, weights: Optional[np.ndarray] = None):
+        """``linalg.adjacency`` of the inside edges in the vertex order,
+        weighted by ``weights``, a column over ``source``, when given."""
+        k = self.inside
+        return linalg.adjacency(len(self.distances), self.source[:k], self.target[:k],
+                                None if weights is None else weights[:k])
 
 
 class Reach(NamedTuple):
     """A search from x to depth N as index arrays.  ``vertices`` within N
-    of x, in discovery order, with their ``distance``, and ``edges`` out of
-    those within N - 1.  Per state (vertex, or (vertex, automaton state) on
-    a census's product search), in discovery order: ``vertex`` index and
-    automaton ``state`` (None on a plain search).  Per edge out of a state
-    within N - 1: ``source``, ``label`` (alphabet index), ``target`` and
-    ``base`` (its base edge's index in ``edges``)."""
+    of x, in discovery order, with their ``distance``.  Per state (vertex,
+    or (vertex, automaton state) on a census's product search), in
+    discovery order: ``vertex`` index and automaton ``state`` (None on a
+    plain search).  Per edge out of a state within N - 1: ``source``,
+    ``label`` (alphabet index), ``target`` and ``base`` (its base edge's
+    index among the plain search's edges)."""
 
     vertices: list
-    edges: list
     distance: np.ndarray
     vertex: np.ndarray
     state: Optional[np.ndarray]
@@ -223,40 +271,52 @@ class Reach(NamedTuple):
         return v if self.state is None else (v, int(self.state[i]))
 
 
-def bfs(
-    g: LabelledGraph,
-    x: Vertex,
-    radius: Optional[int] = None,
-    stop: Optional[Callable[[Vertex], Any]] = None,
-) -> dict:
-    """Breadth-first search from ``x``: the distance of each vertex found.
+class Growth:
+    """A lazy graph's layered search from one vertex, grown a layer at a
+    time (``grow``) and kept on ``g.grown``, so that a deeper search
+    resumes it: a search to depth N is its prefix.  ``vertices`` in
+    discovery order, numbered by ``index``; ``ends[d]`` of them lie within
+    d, and the first ``edge_ends[d]`` entries of the ``source``, ``label``
+    (alphabet index) and ``target`` columns are the edges out of those
+    within d - 1."""
 
-    Explores at most ``radius`` layers (the whole reachable part when None)
-    and stops after the first layer holding a vertex on which ``stop``
-    returns a true value; ``stop`` is called on every discovered vertex.
-    Raises ExpansionBudgetExceeded once more than ``g.budget`` vertices
-    have been discovered.
-    """
-    if g.budget < 1:
+    def __init__(self, x: Vertex):
+        self.vertices, self.index, self.ends, self.edge_ends = [x], {x: 0}, [1], [0]
+        self.source: list = []
+        self.label: list = []
+        self.target: list = []
+
+    @property
+    def complete(self) -> bool:
+        """Whether the last layer found no vertex: every edge is known."""
+        return len(self.ends) > 1 and self.ends[-1] == self.ends[-2]
+
+    def grow(self, g: LabelledGraph) -> None:
+        """Expand the outer layer once (``g.expansions``) and number its
+        targets' new vertices in order of first appearance."""
+        lo, hi = self.ends[-2] if len(self.ends) > 1 else 0, self.ends[-1]
+        degree, labels, targets = g.expansions(self.vertices[lo:hi])
+        new = [t for t in dict.fromkeys(targets) if t not in self.index]
+        self.index.update(zip(new, itertools.count(hi)))
+        self.vertices += new
+        self.source += itertools.chain.from_iterable(map(itertools.repeat, range(lo, hi), degree))
+        self.label += labels
+        self.target += map(self.index.__getitem__, targets)
+        self.ends.append(len(self.vertices))
+        self.edge_ends.append(len(self.source))
+
+
+def grown(g: LabelledGraph, x: Vertex, N: Optional[int]) -> tuple[Growth, int]:
+    """``g``'s growth from x, grown to depth N (until complete when None),
+    and the depth of its prefix that answers a search to N; more than
+    ``g.budget`` vertices within that depth raise ExpansionBudgetExceeded."""
+    s = g.grown.get(x) or g.grown.setdefault(x, Growth(x))
+    while not s.complete and (N is None or len(s.ends) <= N) and s.ends[-1] <= g.budget:
+        s.grow(g)
+    depth = len(s.ends) - 1 if N is None else min(N, len(s.ends) - 1)
+    if s.ends[depth] > g.budget:
         raise budget_exceeded(x, g.budget)
-    distances = {x: 0}
-    frontier = [x]
-    d = 0
-    found = stop is not None and stop(x)
-    while frontier and d != radius and not found:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for e in g.out_edges(v):
-                if e.target not in distances:
-                    distances[e.target] = d
-                    nxt.append(e.target)
-                    if len(distances) > g.budget:
-                        raise budget_exceeded(x, g.budget)
-                    if stop is not None and stop(e.target):
-                        found = True
-        frontier = nxt
-    return distances
+    return s, depth
 
 
 def budget_exceeded(x: Vertex, budget: int) -> ExpansionBudgetExceeded:
@@ -267,32 +327,30 @@ def budget_exceeded(x: Vertex, budget: int) -> ExpansionBudgetExceeded:
 def search(g: LabelledGraph, x: Vertex, N: Optional[int] = None) -> Reach:
     """The search from ``x`` to depth N (the whole reachable part when None)
     as a ``Reach``, memoized on ``g.reaches``: ``layered_search`` over a
-    finite graph's ``arrays``, else ``bfs``.  Its discovery order is
-    layered, and canonical because ``out_edges`` is sorted.  A search that
-    runs out of vertices before depth N holds no vertex at N, so it keeps
-    every edge and is also memoized as the whole search (N = None)."""
+    finite graph's ``arrays``, else the prefix of the ``Growth`` from x.
+    Its discovery order is layered, and canonical because expansions are
+    sorted.  A search that runs out of vertices before depth N holds no
+    vertex at N, so it keeps every edge and is also memoized as the whole
+    search (N = None)."""
     if N is not None and N < 0:
         raise ValueError("N must be >= 0")
     key = (x, N, None, g.budget)
     if key not in g.reaches:
         arrays = g.arrays
         if arrays is not None and x in arrays.index:
-            _, distance, source, e, target, via = layered_search(
+            keys, distance, source, e, target = layered_search(
                 arrays.offsets, arrays.label, arrays.target, arrays.index[x], N, g.budget, x)
-            # each vertex as the target of the edge that found it, as bfs keys it
-            vertices = [x] + [arrays.edges[i].target for i in via.tolist()]
-            edges, label = [arrays.edges[i] for i in e.tolist()], arrays.label[e]
+            vertices = [x] + [g.vertex_list[i] for i in keys[1:].tolist()]
+            label = arrays.label[e]
         else:
-            distances = bfs(g, x, N)
-            index = {v: i for i, v in enumerate(distances)}
-            labels = {a: i for i, a in enumerate(g.alphabet)}
-            # d != N: every vertex when N is None, else those within N - 1
-            edges = [e for v, d in distances.items() if d != N for e in g.out_edges(v)]
-            source, label, target = (np.array([d[e[i]] for e in edges], dtype=np.int64)
-                                     for i, d in ((0, index), (1, labels), (2, index)))
-            vertices, distance = list(distances), np.array(list(distances.values()))
-        r = g.reaches[key] = Reach(vertices, edges, distance, np.arange(len(vertices)), None,
-                                   source, label, target, np.arange(len(edges)))
+            s, depth = grown(g, x, N)
+            n, k = s.ends[depth], s.edge_ends[depth]
+            vertices = s.vertices[:n]
+            distance = np.repeat(np.arange(depth + 1), np.diff(s.ends[:depth + 1], prepend=0))
+            source, label, target = (np.array(c[:k], dtype=np.int64)
+                                     for c in (s.source, s.label, s.target))
+        r = g.reaches[key] = Reach(vertices, distance, np.arange(len(vertices)), None,
+                                   source, label, target, np.arange(len(source)))
         if N is not None and r.distance[-1] < N:
             g.reaches.setdefault((x, None, None, g.budget), r)
     return g.reaches[key]
@@ -300,21 +358,20 @@ def search(g: LabelledGraph, x: Vertex, N: Optional[int] = None) -> Reach:
 
 def layered_search(offsets, label, target, start: int, N: Optional[int], budget: int,
                    origin: Vertex, m: int = 1, step: Optional[np.ndarray] = None):
-    """``bfs`` to depth N (all of it when None) over index arrays: i's
-    out-edges are ``offsets[i]:offsets[i + 1]`` of ``label`` and ``target``.
-    A state is a key i * m + s, and an edge steps s to ``step[s, label]``
-    (-1 drops it; no ``step``: m = 1).  Per layer it numbers each new key at
-    its first occurrence among the frontier's out-edges.  Returns the keys
-    in that order, their distances, per edge out of a key within N - 1 its
-    source's number, column index and target's number, and per key after
-    ``start`` the edge that found it; over ``budget`` keys raise from
-    ``origin``."""
+    """A layered search to depth N (all of it when None) over index arrays:
+    i's out-edges are ``offsets[i]:offsets[i + 1]`` of ``label`` and
+    ``target``.  A state is a key i * m + s, and an edge steps s to
+    ``step[s, label]`` (-1 drops it; no ``step``: m = 1).  Per layer it
+    numbers each new key at its first occurrence among the frontier's
+    out-edges.  Returns the keys in that order, their distances, and per
+    edge out of a key within N - 1 its source's number, column index and
+    target's number; over ``budget`` keys raise from ``origin``."""
     if budget < 1:
         raise budget_exceeded(origin, budget)
     number = np.full((len(offsets) - 1) * m, -1)
     number[start] = 0
     empty = np.zeros(0, np.int64)
-    layers, edges, via, found = [np.array([start])], [(empty,) * 3], [empty], 1
+    layers, edges, found = [np.array([start])], [(empty,) * 3], 1
     for _ in itertools.count() if N is None else range(N):
         fv, fs = np.divmod(layers[-1], m)
         out = offsets[fv + 1] - offsets[fv]
@@ -330,14 +387,13 @@ def layered_search(offsets, label, target, start: int, N: Optional[int], budget:
         if not len(first):
             break
         layers.append(key[first])
-        via.append(e[first])
         number[key[first]] = np.arange(found, found + len(first))
         found += len(first)
         if found > budget:
             raise budget_exceeded(origin, budget)
     src, e, key = (np.concatenate(c) for c in zip(*edges))
     return (np.concatenate(layers), np.repeat(np.arange(len(layers)), [len(k) for k in layers]),
-            src, e, number[key], np.concatenate(via))
+            src, e, number[key])
 
 
 def forward_ball(g: LabelledGraph, x: Vertex, radius: Optional[int]) -> Window:
@@ -355,12 +411,11 @@ def forward_ball(g: LabelledGraph, x: Vertex, radius: Optional[int]) -> Window:
     reach = search(g, x, None if radius is None else radius + 1)
     n = len(reach.vertices) if radius is None else int(np.sum(reach.distance <= radius))
     order = np.argsort(reach.target >= n, kind="stable")  # inside edges first
-    edges, k = [reach.edges[i] for i in order.tolist()], int(np.sum(reach.target < n))
     inside = reach.vertices[:n]
     return Window(x, int(reach.distance[-1]) if radius is None else radius, frozenset(inside),
-                  dict(zip(inside, reach.distance[:n].tolist())), tuple(edges[:k]),
-                  tuple(edges[k:]), reach.source[order], reach.label[order], reach.target[order],
-                  g.alphabet)
+                  dict(zip(inside, reach.distance[:n].tolist())), reach.vertices,
+                  int(np.sum(reach.target < n)), reach.source[order], reach.label[order],
+                  reach.target[order], g.alphabet)
 
 
 def full_window(g: LabelledGraph) -> Window:
@@ -401,9 +456,10 @@ def uniform_connectedness_constant(g: LabelledGraph, w: Window, K_max: int) -> O
     """Smallest K <= K_max certifying uniform connectedness on the window,
     or None: the largest return distance d(e.target, e.source) over its
     edges, at least 1.  One array pass finds loops (the empty path returns)
-    and edges s -> t with an edge t -> s, inside the window; the others take
-    one search per target t, stopped at the layer holding all their sources."""
-    k, n, vertices = len(w.edges), len(w.distances), list(w.distances)
+    and edges s -> t with an edge t -> s, inside the window; the others
+    grow the search from each target t (``grown``) only up to the layer
+    holding all their sources."""
+    k, n, vertices = w.inside, len(w.distances), list(w.distances)
     s, t = w.source[:k], w.target[:k]
     near = (s == t) | (K_max >= 1) & np.isin(s * n + t, t * n + s)
     sources: dict = {}
@@ -411,12 +467,13 @@ def uniform_connectedness_constant(g: LabelledGraph, w: Window, K_max: int) -> O
         sources.setdefault(vertices[i], set()).add(vertices[j])
     worst = 1
     for target, wanted in sources.items():
-        pending = set(wanted)
-        # discard returns None, so the search stops once nothing is pending
-        distances = bfs(g, target, K_max, stop=lambda v: pending.discard(v) or not pending)
-        if pending:
+        for d in range(K_max + 1):  # the first layer that holds every source
+            growth, depth = grown(g, target, d)
+            if max(growth.index.get(v, math.inf) for v in wanted) < growth.ends[depth]:
+                worst = max(worst, d)
+                break
+        else:
             return None
-        worst = max(worst, *(distances[v] for v in wanted))
     return worst
 
 
@@ -431,7 +488,8 @@ def explicit_graph(
     """Finite graph from an explicit edge list of (source, label, target),
     validated in one bulk pass (triples, labels in the alphabet, hashable
     ids, listed in ``vertices`` when given, no repeated id or edge) and
-    sorted into its ``EdgeArrays``, which ``expand`` slices."""
+    sorted into its ``EdgeArrays``, which ``expand`` reads as triples of
+    the listed ids."""
     alphabet, edges, roots = tuple(alphabet), list(edges), list(roots)
     bad = [t for t in edges if not isinstance(t, (list, tuple)) or len(t) != 3]
     if bad:
@@ -477,14 +535,17 @@ def explicit_graph(
         if len(first) < len(edges):
             s, a, t = edges[np.setdiff1d(np.arange(len(edges)), first)[0]]
             raise GraphFormatError(f"duplicate edge {vertex_key(s)} -{a}-> {vertex_key(t)}")
-    out = [Edge(*edges[i]) for i in order.tolist()]
     offsets = np.searchsorted(source[order], np.arange(n + 1))
+    label, target = label[order], target[order]
 
     def expand(v):
-        return out[offsets[index[v]]:offsets[index[v] + 1]] if v in index else ()
+        i = index.get(v)
+        lo, hi = (0, 0) if i is None else (offsets[i], offsets[i + 1])
+        return [(v, alphabet[a], vertex_list[t])
+                for a, t in zip(label[lo:hi].tolist(), target[lo:hi].tolist())]
 
     return LabelledGraph(alphabet, expand, roots, name, vertex_list, declared,
-                         EdgeArrays(index, offsets, label[order], target[order], out))
+                         EdgeArrays(index, offsets, label, target))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Nonnegative-matrix spectral helpers, on scipy sparse matrices.
 
 The Collatz-Wielandt quotients min_i (Bx)_i/x_i <= lambda <= max_i (Bx)_i/x_i
-of B = A + I bracket its Perron root for any positive x, and ``perron_root``
-takes the upper end, an upper bound on the root whether or not the bracket
-has closed.  x comes from power iteration (the shift makes cycles converge)
-or, where that would take long, from restarted Arnoldi (Saad 2011, ch. 6).
+of B = A + I bracket its Perron root for any positive x; ``perron_root``'s
+value is the upper end, an upper bound on the root whether or not the
+bracket has closed, and ``spectral_radius`` returns the bracket.  x comes
+from power iteration (the shift makes cycles converge) or, where that
+would take long, from restarted Arnoldi (Saad 2011, ch. 6).
 Reducible matrices (product graphs, windows with unreachable parts) go
 through their strongly connected components, which two searches rule out
 first: the spectral radius is the largest Perron root of a component.
@@ -38,8 +39,8 @@ class PerronResult:
 
 def adjacency(n, sources, targets, weights=None) -> sparse.csr_matrix:
     """n x n matrix of edges given as parallel index sequences: entry (i, j)
-    is the number of edges i -> j, or the sum of their ``weights``."""
-    data = np.ones(len(sources)) if weights is None else np.asarray(weights, dtype=float)
+    is the number of edges i -> j (int64), or the sum of their ``weights``."""
+    data = np.ones(len(sources), np.int64) if weights is None else np.asarray(weights, float)
     return sparse.csr_matrix((data, (sources, targets)), shape=(n, n))
 
 
@@ -59,27 +60,36 @@ def perron_root(A) -> PerronResult:
     B = A + I, with Arnoldi restarts where that is slow (``_arnoldi_restart``).
 
     Stops once the Collatz-Wielandt bracket [lo, hi] of B has closed,
-    hi - lo <= TOL * hi, or after MAX_ITER products with B (where reducible
-    inputs end; ``iterations`` counts them) with the bracket still open.
-    ``value`` is the upper end, which bounds the root from above either way.
+    hi - lo <= TOL * hi, or after MAX_ITER power steps (where reducible
+    inputs end) with the bracket still open.  Where the restarts end on a
+    wider bracket than the power iterate they began from, power iteration
+    resumes from that iterate, as if no restart had been taken;
+    ``iterations`` counts every product with B.  ``value`` is the upper
+    end, which bounds the root from above either way.
     """
     n = A.shape[0]
     if n == 0:
         raise ValueError("empty matrix")
     B = sparse.csr_matrix(A) + sparse.identity(n, format="csr")
-    x, widths, it, restarts = np.ones(n), deque(maxlen=WARMUP + 1), 0, 0
+    x, widths, it, restarts, spent = np.ones(n), deque(maxlen=WARMUP + 1), 0, 0, 0
+    saved = None  # (power iterate, its bracket's width, power steps) at the first restart
     while True:
         y = B @ x
         it += 1
         quot = y / x
         lo, hi = float(quot.min()), float(quot.max())
         widths.append(hi - lo)
-        if hi - lo <= TOL * hi or it >= MAX_ITER:
+        if hi - lo <= TOL * hi or it - spent >= MAX_ITER:
             break
         ritz = None
+        if restarts == RESTARTS and saved is not None:
+            if hi - lo > saved[1]:
+                ritz, spent = saved[0], it - saved[2]
+            saved = None
         # restart where, shrinking as over its last WARMUP steps, the bracket needs over SLOW more
-        if restarts < RESTARTS and (restarts or it > WARMUP and (hi - lo) * (
+        elif restarts < RESTARTS and (restarts or it > WARMUP and (hi - lo) * (
                 widths[-1] / widths[0]) ** (SLOW / WARMUP) > TOL * hi):
+            saved = saved or (y / y.max(), hi - lo, it)
             ritz, products = _arnoldi_restart(B, x, y)
             it += products
             restarts = restarts + 1 if ritz is not None else RESTARTS
@@ -122,21 +132,22 @@ def steps_to(A, target, cap: int | None = None) -> np.ndarray:
     return steps
 
 
-def spectral_radius(A) -> float:
-    """Spectral radius of a nonnegative matrix, reducible or not: one Perron
-    root when index 0 reaches every index and every index reaches it (two
-    ``steps_to`` sweeps, on A and on its transpose), else the largest Perron
-    root over its strongly connected components."""
+def spectral_radius(A) -> tuple[float, float]:
+    """Bracket (lo, hi) of the spectral radius of a nonnegative matrix,
+    reducible or not: one Perron bracket when index 0 reaches every index
+    and every index reaches it (two ``steps_to`` sweeps, on A and on its
+    transpose), else the largest ends over its strongly connected
+    components' Perron brackets."""
     A = sparse.csr_matrix(A)
     start = np.arange(A.shape[0]) == 0
     if start.any() and (steps_to(A, start) >= 0).all() and (steps_to(A.T, start) >= 0).all():
-        return perron_root(A).value
+        return perron_root(A).bracket
     components, labels = strong_components(A)
     sizes = np.bincount(labels, minlength=components)
     # a one-vertex component's radius is its loop weight
-    radius = float(A.diagonal()[sizes[labels] == 1].max(initial=0.0))
+    lo = hi = float(A.diagonal()[sizes[labels] == 1].max(initial=0.0))
     for c in np.flatnonzero(sizes > 1):
         members = np.flatnonzero(labels == c)
-        block = A[members][:, members]
-        radius = max(radius, perron_root(block).value)
-    return radius
+        bracket = perron_root(A[members][:, members]).bracket
+        lo, hi = max(lo, bracket[0]), max(hi, bracket[1])
+    return lo, hi

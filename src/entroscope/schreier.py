@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from .graphs import Declared, Edge, LabelledGraph, Vertex
+from .graphs import Declared, LabelledGraph, Vertex
 
 
 class ActionError(RuntimeError):
@@ -41,15 +41,18 @@ def schreier_graph(spec: ActionSpec) -> LabelledGraph:
     complete; an action failure is a hard error, not a missing edge.
     """
 
+    alphabet, act = spec.alphabet, spec.act
+
     def expand(v):
-        edges = []
-        for a in spec.alphabet:
-            try:
-                target = spec.act(v, a)
-            except Exception as exc:
-                raise ActionError(f"action failed on ({v!r}, {a!r}): {exc}") from exc
-            edges.append(Edge(v, a, target))
-        return edges
+        try:
+            return [(v, a, act(v, a)) for a in alphabet]
+        except Exception:
+            for a in alphabet:  # the action is pure: the letter that failed fails again
+                try:
+                    act(v, a)
+                except Exception as exc:
+                    raise ActionError(f"action failed on ({v!r}, {a!r}): {exc}") from exc
+            raise
 
     return LabelledGraph(
         alphabet=spec.alphabet,

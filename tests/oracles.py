@@ -72,12 +72,31 @@ def dict_census(g, x, y, N, forbidden=()) -> list[int]:
     return counts
 
 
+def bfs(g, x, radius=None) -> dict:
+    """Breadth-first search from ``x`` over ``out_edges``: the distance of
+    each vertex found within ``radius`` (anywhere when None), in discovery
+    order."""
+    distances = {x: 0}
+    frontier = [x]
+    d = 0
+    while frontier and d != radius:
+        d += 1
+        nxt = []
+        for v in frontier:
+            for e in g.out_edges(v):
+                if e.target not in distances:
+                    distances[e.target] = d
+                    nxt.append(e.target)
+        frontier = nxt
+    return distances
+
+
 def lazy_reach(g, x, N, forbidden=None):
     """The census search as a breadth-first search of the lazy product
     graph (``factors.product_graph``): the states within distance N of the
     start in discovery order, and the out-edges of those within N - 1."""
     graph, start = es.factors.avoiding(g, x, forbidden)
-    distances = es.graphs.bfs(graph, start, N)
+    distances = bfs(graph, start, N)
     edges = [e for v, d in distances.items() if d < N for e in graph.out_edges(v)]
     return list(distances), edges
 
@@ -87,7 +106,7 @@ def reference_window(g, x, radius):
     ball vertex's out-edges split by whether their target is in the ball.
     Returns (distances, inside edges, boundary edges, dense adjacency in the
     search's vertex order)."""
-    distances = es.graphs.bfs(g, x, radius)
+    distances = bfs(g, x, radius)
     edges = [e for v in distances for e in g.out_edges(v)]
     inside = [e for e in edges if e.target in distances]
     index = {v: i for i, v in enumerate(distances)}
@@ -103,7 +122,7 @@ def connectedness_per_edge(g, w, K_max):
     None when some edge has no return path of length <= K_max."""
     worst = 0
     for e in w.edges:
-        back = es.graphs.bfs(g, e.target, K_max).get(e.source)
+        back = bfs(g, e.target, K_max).get(e.source)
         if back is None:
             return None
         worst = max(worst, back)

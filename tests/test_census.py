@@ -233,7 +233,8 @@ class TestPathCounts:
         with pytest.raises(es.ExpansionBudgetExceeded):
             es.census.path_counts(grid_z2, origin, origin, 8, forbidden=F)
         with pytest.raises(es.ExpansionBudgetExceeded):
-            es.census.path_weights(grid_z2, origin, origin, 8, lambda e: 0.25, forbidden=F)
+            es.census.path_weights(grid_z2, origin, origin, 8,
+                                   lambda vertices, s, a, t: [0.25] * len(s), forbidden=F)
         grid_z2.budget = es.DEFAULT_BUDGET
         assert es.census.path_counts(grid_z2, origin, origin, 8, forbidden=F) == counts
 
@@ -339,7 +340,9 @@ class TestArrayReach:
                     nxt[e.target] += mass.get(e.source, 0.0) * weight(base)
                 mass = nxt
                 table.append(sum(mass[s] for s in at_y))
-            got = es.census.path_weights(g, x, y, N, weight, forbidden=F)
+            got = es.census.path_weights(
+                g, x, y, N, lambda *columns: list(map(weight, es.graphs.edge_list(
+                    columns[0], g.alphabet, *columns[1:]))), forbidden=F)
             assert got == pytest.approx(table, rel=1e-12, abs=1e-300)
 
 

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -391,6 +392,24 @@ class TestCertificateRegressions:
         certificate = report["results"]["certificate"]
         assert certificate["rho"] >= true_rho
         assert certificate["bound"] < certificate["rho"]
+
+    def test_bound_above_the_brackets_lower_end_is_refused(self, capsys, tmp_path):
+        # a 400-vertex path read by a and A, with a c-loop at 0: inverse-closed,
+        # so conn_K 1 is measured, and D 5, k 10 give eps 9.5e-8, below the
+        # width the Perron bracket keeps after 10^5 products; the bound
+        # 0.66666168 lies above the true rho 0.66666154, so bound < rho fails
+        n = 400
+        edges = [[0, "c", 0]] + [[i, "a", i + 1] for i in range(n - 1)]
+        edges += [[i + 1, "A", i] for i in range(n - 1)]
+        doc = {"alphabet": ["A", "a", "c"], "vertices": list(range(n)), "edges": edges,
+               "roots": [0]}
+        path = write_doc(tmp_path, "path.json", doc)
+        code, report = run(capsys, "analyze", "--graph", path, "--forbid", "aaaaa", "--depth", "30")
+        assert code == 4 and report["results"]["certificate"] is None
+        (warning,) = report["warnings"]
+        assert "too wide for the drop" in warning
+        lo, hi, bound = map(float, re.findall(r"\d\.\d+", warning))
+        assert lo <= dense_radius(doc) < bound < hi
 
 
 class TestRho:

@@ -220,17 +220,13 @@ class TestDenseness:
 
     def test_runs_no_graph_search(self, monkeypatch):
         # one backward sweep of the window's own edges, no breadth-first search
-        # (bfs on lazy graphs, the layered kernel on finite ones)
+        # (the layered kernel on finite graphs; lazy ones grow by ``expand``)
         calls = []
-
-        def counted(search):
-            return lambda *args, **kwargs: calls.append(args[1]) or search(*args, **kwargs)
-
-        for name in ("bfs", "layered_search"):
-            search = getattr(es.graphs, name)
-            for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "entroscope"]:
-                if getattr(module, name, None) is search:
-                    monkeypatch.setattr(module, name, counted(search))
+        search = es.graphs.layered_search
+        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "entroscope"]:
+            if getattr(module, "layered_search", None) is search:
+                monkeypatch.setattr(module, "layered_search", lambda *args, **kwargs:
+                                    calls.append(args[1]) or search(*args, **kwargs))
         w = es.full_window(cycle_z(7))
         assert len(calls) == 1  # the patch takes: full_window searches once
         cert = es.estimate_denseness_constant(make_forbidden("rrl", "ll"), w, D_max=4)

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -10,18 +11,31 @@ import entroscope as es
 from entroscope.graphs import Edge
 
 from oracles import (
-    connectedness_per_edge, iter_paths, random_det_scc_graph, random_inverse_closed_graph,
+    bfs, connectedness_per_edge, iter_paths, random_det_scc_graph, random_inverse_closed_graph,
     random_nfa, reference_window, shared_pairs, with_dangling_tail,
 )
 
 
 @pytest.fixture
-def bfs_calls(monkeypatch):
-    """The positional arguments of every ``graphs.bfs`` call from here on."""
+def expansions(monkeypatch):
+    """The vertex of every ``expand`` call, through the instance as the
+    benchmark's tracer counts them, of each graph built from here on."""
     calls = []
-    bfs = es.graphs.bfs
-    monkeypatch.setattr(es.graphs, "bfs", lambda *a, **k: calls.append(a) or bfs(*a, **k))
+    init = es.LabelledGraph.__init__
+
+    def counted_init(g, *args, **kwargs):
+        init(g, *args, **kwargs)
+        expand = g.expand
+        g.expand = lambda v: calls.append(v) or expand(v)
+
+    monkeypatch.setattr(es.LabelledGraph, "__init__", counted_init)
     return calls
+
+
+def forward_distance(g, x, y, cap):
+    """d(x, y) read off the search from x to depth cap, None beyond it."""
+    reach = es.graphs.search(g, x, cap)
+    return dict(zip(reach.vertices, reach.distance.tolist())).get(y)
 
 
 @pytest.fixture
@@ -102,18 +116,11 @@ class TestWindowSearch:
             assert w.center == x and w.radius == (max(distances.values()) if r is None else r)
             assert (w.adjacency().toarray() == A).all()
 
-    def test_second_call_searches_nothing(self, monkeypatch):
-        calls = []
-        bfs = es.graphs.bfs
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return bfs(*args, **kwargs)
-
-        monkeypatch.setattr(es.graphs, "bfs", counted)
+    def test_second_call_searches_nothing(self, expansions):
         g = es.schreier_graph(es.builtin_family("grid_Z2"))
-        first, second = es.forward_ball(g, (0, 0), 3), es.forward_ball(g, (0, 0), 3)
-        assert len(calls) == 1 and first == second
+        first = es.forward_ball(g, (0, 0), 3)
+        assert len(expansions) == 25  # the ball's vertices, each once
+        assert es.forward_ball(g, (0, 0), 3) == first and len(expansions) == 25
 
     def test_complete_search_is_the_whole_search(self, kernel_calls):
         # depth 30 on at most 8 vertices runs out of vertices first; a search
@@ -128,7 +135,7 @@ class TestWindowSearch:
             kernel_calls.clear()
             reused = es.graphs.search(g, x)
             assert kernel_calls == []
-            assert reused.vertices == fresh.vertices and reused.edges == fresh.edges
+            assert reused.vertices == fresh.vertices
             for column in ("distance", "vertex", "source", "label", "target", "base"):
                 assert np.array_equal(getattr(reused, column), getattr(fresh, column))
         for name in ("line_Z", "grid_Z2"):
@@ -161,8 +168,8 @@ class TestWindowSearch:
 class TestArraySearch:
     """On a finite graph ``graphs.search`` runs ``layered_search`` over the
     graph's arrays; the same expansion function behind a bare
-    ``LabelledGraph`` is searched by ``bfs``, and the two ``Reach``es agree
-    column for column."""
+    ``LabelledGraph`` is searched by its ``Growth``, and the two ``Reach``es
+    agree column for column."""
 
     COLUMNS = ("distance", "vertex", "source", "label", "target", "base")
 
@@ -171,7 +178,7 @@ class TestArraySearch:
         # deterministic SCCs, dangling tails, nondeterministic graphs, and
         # unreachable parts (vertices listed but not reached from the start);
         # first an edge naming a listed id by an equal one (1.0 for 1), which
-        # a search keys by the edge that found it
+        # both searches key by the listed id
         yield es.explicit_graph("a", [(0, "a", 1.0), (1, "a", 0)], roots=[0], vertices=[0, 1])
         for i in range(count):
             g = random_det_scc_graph(rng)
@@ -196,7 +203,7 @@ class TestArraySearch:
                     g.reaches.clear()  # a shallower search may hold the whole one
                     got, want = es.graphs.search(g, x, N), es.graphs.search(lazy, x, N)
                     assert kernel_calls == [g.arrays.index[x]]
-                    assert got.vertices == want.vertices and got.edges == want.edges
+                    assert got.vertices == want.vertices
                     assert list(map(type, got.vertices)) == list(map(type, want.vertices))
                     assert got.state is None and want.state is None
                     for column in self.COLUMNS:
@@ -216,12 +223,14 @@ class TestArraySearch:
                         raised += 1
                         assert got == want
                     else:
-                        assert got.vertices == want.vertices and got.edges == want.edges
+                        assert got.vertices == want.vertices
+                        for column in self.COLUMNS:
+                            assert np.array_equal(getattr(got, column), getattr(want, column))
         assert raised > 100
 
 
     def test_start_vertex_counts_against_the_budget(self, b2):
-        # a budget below 1 leaves no room for the start vertex: on the bfs
+        # a budget below 1 leaves no room for the start vertex: on the lazy
         # path (constructor keyword), the array path (attribute) and the
         # product search; a budget of 1 holds it
         lazy = es.LabelledGraph(b2.alphabet, b2.expand, b2.roots, budget=0)
@@ -238,15 +247,71 @@ class TestArraySearch:
         assert es.count_words(b2, "v", "v", 0, forbidden=F).counts == (1,)
 
 
+class TestGrowingSearch:
+    """A lazy graph's searches are prefixes of one ``graphs.Growth`` per
+    start vertex (``g.grown``): a deeper search resumes a shallower one, and
+    each layer's expansions are checked in one pass, as ``out_edges`` checks
+    one vertex's."""
+
+    COLUMNS = ("distance", "vertex", "source", "label", "target", "base")
+
+    def test_resumed_search_equals_a_fresh_one(self, expansions):
+        cases = [("grid_Z2", (0, 0), 20, 23), ("free2_mod_cyclic", "", 5, 7), ("line_Z", 3, 0, 9)]
+        for name, x, first, second in cases:
+            spec = es.builtin_family(name)
+            g, fresh = es.schreier_graph(spec), es.schreier_graph(spec)
+            es.graphs.search(g, x, first)
+            expansions.clear()
+            resumed = es.graphs.search(g, x, second)
+            grown = list(expansions)
+            want = es.graphs.search(fresh, x, second)
+            assert resumed.vertices == want.vertices and list(g.grown) == [x]
+            for column in self.COLUMNS:
+                assert np.array_equal(getattr(resumed, column), getattr(want, column))
+            # the second call expands only the new layers, each vertex once
+            assert grown == [v for v, d in zip(want.vertices, want.distance) if first <= d < second]
+
+    def test_resumed_search_runs_out_of_vertices(self):
+        rng = random.Random(22)
+        for _ in range(20):
+            g = with_dangling_tail(rng, random_det_scc_graph(rng))
+            lazy, fresh = (es.LabelledGraph(g.alphabet, g.expand, g.roots) for _ in range(2))
+            es.graphs.search(lazy, 0, 2)
+            for N in (3, None, 40):
+                got, want = es.graphs.search(lazy, 0, N), es.graphs.search(fresh, 0, N)
+                assert got.vertices == want.vertices
+                for column in self.COLUMNS:
+                    assert np.array_equal(getattr(got, column), getattr(want, column))
+            assert lazy.grown[0].complete
+
+    @pytest.mark.parametrize("bad, message", [
+        ([(2, "a", 0)], "expand(1) returned edge with source 2"),
+        ([(1, "c", 0)], "edge label 'c' not in alphabet"),
+        ([(1, "b", 0), (1, "a", 2), (1, "b", 0)], "duplicate edge 1 -b-> 0"),
+        ([(1, "a")], "returned (1, 'a'), not a (source, label, target) triple"),
+    ])
+    def test_layer_checks_match_out_edges(self, bad, message):
+        # vertex 1 expands badly, in one layer with the good vertex 2
+        def expand(v):
+            return bad if v == 1 else [(v, "a", 1), (v, "b", 2)] if v == 0 else [(v, "a", 0)]
+
+        errors = []
+        for run in (lambda g: g.out_edges(1), lambda g: es.graphs.search(g, 0, 2)):
+            with pytest.raises(ValueError, match=re.escape(message)) as info:
+                run(es.LabelledGraph("ab", expand, roots=[0]))
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+
+
 class TestForwardDistance:
     def test_line(self, line_z):
-        assert es.graphs.bfs(line_z, 0, 10).get(3) == 3
+        assert forward_distance(line_z, 0, 3, 10) == 3
 
     def test_self_distance_zero(self, golden_mean):
-        assert es.graphs.bfs(golden_mean, "v2", 0).get("v2") == 0
+        assert forward_distance(golden_mean, "v2", "v2", 0) == 0
 
     def test_not_found_under_cap(self, line_z):
-        assert es.graphs.bfs(line_z, 0, 3).get(5) is None
+        assert forward_distance(line_z, 0, 5, 3) is None
 
     def test_triangle_inequality(self, golden_mean, line_z):
         for g, triples in [
@@ -254,9 +319,9 @@ class TestForwardDistance:
             (line_z, [(0, 2, -1), (-2, 1, 3)]),
         ]:
             for x, y, z in triples:
-                dxy = es.graphs.bfs(g, x, 20).get(y)
-                dyz = es.graphs.bfs(g, y, 20).get(z)
-                dxz = es.graphs.bfs(g, x, 20).get(z)
+                dxy = forward_distance(g, x, y, 20)
+                dyz = forward_distance(g, y, z, 20)
+                dxz = forward_distance(g, x, z, 20)
                 assert dxz <= dxy + dyz
 
 
@@ -342,7 +407,7 @@ class TestUniformConnectedness:
         g = one_way_ray()
         w = es.forward_ball(g, 0, 4)
         assert es.graphs.uniform_connectedness_constant(g, w, K_max=5) is None
-        assert all(es.graphs.bfs(g, e.target, 5).get(e.source) is None for e in w.edges)
+        assert all(bfs(g, e.target, 5).get(e.source) is None for e in w.edges)
 
     def test_one_search_per_target_matches_the_per_edge_definition(self, grid_z2, free2):
         rng = random.Random(7)
@@ -365,15 +430,17 @@ class TestUniformConnectedness:
                 results.add(K)
         assert None in results and {1, 2, 3, 4} <= results
 
-    def test_inverse_closed_windows_search_nothing(self, bfs_calls, grid_z2, free2):
+    def test_inverse_closed_windows_search_nothing(self, expansions, grid_z2, free2):
         rng = random.Random(9)
         graphs = [random_inverse_closed_graph(rng) for _ in range(20)]
         cases = [(g, es.full_window(g)) for g in graphs]
         cases += [(g, es.forward_ball(g, g.roots[0], 3)) for g in (grid_z2, free2)]
-        bfs_calls.clear()
+        # the patch takes: the lazy balls expanded their vertices, each once
+        assert len(expansions) == sum(len(w.vertices) for _, w in cases[20:])
+        expansions.clear()
         for g, w in cases:
             assert es.graphs.uniform_connectedness_constant(g, w, K_max=len(w.vertices)) == 1
-        assert bfs_calls == []
+        assert expansions == [] and all(g.grown == {} for g, _ in cases[:20])
 
 
 class TestExpansionPurity:
@@ -381,7 +448,7 @@ class TestExpansionPurity:
         w = es.forward_ball(free2, "", 3)
         for v in w.vertices:
             assert free2.out_edges(v) == tuple(
-                sorted(free2.expand(v), key=es.graphs.edge_sort_key)
+                sorted(map(Edge._make, free2.expand(v)), key=es.graphs.edge_sort_key)
             )
 
     def test_bad_source_rejected(self):
@@ -402,8 +469,12 @@ class TestExpansionPurity:
         for _ in range(25):
             edges = [Edge("v", a, t) for a, t in zip(labels, rng.sample(targets, len(labels)))]
             shuffled = rng.sample(edges, len(edges))
-            g = es.LabelledGraph("abcd", lambda v: shuffled, roots=["v"])
+            g = es.LabelledGraph("abcd", lambda v: shuffled if v == "v" else [], roots=["v"])
             assert g.out_edges("v") == tuple(sorted(shuffled, key=es.graphs.edge_sort_key))
+            # a search's edges come in the same order
+            r = es.graphs.search(g, "v", 1)
+            assert [(g.alphabet[a], r.vertices[t]) for a, t in zip(r.label, r.target)] == [
+                (e.label, e.target) for e in g.out_edges("v")]
 
     @pytest.mark.parametrize("extra", [[], [Edge("v", "a", 2)]])
     def test_duplicate_from_custom_expand_rejected(self, extra):
@@ -451,10 +522,9 @@ class TestJsonInterface:
                 want = sorted((Edge(*t) for t in triples if t[0] == v),
                               key=es.graphs.edge_sort_key)
                 assert loaded.out_edges(v) == built.out_edges(v) == tuple(want)
-            arrays = loaded.arrays
-            assert arrays.edges == [e for v in vertices for e in loaded.out_edges(v)]
-            assert arrays.label.tolist() == [alphabet.index(e.label) for e in arrays.edges]
-            assert arrays.target.tolist() == [vertices.index(e.target) for e in arrays.edges]
+            arrays, edges = loaded.arrays, [e for v in vertices for e in loaded.out_edges(v)]
+            assert arrays.label.tolist() == [alphabet.index(e.label) for e in edges]
+            assert arrays.target.tolist() == [vertices.index(e.target) for e in edges]
         # without a vertex list the ids come from the edges and roots
         edges = [(pool[-1], "a", 10), (10, "a", "10"), ("10", "b", 9)]
         g = es.explicit_graph("ab", edges, roots=["x"])

@@ -75,6 +75,28 @@ class TestPerronRoot:
         assert hi - lo <= es.linalg.TOL * (hi + 1)
         assert res.iterations == products[0] <= 150
 
+    def test_restarts_that_widen_the_bracket_are_undone(self, monkeypatch):
+        # the one-way 400-cycle read by a and b, with a c-loop at vertex 0:
+        # every Ritz vector's bracket is wider than the power iterate's at the
+        # first restart, so power iteration resumes from that iterate and ends
+        # on its own bracket after as many power steps (at 10^5 steps the
+        # upper end reads 2.0038929, against 2.0038958 from the last Ritz vector)
+        n = 400
+        A = sparse.csr_matrix((np.r_[np.full(n, 2.0), 1.0],
+                               (np.r_[np.arange(n), 0], np.r_[np.arange(1, n + 1) % n, 0])))
+        monkeypatch.setattr(es.linalg, "MAX_ITER", 20000)
+        calls = []
+        restart = es.linalg._arnoldi_restart
+        monkeypatch.setattr(es.linalg, "_arnoldi_restart",
+                            lambda *args: calls.append(1) or restart(*args))
+        with counting_products() as products:
+            res = perron_root(A)
+        assert len(calls) == es.linalg.RESTARTS and res.iterations == products[0] > 20000
+        monkeypatch.setattr(es.linalg, "RESTARTS", 0)
+        power = perron_root(A)
+        assert power.iterations == 20000 and res.bracket == power.bracket
+        assert (res.vector == power.vector).all()
+
     def test_fast_power_iteration_takes_no_restart(self, monkeypatch):
         # a random 300-cycle plus 1% random entries: nonsymmetric, and power
         # iteration alone closes the bracket in 57 products, faster than a
