@@ -127,8 +127,11 @@ def _reach(g, x, y, N, forbidden):
         if key not in g.reaches:
             g.reaches[key] = _product_reach(g, reach, N, forbidden)
         reach = g.reaches[key]
-    at_y = [i for i, v in enumerate(reach.vertices) if v == y]
-    return reach, np.flatnonzero(np.isin(reach.vertex, at_y))
+    try:
+        j = reach.vertices.index(y)
+    except ValueError:  # y lies beyond N: no state over it
+        j = -1
+    return reach, np.flatnonzero(reach.vertex == j)
 
 
 def _product_reach(g, plain: Reach, N, forbidden) -> Reach:

@@ -15,6 +15,7 @@ global claims about an infinite graph.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
@@ -140,6 +141,8 @@ class LabelledGraph:
         self.budget = budget
         self._code = {a: i for i, a in enumerate(self.alphabet)}
         self._rank = {a: i for i, a in enumerate(sorted(self.alphabet))}
+        self._in_order = tuple(sorted(self.alphabet))
+        self._in_order_codes = list(map(self._code.__getitem__, self._in_order))
         self._cache: dict = {}
         self.grown: dict = {}
         self.reaches: dict = {}
@@ -154,7 +157,8 @@ class LabelledGraph:
         vertex expanded once through ``self.expand``, every edge checked
         (a triple, the vertex as source, a label in the alphabet), and each
         vertex's edges sorted by label, then canonical target form where
-        labels tie, with no edge twice."""
+        labels tie, with no edge twice; a layer in order (each vertex reads
+        the sorted alphabet once, from itself) on two tuple comparisons."""
         outs = [list(self.expand(v)) for v in vertices]
         degree = list(map(len, outs))
         edges = list(itertools.chain.from_iterable(outs))
@@ -164,7 +168,12 @@ class LabelledGraph:
             bad = next(e for e in edges if len(e) != 3)
             raise GraphFormatError(f"expand returned {bad!r}, not a (source, label, target) triple")
         sources, labels, targets = zip(*edges)
-        owners = list(itertools.chain.from_iterable(map(itertools.repeat, vertices, degree)))
+        owners = tuple(itertools.chain.from_iterable(map(itertools.repeat, vertices, degree)))
+        sigma = len(self.alphabet)
+        # the degrees too: reads a, b, a and b join into the pattern for "ab"
+        if (degree.count(sigma) == len(degree) and labels == self._in_order * len(vertices)
+                and sources == owners):
+            return degree, self._in_order_codes * len(vertices), list(targets)
         if not all(map(operator.eq, sources, owners)):
             v, s = next((v, s) for v, s in zip(owners, sources) if s != v)
             raise GraphFormatError(
@@ -172,7 +181,6 @@ class LabelledGraph:
         rank = list(map(self._rank.get, labels))
         if None in rank:
             raise GraphFormatError(f"edge label {labels[rank.index(None)]!r} not in alphabet")
-        sigma = len(self.alphabet)
         first = itertools.chain.from_iterable(
             map(itertools.repeat, range(0, sigma * len(vertices), sigma), degree))
         key = list(map(operator.add, first, rank))
@@ -275,16 +283,16 @@ class Growth:
     """A lazy graph's layered search from one vertex, grown a layer at a
     time (``grow``) and kept on ``g.grown``, so that a deeper search
     resumes it: a search to depth N is its prefix.  ``vertices`` in
-    discovery order, numbered by ``index``; ``ends[d]`` of them lie within
-    d, and the first ``edge_ends[d]`` entries of the ``source``, ``label``
-    (alphabet index) and ``target`` columns are the edges out of those
-    within d - 1."""
+    discovery order, numbered by ``index``, whose lookup (``[]``) numbers a
+    vertex not yet found next (``get`` never does); ``ends[d]`` of them lie
+    within d, and the first ``edge_ends[d]`` entries of the ``source``,
+    ``label`` (alphabet index) and ``target`` columns are the edges out of
+    those within d - 1."""
 
     def __init__(self, x: Vertex):
-        self.vertices, self.index, self.ends, self.edge_ends = [x], {x: 0}, [1], [0]
-        self.source: list = []
-        self.label: list = []
-        self.target: list = []
+        self.vertices, self.ends, self.edge_ends = [x], [1], [0]
+        self.index = collections.defaultdict(itertools.count(1).__next__, {x: 0})
+        self.source, self.label, self.target = [], [], []
 
     @property
     def complete(self) -> bool:
@@ -293,15 +301,15 @@ class Growth:
 
     def grow(self, g: LabelledGraph) -> None:
         """Expand the outer layer once (``g.expansions``) and number its
-        targets' new vertices in order of first appearance."""
+        targets, the new vertices in order of first appearance, with one
+        ``index`` lookup per edge."""
         lo, hi = self.ends[-2] if len(self.ends) > 1 else 0, self.ends[-1]
         degree, labels, targets = g.expansions(self.vertices[lo:hi])
-        new = [t for t in dict.fromkeys(targets) if t not in self.index]
-        self.index.update(zip(new, itertools.count(hi)))
-        self.vertices += new
         self.source += itertools.chain.from_iterable(map(itertools.repeat, range(lo, hi), degree))
         self.label += labels
         self.target += map(self.index.__getitem__, targets)
+        new = len(self.index) - hi  # the vertices this layer numbered, last in the index
+        self.vertices += reversed(list(itertools.islice(reversed(self.index), new)))
         self.ends.append(len(self.vertices))
         self.edge_ends.append(len(self.source))
 
@@ -363,12 +371,15 @@ def layered_search(offsets, label, target, start: int, N: Optional[int], budget:
     ``target``.  A state is a key i * m + s, and an edge steps s to
     ``step[s, label]`` (-1 drops it; no ``step``: m = 1).  Per layer it
     numbers each new key at its first occurrence among the frontier's
-    out-edges.  Returns the keys in that order, their distances, and per
-    edge out of a key within N - 1 its source's number, column index and
-    target's number; over ``budget`` keys raise from ``origin``."""
+    out-edges, with no sort: ``np.minimum.at`` (unbuffered, so defined on
+    repeated keys) writes its least edge position into its ``number``.
+    Returns the keys in that order, their distances, and per edge out of a
+    key within N - 1 its source's number, column index and target's
+    number; over ``budget`` keys raise from ``origin``."""
     if budget < 1:
         raise budget_exceeded(origin, budget)
-    number = np.full((len(offsets) - 1) * m, -1)
+    unseen = np.iinfo(np.int64).max
+    number = np.full((len(offsets) - 1) * m, unseen)
     number[start] = 0
     empty = np.zeros(0, np.int64)
     layers, edges, found = [np.array([start])], [(empty,) * 3], 1
@@ -382,10 +393,11 @@ def layered_search(offsets, label, target, start: int, N: Optional[int], budget:
             live = s2 >= 0
             src, e, key = src[live], e[live], key[live] + s2[live]
         edges.append((src, e, key))
-        unique, first = np.unique(key, return_index=True)
-        first = np.sort(first[number[unique] < 0])
-        if not len(first):
+        new = np.flatnonzero(number[key] == unseen)
+        if not len(new):
             break
+        np.minimum.at(number, key[new], new)
+        first = new[number[key[new]] == new]
         layers.append(key[first])
         number[key[first]] = np.arange(found, found + len(first))
         found += len(first)

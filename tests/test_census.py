@@ -305,9 +305,12 @@ class TestArrayReach:
 
     def test_sweep_matches_the_lazy_product_search(self):
         for g, x, y, N, F in _reach_cases():
-            reach, _ = es.census._reach(g, x, y, N, F)
+            reach, at_y = es.census._reach(g, x, y, N, F)
             states, edges = lazy_reach(g, x, N, F)
             assert [reach.state_at(i) for i in range(len(reach.vertex))] == states
+            # the states over y, none when y lies beyond N
+            assert at_y.tolist() == [i for i, s in enumerate(states)
+                                     if (s if F is None else s[0]) == y]
             assert [
                 (reach.state_at(s), g.alphabet[a], reach.state_at(t))
                 for s, a, t in zip(reach.source, reach.label, reach.target)

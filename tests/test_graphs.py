@@ -11,8 +11,8 @@ import entroscope as es
 from entroscope.graphs import Edge
 
 from oracles import (
-    bfs, connectedness_per_edge, iter_paths, random_det_scc_graph, random_inverse_closed_graph,
-    random_nfa, reference_window, shared_pairs, with_dangling_tail,
+    bfs, connectedness_per_edge, iter_paths, lazy_reach, random_det_scc_graph,
+    random_inverse_closed_graph, random_nfa, reference_window, shared_pairs, with_dangling_tail,
 )
 
 
@@ -289,11 +289,16 @@ class TestGrowingSearch:
         ([(1, "c", 0)], "edge label 'c' not in alphabet"),
         ([(1, "b", 0), (1, "a", 2), (1, "b", 0)], "duplicate edge 1 -b-> 0"),
         ([(1, "a")], "returned (1, 'a'), not a (source, label, target) triple"),
+        # labels that read the sorted alphabet, as an in-order layer's do
+        ([(1, "a", 0), (2, "b", 0)], "expand(1) returned edge with source 2"),
+        ([(1, "a", 0, 9), (1, "b", 0)], "returned (1, 'a', 0, 9), not a (source, label, target)"),
     ])
     def test_layer_checks_match_out_edges(self, bad, message):
-        # vertex 1 expands badly, in one layer with the good vertex 2
+        # vertex 1 expands badly, in one layer with vertex 2, which reads the
+        # whole alphabet in order
         def expand(v):
-            return bad if v == 1 else [(v, "a", 1), (v, "b", 2)] if v == 0 else [(v, "a", 0)]
+            return bad if v == 1 else [(v, "a", 1), (v, "b", 2)] if v == 0 else [
+                (v, "a", 0), (v, "b", 0)]
 
         errors = []
         for run in (lambda g: g.out_edges(1), lambda g: es.graphs.search(g, 0, 2)):
@@ -301,6 +306,91 @@ class TestGrowingSearch:
                 run(es.LabelledGraph("ab", expand, roots=[0]))
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
+
+    def test_uneven_split_is_sorted_per_vertex(self):
+        # the layer's labels a, b, a, b read the sorted alphabet twice, but
+        # vertex 1 reads a, b, a and vertex 2 reads b alone
+        out = {0: [(0, "a", 1), (0, "b", 2)], 1: [(1, "a", 0), (1, "b", 0), (1, "a", 2)],
+               2: [(2, "b", 0)]}
+        g = es.LabelledGraph("ab", out.__getitem__, roots=[0])
+        r = es.graphs.search(g, 0, 2)
+        assert es.graphs.edge_list(r.vertices, g.alphabet, r.source, r.label, r.target) == [
+            e for v in r.vertices for e in g.out_edges(v)]
+        assert [(e.label, e.target) for e in g.out_edges(1)] == [("a", 0), ("a", 2), ("b", 0)]
+
+    @pytest.mark.parametrize("name", es.schreier.family_names())
+    def test_builtin_families_take_the_in_order_path(self, monkeypatch, name):
+        # every built-in family lists its letters in sorted order, so no
+        # layer needs a sort, nor the general pass, which reads ``_rank``
+        def refuse(*args):
+            raise AssertionError("a layer left the in-order path")
+
+        monkeypatch.setattr(es.graphs, "edge_sort_key", refuse)
+        spec = es.builtin_family(name)
+        g, fresh = es.schreier_graph(spec), es.schreier_graph(spec)
+        g._rank = None
+        got, want = es.graphs.search(g, spec.root, 8), bfs(fresh, spec.root, 8)
+        assert got.vertices == list(want) and got.distance.tolist() == list(want.values())
+
+
+class TestFirstOccurrence:
+    """A layer numbers its new vertices in the order their first edges
+    come, not in the order of their ids: here vertex 5 comes before 3 and
+    both are reached twice, and 4 before 2."""
+
+    EDGES = [(0, "a", 5), (0, "b", 3), (0, "c", 5), (5, "a", 4), (5, "b", 2), (5, "c", 4),
+             (3, "a", 2), (3, "b", 6), (3, "c", 1), (4, "a", 0), (4, "b", 1), (2, "a", 1),
+             (2, "c", 0), (6, "b", 6), (1, "a", 3)]
+
+    @staticmethod
+    def out_of_order(keys, layer_of, sources, targets):
+        """Whether some layer's keys are out of key order, and some key is
+        the target of two of the edges into its layer (numbers index
+        ``keys`` and ``layer_of``)."""
+        layers: dict = {}
+        for k, d in zip(keys, layer_of):
+            layers.setdefault(d, []).append(k)
+        into = [t for s, t in zip(sources, targets) if layer_of[t] == layer_of[s] + 1]
+        return any(ks != sorted(ks) for ks in layers.values()) and len(set(into)) < len(into)
+
+    def test_finite_search_matches_bfs(self):
+        g = es.explicit_graph("abc", self.EDGES, roots=[0])
+        assert g.vertex_list == tuple(range(7))
+        for N in (1, 2, 3, None):
+            g.reaches.clear()
+            r = es.graphs.search(g, 0, N)
+            want = bfs(g, 0, N)
+            assert r.vertices == list(want) and r.distance.tolist() == list(want.values())
+            assert r.vertex.tolist() == list(range(len(want)))
+            assert es.graphs.edge_list(r.vertices, g.alphabet, r.source, r.label, r.target) == [
+                e for v, d in want.items() if N is None or d < N for e in g.out_edges(v)]
+            assert r.base.tolist() == list(range(len(r.source)))
+        assert r.vertices == [0, 5, 3, 4, 2, 6, 1]
+        assert self.out_of_order(r.vertices, r.distance.tolist(), r.source, r.target)
+
+    def test_product_search_matches_lazy_reach(self):
+        g = es.explicit_graph("abc", self.EDGES, roots=[0])
+        seen = 0
+        for words in (["ca"], ["bb", "ac"], ["aa", "cc"]):
+            F = es.ForbiddenSet.from_strings(words, g.alphabet)
+            for N in (1, 2, 3, 6):
+                g.reaches.clear()
+                reach, _ = es.census._reach(g, 0, 0, N, F)
+                states, edges = lazy_reach(g, 0, N, F)
+                assert [reach.state_at(i) for i in range(len(reach.vertex))] == states
+                assert [(reach.state_at(s), g.alphabet[a], reach.state_at(t))
+                        for s, a, t in zip(reach.source, reach.label, reach.target)] == [
+                    tuple(e) for e in edges]
+                plain = es.graphs.search(g, 0, N)
+                assert [(plain.vertices[plain.source[b]], g.alphabet[plain.label[b]],
+                         plain.vertices[plain.target[b]]) for b in reach.base] == [
+                    (e.source[0], e.label, e.target[0]) for e in edges]
+                keys = list(zip(reach.vertex.tolist(), reach.state.tolist()))
+                depth = {0: 0}  # a state's layer: one past its first edge's source's
+                for u, t in zip(reach.source.tolist(), reach.target.tolist()):
+                    depth.setdefault(t, depth[u] + 1)
+                seen += self.out_of_order(keys, list(depth.values()), reach.source, reach.target)
+        assert seen
 
 
 class TestForwardDistance:
