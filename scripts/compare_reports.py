@@ -1,0 +1,160 @@
+#!/usr/bin/env python3
+"""Compare what two entroscope source trees print on the benchmark's jobs.
+
+Usage (from the root of a checkout):
+
+    python3 scripts/compare_reports.py OLD_SRC NEW_SRC [--seeds 1 2 3]
+
+Every job that bench/jobs.py builds for the lazy-schreier, finite-analyze
+and harmonic-rho workloads runs once per tree through
+``entroscope.cli.main(argv)``, each tree in its own interpreter: the old
+one under PYTHONHASHSEED=0, the new one under 1, so that an output that
+depends on string-hash order differs even between two copies of one tree.
+Both runs share one work directory, since reports echo the paths of their
+graph and CSV files.  Exit codes, reports (without ``generated_at``) and
+CSVs are compared; for each job that differs the script prints the JSON
+paths at which the two reports differ and the largest relative difference
+between their numbers.  Exits 0 only when every job is identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import traceback
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("lazy-schreier", "finite-analyze", "harmonic-rho")
+GENERATED_AT = re.compile(r'^\s*"generated_at": .*$\n?', re.MULTILINE)
+
+
+def run_jobs(src: str, workdir: str, seeds) -> dict:
+    """Each job's exit code, report and CSV under the tree at ``src``,
+    keyed by workload/seed/job (the child interpreter's half)."""
+    sys.path.insert(0, os.path.abspath(src))
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    import entroscope
+    import jobs as jobs_mod
+    from entroscope import cli
+
+    origin = os.path.realpath(entroscope.__file__)
+    if not origin.startswith(os.path.realpath(src) + os.sep):
+        raise SystemExit(f"entroscope imported from {origin}, not from {src}")
+    out = {}
+    for workload in WORKLOADS:
+        for seed in seeds:
+            for job in jobs_mod.make_jobs(workload, seed, workdir):
+                if job.csv and os.path.exists(job.csv):
+                    os.remove(job.csv)
+                buf = io.StringIO()
+                try:
+                    with contextlib.redirect_stdout(buf):
+                        code = cli.main(job.argv)
+                except Exception:  # a traceback out of main() is an output too
+                    code, buf = None, io.StringIO(traceback.format_exc(limit=-3))
+                csv = None
+                if job.csv and os.path.exists(job.csv):
+                    with open(job.csv, encoding="utf-8") as fh:
+                        csv = fh.read()
+                out[f"{workload}/{seed}/{job.name}"] = {
+                    "exit": code, "report": GENERATED_AT.sub("", buf.getvalue()), "csv": csv}
+    return out
+
+
+def run_tree(src: str, workdir: str, seeds, hash_seed: int) -> dict:
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--child", src, workdir,
+         "--seeds", *map(str, seeds)],
+        capture_output=True, text=True, env=env, cwd=ROOT,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"the run of {src} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
+def differences(old, new, path="$"):
+    """(path, relative difference or None) of each place where two JSON
+    values differ; numbers give |a - b| / max(|a|, |b|)."""
+    number = (int, float)
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            if key not in old or key not in new:
+                yield f"{path}.{key}", None
+            else:
+                yield from differences(old[key], new[key], f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from differences(a, b, f"{path}[{i}]")
+    elif (isinstance(old, number) and isinstance(new, number)
+          and not isinstance(old, bool) and not isinstance(new, bool)):
+        if old != new:
+            yield path, abs(old - new) / max(abs(old), abs(new))
+    elif old != new or type(old) is not type(new):
+        yield path, None
+
+
+def compare(old: dict, new: dict) -> list[str]:
+    """One line per differing job (and its differing places)."""
+    lines = []
+    for key in list(old) + [k for k in new if k not in old]:
+        a, b = old.get(key), new.get(key)
+        if a == b:
+            continue
+        if a is None or b is None:
+            lines.append(f"{key}: run by one tree only")
+            continue
+        found = []
+        if a["exit"] != b["exit"]:
+            found.append(f"exit {a['exit']} != {b['exit']}")
+        if a["csv"] != b["csv"]:
+            found.append("CSV differs")
+        if a["report"] != b["report"]:
+            try:
+                diff = list(differences(json.loads(a["report"]), json.loads(b["report"])))
+            except json.JSONDecodeError:
+                diff = [("report (not JSON)", None)]
+            rel = [r for _, r in diff if r is not None]
+            found.append(f"report differs at {', '.join(p for p, _ in diff) or 'its layout'}"
+                         + (f"; largest relative difference {max(rel):.3g}" if rel else ""))
+        lines.append(f"{key}: " + "; ".join(found))
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("old_src", nargs="?", help="source tree (the directory holding entroscope/)")
+    ap.add_argument("new_src", nargs="?", help="source tree to compare with it")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    ap.add_argument("--child", nargs=2, metavar=("SRC", "WORKDIR"), help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.child:  # one tree's half, run by run_tree
+        json.dump(run_jobs(*args.child, args.seeds), sys.stdout)
+        return 0
+    if args.new_src is None:
+        ap.error("OLD_SRC and NEW_SRC are required")
+
+    workdir = tempfile.mkdtemp(prefix="compare-reports-")
+    try:
+        old = run_tree(args.old_src, workdir, args.seeds, 0)
+        new = run_tree(args.new_src, workdir, args.seeds, 1)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+    lines = compare(old, new)
+    for line in lines:
+        print(line)
+    print(f"{len(old) - len(lines)} of {len(old)} jobs identical"
+          f" (seeds {' '.join(map(str, args.seeds))})")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,13 +17,13 @@ Together: rho_F <= rho * (1 - alpha_bar^k)^(1/k) < rho, strictly.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import sparse
 
 from . import linalg
 from .census import (
@@ -290,29 +290,21 @@ def harmonic_vector(
         leaked = np.bincount(ball.source[ball.inside:], weights[ball.inside:],
                              minlength=len(verts))
         scale = np.divide(kept + leaked, kept, out=np.ones(len(verts)), where=kept > 0)
-        matrix = sparse.diags(scale) @ matrix
+        # row i times scale[i] in place, each row stored in descending column order as the
+        # product sparse.diags(scale) @ matrix stores it, so every sum keeps that product's order
+        degree = np.diff(matrix.indptr)
+        flip = np.repeat(matrix.indptr[1:] + matrix.indptr[:-1] - 1, degree) - np.arange(matrix.nnz)
+        matrix.data = (matrix.data * np.repeat(scale, degree))[flip]
+        matrix.indices, matrix.has_sorted_indices = matrix.indices[flip], False
     res = linalg.perron_root(matrix)
     h = res.vector / res.vector[0]
-    values = dict(zip(verts, h.tolist()))
-    rho_hat = res.value
     # verts run by distance, so the inner rows come first; no edge leaves the
     # window from them, so they are complete and reflecting left them unscaled
-    inner = sum(d < radius for d in ball.distances.values())
-    residual = float(np.max(np.abs(matrix @ h - rho_hat * h)[:inner] / h[:inner]))
-    return HarmonicVector(
-        rho_hat=rho_hat,
-        values=values,
-        residual=residual,
-        center=center,
-        radius=radius,
-        scheme=scheme,
-        tol=tol,
-        diagnostics={
-            "rho_" + scheme: rho_hat,
-            "iterations": res.iterations,
-            "window_size": len(verts),
-        },
-    )
+    inner = np.count_nonzero(np.fromiter(ball.distances.values(), np.int64, len(verts)) < radius)
+    residual = float(np.max(np.abs(matrix @ h - res.value * h)[:inner] / h[:inner]))
+    return HarmonicVector(res.value, dict(zip(verts, h.tolist())), residual, center, radius,
+                          scheme, tol, {"rho_" + scheme: res.value, "iterations": res.iterations,
+                                        "window_size": len(verts)})
 
 
 def h_transform(chain: WeightedChain, hv: HarmonicVector) -> WeightedChain:
@@ -335,7 +327,8 @@ def h_transform(chain: WeightedChain, hv: HarmonicVector) -> WeightedChain:
     rho, values, alphabet = hv.rho_hat, hv.values, chain.graph.alphabet
 
     def column(vertices, source, label, target):
-        h = np.array([values.get(v, np.nan) for v in vertices])  # NaN: outside the window
+        # NaN: outside the window
+        h = np.fromiter(map(values.get, vertices, itertools.repeat(np.nan)), float, len(vertices))
         hs, ht = h[source], h[target]
         outside = np.flatnonzero(np.isnan(hs) | np.isnan(ht))[:1]
         if len(outside):

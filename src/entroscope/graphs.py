@@ -285,14 +285,17 @@ class Growth:
     resumes it: a search to depth N is its prefix.  ``vertices`` in
     discovery order, numbered by ``index``, whose lookup (``[]``) numbers a
     vertex not yet found next (``get`` never does); ``ends[d]`` of them lie
-    within d, and the first ``edge_ends[d]`` entries of the ``source``,
-    ``label`` (alphabet index) and ``target`` columns are the edges out of
-    those within d - 1."""
+    within d, ``degree`` lists the out-degree of each expanded vertex, and
+    the first ``edge_ends[d]`` entries of the ``label`` (alphabet index)
+    and ``target`` lists are the edges out of those within d - 1, grouped
+    by source in vertex order.  ``columns`` converts the lists to int64
+    arrays, each entry once."""
 
     def __init__(self, x: Vertex):
         self.vertices, self.ends, self.edge_ends = [x], [1], [0]
         self.index = collections.defaultdict(itertools.count(1).__next__, {x: 0})
-        self.source, self.label, self.target = [], [], []
+        self.degree, self.label, self.target = [], [], []
+        self.converted = (np.zeros(0, np.int64),) * 3  # degree, label, target
 
     @property
     def complete(self) -> bool:
@@ -305,13 +308,26 @@ class Growth:
         ``index`` lookup per edge."""
         lo, hi = self.ends[-2] if len(self.ends) > 1 else 0, self.ends[-1]
         degree, labels, targets = g.expansions(self.vertices[lo:hi])
-        self.source += itertools.chain.from_iterable(map(itertools.repeat, range(lo, hi), degree))
+        self.degree += degree
         self.label += labels
         self.target += map(self.index.__getitem__, targets)
         new = len(self.index) - hi  # the vertices this layer numbered, last in the index
         self.vertices += reversed(list(itertools.islice(reversed(self.index), new)))
         self.ends.append(len(self.vertices))
-        self.edge_ends.append(len(self.source))
+        self.edge_ends.append(len(self.label))
+
+    def columns(self, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The source, label and target columns of the search to ``depth``:
+        the list entries grown since the last call are converted and
+        appended to ``converted``, and a shallower search slices them."""
+        self.converted = tuple(
+            a if len(a) == len(c) else np.concatenate((a, np.array(c[len(a):], np.int64)))
+            for a, c in zip(self.converted, (self.degree, self.label, self.target)))
+        for a in self.converted:  # searches hand out views of them
+            a.flags.writeable = False
+        degree, label, target = self.converted
+        n, k = self.ends[depth - 1] if depth else 0, self.edge_ends[depth]
+        return np.repeat(np.arange(n), degree[:n]), label[:k], target[:k]
 
 
 def grown(g: LabelledGraph, x: Vertex, N: Optional[int]) -> tuple[Growth, int]:
@@ -352,11 +368,9 @@ def search(g: LabelledGraph, x: Vertex, N: Optional[int] = None) -> Reach:
             label = arrays.label[e]
         else:
             s, depth = grown(g, x, N)
-            n, k = s.ends[depth], s.edge_ends[depth]
-            vertices = s.vertices[:n]
+            vertices = s.vertices[:s.ends[depth]]
             distance = np.repeat(np.arange(depth + 1), np.diff(s.ends[:depth + 1], prepend=0))
-            source, label, target = (np.array(c[:k], dtype=np.int64)
-                                     for c in (s.source, s.label, s.target))
+            source, label, target = s.columns(depth)
         r = g.reaches[key] = Reach(vertices, distance, np.arange(len(vertices)), None,
                                    source, label, target, np.arange(len(source)))
         if N is not None and r.distance[-1] < N:

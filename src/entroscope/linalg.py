@@ -61,9 +61,11 @@ def perron_root(A) -> PerronResult:
 
     Stops once the Collatz-Wielandt bracket [lo, hi] of B has closed,
     hi - lo <= TOL * hi, or after MAX_ITER power steps (where reducible
-    inputs end) with the bracket still open.  Where the restarts end on a
-    wider bracket than the power iterate they began from, power iteration
-    resumes from that iterate, as if no restart had been taken;
+    inputs end) with the bracket still open.  Restarts end after RESTARTS,
+    at a Ritz vector that is not positive, or at one that is the iterate
+    itself (its Krylov space invariant at the first step).  Where they end
+    on a wider bracket than the power iterate they began from, power
+    iteration resumes from that iterate, as if no restart had been taken;
     ``iterations`` counts every product with B.  ``value`` is the upper
     end, which bounds the root from above either way.
     """
@@ -100,7 +102,8 @@ def perron_root(A) -> PerronResult:
 def _arnoldi_restart(B, x, y):
     """The Ritz vector of the largest real Ritz value after KRYLOV Arnoldi
     steps of B from x (y = B @ x), scaled to maximum 1, or None unless it is
-    positive; and the number of products taken beyond y."""
+    positive or when x's Krylov space is invariant at the first step (x is
+    then its own Ritz vector); and the number of products taken beyond y."""
     V, H = np.empty((KRYLOV + 1, len(x))), np.zeros((KRYLOV + 1, KRYLOV))
     V[0] = x / np.linalg.norm(x)
     for j in range(KRYLOV):
@@ -109,6 +112,8 @@ def _arnoldi_restart(B, x, y):
         w = w - h @ V[:j + 1]
         H[j + 1, j] = np.linalg.norm(w)
         if H[j + 1, j] <= TOL * H[0, 0]:  # x's Krylov space is invariant
+            if not j:  # restarting from x returns x: power iteration finishes
+                return None, 0
             break
         V[j + 1] = w / H[j + 1, j]
     values, vectors = np.linalg.eig(H[:j + 1, :j + 1])

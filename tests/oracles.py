@@ -10,6 +10,7 @@ import random
 from collections import Counter
 
 import numpy as np
+from scipy import sparse
 
 import entroscope as es
 
@@ -201,6 +202,23 @@ def harmonic_residual(chain, hv) -> float:
         ph = sum(float(chain.weight(e)) * h[e.target] for e in chain.graph.out_edges(v))
         worst = max(worst, abs(ph - hv.rho_hat * h[v]) / h[v])
     return worst
+
+
+def reflecting_matrix(chain, center, radius):
+    """The window of ``chain`` around center and its reflecting matrix,
+    built as a product with a diagonal matrix: the window's weighted
+    adjacency with each row i scaled by (kept + leaked) / kept, its row sum
+    inside the window (kept) and its weight on the boundary (leaked)."""
+    from scipy import sparse
+
+    w = es.graphs.forward_ball(chain.graph, center, radius)
+    n = len(w.distances)
+    weights = es.chain.edge_weights(chain, w.ids, w.source, w.label, w.target)
+    A = w.adjacency(weights)
+    kept = np.asarray(A.sum(axis=1)).ravel()
+    leaked = np.bincount(w.source[w.inside:], weights[w.inside:], minlength=n)
+    scale = np.divide(kept + leaked, kept, out=np.ones(n), where=kept > 0)
+    return w, sparse.diags(scale) @ A
 
 
 def strongly_connected(g) -> bool:

@@ -12,6 +12,7 @@ from entroscope.chain import ChainError
 from oracles import (
     harmonic_residual,
     random_det_scc_graph,
+    reflecting_matrix,
     random_nfa,
     random_word_on_graph,
     strongly_connected,
@@ -318,6 +319,64 @@ class TestHarmonicVector:
             oracle = harmonic_residual(ch, hv)
             assert oracle > 1e-3
             assert hv.residual == pytest.approx(oracle, rel=1e-12, abs=0)
+
+    def test_windows_match_the_diagonal_product(self, line_z, grid_z2, free2):
+        # the reflecting rows are scaled in place: h, rho_hat, the residual
+        # and the iteration count equal, bit for bit, a Perron solve of the
+        # window's matrix multiplied by the diagonal of its row scales
+        def check(chain, center, radius, scheme="reflecting"):
+            hv = es.harmonic_vector(chain, center, radius, tol=1.0, scheme=scheme)
+            w, matrix = reflecting_matrix(chain, center, radius)
+            if scheme == "absorbing":
+                matrix = w.adjacency(es.chain.edge_weights(chain, w.ids, w.source, w.label,
+                                                           w.target))
+            res = es.linalg.perron_root(matrix)
+            h = res.vector / res.vector[0]
+            inner = sum(d < radius for d in w.distances.values())
+            residual = float(np.max(np.abs(matrix @ h - res.value * h)[:inner] / h[:inner]))
+            assert list(hv.values) == list(w.distances)
+            assert list(hv.values.values()) == h.tolist()
+            assert (hv.rho_hat, hv.residual, hv.diagnostics["iterations"]) == (
+                res.value, residual, res.iterations)
+            return w
+
+        for radius in (*range(2, 9), 22):
+            check(es.uniform_weights(grid_z2), (0, 0), radius)
+        for radius in (2, 5, 30):
+            check(es.uniform_weights(line_z), 0, radius)
+        for radius in range(2, 7):
+            check(es.uniform_weights(free2), "", radius)
+        # finite graphs: every vertex steps to 0 by a, so each window is strongly
+        # connected; b and c often share a target, so rows hold parallel edges
+        rng = random.Random(23)
+        shapes = []
+        for _ in range(20):
+            n = rng.randint(3, 12)
+            edges = [(v, "a", 0) for v in range(n)]
+            for v in range(n):
+                t = rng.randrange(n)
+                edges += [(v, "b", t), (v, "c", t if rng.random() < 0.5 else rng.randrange(n))]
+            g = es.explicit_graph("abc", edges, roots=[0], vertices=range(n))
+            weight = {e: Fraction(rng.randint(1, 9), 30) for v in range(n) for e in g.out_edges(v)}
+            weighted = es.WeightedChain(graph=g, weight=weight.__getitem__, alpha=Fraction(1, 30))
+            for chain in (es.uniform_weights(g), weighted):
+                for radius in (2, 3):
+                    check(chain, 0, radius)
+                    check(chain, 0, radius, "absorbing")
+            w = es.graphs.forward_ball(g, 0, 2)
+            pairs = w.source * n + w.target
+            shapes.append((len(w.boundary) > 0, len(np.unique(pairs)) < len(pairs)))
+        assert shapes.count((True, True)) >= 5  # boundary edges beside parallel ones
+        # an h-transformed chain: non-uniform weights read through its column
+        g.declared = replace(g.declared, conn_k=1)
+        hv = es.harmonic_vector(weighted, 0, n + 1, tol=1e-6)
+        transformed = es.h_transform(weighted, hv)
+        w = es.graphs.full_window(g)
+        assert len(np.unique(es.chain.edge_weights(transformed, w.ids, w.source, w.label,
+                                                   w.target))) > 2
+        for radius in (2, 3):
+            check(transformed, 0, radius)
+            check(transformed, 0, radius, "absorbing")
 
     def test_radius_too_small(self, b2):
         with pytest.raises(ValueError):

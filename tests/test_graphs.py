@@ -271,6 +271,40 @@ class TestGrowingSearch:
             # the second call expands only the new layers, each vertex once
             assert grown == [v for v, d in zip(want.vertices, want.distance) if first <= d < second]
 
+    def test_resumed_search_converts_only_new_edges(self, monkeypatch):
+        # every list-to-array conversion in graphs goes through np.array
+        converted = []
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def array(self, values, *args, **kwargs):
+                converted.append(list(values))
+                return np.array(values, *args, **kwargs)
+
+        monkeypatch.setattr(es.graphs, "np", Numpy())
+        cases = [("grid_Z2", (0, 0), 20, 23, [3044, 1008]), ("free2_mod_cyclic", "", 5, 7, None)]
+        for name, x, first, second, sizes in cases:
+            spec = es.builtin_family(name)
+            g = es.schreier_graph(spec)
+            converted.clear()
+            es.graphs.search(g, x, first)
+            resumed = es.graphs.search(g, x, second)
+            shallower = es.graphs.search(g, x, first - 2)  # slices, converts nothing
+            # one conversion of each column (degree, label, target) per search, of the
+            # entries grown since the last one: each grown edge's label and target once
+            s = g.grown[x]
+            assert len(converted) == 6
+            assert [converted[i] + converted[i + 3] for i in range(3)] == [
+                s.degree, s.label, s.target]
+            assert sizes is None or [len(c) for c in converted[1::3]] == sizes
+            fresh = es.schreier_graph(spec)
+            for got, depth in ((resumed, second), (shallower, first - 2)):
+                want = es.graphs.search(fresh, x, depth)
+                for column in self.COLUMNS:
+                    assert np.array_equal(getattr(got, column), getattr(want, column))
+
     def test_resumed_search_runs_out_of_vertices(self):
         rng = random.Random(22)
         for _ in range(20):

@@ -59,7 +59,8 @@ class TestPerronRoot:
         assert res.value >= root * (1 - 1e-12)
         assert (res.vector > 0).all()
 
-    def test_random_inverse_closed_graph_closes_fast(self):
+    @staticmethod
+    def inverse_closed_600():
         # a random 600-cycle a, a partial injection b on 360 vertices and
         # their inverses: power iteration alone takes 350-450 products here
         rng = np.random.default_rng(19)
@@ -68,12 +69,35 @@ class TestPerronRoot:
         A = np.zeros((n, n))
         A[order, np.roll(order, -1)] += 1
         A[rng.choice(n, 360, replace=False), rng.choice(n, 360, replace=False)] += 1
-        A += A.T
+        return A + A.T
+
+    def test_random_inverse_closed_graph_closes_fast(self):
         with counting_products() as products:
-            res = perron_root(sparse.csr_matrix(A))
+            res = perron_root(sparse.csr_matrix(self.inverse_closed_600()))
         lo, hi = res.bracket
         assert hi - lo <= es.linalg.TOL * (hi + 1)
         assert res.iterations == products[0] <= 150
+
+    def test_restarts_stop_once_the_iterate_is_its_own_ritz_vector(self, monkeypatch):
+        # four restarts of 15 products, then one whose first Arnoldi step finds
+        # the iterate's Krylov space invariant: restarting again would only
+        # return the iterate, so power iteration closes the bracket from there
+        A = self.inverse_closed_600()
+        taken, restart = [], es.linalg._arnoldi_restart
+
+        def recorded(*args):
+            taken.append(restart(*args))
+            return taken[-1]
+
+        monkeypatch.setattr(es.linalg, "_arnoldi_restart", recorded)
+        with counting_products() as products:
+            res = perron_root(sparse.csr_matrix(A))
+        assert [products for _, products in taken] == [es.linalg.KRYLOV - 1] * 4 + [0]
+        assert taken[-1][0] is None and res.iterations == products[0]
+        lo, hi = res.bracket
+        root = max(abs(np.linalg.eigvals(A)))
+        assert hi - lo <= es.linalg.TOL * (hi + 1)
+        assert lo <= root * (1 + 1e-12) and hi >= root * (1 - 1e-12)
 
     def test_restarts_that_widen_the_bracket_are_undone(self, monkeypatch):
         # the one-way 400-cycle read by a and b, with a c-loop at vertex 0:
