@@ -16,6 +16,7 @@ global claims about an infinite graph.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import json
 import math
@@ -250,10 +251,21 @@ class Window:
 
     def adjacency(self, weights: Optional[np.ndarray] = None):
         """``linalg.adjacency`` of the inside edges in the vertex order,
-        weighted by ``weights``, a column over ``source``, when given."""
+        weighted by ``weights``, a column over ``source``, when given.  The
+        unweighted matrix is built once per window and shared, its ``data``
+        read-only; a weighted one is built on each call, so that its caller
+        may scale it in place (``chain.harmonic_vector`` does)."""
+        if weights is None:
+            return self._edge_counts
         k = self.inside
-        return linalg.adjacency(len(self.distances), self.source[:k], self.target[:k],
-                                None if weights is None else weights[:k])
+        return linalg.adjacency(len(self.distances), self.source[:k], self.target[:k], weights[:k])
+
+    @functools.cached_property
+    def _edge_counts(self):
+        k = self.inside
+        matrix = linalg.adjacency(len(self.distances), self.source[:k], self.target[:k])
+        matrix.data.flags.writeable = False
+        return matrix
 
 
 class Reach(NamedTuple):
@@ -482,12 +494,16 @@ def uniform_connectedness_constant(g: LabelledGraph, w: Window, K_max: int) -> O
     """Smallest K <= K_max certifying uniform connectedness on the window,
     or None: the largest return distance d(e.target, e.source) over its
     edges, at least 1.  One array pass finds loops (the empty path returns)
-    and edges s -> t with an edge t -> s, inside the window; the others
-    grow the search from each target t (``grown``) only up to the layer
-    holding all their sources."""
+    and edges s -> t with an edge t -> s, inside the window, by looking each
+    key s * n + t up in the sorted reverse keys t * n + s (one sort, one
+    ``np.searchsorted``); the others grow the search from each target t
+    (``grown``) only up to the layer holding all their sources."""
     k, n, vertices = w.inside, len(w.distances), list(w.distances)
     s, t = w.source[:k], w.target[:k]
-    near = (s == t) | (K_max >= 1) & np.isin(s * n + t, t * n + s)
+    near = s == t
+    if K_max >= 1 and k:  # no inside edge: nothing to look up, and no last key to clip to
+        key, back = s * n + t, np.sort(t * n + s)
+        near |= back[np.minimum(np.searchsorted(back, key), k - 1)] == key
     sources: dict = {}
     for i, j in zip(t[~near].tolist(), s[~near].tolist()):
         sources.setdefault(vertices[i], set()).add(vertices[j])
@@ -515,15 +531,24 @@ def explicit_graph(
     validated in one bulk pass (triples, labels in the alphabet, hashable
     ids, listed in ``vertices`` when given, no repeated id or edge) and
     sorted into its ``EdgeArrays``, which ``expand`` reads as triples of
-    the listed ids."""
+    the listed ids.  Entries and labels are checked as sets (of types and
+    lengths, of labels); an entry-by-entry scan runs only where a set
+    check fails, to name the first bad entry or label."""
     alphabet, edges, roots = tuple(alphabet), list(edges), list(roots)
-    bad = [t for t in edges if not isinstance(t, (list, tuple)) or len(t) != 3]
-    if bad:
-        raise GraphFormatError(f'"edges" entry {bad[0]!r} is not a [source, label, target] triple')
+    if not (set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {3}):
+        for e in edges:  # a tuple subclass (an Edge) passes here
+            if not isinstance(e, (list, tuple)) or len(e) != 3:
+                raise GraphFormatError(
+                    f'"edges" entry {e!r} is not a [source, label, target] triple')
     sources, labels, targets = zip(*edges) if edges else ((), (), ())
-    bad = [a for a in labels if a not in alphabet]
-    if bad:
-        raise GraphFormatError(f'"edges" label {bad[0]!r} not in alphabet')
+    try:
+        known = set(labels) <= set(alphabet)
+    except TypeError:  # an unhashable label
+        known = False
+    if not known:
+        for a in labels:
+            if a not in alphabet:
+                raise GraphFormatError(f'"edges" label {a!r} not in alphabet')
     listed = None if vertices is None else list(vertices)
     ids = {"vertices": listed or [], "roots": roots, "edges": sources + targets}
     try:

@@ -320,6 +320,34 @@ class TestHarmonicVector:
             assert oracle > 1e-3
             assert hv.residual == pytest.approx(oracle, rel=1e-12, abs=0)
 
+    def test_in_place_scaling_never_reaches_the_windows_matrix(self, monkeypatch):
+        # the reflecting rows are scaled in place on a weighted matrix of the
+        # ball; its shared unweighted matrix, built before, keeps its entries
+        def solve(g, x, radius, built_before):
+            ball = es.forward_ball(g, x, radius)
+            if built_before:
+                ball.adjacency()
+            with monkeypatch.context() as m:
+                m.setattr(es.chain, "forward_ball", lambda *args: ball)
+                hv = es.harmonic_vector(es.uniform_weights(g), x, radius, tol=1.0)
+            return hv, es.linalg.spectral_radius(ball.adjacency()), ball.adjacency().toarray()
+
+        def finite(seed):  # every vertex steps to 0 by a: each ball is strongly connected
+            rng = random.Random(seed)
+            n = rng.randint(3, 12)
+            edges = {(v, "a", 0) for v in range(n)}
+            edges |= {(v, rng.choice("bc"), rng.randrange(n)) for v in range(n) for _ in "bc"}
+            return es.explicit_graph("abc", sorted(edges), roots=[0], vertices=range(n))
+
+        cases = [(lambda name=name: es.schreier_graph(es.builtin_family(name)), x, radius)
+                 for name, x in (("grid_Z2", (0, 0)), ("line_Z", 0)) for radius in (2, 6)]
+        cases += [(lambda seed=seed: finite(seed), 0, 2) for seed in range(10)]
+        for make, x, radius in cases:
+            hv, rho, A = solve(make(), x, radius, True)
+            fresh_hv, fresh_rho, fresh_A = solve(make(), x, radius, False)
+            assert hv == fresh_hv and rho == fresh_rho and (A == fresh_A).all()
+            assert rho == es.linalg.spectral_radius(es.forward_ball(make(), x, radius).adjacency())
+
     def test_windows_match_the_diagonal_product(self, line_z, grid_z2, free2):
         # the reflecting rows are scaled in place: h, rho_hat, the residual
         # and the iteration count equal, bit for bit, a Perron solve of the

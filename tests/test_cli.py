@@ -130,6 +130,112 @@ def parser_options(command):
     return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
 
 
+# every option of every subcommand, each in at least one argv
+EVERY_OPTION = [
+    ["count", "--graph", "g.json", "--family", "line_Z", "--x", "0", "--y", "1", "--depth", "4",
+     "--forbid", "aa", "--forbid", "b", "--tail", "3", "--csv", "t.csv", "--budget", "9",
+     "--out", "r.json"],
+    ["count", "--depth", "0"],
+    ["analyze", "--graph", "g.json", "--family", "grid_Z2", "--x", "(0,0)", "--y", "(1,0)",
+     "--depth", "12", "--forbid", "ru", "--tail", "5", "--csv", "t.csv", "--alpha", "0.25",
+     "--D", "2", "--d-max", "3", "--conn-K", "2", "--rho", "0.5", "--budget", "100",
+     "--out", "r.json"],
+    ["bound", "--alpha", "0.5", "--D", "0", "--R", "2", "--conn-K", "1", "--rho", "0.75",
+     "--stochastic", "--sigma-size", "2", "--graph", "g.json", "--forbid", "aa", "--budget", "5",
+     "--out", "r.json"],
+    ["bound", "--alpha", "0.5", "--D", "0", "--R", "2"],
+    ["rho", "--graph", "g.json", "--family", "free2_mod_cyclic", "--x", "b", "--y", "B",
+     "--depth", "12", "--forbid", "ab", "--tail", "4", "--csv", "t.csv", "--conn-K", "3",
+     "--transform-check", "--hv-radius", "5", "--hv-tol", "1e-4", "--hv-scheme", "absorbing",
+     "--identity-threshold", "0.1", "--budget", "7", "--out", "r.json"],
+    ["schreier", "--family", "line_Z", "--depth", "10", "--forbid", "rr", "--tail", "6",
+     "--csv", "t.csv", "--alpha", "0.5", "--D", "1", "--d-max", "4", "--conn-K", "1",
+     "--rho", "1", "--budget", "50", "--out", "r.json"],
+]
+
+
+def subparser(parser, command):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+def cli_exit(capsys, argv):
+    """Exit code, stdout and stderr of ``main(argv)``, which argparse may end."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestParser:
+    COMMANDS = ("count", "analyze", "bound", "rho", "schreier")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_subcommands_parser_helps_as_the_whole_one(self, command):
+        one, whole = build_parser(command), build_parser()
+        assert subparser(one, command).format_help() == subparser(whole, command).format_help()
+        # top-level errors, such as an unrecognized argument, print this usage line
+        assert one.format_usage() == whole.format_usage()
+
+    def test_every_option_parses_as_in_the_whole_parser(self):
+        for command in self.COMMANDS:
+            used = {a for argv in EVERY_OPTION if argv[0] == command for a in argv}
+            options = {o for a in subparser(build_parser(), command)._actions
+                       for o in a.option_strings if o not in ("-h", "--help")}
+            assert options <= used, command
+        for argv in EVERY_OPTION:
+            one, whole = build_parser(argv[0]).parse_args(argv), build_parser().parse_args(argv)
+            assert one == whole and one.handler is whole.handler
+
+    def test_main_builds_only_the_named_subparser(self, capsys, b2_path, monkeypatch):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        code, _ = run(capsys, "count", "--graph", b2_path, "--depth", "3")
+        assert code == 0 and names == ["count"]
+        names.clear()
+        cli_exit(capsys, ["schreier", "--help"])
+        assert names == ["schreier"]
+        names.clear()
+        cli_exit(capsys, ["--version"])
+        assert names == list(self.COMMANDS)
+
+    def test_main_reads_sys_argv(self, capsys, b2_path, monkeypatch):
+        argv = ["entroscope", "count", "--graph", b2_path, "--depth", "2"]
+        monkeypatch.setattr(sys, "argv", argv)
+        code = main()
+        assert code == 0 and json.loads(capsys.readouterr().out)["results"]["counts"] == [1, 2, 4]
+
+    def test_top_level_exits_and_messages(self, capsys):
+        usage = "usage: entroscope [-h] [--version] {count,analyze,bound,rho,schreier} ...\n"
+        code, out, err = cli_exit(capsys, [])
+        assert (code, out) == (2, "") and err == usage + (
+            "entroscope: error: the following arguments are required: command\n")
+        assert cli_exit(capsys, ["--version"]) == (0, f"entroscope {entroscope.__version__}\n", "")
+        code, out, err = cli_exit(capsys, ["--help"])
+        assert (code, err) == (0, "") and out.startswith(usage)
+        for command, text in (("count", "word census between two vertices"),
+                              ("schreier", "growth sensitivity of a built-in coset family")):
+            assert re.search(rf"^    {command} +{text}$", out, re.MULTILINE)
+        code, out, err = cli_exit(capsys, ["nope"])
+        assert (code, out) == (2, "") and err.startswith(
+            usage + "entroscope: error: argument command: invalid choice: 'nope'")
+        # an error of one subcommand's parser prints the whole usage line
+        code, out, err = cli_exit(capsys, ["count", "--depth", "3", "extra"])
+        assert (code, out) == (2, "")
+        assert err == usage + "entroscope: error: unrecognized arguments: extra\n"
+        code, out, err = cli_exit(capsys, ["rho", "--depth"])
+        assert code == 2 and err.endswith(
+            "entroscope rho: error: argument --depth: expected one argument\n")
+
+
 class TestConfigEcho:
     @pytest.mark.parametrize(
         "argv",
@@ -189,6 +295,21 @@ class TestAnalyze:
         assert code == 4
         assert report["results"]["certificate"] is None
         assert report["warnings"]
+
+    def test_one_matrix_per_window(self, capsys, b2_path, monkeypatch):
+        # the two censuses, and one matrix of the certificate's window that
+        # the denseness search and the spectral radius share
+        calls = []
+        adjacency = entroscope.linalg.adjacency
+        monkeypatch.setattr(entroscope.linalg, "adjacency",
+                            lambda *args: calls.append(args) or adjacency(*args))
+        radius = entroscope.linalg.spectral_radius
+        radii = []
+        monkeypatch.setattr(entroscope.linalg, "spectral_radius",
+                            lambda A: radii.append(A) or radius(A))
+        code, _ = run(capsys, "analyze", "--graph", b2_path, "--forbid", "aa", "--depth", "20")
+        assert code == 0 and len(calls) == 3 and len(radii) == 1
+        assert not radii[0].data.flags.writeable
 
     def test_requires_forbid(self, capsys, b2_path):
         code, report = run(capsys, "analyze", "--graph", b2_path, "--depth", "10")

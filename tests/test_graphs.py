@@ -116,6 +116,24 @@ class TestWindowSearch:
             assert w.center == x and w.radius == (max(distances.values()) if r is None else r)
             assert (w.adjacency().toarray() == A).all()
 
+    def test_unweighted_matrix_is_built_once(self, golden_mean, monkeypatch):
+        calls = []
+        adjacency = es.linalg.adjacency
+        monkeypatch.setattr(es.linalg, "adjacency",
+                            lambda *args: calls.append(args) or adjacency(*args))
+        w = es.full_window(golden_mean)
+        A = w.adjacency()
+        assert w.adjacency() is A and len(calls) == 1
+        assert not A.data.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            A.data *= 2
+        # a weighted matrix is the caller's own, built on each call
+        ones = np.ones(len(w.source))
+        weighted = w.adjacency(ones)
+        assert weighted is not A and w.adjacency(ones) is not weighted and len(calls) == 3
+        weighted.data *= 2
+        assert (A.toarray() == reference_window(golden_mean, "v1", None)[3]).all()
+
     def test_second_call_searches_nothing(self, expansions):
         g = es.schreier_graph(es.builtin_family("grid_Z2"))
         first = es.forward_ball(g, (0, 0), 3)
@@ -554,6 +572,43 @@ class TestUniformConnectedness:
                 results.add(K)
         assert None in results and {1, 2, 3, 4} <= results
 
+    def test_reverse_edges_are_found_as_isin_finds_them(self, monkeypatch):
+        # loops, parallel edges (one pair of vertices, two labels) and one-way edges;
+        # each target with an edge that is neither a loop nor returned in one step
+        # is searched, in edge order, until one has no return path
+        rng = random.Random(24)
+        cases = []
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            edges = {(rng.randrange(n), rng.choice("abc"), rng.randrange(n))
+                     for _ in range(rng.randint(0, 3 * n))}
+            g = es.explicit_graph("abc", sorted(edges), roots=[0], vertices=range(n))
+            cases += [(g, es.full_window(g)), (g, es.forward_ball(g, 0, 1))]
+        # windows with no inside edge: a vertex with no edges, a radius 0 ball without a loop
+        lone, ray = (es.explicit_graph("a", edges, roots=[0]) for edges in ([], [(0, "a", 1)]))
+        cases += [(lone, es.full_window(lone)), (ray, es.forward_ball(ray, 0, 0))]
+        assert cases[-1][1].inside == 0 and len(cases[-1][1].source) == 1
+        searched = []
+        grown = es.graphs.grown
+        monkeypatch.setattr(es.graphs, "grown",
+                            lambda g, x, N: searched.append(x) or grown(g, x, N))
+        results = set()
+        for g, w in cases:
+            k, n, vertices = w.inside, len(w.distances), list(w.distances)
+            s, t = w.source[:k], w.target[:k]
+            for K_max in (0, 1):
+                near = (s == t) | (K_max >= 1) & np.isin(s * n + t, t * n + s)
+                expected = [vertices[i] for i in dict.fromkeys(t[~near].tolist())]
+                searched.clear()
+                K = es.graphs.uniform_connectedness_constant(g, w, K_max)
+                assert K == connectedness_per_edge(g, w, K_max)
+                order = list(dict.fromkeys(searched))
+                assert order == (expected if K is not None else expected[:len(order)])
+                results.add(K)
+        assert results == {None, 1}
+        for g, w in cases[-2:]:
+            assert es.graphs.uniform_connectedness_constant(g, w, K_max=1) == 1
+
     def test_inverse_closed_windows_search_nothing(self, expansions, grid_z2, free2):
         rng = random.Random(9)
         graphs = [random_inverse_closed_graph(rng) for _ in range(20)]
@@ -674,6 +729,33 @@ class TestJsonInterface:
     def test_edge_entry_not_a_triple_rejected(self, edges):
         with pytest.raises(es.GraphFormatError, match="triple"):
             es.parse_graph_document(dict(self.DOC, edges=edges))
+
+    # the messages name the first bad entry or label as its repr
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([[0, "a", 1], [0, "a"]], "entry [0, 'a'] is not a [source, label, target] triple"),
+            ([[0, "a", 1], (0, "a", 1, 2)],
+             "entry (0, 'a', 1, 2) is not a [source, label, target] triple"),
+            ([[0, "a", 1], 7], "entry 7 is not a [source, label, target] triple"),
+            ([[0, "a", 1], "abc"], "entry 'abc' is not a [source, label, target] triple"),
+            ([[0, "a", 1], "xyz", [0, "a"], 5],
+             "entry 'xyz' is not a [source, label, target] triple"),
+            ([[0, "a", 1], [0, ["a"], 1]], "label ['a'] not in alphabet"),
+            ([[0, "a", 1], [1, "c", 0]], "label 'c' not in alphabet"),
+            ([[0, None, 1]], "label None not in alphabet"),
+            ([[0, "a", 1], [0, {"b": 1}, 1], [1, "z", 0]], "label {'b': 1} not in alphabet"),
+            ([[0, "a", 1], [1, "z", 0], [0, ["b"], 1]], "label 'z' not in alphabet"),
+        ],
+    )
+    def test_bad_entry_messages(self, edges, message):
+        with pytest.raises(es.GraphFormatError) as exc:
+            es.explicit_graph(["a", "b"], edges, roots=[0])
+        assert str(exc.value) == '"edges" ' + message
+
+    def test_edge_tuples_are_triples(self):
+        g = es.explicit_graph("ab", [Edge(0, "a", 1), [1, "b", 0]], roots=[0])
+        assert g.out_edges(0) == (Edge(0, "a", 1),) and g.out_edges(1) == (Edge(1, "b", 0),)
 
     @pytest.mark.parametrize(
         "field, value",
