@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -414,7 +415,32 @@ def _add_certificate(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rho", type=float, default=None, help="declared spectral radius")
 
 
-def _add_bound(p: argparse.ArgumentParser) -> None:
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused by every
+    ``main`` call: parsing neither changes it nor shares a default between
+    calls (argparse copies ``append`` defaults)."""
+    parser = argparse.ArgumentParser(
+        prog="entroscope",
+        description="entropy of automaton languages and certified drops under forbidden factors",
+    )
+    parser.add_argument("--version", action="version", version=f"entroscope {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("count", help="word census between two vertices")
+    _add_source(p)
+    _add_analysis(p)
+    _add_common(p)
+    p.set_defaults(handler=cmd_count)
+
+    p = sub.add_parser("analyze", help="entropy gap under forbidden factors, with certificate")
+    _add_source(p)
+    _add_analysis(p)
+    _add_certificate(p)
+    _add_common(p)
+    p.set_defaults(handler=cmd_analyze)
+
+    p = sub.add_parser("bound", help="certified gap bound from explicit constants")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--R", type=int, required=True, help="max forbidden word length")
@@ -425,9 +451,12 @@ def _add_bound(p: argparse.ArgumentParser) -> None:
                    help="alphabet size for the entropy form of the bound")
     p.add_argument("--graph", help="optional finite graph for the k-step row-sum check")
     p.add_argument("--forbid", action="append", default=None)
+    _add_common(p)
+    p.set_defaults(handler=cmd_bound)
 
-
-def _add_rho(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("rho", help="n-step probability decay and h-transform identity")
+    _add_source(p)
+    _add_analysis(p)
     p.add_argument("--conn-K", dest="conn_K", type=int, default=None)
     p.add_argument("--transform-check", action="store_true",
                    help="fit a harmonic vector and check the h-transform identity")
@@ -437,46 +466,16 @@ def _add_rho(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hv-scheme", choices=("reflecting", "absorbing"), default="reflecting")
     p.add_argument("--identity-threshold", type=float, default=0.05,
                    help="acceptance threshold for the h-transform identity check")
+    _add_common(p)
+    p.set_defaults(handler=cmd_rho)
 
-
-def _add_family(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("schreier", help="growth sensitivity of a built-in coset family")
     p.add_argument("--family", choices=schreier.family_names(), required=True)
+    _add_analysis(p)
+    _add_certificate(p)
+    _add_common(p)
+    p.set_defaults(handler=cmd_analyze)
 
-
-# name: (help, the functions that add its arguments, in order, handler) of each
-# subcommand, in the order help lists them
-_COMMANDS = {
-    "count": ("word census between two vertices",
-              (_add_source, _add_analysis, _add_common), cmd_count),
-    "analyze": ("entropy gap under forbidden factors, with certificate",
-                (_add_source, _add_analysis, _add_certificate, _add_common), cmd_analyze),
-    "bound": ("certified gap bound from explicit constants", (_add_bound, _add_common), cmd_bound),
-    "rho": ("n-step probability decay and h-transform identity",
-            (_add_source, _add_analysis, _add_rho, _add_common), cmd_rho),
-    "schreier": ("growth sensitivity of a built-in coset family",
-                 (_add_family, _add_analysis, _add_certificate, _add_common), cmd_analyze),
-}
-
-
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The command-line parser.  When ``command`` names a subcommand, only
-    that subcommand's parser is built, which parses its argument lists
-    exactly as the whole parser does; otherwise (None, an option, an
-    unknown word) every subcommand's is, for top-level help and errors."""
-    parser = argparse.ArgumentParser(
-        prog="entroscope",
-        description="entropy of automaton languages and certified drops under forbidden factors",
-    )
-    parser.add_argument("--version", action="version", version=f"entroscope {__version__}")
-    # one subcommand's parser names them all in its usage line, as errors print it
-    metavar = "{%s}" % ",".join(_COMMANDS) if command in _COMMANDS else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (text, adders, handler) in _COMMANDS.items():
-        if command not in _COMMANDS or command == name:
-            p = sub.add_parser(name, help=text)
-            for add in adders:
-                add(p)
-            p.set_defaults(handler=handler)
     return parser
 
 
@@ -493,10 +492,8 @@ _CONFIG_ERRORS = (
 
 
 def main(argv=None) -> int:
-    """Run the subcommand ``argv`` (default ``sys.argv[1:]``) names, and
-    return its exit code; only that subcommand's parser is built."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.handler(args)
     except graphs.ExpansionBudgetExceeded as exc:

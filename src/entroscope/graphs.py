@@ -531,24 +531,15 @@ def explicit_graph(
     validated in one bulk pass (triples, labels in the alphabet, hashable
     ids, listed in ``vertices`` when given, no repeated id or edge) and
     sorted into its ``EdgeArrays``, which ``expand`` reads as triples of
-    the listed ids.  Entries and labels are checked as sets (of types and
-    lengths, of labels); an entry-by-entry scan runs only where a set
-    check fails, to name the first bad entry or label."""
+    the listed ids."""
     alphabet, edges, roots = tuple(alphabet), list(edges), list(roots)
-    if not (set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {3}):
-        for e in edges:  # a tuple subclass (an Edge) passes here
-            if not isinstance(e, (list, tuple)) or len(e) != 3:
-                raise GraphFormatError(
-                    f'"edges" entry {e!r} is not a [source, label, target] triple')
+    bad = [t for t in edges if not isinstance(t, (list, tuple)) or len(t) != 3]
+    if bad:
+        raise GraphFormatError(f'"edges" entry {bad[0]!r} is not a [source, label, target] triple')
     sources, labels, targets = zip(*edges) if edges else ((), (), ())
-    try:
-        known = set(labels) <= set(alphabet)
-    except TypeError:  # an unhashable label
-        known = False
-    if not known:
-        for a in labels:
-            if a not in alphabet:
-                raise GraphFormatError(f'"edges" label {a!r} not in alphabet')
+    bad = [a for a in labels if a not in alphabet]
+    if bad:
+        raise GraphFormatError(f'"edges" label {bad[0]!r} not in alphabet')
     listed = None if vertices is None else list(vertices)
     ids = {"vertices": listed or [], "roots": roots, "edges": sources + targets}
     try:
