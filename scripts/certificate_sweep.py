@@ -2,12 +2,14 @@
 """Soundness sweep of the certificates the program emits over random finite
 automata.
 
-Generates random deterministic strongly connected graphs, forbids a random
-readable word, takes the certificate ``resolve_certificate`` assembles for
-the pair (None counts as skipped), and compares the measured restricted
-spectral radius (dense eigensolve on the product graph) against its bound,
+Generates random deterministic strongly connected graphs, half of them
+with a second such part that holds the start vertex x while the root stays
+in the first, forbids a random word readable in x's part, takes the
+certificate ``resolve_certificate`` assembles for the words from x (None
+counts as skipped), and compares the measured restricted spectral radius
+(dense eigensolve on the product graph over x's part) against its bound,
 and, for a certificate of scope "global", the bound against the measured
-spectral radius of the graph (the strict drop bound < rho).  Prints
+spectral radius of x's part (the strict drop bound < rho).  Prints
 worst-case margins and exits 1 on any violation.
 """
 
@@ -34,46 +36,55 @@ def spectral(M):
     return float(np.max(np.abs(np.linalg.eigvals(M)))) if M.size else 0.0
 
 
-def strongly_connected(g):
-    verts = list(g.vertex_list)
-    fwd = {v: [e.target for e in g.out_edges(v)] for v in verts}
-    bwd = {v: [] for v in verts}
-    for v in verts:
-        for t in fwd[v]:
-            bwd[t].append(v)
-
-    def reach(adj):
-        seen, stack = {verts[0]}, [verts[0]]
-        while stack:
-            for t in adj[stack.pop()]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return len(seen) == len(verts)
-
-    return bool(verts) and reach(fwd) and reach(bwd)
+def reachable(g, starts):
+    seen, stack = set(starts), list(starts)
+    while stack:
+        for e in g.out_edges(stack.pop()):
+            if e.target not in seen:
+                seen.add(e.target)
+                stack.append(e.target)
+    return seen
 
 
-def random_graph(rng, max_states, max_sigma):
+def random_part(rng, max_states, alphabet, offset):
+    """Edges of a random deterministic strongly connected graph on the
+    vertices offset, ..., offset + n - 1."""
     while True:
         n = rng.randint(1, max_states)
-        sigma = rng.randint(1, max_sigma)
-        alphabet = ("a", "b", "c")[:sigma]
         edges = [
-            (v, a, rng.randrange(n))
+            (offset + v, a, offset + rng.randrange(n))
             for v in range(n)
             for a in alphabet
             if rng.random() < 0.8
         ]
         if not edges:
             continue
-        g = es.explicit_graph(alphabet, edges, roots=[0])
-        if len(g.vertex_list) == n and strongly_connected(g):
-            return g
+        g = es.explicit_graph(alphabet, edges, roots=[offset])
+        if len(reachable(g, [offset])) == n and all(
+            offset in reachable(g, [v]) for v in range(offset, offset + n)
+        ):
+            return edges, n
 
 
-def random_word(rng, g, max_len):
-    v = rng.choice(list(g.vertex_list))
+def random_graph(rng, max_states, max_sigma):
+    """A random strongly connected graph with x = its root 0, or, half of
+    the time, two such parts with the root 0 in the first and x in the
+    second, which the first enters by a few one-way edges or not at all."""
+    alphabet = ("a", "b", "c")[:rng.randint(1, max_sigma)]
+    edges, n = random_part(rng, max_states, alphabet, 0)
+    if rng.random() < 0.5:
+        return es.explicit_graph(alphabet, edges, roots=[0]), 0
+    second, m = random_part(rng, max_states, alphabet, n)
+    # bridges take labels the first part leaves free, so g stays deterministic
+    free = sorted({(v, a) for v in range(n) for a in alphabet} - {(v, a) for v, a, _ in edges})
+    bridges = [(v, a, n + rng.randrange(m))
+               for v, a in rng.sample(free, min(len(free), rng.choice((0, 0, 1, 2))))]
+    g = es.explicit_graph(alphabet, edges + second + bridges, roots=[0])
+    return g, n + rng.randrange(m)
+
+
+def random_word(rng, g, vertices, max_len):
+    v = rng.choice(sorted(vertices))
     word = []
     for _ in range(rng.randint(1, max_len)):
         edges = g.out_edges(v)
@@ -85,19 +96,10 @@ def random_word(rng, g, max_len):
     return tuple(word)
 
 
-def product_rho(g, forbidden):
+def product_rho(g, forbidden, vertices):
     A = es.FactorAutomaton(forbidden, g.alphabet)
-    pg = es.product_graph(g, A, roots=list(g.vertex_list))
-    seen = list(pg.roots)
-    seen_set = set(seen)
-    i = 0
-    while i < len(seen):
-        for e in pg.out_edges(seen[i]):
-            if e.target not in seen_set:
-                seen_set.add(e.target)
-                seen.append(e.target)
-        i += 1
-    return spectral(weighted_matrix(pg, seen_set))
+    pg = es.product_graph(g, A, roots=sorted(vertices))
+    return spectral(weighted_matrix(pg, reachable(pg, pg.roots)))
 
 
 def main():
@@ -110,41 +112,43 @@ def main():
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
-    inputs = es.CertificateInputs(D_max=args.d_max)
-    accepted = skipped = stochastic = 0
+    accepted = skipped = stochastic = two_parts = 0
     worst_margin = float("inf")     # bound - rho_F
     smallest_gap = float("inf")     # rho - rho_F
     violations = 0
 
     while accepted < args.count:
-        g = random_graph(rng, args.max_states, args.max_sigma)
-        word = random_word(rng, g, args.d_max)
+        g, x = random_graph(rng, args.max_states, args.max_sigma)
+        part = reachable(g, [x])
+        word = random_word(rng, g, part, args.d_max)
         if word is None:
             continue
         forbidden = es.ForbiddenSet((word,))
-        cert, scope, _D, _warnings = es.resolve_certificate(g, forbidden, inputs)
+        cert, scope, _D, _warnings = es.resolve_certificate(g, forbidden, x, D_max=args.d_max)
         if cert is None:
             skipped += 1
             continue
-        rho_f = product_rho(g, forbidden)
+        rho_f = product_rho(g, forbidden, part)
         worst_margin = min(worst_margin, cert.bound - rho_f)
         smallest_gap = min(smallest_gap, cert.rho - rho_f)
         if rho_f > cert.bound + 1e-9:
             violations += 1
             print(f"VIOLATION: rho_F={rho_f:.12f} > bound={cert.bound:.12f} "
                   f"states={len(g.vertex_list)} word={''.join(word)}")
-        # numpy's eigensolve errs by a few ulps: at this seed one bound lies 4 ulps
-        # below the true root (0.85086374835688181) and 3 ulps above numpy's
-        rho = spectral(weighted_matrix(g, g.vertex_list)) * (1 + 1e-13)
+        # numpy's eigensolve errs by a few ulps: a bound 4 ulps below the true root
+        # 0.85086374835688181 was once seen 3 ulps above numpy's value
+        rho = spectral(weighted_matrix(g, part)) * (1 + 1e-13)
         if scope == "global" and not cert.bound < rho:
             violations += 1
             print(f"VIOLATION: bound={cert.bound:.12f} >= rho={rho:.12f} "
                   f"states={len(g.vertex_list)} word={''.join(word)}")
         accepted += 1
         stochastic += cert.stochastic_path
+        two_parts += x != 0
 
     print(f"checked {accepted} certified pairs, {stochastic} on the stochastic path "
-          f"(skipped: {skipped} without a certificate)")
+          f"(skipped: {skipped} without a certificate), {two_parts} with x outside"
+          f" the root's part")
     print(f"violations          : {violations}")
     print(f"worst bound margin  : {worst_margin:.6f} (bound - measured rho_F)")
     print(f"smallest strict gap : {smallest_gap:.6f} (rho - rho_F)")

@@ -11,7 +11,6 @@ from .census import (
     spectral_entropy_finite,
 )
 from .chain import (
-    CertificateInputs,
     GapCertificate,
     GapReport,
     HarmonicVector,

@@ -44,7 +44,6 @@ from .graphs import (
     check_fully_deterministic,
     edge_list,
     forward_ball,
-    full_window,
     uniform_connectedness_constant,
     vertex_key,
 )
@@ -562,52 +561,45 @@ def entropy_from_rho(rho: float, sigma_size: int) -> float:
     return math.log(rho * sigma_size)
 
 
-@dataclass
-class CertificateInputs:
-    """Certificate options that are not facts about the graph: the edge
-    floor, the denseness constant and the search limit for it."""
-
-    alpha: Optional[float] = None
-    D: Optional[int] = None
-    D_max: int = 8
-
-
 def resolve_certificate(
     g: LabelledGraph,
     forbidden: ForbiddenSet,
-    cert_inputs: Optional[CertificateInputs] = None,
+    x: Optional[Vertex] = None,
+    *,
+    alpha: Optional[float] = None,
+    D: Optional[int] = None,
+    D_max: int = 8,
 ):
-    """Assemble a GapCertificate for the graph.
+    """Assemble a GapCertificate for the words read from x (default: the
+    first root).
 
-    alpha is the option in ``cert_inputs``, else 1/|alphabet|.  conn_k and
-    rho are the graph's ``Declared`` values (where the CLI's --conn-K and
-    --rho put theirs), else computed exactly on a finite graph (its part
-    reachable from the root).  D is the option once the finite graph
-    confirms it, else the smallest D <= D_max found there.  A complete
-    infinite graph reads every word of F from every vertex, so
-    D = 0 (or the option), and its uniform chain is stochastic.  An
-    infinite graph gets no certificate when it is not complete or has no
-    conn_k: nothing is measured on a finite part of it.  rho is never
-    fitted: an infinite graph that declares none takes rho = 1, which
-    bounds the spectral radius of every substochastic chain, and the bound
-    grows with rho.  A computed rho is the upper end of its Perron bracket
-    (``linalg.spectral_radius``), and the certificate is emitted only when
-    the bound lies below the lower end, so that bound < rho holds for the
-    true rho.
+    alpha is the option, else 1/|alphabet|.  conn_k and rho are the
+    graph's ``Declared`` values (where the CLI's --conn-K and --rho put
+    theirs), else computed exactly on a finite graph (its part reachable
+    from x).  D is the option once that part confirms it, else the
+    smallest D <= D_max found there.  A complete infinite graph reads
+    every word of F from every vertex, so D = 0 (or the option), and its
+    uniform chain is stochastic.  An infinite graph gets no certificate
+    when it is not complete or has no conn_k: nothing is measured on a
+    finite part of it.  rho is never fitted: an infinite graph that
+    declares none takes rho = 1, which bounds the spectral radius of
+    every substochastic chain, and the bound grows with rho.  A computed
+    rho is the upper end of its Perron bracket (``linalg.spectral_radius``),
+    and the certificate is emitted only when the bound lies below the
+    lower end, so that bound < rho holds for the true rho.
 
     Returns (certificate or None, scope, D or None, warnings).  Scope is
     "window" when rho is that default, otherwise "global".
     """
-    inputs = cert_inputs or CertificateInputs()
     warnings: list[str] = []
     sigma = len(g.alphabet)
-    alpha = inputs.alpha if inputs.alpha is not None else 1.0 / sigma
+    alpha = 1.0 / sigma if alpha is None else alpha
     conn_k, rho = g.declared.conn_k, g.declared.rho
     lo = rho
     scope = "global"
     if g.is_finite:
-        w = full_window(g)
-        cap, option = (inputs.D_max, "--d-max") if inputs.D is None else (inputs.D, "--D")
+        w = forward_ball(g, g.roots[0] if x is None else x, None)
+        cap, option = (D_max, "--d-max") if D is None else (D, "--D")
         dense = estimate_denseness_constant(forbidden, w, cap)
         if dense is None:
             warnings.append(
@@ -615,7 +607,7 @@ def resolve_certificate(
                 f" D <= {cap} ({option}); no certificate emitted"
             )
             return None, None, None, warnings
-        D = dense.D if inputs.D is None else inputs.D
+        D = dense.D if D is None else D
         if conn_k is None:
             conn_k = uniform_connectedness_constant(g, w, K_max=len(w.vertices))
         if conn_k is None:
@@ -625,8 +617,8 @@ def resolve_certificate(
             )
             return None, None, D, warnings
         if rho is None:
-            # w is the part reachable from the root: unreachable vertices do
-            # not bound the root's language
+            # w is the part reachable from x: unreachable vertices do not
+            # bound the language of x
             lo, rho = (end / sigma for end in linalg.spectral_radius(w.adjacency()))
     else:
         if not g.declared.complete:
@@ -635,7 +627,7 @@ def resolve_certificate(
                 " constant is known on all of it; no certificate emitted"
             )
             return None, None, None, warnings
-        D = 0 if inputs.D is None else inputs.D
+        D = 0 if D is None else D
         if conn_k is None:
             warnings.append(
                 "the infinite graph declares no uniform-connectedness constant"
@@ -697,7 +689,10 @@ def entropy_gap_report(
     forbidden: ForbiddenSet,
     N: int,
     tail: int = 20,
-    cert_inputs: Optional[CertificateInputs] = None,
+    *,
+    alpha: Optional[float] = None,
+    D: Optional[int] = None,
+    D_max: int = 8,
 ) -> GapReport:
     """Theorem-level analysis: measure h and h^F from counts and attach a
     certified entropy-gap bound when alpha, D, R, conn_k and rho can be
@@ -707,7 +702,9 @@ def entropy_gap_report(
     restricted = count_words(g, x, y, N, forbidden=forbidden)
     h = entropy_from_counts(plain, tail=tail)
     h_f = entropy_from_counts(restricted, tail=tail)
-    certificate, scope, D_used, warnings = resolve_certificate(g, forbidden, cert_inputs)
+    certificate, scope, D_used, warnings = resolve_certificate(
+        g, forbidden, x, alpha=alpha, D=D, D_max=D_max
+    )
     report = GapReport(
         h=h, h_forbidden=h_f, gap=h.value - h_f.value, census=plain,
         census_forbidden=restricted, certificate=certificate,

@@ -256,9 +256,9 @@ def cmd_analyze(args) -> int:
     g, x, y, forbidden, config = _setup(args)
     if forbidden is None:
         raise graphs.GraphFormatError(f"{args.command} requires forbidden words (--forbid)")
-    inputs = chain.CertificateInputs(alpha=args.alpha, D=args.D, D_max=args.D_max)
     report = chain.entropy_gap_report(
-        g, x, y, forbidden, args.depth, tail=args.tail, cert_inputs=inputs
+        g, x, y, forbidden, args.depth, tail=args.tail,
+        alpha=args.alpha, D=args.D, D_max=args.D_max,
     )
     results = _gap_results(g, report)
     if args.command == "schreier":
@@ -409,7 +409,8 @@ def _add_certificate(p: argparse.ArgumentParser) -> None:
                    help="edge probability floor (default 1/|alphabet|)")
     p.add_argument("--D", type=int, default=None, help="declared denseness constant")
     p.add_argument("--d-max", dest="D_max", type=int, default=8,
-                   help="search bound for the denseness constant")
+                   help="search bound for the denseness constant on a finite graph"
+                        " (an infinite graph takes D = 0 or --D)")
     p.add_argument("--conn-K", dest="conn_K", type=int, default=None,
                    help="declared uniform-connectedness constant")
     p.add_argument("--rho", type=float, default=None, help="declared spectral radius")

@@ -1,10 +1,11 @@
 """Forbidden-factor machinery.
 
-Builds the matching automaton for a finite set F of forbidden words
-(prefix trie plus failure links, with factor detection closed under the
-failure chain), forms the product graph whose paths are exactly the
-F-avoiding paths of a base graph, and certifies relative denseness: from
-every vertex, within forward distance D, some word of F can be read.
+Builds the matching automaton for a finite set F of forbidden words (its
+states the prefixes of F, each step to the longest suffix that is a
+prefix, a state dead once a word of F ends it), forms the product graph
+whose paths are exactly the F-avoiding paths of a base graph, and
+certifies relative denseness: from every vertex, within forward distance
+D, some word of F can be read.
 """
 
 from __future__ import annotations
@@ -79,12 +80,14 @@ class ForbiddenSet:
 class FactorAutomaton:
     """Deterministic automaton detecting occurrences of the words of F.
 
-    States are prefix-trie nodes (ints, 0 = empty prefix); ``step`` follows
-    the goto table completed through failure links, so after reading any
-    word u the current state is the longest trie prefix that is a suffix
-    of u.  A state is dead iff its failure chain meets a full word of F,
-    i.e. the automaton is in a dead state at position i exactly when some
-    forbidden word ends at position i.  Dead states are absorbing.
+    The states are the prefixes of the words of F (ints numbered in order
+    of first appearance, 0 = the empty prefix).  ``step`` moves from
+    prefix p on symbol a to the longest suffix of p·a that is a prefix, so
+    after reading any word u the current state is the longest prefix that
+    is a suffix of u.  A state is dead iff some word of F is a suffix of
+    its prefix, i.e. the automaton is in a dead state at position i
+    exactly when some forbidden word ends at position i.  Dead states are
+    absorbing.
     """
 
     def __init__(self, forbidden: ForbiddenSet, alphabet: Iterable[str]):
@@ -98,39 +101,23 @@ class FactorAutomaton:
                     )
         self.forbidden = forbidden
         self.start = 0
-        goto: list[dict[str, int]] = [{}]
-        terminal: list[bool] = [False]
-        for w in forbidden.words:
-            s = 0
-            for sym in w:
-                if sym not in goto[s]:
-                    goto.append({})
-                    terminal.append(False)
-                    goto[s][sym] = len(goto) - 1
-                s = goto[s][sym]
-            terminal[s] = True
-        # full transition table, filled in breadth-first order over the trie:
-        # a move the trie lacks is the move of the failure state, a shallower
-        # state whose row is already complete
-        fail = [0] * len(goto)
-        table: list[dict[str, int]] = [{} for _ in goto]
-        queue = [0]
-        for s in queue:
-            for sym in self.alphabet:
-                t = goto[s].get(sym)
-                if t is None:
-                    table[s][sym] = table[fail[s]][sym] if s else 0
-                    continue
-                table[s][sym] = t
-                fail[t] = table[fail[s]][sym] if s else 0
-                terminal[t] = terminal[t] or terminal[fail[t]]
-                queue.append(t)
-        dead = frozenset(s for s, t in enumerate(terminal) if t)
-        for s in dead:
-            table[s] = dict.fromkeys(self.alphabet, s)
-        self._table = table
-        self.dead = dead
-        self.states = tuple(range(len(goto)))
+        words = set(forbidden.words)
+        prefixes = list(dict.fromkeys(w[:i] for w in forbidden.words for i in range(len(w) + 1)))
+        index = {p: s for s, p in enumerate(prefixes)}
+
+        def longest(u: Word) -> int:
+            # the empty suffix u[len(u):] is always a prefix
+            return next(index[u[i:]] for i in range(len(u) + 1) if u[i:] in index)
+
+        self.dead = frozenset(
+            s for s, p in enumerate(prefixes) if any(p[i:] in words for i in range(len(p)))
+        )
+        self._table = [
+            dict.fromkeys(self.alphabet, s) if s in self.dead
+            else {a: longest(p + (a,)) for a in self.alphabet}
+            for s, p in enumerate(prefixes)
+        ]
+        self.states = tuple(range(len(prefixes)))
 
     def step(self, state: int, symbol: str) -> int:
         return self._table[state][symbol]

@@ -769,19 +769,40 @@ class TestResolveCertificateSweep:
         assert certified >= 100 and with_unreachable >= 40
 
 
+class TestCertificateRegressions:
+    def test_certificate_measures_the_part_reachable_from_x(self):
+        # the root's part {0, 3} reads bb nowhere and has rho 0.80902 < 1, but
+        # x = 1 carries both loops: its restricted growth is log(phi), which a
+        # certificate measured on the root's part put above h_bound (0.40236)
+        edges = [("0", "b", "0"), ("0", "a", "3"), ("3", "b", "0"),
+                 ("1", "a", "1"), ("1", "b", "1")]
+        g = es.explicit_graph(("a", "b"), edges, roots=["0"])
+        F = F_of(["bb"], g.alphabet)
+        report = es.entropy_gap_report(g, "1", "1", F, 60)
+        cert = report.certificate
+        assert report.h_forbidden.value == pytest.approx(math.log(PHI), abs=1e-3)
+        assert cert.h_bound(2) >= math.log(PHI)
+        part = es.explicit_graph(("a", "b"), edges[3:], roots=["1"])
+        assert cert.rho == pytest.approx(base_rho_measured(part), abs=1e-12)
+        assert product_rho_measured(part, F) <= cert.bound + 1e-9
+        # x defaults to the root, whose part is measured as before
+        root_cert, _, _, _ = es.resolve_certificate(g, F)
+        assert root_cert.rho == pytest.approx((1 + math.sqrt(5)) / 4, abs=1e-12)
+
+
 class TestResolveCertificateRules:
     """alpha and D: the option, else 1/|alphabet| and the measured D.
     conn_k and rho: the graph's declaration (the CLI's --conn-K and --rho
     replace it), else computed or measured."""
 
     @pytest.mark.parametrize("inputs, option", [
-        (es.CertificateInputs(D=0), "--D"),
-        (es.CertificateInputs(D_max=0), "--d-max"),
+        (dict(D=0), "--D"),
+        (dict(D_max=0), "--d-max"),
     ])
     def test_uncovered_window_names_the_cap(self, two_cycle, inputs, option):
         # from y the word ab needs one step first, so D = 0 fails
         F = F_of(["ab"], two_cycle.alphabet)
-        cert, scope, D, warnings = es.resolve_certificate(two_cycle, F, cert_inputs=inputs)
+        cert, scope, D, warnings = es.resolve_certificate(two_cycle, F, **inputs)
         assert (cert, scope, D) == (None, None, None)
         assert len(warnings) == 1 and f"D <= 0 ({option})" in warnings[0]
 
@@ -790,8 +811,7 @@ class TestResolveCertificateRules:
         measured, _, D, _ = es.resolve_certificate(golden_mean, F)
         assert (measured.conn_k, D) == (1, 0)   # declared, measured
         golden_mean.declared = replace(golden_mean.declared, conn_k=2, rho=0.9)
-        inputs = es.CertificateInputs(D=3)
-        cert, scope, D, _ = es.resolve_certificate(golden_mean, F, cert_inputs=inputs)
+        cert, scope, D, _ = es.resolve_certificate(golden_mean, F, D=3)
         assert (cert.D, D, cert.conn_k, cert.rho, scope) == (3, 3, 2, 0.9, "global")
 
     def test_incomplete_infinite_graph_gets_no_certificate(self):

@@ -47,6 +47,27 @@ class TestFactorAutomaton:
         # another a keeps the a-prefix alive
         assert A.step(s_a, "a") == s_a
 
+    # state i is the i-th prefix of F in order of first appearance; the table
+    # gives step(i, a) and step(i, b).  Product vertex ids (v, state) show
+    # these numbers, so they are pinned literally.
+    @pytest.mark.parametrize("words, prefixes, dead, table", [
+        (["aa"], ["", "a", "aa"], {2}, [(1, 0), (2, 0), (2, 2)]),
+        (["ab"], ["", "a", "ab"], {2}, [(1, 0), (1, 2), (2, 2)]),
+        (["aba", "bb"], ["", "a", "ab", "aba", "b", "bb"], {3, 5},
+         [(1, 4), (1, 2), (3, 5), (3, 3), (1, 5), (5, 5)]),
+        # a word that is a prefix of another: ab's state is dead through a
+        (["a", "ab"], ["", "a", "ab"], {1, 2}, [(1, 0), (1, 1), (2, 2)]),
+        (["abab", "bab"], ["", "a", "ab", "aba", "abab", "b", "ba", "bab"], {4, 7},
+         [(1, 5), (1, 2), (3, 5), (1, 4), (4, 4), (6, 5), (1, 7), (7, 7)]),
+    ])
+    def test_pinned_tables(self, words, prefixes, dead, table):
+        A = es.FactorAutomaton(make_forbidden(*words), ["a", "b"])
+        assert A.states == tuple(range(len(prefixes))) and A.start == 0
+        assert A.dead == frozenset(dead)
+        assert [(A.step(s, "a"), A.step(s, "b")) for s in A.states] == table
+        # a live state is reached by reading its own prefix
+        assert all(A.run(p) == s for s, p in enumerate(prefixes) if s not in dead)
+
     def test_single_letter_alphabet(self):
         A = es.FactorAutomaton(make_forbidden("a"), ["a"])
         assert A.step(A.start, "a") in A.dead
