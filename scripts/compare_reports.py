@@ -7,7 +7,9 @@ Usage (from the root of a checkout):
 
 Every job that bench/jobs.py builds for the lazy-schreier, finite-analyze
 and harmonic-rho workloads runs once per tree through
-``entroscope.cli.main(argv)``, each tree in its own interpreter: the old
+``entroscope.cli.main(argv)``, and so do two subcommands that no workload
+runs: ``count`` on each finite-analyze graph and ``bound --graph`` on the
+first.  Each tree runs in its own interpreter: the old
 one under PYTHONHASHSEED=0, the new one under 1, so that an output that
 depends on string-hash order differs even between two copies of one tree.
 Both runs share one work directory, since reports echo the paths of their
@@ -51,22 +53,40 @@ def run_jobs(src: str, workdir: str, seeds) -> dict:
     out = {}
     for workload in WORKLOADS:
         for seed in seeds:
-            for job in jobs_mod.make_jobs(workload, seed, workdir):
-                if job.csv and os.path.exists(job.csv):
-                    os.remove(job.csv)
+            runs = [(j.name, j.argv, j.csv) for j in jobs_mod.make_jobs(workload, seed, workdir)]
+            if workload == "finite-analyze":  # before the next seed rewrites the graphs
+                runs += subcommand_jobs(runs, workdir)
+            for name, argv, csv_path in runs:
+                if csv_path and os.path.exists(csv_path):
+                    os.remove(csv_path)
                 buf = io.StringIO()
                 try:
                     with contextlib.redirect_stdout(buf):
-                        code = cli.main(job.argv)
+                        code = cli.main(argv)
                 except Exception:  # a traceback out of main() is an output too
                     code, buf = None, io.StringIO(traceback.format_exc(limit=-3))
                 csv = None
-                if job.csv and os.path.exists(job.csv):
-                    with open(job.csv, encoding="utf-8") as fh:
+                if csv_path and os.path.exists(csv_path):
+                    with open(csv_path, encoding="utf-8") as fh:
                         csv = fh.read()
-                out[f"{workload}/{seed}/{job.name}"] = {
+                out[f"{workload}/{seed}/{name}"] = {
                     "exit": code, "report": GENERATED_AT.sub("", buf.getvalue()), "csv": csv}
     return out
+
+
+def subcommand_jobs(finite: list, workdir: str) -> list:
+    """(name, argv, CSV path) of ``count --depth 100`` on each finite-analyze
+    job's graph and word, and of one ``bound --graph`` on the first."""
+    inputs = [(name, ["--graph", argv[argv.index("--graph") + 1],
+                      "--forbid", argv[argv.index("--forbid") + 1]]) for name, argv, _ in finite]
+    runs = []
+    for name, graph_word in inputs:
+        csv_path = os.path.join(workdir, f"count-{name}.csv")
+        runs.append((f"count-{name}", ["count", "--depth", "100", *graph_word, "--csv", csv_path],
+                     csv_path))
+    bound = ["bound", "--alpha", "0.25", "--D", "1", "--R", "2", "--conn-K", "1", "--rho", "0.9",
+             "--sigma-size", "4"]
+    return runs + [("bound", bound + inputs[0][1], None)]
 
 
 def run_tree(src: str, workdir: str, seeds, hash_seed: int) -> dict:

@@ -5,10 +5,8 @@ __version__ = "0.1.0"
 from .census import (
     EntropyEstimate,
     NondeterministicWindow,
-    WordCensus,
     count_words,
     entropy_from_counts,
-    spectral_entropy_finite,
 )
 from .chain import (
     GapCertificate,

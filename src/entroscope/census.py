@@ -1,10 +1,8 @@
 """Word censuses and entropy estimates.
 
 Counts words of each length readable from x to y, with or without a
-forbidden factor set (via the product construction), estimates the growth
-rate from the counts, and computes exact entropy of finite graphs as the
-log of the spectral radius of the edge-count matrix of their reachable
-part.
+forbidden factor set (via the product construction), and estimates the
+growth rate from the counts.
 
 Counts are exact integers (c_n can reach |alphabet|^n): int64 matrix
 powers modulo pairwise coprime moduli just below 2**51, reduced only as
@@ -31,7 +29,6 @@ from .graphs import (
     Reach,
     Vertex,
     check_deterministic,
-    full_window,
     layered_search,
     search,
 )
@@ -67,22 +64,12 @@ def _moduli(d: int, states: int, bound: int) -> tuple[int, list[int]]:
     return h // c, moduli
 
 
-@dataclass(frozen=True)
-class WordCensus:
-    """c_n = number of length-n words readable from x ending at y."""
-
-    x: Vertex
-    y: Vertex
-    counts: tuple[int, ...]
-    forbidden: Optional[ForbiddenSet] = None
-
-
 @dataclass
 class EntropyEstimate:
     """Growth rate in nats; -inf signals a finite language."""
 
     value: float
-    method: str              # "count-fit" | "spectral" | "rho-dictionary"
+    method: str              # "count-fit" | "rho-dictionary"
     period: int = 1
     diagnostics: dict = field(default_factory=dict)
 
@@ -97,8 +84,9 @@ def count_words(
     y: Vertex,
     N: int,
     forbidden: Optional[ForbiddenSet] = None,
-) -> WordCensus:
-    """Exact word counts per length up to N.
+) -> tuple[int, ...]:
+    """Exact word counts c_n, the number of length-n words readable from x
+    ending at y, for n = 0..N.
 
     Words correspond to paths when every state a word of length <= N
     leaves from, those within distance N - 1 of x, is deterministic; that
@@ -113,8 +101,7 @@ def count_words(
         if violations:
             raise NondeterministicWindow(
                 [(reach.state_at(s), g.alphabet[a]) for s, a in violations])
-    counts = path_counts(g, x, y, N, forbidden=forbidden)
-    return WordCensus(x=x, y=y, counts=tuple(counts), forbidden=forbidden)
+    return tuple(path_counts(g, x, y, N, forbidden=forbidden))
 
 
 def _reach(g, x, y, N, forbidden):
@@ -214,7 +201,7 @@ def path_weights(
     return table
 
 
-def entropy_from_counts(census: WordCensus, tail: int = 20) -> EntropyEstimate:
+def entropy_from_counts(counts, tail: int = 20) -> EntropyEstimate:
     """Tail-slope estimate of limsup (1/n) log c_n.
 
     Period-aware (counts supported on a residue class fit within the class),
@@ -222,7 +209,7 @@ def entropy_from_counts(census: WordCensus, tail: int = 20) -> EntropyEstimate:
     A trailing run of zeros longer than the period yields the -inf sentinel,
     reported as a finite language.
     """
-    fit: GrowthFit = fit_log_growth(census.counts, tail=tail)
+    fit: GrowthFit = fit_log_growth(counts, tail=tail)
     diagnostics = {
         "residual": fit.residual,
         "points_used": fit.points_used,
@@ -234,23 +221,3 @@ def entropy_from_counts(census: WordCensus, tail: int = 20) -> EntropyEstimate:
         value=fit.value, method="count-fit", period=fit.period, diagnostics=diagnostics
     )
 
-
-def spectral_entropy_finite(g: LabelledGraph) -> EntropyEstimate:
-    """log of the spectral radius of the edge-count adjacency matrix of the
-    part of the graph reachable from the first root.
-
-    That part must be finite and deterministic; it may be reducible, and
-    its radius is the largest Perron root of its strongly connected
-    components (``linalg.spectral_radius``).  An acyclic part has radius 0
-    and gives the -inf sentinel of a finite language.
-    """
-    w = full_window(g)
-    collisions = check_deterministic(w.source, w.label)
-    if collisions:
-        vertices = list(w.distances)
-        raise NondeterministicWindow([(vertices[s], g.alphabet[a]) for s, a in collisions])
-    lam = linalg.spectral_radius(w.adjacency())[1]
-    value = math.log(lam) if lam > 0 else NEG_INF
-    return EntropyEstimate(
-        value=value, method="spectral", diagnostics={"eigenvalue": lam, "states": len(w.vertices)}
-    )

@@ -28,7 +28,6 @@ import numpy as np
 from . import linalg
 from .census import (
     EntropyEstimate,
-    WordCensus,
     count_words,
     entropy_from_counts,
     path_counts,
@@ -674,8 +673,8 @@ class GapReport:
     h: EntropyEstimate
     h_forbidden: EntropyEstimate
     gap: float
-    census: WordCensus
-    census_forbidden: WordCensus
+    counts: tuple[int, ...]
+    counts_forbidden: tuple[int, ...]
     certificate: Optional[GapCertificate] = None
     certificate_scope: Optional[str] = None   # "global" | "window"
     denseness_D: Optional[int] = None
@@ -698,16 +697,16 @@ def entropy_gap_report(
     certified entropy-gap bound when alpha, D, R, conn_k and rho can be
     declared, measured, or (finite graphs) computed exactly.
     """
-    plain = count_words(g, x, y, N)
-    restricted = count_words(g, x, y, N, forbidden=forbidden)
-    h = entropy_from_counts(plain, tail=tail)
-    h_f = entropy_from_counts(restricted, tail=tail)
+    counts = count_words(g, x, y, N)
+    counts_f = count_words(g, x, y, N, forbidden=forbidden)
+    h = entropy_from_counts(counts, tail=tail)
+    h_f = entropy_from_counts(counts_f, tail=tail)
     certificate, scope, D_used, warnings = resolve_certificate(
         g, forbidden, x, alpha=alpha, D=D, D_max=D_max
     )
     report = GapReport(
-        h=h, h_forbidden=h_f, gap=h.value - h_f.value, census=plain,
-        census_forbidden=restricted, certificate=certificate,
+        h=h, h_forbidden=h_f, gap=h.value - h_f.value, counts=counts,
+        counts_forbidden=counts_f, certificate=certificate,
         certificate_scope=scope, denseness_D=D_used, warnings=warnings,
     )
     if h_f.value >= h.value - 1e-12 and not h.finite_language:

@@ -215,21 +215,20 @@ def _csv_rows(column, column_f=None):
 
 def cmd_count(args) -> int:
     g, x, y, forbidden, config = _setup(args)
-    plain = census.count_words(g, x, y, args.depth)
+    counts = census.count_words(g, x, y, args.depth)
     results = {
-        "counts": list(plain.counts),
-        "entropy": _estimate_dict(census.entropy_from_counts(plain, tail=args.tail)),
+        "counts": list(counts),
+        "entropy": _estimate_dict(census.entropy_from_counts(counts, tail=args.tail)),
     }
-    restricted = None
+    counts_f = None
     if forbidden is not None:
-        restricted = census.count_words(g, x, y, args.depth, forbidden=forbidden)
-        results["counts_forbidden"] = list(restricted.counts)
+        counts_f = census.count_words(g, x, y, args.depth, forbidden=forbidden)
+        results["counts_forbidden"] = list(counts_f)
         results["entropy_forbidden"] = _estimate_dict(
-            census.entropy_from_counts(restricted, tail=args.tail)
+            census.entropy_from_counts(counts_f, tail=args.tail)
         )
     report = _report(config, results, [])
-    _emit(report, config, _csv_rows(plain.counts, restricted.counts if restricted else None),
-          ("n", "c_n", "c_n_F"))
+    _emit(report, config, _csv_rows(counts, counts_f), ("n", "c_n", "c_n_F"))
     return EXIT_OK
 
 
@@ -239,8 +238,8 @@ def _gap_results(g, report: chain.GapReport) -> dict:
         "h": _estimate_dict(report.h),
         "h_forbidden": _estimate_dict(report.h_forbidden),
         "gap": _num(report.gap),
-        "counts": list(report.census.counts),
-        "counts_forbidden": list(report.census_forbidden.counts),
+        "counts": list(report.counts),
+        "counts_forbidden": list(report.counts_forbidden),
         "denseness_D": report.denseness_D,
         "certificate_scope": report.certificate_scope,
         "certificate": None,
@@ -267,8 +266,7 @@ def cmd_analyze(args) -> int:
         results["family"] = args.family
         results["declared"] = {"conn_K": declared.conn_k, "rho": declared.rho}
     out = _report(config, results, report.warnings)
-    _emit(out, config, _csv_rows(report.census.counts, report.census_forbidden.counts),
-          ("n", "c_n", "c_n_F"))
+    _emit(out, config, _csv_rows(report.counts, report.counts_forbidden), ("n", "c_n", "c_n_F"))
     return EXIT_OK if report.certificate is not None else EXIT_CERTIFICATION
 
 

@@ -99,7 +99,6 @@ class FactorAutomaton:
                     raise ForbiddenWordError(
                         f"forbidden word {w} uses symbol {sym!r} outside the alphabet"
                     )
-        self.forbidden = forbidden
         self.start = 0
         words = set(forbidden.words)
         prefixes = list(dict.fromkeys(w[:i] for w in forbidden.words for i in range(len(w) + 1)))
@@ -167,7 +166,6 @@ def product_graph(
         alphabet=g.alphabet,
         expand=expand,
         roots=[(r, start) for r in roots],
-        name=f"{g.name}/avoiding" if g.name else "product",
         budget=g.budget,
     )
 

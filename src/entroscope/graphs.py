@@ -85,9 +85,11 @@ class Declared:
 
 
 class EdgeArrays(NamedTuple):
-    """A finite graph's edges in ``out_edges`` order, v's at ``offsets[index[v]]:
-    offsets[index[v] + 1]``, with ``label`` and ``target`` (alphabet, vertex index) columns."""
+    """A finite graph: its ``vertices``, numbered by ``index``, and its edges in
+    ``out_edges`` order, v's at ``offsets[index[v]]:offsets[index[v] + 1]``,
+    with ``label`` and ``target`` (alphabet, vertex index) columns."""
 
+    vertices: tuple
     index: dict
     offsets: np.ndarray
     label: np.ndarray
@@ -111,8 +113,9 @@ class LabelledGraph:
     index arrays (``Reach``): the plain ones (``search``, forbidden set
     None) behind censuses and windows, and the census's product searches
     derived from them, keyed by (start, N, forbidden set, budget) so that
-    a search made under another budget is never reused.  A finite graph's
-    ``search`` walks its ``arrays`` instead.
+    a search made under another budget is never reused.  A finite graph is
+    its ``arrays``: ``search`` walks them, and ``vertex_list`` is their
+    vertices (None on a lazy graph).
     """
 
     def __init__(
@@ -120,8 +123,6 @@ class LabelledGraph:
         alphabet: Iterable[str],
         expand: Callable[[Vertex], Iterable[Edge]],
         roots: Iterable[Vertex],
-        name: str = "",
-        vertex_list: Optional[Iterable[Vertex]] = None,
         declared: Optional[Declared] = None,
         arrays: Optional[EdgeArrays] = None,
         budget: int = DEFAULT_BUDGET,
@@ -135,10 +136,9 @@ class LabelledGraph:
         self.roots = tuple(roots)
         if not self.roots:
             raise GraphFormatError("graph needs at least one root vertex")
-        self.name = name
-        self.vertex_list = tuple(vertex_list) if vertex_list is not None else None
         self.declared = declared or Declared()
         self.arrays = arrays
+        self.vertex_list = None if arrays is None else arrays.vertices
         self.budget = budget
         self._code = {a: i for i, a in enumerate(self.alphabet)}
         self._rank = {a: i for i, a in enumerate(sorted(self.alphabet))}
@@ -150,7 +150,7 @@ class LabelledGraph:
 
     @property
     def is_finite(self) -> bool:
-        return self.vertex_list is not None
+        return self.arrays is not None
 
     def expansions(self, vertices: list) -> tuple[list, list, list]:
         """Out-degrees of ``vertices``, and the label (alphabet index) and
@@ -376,7 +376,8 @@ def search(g: LabelledGraph, x: Vertex, N: Optional[int] = None) -> Reach:
         if arrays is not None and x in arrays.index:
             keys, distance, source, e, target = layered_search(
                 arrays.offsets, arrays.label, arrays.target, arrays.index[x], N, g.budget, x)
-            vertices = [x] + [g.vertex_list[i] for i in keys[1:].tolist()]
+            vertex_list = arrays.vertices
+            vertices = [x] + [vertex_list[i] for i in keys[1:].tolist()]
             label = arrays.label[e]
         else:
             s, depth = grown(g, x, N)
@@ -524,7 +525,6 @@ def explicit_graph(
     edges: Iterable[tuple],
     roots: Iterable[Vertex],
     vertices: Optional[Iterable[Vertex]] = None,
-    name: str = "",
     declared: Optional[Declared] = None,
 ) -> LabelledGraph:
     """Finite graph from an explicit edge list of (source, label, target),
@@ -543,8 +543,8 @@ def explicit_graph(
     listed = None if vertices is None else list(vertices)
     ids = {"vertices": listed or [], "roots": roots, "edges": sources + targets}
     try:
-        vertex_list = listed if listed is not None else sorted(dict.fromkeys(
-            ids["edges"] + tuple(roots)), key=vertex_key)
+        vertex_list = tuple(listed if listed is not None else sorted(dict.fromkeys(
+            ids["edges"] + tuple(roots)), key=vertex_key))
         index = {v: i for i, v in enumerate(vertex_list)}
         lost = [r for r in roots if r not in index]
         symbols = {a: i for i, a in enumerate(alphabet)}
@@ -586,8 +586,8 @@ def explicit_graph(
         return [(v, alphabet[a], vertex_list[t])
                 for a, t in zip(label[lo:hi].tolist(), target[lo:hi].tolist())]
 
-    return LabelledGraph(alphabet, expand, roots, name, vertex_list, declared,
-                         EdgeArrays(index, offsets, label, target))
+    return LabelledGraph(alphabet, expand, roots, declared,
+                         EdgeArrays(vertex_list, index, offsets, label, target))
 
 
 @dataclass(frozen=True)
@@ -613,7 +613,7 @@ def _strings(doc: dict, key: str, required: bool = True) -> list:
     return value
 
 
-def parse_graph_document(doc: dict, name: str = "") -> GraphDocument:
+def parse_graph_document(doc: dict) -> GraphDocument:
     """Parse the JSON graph schema.
 
     The document is a JSON object with keys "alphabet" (list of symbols),
@@ -626,11 +626,11 @@ def parse_graph_document(doc: dict, name: str = "") -> GraphDocument:
         raise GraphFormatError(f"graph document must be a JSON object, got {type(doc).__name__}")
     alphabet, edges = _strings(doc, "alphabet"), _list(doc, "edges")
     vertices = _list(doc, "vertices")
-    g = explicit_graph(alphabet, edges, _list(doc, "roots"), vertices=vertices, name=name)
+    g = explicit_graph(alphabet, edges, _list(doc, "roots"), vertices=vertices)
     return GraphDocument(graph=g, forbidden=tuple(_strings(doc, "forbidden", required=False)))
 
 
 def load_graph_json(path) -> GraphDocument:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    return parse_graph_document(doc, name=str(path))
+    return parse_graph_document(doc)

@@ -27,7 +27,6 @@ class ActionError(RuntimeError):
 class ActionSpec:
     """Right action of alphabet symbols on canonical coset descriptors."""
 
-    name: str
     alphabet: tuple[str, ...]
     act: Callable[[Vertex, str], Vertex] = field(compare=False)
     root: Vertex = ""
@@ -58,7 +57,6 @@ def schreier_graph(spec: ActionSpec) -> LabelledGraph:
         alphabet=spec.alphabet,
         expand=expand,
         roots=[spec.root],
-        name=spec.name,
         declared=replace(spec.declared, complete=True),
     )
 
@@ -70,7 +68,6 @@ def line_z() -> ActionSpec:
     walk, rho = 1.
     """
     return ActionSpec(
-        name="line_Z",
         alphabet=("l", "r"),
         act=lambda n, a: n + 1 if a == "r" else n - 1,
         root=0,
@@ -87,7 +84,6 @@ def grid_z2() -> ActionSpec:
         return (v[0] + dx, v[1] + dy)
 
     return ActionSpec(
-        name="grid_Z2",
         alphabet=("d", "l", "r", "u"),
         act=act,
         root=(0, 0),
@@ -119,7 +115,6 @@ def free2_mod_cyclic() -> ActionSpec:
         return w.lstrip("aA")
 
     return ActionSpec(
-        name="free2_mod_cyclic",
         alphabet=("A", "B", "a", "b"),
         act=act,
         root="",

@@ -11,7 +11,7 @@ hypothesis.settings.load_profile("ci")
 def b2():
     """Full 2-shift: one vertex, loops a and b."""
     return es.explicit_graph(
-        ["a", "b"], [("v", "a", "v"), ("v", "b", "v")], roots=["v"], name="B2"
+        ["a", "b"], [("v", "a", "v"), ("v", "b", "v")], roots=["v"]
     )
 
 
@@ -22,7 +22,6 @@ def golden_mean():
         ["a", "b"],
         [("v1", "a", "v2"), ("v1", "b", "v1"), ("v2", "b", "v1")],
         roots=["v1"],
-        name="golden-mean",
         declared=es.Declared(conn_k=1),
     )
 
@@ -34,7 +33,6 @@ def three_cycle():
         ["a", "b", "c"],
         [("0", "a", "1"), ("1", "b", "2"), ("2", "c", "0")],
         roots=["0"],
-        name="three-cycle",
     )
 
 
@@ -42,7 +40,7 @@ def three_cycle():
 def two_cycle():
     """x -a-> y -b-> x."""
     return es.explicit_graph(
-        ["a", "b"], [("x", "a", "y"), ("y", "b", "x")], roots=["x"], name="two-cycle"
+        ["a", "b"], [("x", "a", "y"), ("y", "b", "x")], roots=["x"]
     )
 
 

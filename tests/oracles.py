@@ -6,11 +6,13 @@ never calls the code paths it is used to check.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from collections import Counter
 
 import numpy as np
-from scipy import sparse
+from scipy import optimize, sparse
 
 import entroscope as es
 
@@ -163,7 +165,6 @@ def determinize(g, w):
         edges=reached.edges,
         roots=[start],
         vertices=sorted(reached.vertices, key=es.vertex_key),
-        name=f"{g.name}/determinized" if g.name else "determinized",
     )
 
 
@@ -370,6 +371,50 @@ def readers_by_sets(words, w) -> set:
             r = {e.source for e in w.edges if e.label == a and e.target in r}
         readers |= r
     return readers
+
+
+def spectral_entropy(g, x=None) -> float:
+    """log of the spectral radius of the edge-count matrix of the part of g
+    reachable from x (the first root by default), -inf when that part is
+    acyclic: on a deterministic graph, the entropy of the words read from x.
+    This is the spectral path certificates take (``linalg.spectral_radius``
+    of a ``forward_ball``), not an independent oracle."""
+    w = es.forward_ball(g, g.roots[0] if x is None else x, None)
+    lam = es.linalg.spectral_radius(w.adjacency())[1]
+    return math.log(lam) if lam > 0 else float("-inf")
+
+
+def tilted_growth(alphabet, moves, words) -> float:
+    """inf over theta of log rho(M_F(theta)): the exponential growth of the
+    words that avoid ``words`` and read from x to y on a lattice where
+    letter a moves by the vector ``moves[a]`` (Ney & Spitzer 1966; Woess,
+    Random Walks on Infinite Graphs and Groups, 2000, section 13).
+
+    M_F(theta) weighs letter a by exp(<theta, moves[a]>) on the live states
+    of a factor automaton for F, here built by hand: the F-avoiding words
+    shorter than L = the longest word of F, each letter stepping to the last
+    L - 1 letters read.  Nelder-Mead minimizes over theta; every theta gives
+    an upper bound, so a minimizer that stops early errs upwards."""
+    keep = max(map(len, words), default=1) - 1
+    live = [""] + sorted({"".join(w) for n in range(1, keep + 1)
+                          for w in itertools.product(alphabet, repeat=n)
+                          if not contains_factor(w, words)})
+    index = {s: i for i, s in enumerate(live)}
+    n = len(live)
+    letters = np.zeros((len(alphabet), n * n))
+    for (i, a), s in itertools.product(enumerate(alphabet), live):
+        if not contains_factor(s + a, words):
+            letters[i, index[s] * n + index[(s + a)[-keep:] if keep else ""]] = 1
+    v = np.array([moves[a] for a in alphabet], dtype=float)
+
+    def log_rho(theta):
+        return math.log(max(abs(np.linalg.eigvals((np.exp(v @ theta) @ letters).reshape(n, n)))))
+
+    d = v.shape[1]
+    simplex = np.vstack([np.zeros(d), np.eye(d) / 2])
+    result = optimize.minimize(log_rho, np.zeros(d), method="Nelder-Mead", options={
+        "initial_simplex": simplex, "xatol": 1e-7, "fatol": 1e-13, "maxiter": 4000})
+    return min(result.fun, log_rho(np.zeros(d)))
 
 
 def with_dangling_tail(rng: random.Random, g):

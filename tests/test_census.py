@@ -12,7 +12,7 @@ from entroscope.growth import InsufficientData
 
 from oracles import (
     brute_census, determinize, dict_census, lazy_reach, random_det_scc_graph, random_nfa,
-    readable_words, shared_pairs, with_dangling_tail,
+    readable_words, shared_pairs, spectral_entropy, with_dangling_tail,
 )
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -25,22 +25,29 @@ forbidden_sets = st.lists(
 class TestCountWords:
     def test_full_shift_plain(self, b2):
         c = es.count_words(b2, "v", "v", 3)
-        assert c.counts == (1, 2, 4, 8)
+        assert c == (1, 2, 4, 8)
+
+    def test_counts_are_the_path_counts(self, golden_mean, line_z):
+        F = es.ForbiddenSet.from_strings(["aa"], golden_mean.alphabet)
+        for g, x, y, forbidden in ((golden_mean, "v1", "v2", None),
+                                   (golden_mean, "v1", "v1", F), (line_z, 0, 2, None)):
+            assert es.count_words(g, x, y, 12, forbidden=forbidden) == tuple(
+                es.census.path_counts(g, x, y, 12, forbidden=forbidden))
 
     def test_full_shift_fibonacci(self, b2):
         F = es.ForbiddenSet.from_strings(["aa"], b2.alphabet)
         expected = tuple(brute_census(b2, "v", "v", 6, F.words))
         assert expected == (1, 2, 3, 5, 8, 13, 21)
-        assert es.count_words(b2, "v", "v", 6, forbidden=F).counts == expected
+        assert es.count_words(b2, "v", "v", 6, forbidden=F) == expected
 
     def test_line_central_binomials(self, line_z):
         expected = tuple(brute_census(line_z, 0, 0, 4))
         assert expected == (1, 0, 2, 0, 6)
-        assert es.count_words(line_z, 0, 0, 4).counts == expected
+        assert es.count_words(line_z, 0, 0, 4) == expected
 
     def test_empty_word_count(self, two_cycle):
-        assert es.count_words(two_cycle, "x", "y", 2).counts[0] == 0
-        assert es.count_words(two_cycle, "x", "x", 2).counts[0] == 1
+        assert es.count_words(two_cycle, "x", "y", 2)[0] == 0
+        assert es.count_words(two_cycle, "x", "x", 2)[0] == 1
 
     def test_nondeterministic_rejected(self):
         g = es.explicit_graph(["a"], [("x", "a", "y"), ("x", "a", "z")], roots=["x"])
@@ -56,9 +63,9 @@ class TestCountWords:
 
     def test_fork_at_distance_N_is_counted(self):
         g = self.fork_at(4)
-        assert es.count_words(g, 0, 0, 4).counts == tuple(brute_census(g, 0, 0, 4))
+        assert es.count_words(g, 0, 0, 4) == tuple(brute_census(g, 0, 0, 4))
         F = es.ForbiddenSet.from_strings(["ab"], g.alphabet)
-        restricted = es.count_words(g, 0, 0, 4, forbidden=F).counts
+        restricted = es.count_words(g, 0, 0, 4, forbidden=F)
         assert restricted == tuple(brute_census(g, 0, 0, 4, F.words))
 
     def test_fork_at_distance_N_minus_1_is_rejected(self):
@@ -70,12 +77,12 @@ class TestCountWords:
     )
     def test_oracle_equivalence(self, fixture, x, y, request):
         g = request.getfixturevalue(fixture)
-        assert es.count_words(g, x, y, 8).counts == tuple(brute_census(g, x, y, 8))
+        assert es.count_words(g, x, y, 8) == tuple(brute_census(g, x, y, 8))
 
     @pytest.mark.parametrize("words", [["aa"], ["ab"], ["ba", "bb"], ["aba"]])
     def test_oracle_equivalence_forbidden(self, golden_mean, words):
         F = es.ForbiddenSet.from_strings(words, golden_mean.alphabet)
-        got = es.count_words(golden_mean, "v1", "v1", 8, forbidden=F).counts
+        got = es.count_words(golden_mean, "v1", "v1", 8, forbidden=F)
         assert got == tuple(brute_census(golden_mean, "v1", "v1", 8, F.words))
 
     @given(F=forbidden_sets)
@@ -83,8 +90,8 @@ class TestCountWords:
         b2 = es.explicit_graph(
             ["a", "b"], [("v", "a", "v"), ("v", "b", "v")], roots=["v"]
         )
-        plain = es.count_words(b2, "v", "v", 8).counts
-        restricted = es.count_words(b2, "v", "v", 8, forbidden=F).counts
+        plain = es.count_words(b2, "v", "v", 8)
+        restricted = es.count_words(b2, "v", "v", 8, forbidden=F)
         assert all(cf <= c for cf, c in zip(restricted, plain))
 
     def test_product_consistency(self, golden_mean):
@@ -94,9 +101,9 @@ class TestCountWords:
         start = ("v1", A.start)
         states = es.forward_ball(pg, start, 8).vertices
         for n in range(9):
-            direct = es.count_words(golden_mean, "v1", "v1", n, forbidden=F).counts[n]
+            direct = es.count_words(golden_mean, "v1", "v1", n, forbidden=F)[n]
             via_product = sum(
-                es.count_words(pg, start, q, n).counts[n]
+                es.count_words(pg, start, q, n)[n]
                 for q in states
                 if q[0] == "v1"
             )
@@ -121,14 +128,14 @@ class TestPathCounts:
             assert math.prod(ms) > bound
 
     def test_full_shift_beyond_int64(self, b2, plans):
-        counts = es.count_words(b2, "v", "v", 200).counts
+        counts = es.count_words(b2, "v", "v", 200)
         assert counts == tuple(2**n for n in range(201))
         # 2**200 takes four 51-bit moduli, reduced every 12 products
         assert plans[0][0] == (2, 1, 2**200)
         L, moduli = plans[0][1]
         assert L == 12 and len(moduli) == 4 and max(moduli) < 2**51
         F = es.ForbiddenSet.from_strings(["aa"], b2.alphabet)
-        restricted = es.count_words(b2, "v", "v", 200, forbidden=F).counts
+        restricted = es.count_words(b2, "v", "v", 200, forbidden=F)
         assert restricted[200] > 2**64
         assert list(restricted) == dict_census(b2, "v", "v", 200, F.words)
 
@@ -138,12 +145,12 @@ class TestPathCounts:
         alphabet = "abcdefghi"
         edges = [(s, a, t) for s, t in (("v", "w"), ("w", "v")) for a in alphabet]
         g = es.explicit_graph(alphabet, edges, roots=["v"])
-        assert es.count_words(g, "v", "v", 40).counts == tuple(
+        assert es.count_words(g, "v", "v", 40) == tuple(
             9**n * (n % 2 == 0) for n in range(41))
         assert plans[0][0][0] == 9 and plans[0][1][0] == 3
         F = es.ForbiddenSet.from_strings(["ab", "ca", "iii"], alphabet)
         for y in ("v", "w"):
-            counts = list(es.count_words(g, "v", y, 40, forbidden=F).counts)
+            counts = list(es.count_words(g, "v", y, 40, forbidden=F))
             assert counts == dict_census(g, "v", y, 40, F.words)
             assert counts[:5] == brute_census(g, "v", y, 4, F.words)
         assert counts[39] > 2**63
@@ -170,21 +177,21 @@ class TestPathCounts:
         g = es.explicit_graph(
             ["a", "b"], [("v", "a", "w"), ("v", "b", "w"), ("w", "a", "v")], roots=["v"]
         )
-        counts = es.count_words(g, "v", "v", 12).counts
+        counts = es.count_words(g, "v", "v", 12)
         assert counts[:5] == (1, 0, 2, 0, 4)
         assert list(counts) == dict_census(g, "v", "v", 12) == brute_census(g, "v", "v", 12)
 
     def test_targets_on_and_outside_the_shell(self, line_z, b2):
         # 3 is on the outer shell of the radius-3 ball, reached by rrr only
-        assert es.count_words(line_z, 0, 3, 3).counts == (0, 0, 0, 1)
+        assert es.count_words(line_z, 0, 3, 3) == (0, 0, 0, 1)
         G = es.ForbiddenSet.from_strings(["rl"], line_z.alphabet)
-        assert es.count_words(line_z, 0, 3, 3, forbidden=G).counts == (0, 0, 0, 1)
+        assert es.count_words(line_z, 0, 3, 3, forbidden=G) == (0, 0, 0, 1)
         F = es.ForbiddenSet.from_strings(["rr"], line_z.alphabet)
-        assert es.count_words(line_z, 0, 5, 3).counts == (0, 0, 0, 0)
-        assert es.count_words(line_z, 0, 5, 3, forbidden=F).counts == (0, 0, 0, 0)
-        assert es.count_words(line_z, 0, 0, 0, forbidden=F).counts == (1,)
-        assert es.count_words(line_z, 0, 1, 0).counts == (0,)
-        assert es.count_words(b2, "v", "v", 0).counts == (1,)
+        assert es.count_words(line_z, 0, 5, 3) == (0, 0, 0, 0)
+        assert es.count_words(line_z, 0, 5, 3, forbidden=F) == (0, 0, 0, 0)
+        assert es.count_words(line_z, 0, 0, 0, forbidden=F) == (1,)
+        assert es.count_words(line_z, 0, 1, 0) == (0,)
+        assert es.count_words(b2, "v", "v", 0) == (1,)
 
     def test_random_dfas(self):
         rng = random.Random(6)
@@ -196,15 +203,15 @@ class TestPathCounts:
                 for _ in range(rng.randint(1, 2))
             ]
             F = es.ForbiddenSet.from_strings(words, g.alphabet)
-            assert list(es.count_words(g, x, y, 60).counts) == dict_census(g, x, y, 60)
-            restricted = es.count_words(g, x, y, 60, forbidden=F).counts
+            assert list(es.count_words(g, x, y, 60)) == dict_census(g, x, y, 60)
+            restricted = es.count_words(g, x, y, 60, forbidden=F)
             assert list(restricted) == dict_census(g, x, y, 60, F.words)
 
     @pytest.mark.parametrize("words", [None, ["aa"], ["ab", "bbb"]])
     def test_uniform_probability_table(self, golden_mean, words):
         F = words and es.ForbiddenSet.from_strings(words, golden_mean.alphabet)
         table = es.probability_table(es.uniform_weights(golden_mean), "v1", "v1", 30, F)
-        counts = es.count_words(golden_mean, "v1", "v1", 30, forbidden=F).counts
+        counts = es.count_words(golden_mean, "v1", "v1", 30, forbidden=F)
         assert table == [Fraction(c, 2**n) for n, c in enumerate(counts)]
 
     def test_uniform_table_counts_paths_without_determinism(self):
@@ -218,7 +225,7 @@ class TestPathCounts:
         # the base ball has one vertex, the product three states
         F = es.ForbiddenSet.from_strings(["aaa"], b2.alphabet)
         b2.budget = 3
-        assert es.count_words(b2, "v", "v", 5, forbidden=F).counts[5] == 24
+        assert es.count_words(b2, "v", "v", 5, forbidden=F)[5] == 24
         b2.budget = 2
         with pytest.raises(es.ExpansionBudgetExceeded):
             es.count_words(b2, "v", "v", 5, forbidden=F)
@@ -266,7 +273,7 @@ class TestPathCounts:
         adjacency = es.linalg.adjacency
         scale = 2**31 - 1
         monkeypatch.setattr(es.linalg, "adjacency", lambda *args: adjacency(*args) * scale)
-        assert es.count_words(b2, "v", "v", 8).counts == tuple((2 * scale) ** n for n in range(9))
+        assert es.count_words(b2, "v", "v", 8) == tuple((2 * scale) ** n for n in range(9))
         monkeypatch.setattr(es.linalg, "adjacency", lambda *args: adjacency(*args) * 2**31)
         with pytest.raises(es.census.CountRangeError):
             es.count_words(b2, "v", "v", 8)
@@ -325,7 +332,7 @@ class TestArrayReach:
                     es.count_words(g, x, y, N, forbidden=F)
                 assert info.value.violations == violations
             else:
-                assert list(es.count_words(g, x, y, N, forbidden=F).counts) == expected
+                assert list(es.count_words(g, x, y, N, forbidden=F)) == expected
 
     def test_weights_are_read_per_base_edge(self):
         # a weighted sum over the lazy product's edges, each weighed by its base edge
@@ -407,7 +414,7 @@ class TestEntropyFromCounts:
     def test_finite_language_sentinel(self, b2):
         F = es.ForbiddenSet.from_strings(["a", "b"], b2.alphabet)
         census = es.count_words(b2, "v", "v", 10, forbidden=F)
-        assert census.counts == (1,) + (0,) * 10
+        assert census == (1,) + (0,) * 10
         est = es.entropy_from_counts(census)
         assert est.finite_language
         assert est.value == float("-inf")
@@ -422,23 +429,21 @@ class TestEntropyFromCounts:
 
 
 class TestSpectralEntropy:
+    """The entropy of a finite deterministic graph on the spectral path
+    certificates use, against closed forms and the counts."""
+
     def test_full_shift(self, b2):
-        est = es.spectral_entropy_finite(b2)
-        assert est.method == "spectral"
-        assert abs(est.value - math.log(2)) < 1e-12
+        assert abs(spectral_entropy(b2) - math.log(2)) < 1e-12
 
     def test_golden_mean(self, golden_mean):
-        est = es.spectral_entropy_finite(golden_mean)
-        assert abs(est.value - math.log(PHI)) < 1e-9
+        assert abs(spectral_entropy(golden_mean) - math.log(PHI)) < 1e-9
 
     def test_three_cycle_zero(self, three_cycle):
-        assert abs(es.spectral_entropy_finite(three_cycle).value) < 1e-12
+        assert abs(spectral_entropy(three_cycle)) < 1e-12
 
     def test_acyclic_is_a_finite_language(self):
         g = es.explicit_graph(["a"], [("x", "a", "y")], roots=["x"])
-        est = es.spectral_entropy_finite(g)
-        assert est.value == float("-inf")
-        assert est.finite_language
+        assert spectral_entropy(g) == float("-inf")
 
     def test_dangling_tail_keeps_the_entropy(self):
         # a tail ending in a sink adds only one-vertex components without loops
@@ -447,29 +452,18 @@ class TestSpectralEntropy:
         for seed in range(40):
             g = with_dangling_tail(random.Random(seed), gm)
             w = es.full_window(g)
-            if es.check_deterministic(w.source, w.label):
-                with pytest.raises(es.NondeterministicWindow):
-                    es.spectral_entropy_finite(g)
-            elif any(not g.out_edges(v) for v in w.vertices):
-                assert abs(es.spectral_entropy_finite(g).value - math.log(PHI)) < 1e-12
+            if not es.check_deterministic(w.source, w.label) and any(
+                    not g.out_edges(v) for v in w.vertices):
+                assert abs(spectral_entropy(g) - math.log(PHI)) < 1e-12
                 checked += 1
         assert checked >= 3
-
-    def test_nondeterministic_rejected(self):
-        g = es.explicit_graph(
-            ["a"], [("x", "a", "y"), ("x", "a", "x"), ("y", "a", "x")], roots=["x"]
-        )
-        with pytest.raises(es.NondeterministicWindow) as info:
-            es.spectral_entropy_finite(g)
-        assert info.value.violations == [("x", "a")]
 
     @pytest.mark.parametrize("fixture", ["b2", "golden_mean", "three_cycle"])
     def test_count_agreement(self, fixture, request):
         g = request.getfixturevalue(fixture)
         root = g.roots[0]
-        spectral = es.spectral_entropy_finite(g)
         counted = es.entropy_from_counts(es.count_words(g, root, root, 40), tail=20)
-        assert abs(spectral.value - counted.value) < 0.02
+        assert abs(spectral_entropy(g) - counted.value) < 0.02
 
 
 class TestGapReport:
@@ -487,7 +481,7 @@ class TestGapReport:
         # words avoiding ab are b^i a^j: exactly n + 1 per length
         F = es.ForbiddenSet.from_strings(["ab"], b2.alphabet)
         report = es.entropy_gap_report(b2, "v", "v", F, 40)
-        assert report.census_forbidden.counts == tuple(range(1, 42))
+        assert report.counts_forbidden == tuple(range(1, 42))
         assert report.h_forbidden.value < 0.05
         assert abs(report.gap - math.log(2)) < 0.05
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -16,6 +17,7 @@ from oracles import (
     random_nfa,
     random_word_on_graph,
     strongly_connected,
+    tilted_growth,
 )
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -176,7 +178,7 @@ class TestDictionaryIdentity:
         g = request.getfixturevalue(fixture)
         sigma = len(g.alphabet)
         ch = es.uniform_weights(g)
-        counts = es.count_words(g, x, y, 15).counts
+        counts = es.count_words(g, x, y, 15)
         probs = es.probability_table(ch, x, y, 15)
         for n in range(16):
             assert probs[n] * sigma**n == counts[n]
@@ -191,7 +193,7 @@ class TestDictionaryIdentity:
         sigma = len(g.alphabet)
         F = F_of(words, g.alphabet)
         ch = es.uniform_weights(g)
-        counts = es.count_words(g, x, y, 15, forbidden=F).counts
+        counts = es.count_words(g, x, y, 15, forbidden=F)
         probs = es.probability_table(ch, x, y, 15, forbidden=F)
         for n in range(16):
             assert probs[n] * sigma**n == counts[n]
@@ -769,6 +771,48 @@ class TestResolveCertificateSweep:
         assert certified >= 100 and with_unreachable >= 40
 
 
+# each letter's move on the lattice, and the census depth of the sweep
+LATTICES = {
+    "line_Z": ({"l": (-1,), "r": (1,)}, 40),
+    "grid_Z2": ({"d": (0, -1), "l": (-1, 0), "r": (1, 0), "u": (0, 1)}, 24),
+}
+
+
+class TestLatticeGrowth:
+    """The exact restricted growth h_F on line_Z and grid_Z2 by an
+    exponential tilt (``oracles.tilted_growth``): its closed forms, and a
+    sweep over every one-word F of length 2-3 in which each certificate's
+    h_bound lies above it and the census's last ratio within 1.1/N of it."""
+
+    @pytest.mark.parametrize("family, words, exact, tol", [
+        ("line_Z", [], math.log(2), 1e-9),
+        ("grid_Z2", [], math.log(4), 1e-9),
+        ("line_Z", ["rrl"], math.log(math.sqrt(2)), 1e-9),
+        ("grid_Z2", ["rr"], math.log(2 + math.sqrt(3)), 1e-9),
+        ("grid_Z2", ["rl"], math.log(2 + math.sqrt(3)), 1e-9),
+        ("grid_Z2", ["ru"], 1.301345, 1e-6),
+        ("grid_Z2", ["rur"], 1.369737, 1e-6),
+        ("line_Z", ["rr"], 0.0, 1e-6),  # counts grow like n: the infimum is not attained
+    ])
+    def test_closed_forms(self, family, words, exact, tol):
+        moves, _ = LATTICES[family]
+        assert abs(tilted_growth(sorted(moves), moves, words) - exact) < tol
+
+    @pytest.mark.parametrize("family", sorted(LATTICES))
+    def test_one_word_certificates_and_censuses(self, family):
+        moves, N = LATTICES[family]
+        g = es.schreier_graph(es.builtin_family(family))
+        x, sigma = g.roots[0], len(g.alphabet)
+        words = ["".join(w) for n in (2, 3) for w in itertools.product(g.alphabet, repeat=n)]
+        for word in words:
+            h_f, F = tilted_growth(g.alphabet, moves, [word]), F_of([word], g.alphabet)
+            cert, _, _, _ = es.resolve_certificate(g, F)
+            assert cert is not None and cert.h_bound(sigma) >= h_f, word
+            counts = es.count_words(g, x, x, N, forbidden=F)
+            last_ratio = es.entropy_from_counts(counts).diagnostics["last_ratio"]
+            assert abs(last_ratio - h_f) <= 1.1 / N, word
+
+
 class TestCertificateRegressions:
     def test_certificate_measures_the_part_reachable_from_x(self):
         # the root's part {0, 3} reads bb nowhere and has rho 0.80902 < 1, but
@@ -833,7 +877,7 @@ class TestResolveCertificateRules:
 
     def test_complete_family_needs_conn_k(self):
         spec = es.ActionSpec(
-            name="cycle_5", alphabet=("l", "r"),
+            alphabet=("l", "r"),
             act=lambda n, a: (n + (1 if a == "r" else -1)) % 5, root=0,
         )
         g, F = es.schreier_graph(spec), F_of(["rr"], spec.alphabet)

@@ -54,7 +54,6 @@ def one_way_ray():
         alphabet=["f"],
         expand=lambda n: [Edge(n, "f", n + 1)],
         roots=[0],
-        name="ray",
     )
 
 
@@ -247,6 +246,16 @@ class TestArraySearch:
         assert raised > 100
 
 
+    def test_a_finite_graph_is_its_arrays(self, golden_mean):
+        # the vertex list is the arrays' own; a graph built without arrays is
+        # lazy, and no option makes a "finite" graph that has none
+        assert golden_mean.is_finite and golden_mean.vertex_list is golden_mean.arrays.vertices
+        assert golden_mean.vertex_list == ("v1", "v2")
+        lazy = es.LabelledGraph(golden_mean.alphabet, golden_mean.expand, golden_mean.roots)
+        assert not lazy.is_finite and lazy.vertex_list is None
+        with pytest.raises(TypeError):
+            es.LabelledGraph("ab", golden_mean.expand, roots=["v1"], vertex_list=["v1"])
+
     def test_start_vertex_counts_against_the_budget(self, b2):
         # a budget below 1 leaves no room for the start vertex: on the lazy
         # path (constructor keyword), the array path (attribute) and the
@@ -262,7 +271,7 @@ class TestArraySearch:
             es.graphs.layered_search(np.array([0, 2]), np.array([0, 1]), np.array([0, 0]),
                                      0, 0, 0, "v")
         F = es.ForbiddenSet.from_strings(["aa"], b2.alphabet)
-        assert es.count_words(b2, "v", "v", 0, forbidden=F).counts == (1,)
+        assert es.count_words(b2, "v", "v", 0, forbidden=F) == (1,)
 
 
 class TestGrowingSearch:

@@ -39,7 +39,7 @@ class TestBuiltinFamilies:
 
     def test_action_error_is_hard(self):
         spec = es.ActionSpec(
-            name="broken", alphabet=("a",), act=lambda v, a: 1 / 0, root="o"
+            alphabet=("a",), act=lambda v, a: 1 / 0, root="o"
         )
         g = schreier_graph(spec)
         with pytest.raises(ActionError):
@@ -82,20 +82,20 @@ class TestFree2Cosets:
             for n in range(3)
         ]
         assert expected == [1, 2, 6]
-        assert census.counts == (1, 2, 6)
+        assert census == (1, 2, 6)
 
 
 class TestWordProblemCensus:
     def test_line_plain(self):
         spec = builtin_family("line_Z")
-        assert es.count_words(schreier_graph(spec), spec.root, spec.root, 4).counts == (1, 0, 2, 0, 6)
+        assert es.count_words(schreier_graph(spec), spec.root, spec.root, 4) == (1, 0, 2, 0, 6)
 
     def test_line_no_double_right(self, line_z):
         spec = builtin_family("line_Z")
         F = es.ForbiddenSet.from_strings(["rr"], spec.alphabet)
         expected = tuple(brute_census(line_z, 0, 0, 4, F.words))
         assert expected == (1, 0, 2, 0, 3)
-        assert es.count_words(schreier_graph(spec), spec.root, spec.root, 4, forbidden=F).counts == expected
+        assert es.count_words(schreier_graph(spec), spec.root, spec.root, 4, forbidden=F) == expected
 
     def test_word_over_wrong_alphabet_rejected(self):
         spec = builtin_family("line_Z")
