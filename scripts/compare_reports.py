@@ -7,9 +7,12 @@ Usage (from the root of a checkout):
 
 Every job that bench/jobs.py builds for the lazy-schreier, finite-analyze
 and harmonic-rho workloads runs once per tree through
-``entroscope.cli.main(argv)``, and so do two subcommands that no workload
-runs: ``count`` on each finite-analyze graph and ``bound --graph`` on the
-first.  Each tree runs in its own interpreter: the old
+``entroscope.cli.main(argv)``, and so do runs of subcommands that no
+workload reaches: ``count`` on each finite-analyze graph, ``bound --graph``
+on the first, ``count`` and ``rho`` on the first forbidding every letter
+(a finite language, an all-zero restricted table) and a ``bound`` whose
+outward rounding takes powers of order 10^5.  Each tree runs in its own
+interpreter: the old
 one under PYTHONHASHSEED=0, the new one under 1, so that an output that
 depends on string-hash order differs even between two copies of one tree.
 Both runs share one work directory, since reports echo the paths of their
@@ -76,7 +79,9 @@ def run_jobs(src: str, workdir: str, seeds) -> dict:
 
 def subcommand_jobs(finite: list, workdir: str) -> list:
     """(name, argv, CSV path) of ``count --depth 100`` on each finite-analyze
-    job's graph and word, and of one ``bound --graph`` on the first."""
+    job's graph and word, of one ``bound --graph`` on the first, of
+    ``count --depth 30`` and ``rho --depth 12`` on the first forbidding every
+    letter, and of ``bound --alpha 0.9999 --D 100000 --R 1 --stochastic``."""
     inputs = [(name, ["--graph", argv[argv.index("--graph") + 1],
                       "--forbid", argv[argv.index("--forbid") + 1]]) for name, argv, _ in finite]
     runs = []
@@ -86,7 +91,17 @@ def subcommand_jobs(finite: list, workdir: str) -> list:
                      csv_path))
     bound = ["bound", "--alpha", "0.25", "--D", "1", "--R", "2", "--conn-K", "1", "--rho", "0.9",
              "--sigma-size", "4"]
-    return runs + [("bound", bound + inputs[0][1], None)]
+    runs.append(("bound", bound + inputs[0][1], None))
+    graph = inputs[0][1][1]  # the first job's --graph
+    with open(graph, encoding="utf-8") as fh:
+        every_letter = [a for letter in json.load(fh)["alphabet"] for a in ("--forbid", letter)]
+    for command, depth in (("count", "30"), ("rho", "12")):
+        csv_path = os.path.join(workdir, f"{command}-every-letter.csv")
+        runs.append((f"{command}-every-letter", [command, "--depth", depth, "--graph", graph,
+                                                 *every_letter, "--csv", csv_path], csv_path))
+    runs.append(("bound-large-k", ["bound", "--alpha", "0.9999", "--D", "100000", "--R", "1",
+                                   "--stochastic"], None))
+    return runs
 
 
 def run_tree(src: str, workdir: str, seeds, hash_seed: int) -> dict:

@@ -2,12 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .census import (
-    EntropyEstimate,
-    NondeterministicWindow,
-    count_words,
-    entropy_from_counts,
-)
+from .census import NondeterministicWindow, count_words
 from .chain import (
     GapCertificate,
     GapReport,
@@ -56,6 +51,7 @@ from .graphs import (
     parse_graph_document,
     vertex_key,
 )
+from .growth import GrowthFit, fit_log_growth
 from .schreier import (
     ActionSpec,
     builtin_family,

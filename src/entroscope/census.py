@@ -1,8 +1,8 @@
-"""Word censuses and entropy estimates.
+"""Word censuses.
 
 Counts words of each length readable from x to y, with or without a
-forbidden factor set (via the product construction), and estimates the
-growth rate from the counts.
+forbidden factor set (via the product construction).  ``growth`` fits
+their growth rate.
 
 Counts are exact integers (c_n can reach |alphabet|^n): int64 matrix
 powers modulo pairwise coprime moduli just below 2**51, reduced only as
@@ -17,7 +17,6 @@ the product search derived from it here by the same layered numpy search
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,7 +31,6 @@ from .graphs import (
     layered_search,
     search,
 )
-from .growth import NEG_INF, GrowthFit, fit_log_growth
 
 
 class NondeterministicWindow(RuntimeError):
@@ -62,20 +60,6 @@ def _moduli(d: int, states: int, bound: int) -> tuple[int, list[int]]:
             moduli.append(m)
             product *= m
     return h // c, moduli
-
-
-@dataclass
-class EntropyEstimate:
-    """Growth rate in nats; -inf signals a finite language."""
-
-    value: float
-    method: str              # "count-fit" | "rho-dictionary"
-    period: int = 1
-    diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def finite_language(self) -> bool:
-        return self.value == NEG_INF
 
 
 def count_words(
@@ -199,25 +183,4 @@ def path_weights(
         v = AT @ v
         table.append(float(v[at_y].sum()))
     return table
-
-
-def entropy_from_counts(counts, tail: int = 20) -> EntropyEstimate:
-    """Tail-slope estimate of limsup (1/n) log c_n.
-
-    Period-aware (counts supported on a residue class fit within the class),
-    with the plain last-ratio estimator kept as a cross-check diagnostic.
-    A trailing run of zeros longer than the period yields the -inf sentinel,
-    reported as a finite language.
-    """
-    fit: GrowthFit = fit_log_growth(counts, tail=tail)
-    diagnostics = {
-        "residual": fit.residual,
-        "points_used": fit.points_used,
-        "tail": tail,
-        "last_ratio": fit.last_ratio,
-        "finite_language": fit.finite,
-    }
-    return EntropyEstimate(
-        value=fit.value, method="count-fit", period=fit.period, diagnostics=diagnostics
-    )
 

@@ -26,13 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .census import (
-    EntropyEstimate,
-    count_words,
-    entropy_from_counts,
-    path_counts,
-    path_weights,
-)
+from .census import count_words, path_counts, path_weights
 from .factors import ForbiddenSet, avoiding, base_edge, estimate_denseness_constant
 from .graphs import (
     Edge,
@@ -46,7 +40,7 @@ from .graphs import (
     uniform_connectedness_constant,
     vertex_key,
 )
-from .growth import InsufficientData, fit_log_growth
+from .growth import GrowthFit, InsufficientData, fit_log_growth
 
 NEG_INF = float("-inf")
 MIN_DEPTH = 10   # shortest horizon rho_estimate fits a decay rate on
@@ -194,14 +188,15 @@ def probability_table(
 
 @dataclass
 class RhoEstimate:
-    """Tail-slope estimate of limsup p^(n)(x,y)^(1/n)."""
+    """Decay rate limsup p^(n)(x,y)^(1/n): exp of the fit's slope, 0.0 on finite support."""
 
     value: float
-    period: int
-    residual: float
-    converged: bool
-    table: list = field(repr=False, default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
+    fit: GrowthFit
+    table: list = field(repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return not self.fit.finite and self.fit.residual <= 0.1
 
 
 def rho_estimate(
@@ -216,26 +211,13 @@ def rho_estimate(
 
     Shares the estimator used for word counts; polynomial prefactors (e.g.
     the n^(-1/2) of recurrent walks) bias the slope at desk horizons, which
-    shows up in the residual diagnostic.
+    shows up in the fit's residual.
     """
     if N < MIN_DEPTH:
         raise InsufficientData(f"a decay-rate fit needs N >= {MIN_DEPTH}, got N = {N}")
     table = probability_table(chain, x, y, N, forbidden=forbidden)
     fit = fit_log_growth(table, tail=tail)
-    if fit.finite:
-        flag = "finite_support" if any(table) else "all_zero"
-        return RhoEstimate(
-            value=0.0, period=fit.period, residual=0.0, converged=False, table=table,
-            diagnostics={flag: True},
-        )
-    return RhoEstimate(
-        value=math.exp(fit.value),
-        period=fit.period,
-        residual=fit.residual,
-        converged=fit.residual <= 0.1,
-        table=table,
-        diagnostics={"last_ratio": fit.last_ratio, "points_used": fit.points_used},
-    )
+    return RhoEstimate(math.exp(fit.value), fit, table)
 
 
 @dataclass
@@ -380,6 +362,32 @@ class GapCertificate:
         return d
 
 
+FIXED_BITS = 128   # fractional bits of _power_bounds' fixed-point numbers
+
+
+def _power_bounds(x: Fraction, n: int) -> tuple[int, int]:
+    """Integers lo <= x^n 2^FIXED_BITS <= hi, for 0 <= x <= 1: binary
+    powering with every product rounded down for lo and up for hi."""
+    lo, rem = divmod(x.numerator << FIXED_BITS, x.denominator)
+    hi = lo + (rem > 0)
+    plo = phi = 1 << FIXED_BITS
+    while n:
+        if n & 1:
+            plo, phi = plo * lo >> FIXED_BITS, -(-phi * hi >> FIXED_BITS)
+        lo, hi, n = lo * lo >> FIXED_BITS, -(-hi * hi >> FIXED_BITS), n >> 1
+    return plo, phi
+
+
+def _reaches_one(q: Fraction, k: int, a: Fraction, m: int) -> bool:
+    """Whether q^k + a^m >= 1, for q and a in [0, 1]: decided on
+    ``_power_bounds``, and on the exact powers only when those straddle 1
+    (as they do when the sum is exactly 1 in non-dyadic fractions)."""
+    (qlo, qhi), (alo, ahi) = _power_bounds(q, k), _power_bounds(a, m)
+    if qlo + alo < 1 << FIXED_BITS <= qhi + ahi:
+        return q**k + a**m >= 1
+    return qlo + alo >= 1 << FIXED_BITS
+
+
 def certified_gap_bound(
     alpha: float,
     D: int,
@@ -430,12 +438,12 @@ def certified_gap_bound(
     # round outward, by 1, 2, 4, ... ulps (when alpha_bar^k is near 1 the
     # float formula can fall far short), until bound^k >= r^k (1 - alpha_bar^k)
     # holds exactly for the inputs' exact alpha_bar = (alpha/r)^j
-    # (no exact power when the float bound already equals rho: it degenerates)
+    # (no check when the float bound already equals rho: it degenerates)
     step = math.ulp(bound)
     if bound < rho:
         r = Fraction(r)
-        exact = r**k * (1 - (Fraction(alpha) / r) ** (j * k))
-        while bound < rho and Fraction(bound) ** k < exact:
+        a = Fraction(alpha) / r
+        while bound < rho and not _reaches_one(Fraction(bound) / r, k, a, j * k):
             bound, step = bound + step, 2 * step
     if not bound < rho:
         raise DegenerateBound(
@@ -670,8 +678,8 @@ class GapReport:
     """Entropy with and without the forbidden set, their difference, and
     (when the chain constants are resolvable) the certified bound."""
 
-    h: EntropyEstimate
-    h_forbidden: EntropyEstimate
+    h: GrowthFit
+    h_forbidden: GrowthFit
     gap: float
     counts: tuple[int, ...]
     counts_forbidden: tuple[int, ...]
@@ -699,8 +707,8 @@ def entropy_gap_report(
     """
     counts = count_words(g, x, y, N)
     counts_f = count_words(g, x, y, N, forbidden=forbidden)
-    h = entropy_from_counts(counts, tail=tail)
-    h_f = entropy_from_counts(counts_f, tail=tail)
+    h = fit_log_growth(counts, tail=tail)
+    h_f = fit_log_growth(counts_f, tail=tail)
     certificate, scope, D_used, warnings = resolve_certificate(
         g, forbidden, x, alpha=alpha, D=D, D_max=D_max
     )
@@ -709,7 +717,7 @@ def entropy_gap_report(
         counts_forbidden=counts_f, certificate=certificate,
         certificate_scope=scope, denseness_D=D_used, warnings=warnings,
     )
-    if h_f.value >= h.value - 1e-12 and not h.finite_language:
+    if h_f.value >= h.value - 1e-12 and not h.finite:
         report.warnings.append(
             "no measurable entropy drop at this depth; forbidden set may not be"
             " relatively dense (gap ~ 0)"

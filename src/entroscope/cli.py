@@ -48,13 +48,16 @@ def _num(obj):
     return obj
 
 
-def _estimate_dict(est: census.EntropyEstimate) -> dict:
+def _estimate_dict(fit: growth.GrowthFit, tail: int) -> dict:
+    """The report entry of an entropy fitted on word counts."""
     return {
-        "value": _num(est.value),
-        "method": est.method,
-        "period": est.period,
-        "finite_language": est.finite_language,
-        "diagnostics": _num(est.diagnostics),
+        "value": _num(fit.value),
+        "method": "count-fit",
+        "period": fit.period,
+        "finite_language": fit.finite,
+        "diagnostics": _num({"residual": fit.residual, "points_used": fit.points_used,
+                             "tail": tail, "last_ratio": fit.last_ratio,
+                             "finite_language": fit.finite}),
     }
 
 
@@ -179,6 +182,19 @@ def _config(args, **resolved) -> dict:
     return {k: resolved.get(k, v) for k, v in vars(args).items() if k != "handler"}
 
 
+def _check_constants(args) -> None:
+    """Refuse the certificate constants given outside their ranges."""
+    for option, name, ok, rule in (
+        ("--D", "D", lambda v: v >= 0, ">= 0"), ("--d-max", "D_max", lambda v: v >= 0, ">= 0"),
+        ("--conn-K", "conn_K", lambda v: v >= 1, ">= 1"),
+        ("--alpha", "alpha", lambda v: 0 < v <= 1, "in (0, 1]"),
+        ("--rho", "rho", lambda v: 0 < v <= 1, "in (0, 1]"),
+    ):
+        value = getattr(args, name, None)
+        if value is not None and not ok(value):
+            raise graphs.GraphFormatError(f"{option} must be {rule}, got {value}")
+
+
 def _setup(args, min_depth: int = 0):
     """Graph, endpoints, forbidden set and echoed config of a subcommand
     that reads a graph, its options checked.  --conn-K and --rho replace
@@ -194,15 +210,7 @@ def _setup(args, min_depth: int = 0):
         args, x=graphs.vertex_key(x), y=graphs.vertex_key(y),
         forbid=forbidden.as_strings() if forbidden else (),
     )
-    for option, name, ok, rule in (
-        ("--D", "D", lambda v: v >= 0, ">= 0"), ("--d-max", "D_max", lambda v: v >= 0, ">= 0"),
-        ("--conn-K", "conn_K", lambda v: v >= 1, ">= 1"),
-        ("--alpha", "alpha", lambda v: 0 < v <= 1, "in (0, 1]"),
-        ("--rho", "rho", lambda v: 0 < v <= 1, "in (0, 1]"),
-    ):
-        value = getattr(args, name, None)
-        if value is not None and not ok(value):
-            raise graphs.GraphFormatError(f"{option} must be {rule}, got {value}")
+    _check_constants(args)
     given = {"conn_k": getattr(args, "conn_K", None), "rho": getattr(args, "rho", None)}
     g.declared = replace(g.declared, **{k: v for k, v in given.items() if v is not None})
     return g, x, y, forbidden, config
@@ -218,25 +226,24 @@ def cmd_count(args) -> int:
     counts = census.count_words(g, x, y, args.depth)
     results = {
         "counts": list(counts),
-        "entropy": _estimate_dict(census.entropy_from_counts(counts, tail=args.tail)),
+        "entropy": _estimate_dict(growth.fit_log_growth(counts, tail=args.tail), args.tail),
     }
     counts_f = None
     if forbidden is not None:
         counts_f = census.count_words(g, x, y, args.depth, forbidden=forbidden)
         results["counts_forbidden"] = list(counts_f)
         results["entropy_forbidden"] = _estimate_dict(
-            census.entropy_from_counts(counts_f, tail=args.tail)
-        )
+            growth.fit_log_growth(counts_f, tail=args.tail), args.tail)
     report = _report(config, results, [])
     _emit(report, config, _csv_rows(counts, counts_f), ("n", "c_n", "c_n_F"))
     return EXIT_OK
 
 
-def _gap_results(g, report: chain.GapReport) -> dict:
+def _gap_results(g, report: chain.GapReport, tail: int) -> dict:
     sigma = len(g.alphabet)
     results = {
-        "h": _estimate_dict(report.h),
-        "h_forbidden": _estimate_dict(report.h_forbidden),
+        "h": _estimate_dict(report.h, tail),
+        "h_forbidden": _estimate_dict(report.h_forbidden, tail),
         "gap": _num(report.gap),
         "counts": list(report.counts),
         "counts_forbidden": list(report.counts_forbidden),
@@ -259,7 +266,7 @@ def cmd_analyze(args) -> int:
         g, x, y, forbidden, args.depth, tail=args.tail,
         alpha=args.alpha, D=args.D, D_max=args.D_max,
     )
-    results = _gap_results(g, report)
+    results = _gap_results(g, report, args.tail)
     if args.command == "schreier":
         # the family's own declaration, not the one --conn-K and --rho replaced
         declared = schreier.builtin_family(args.family).declared
@@ -271,6 +278,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    _check_constants(args)
     if args.sigma_size is not None and args.sigma_size < 1:
         raise graphs.GraphFormatError(f"--sigma-size must be >= 1, got {args.sigma_size}")
     if bool(args.graph) != bool(args.forbid):
@@ -328,26 +336,25 @@ def cmd_rho(args) -> int:
     ch = chain.uniform_weights(g)
     warnings: list[str] = []
     est = chain.rho_estimate(ch, x, y, args.depth, tail=args.tail)
-    dictionary = census.EntropyEstimate(
-        value=chain.entropy_from_rho(est.value, len(g.alphabet)),
-        method="rho-dictionary",
-        period=est.period,
-        diagnostics={"rho": est.value, "residual": est.residual},
-    )
     results = {
         "rho": _num(est.value),
-        "period": est.period,
-        "residual": _num(est.residual),
+        "period": est.fit.period,
+        "residual": _num(est.fit.residual),
         "converged": est.converged,
-        "entropy_dictionary": _estimate_dict(dictionary),
+        "entropy_dictionary": {
+            "value": _num(chain.entropy_from_rho(est.value, len(g.alphabet))),
+            "method": "rho-dictionary", "period": est.fit.period,
+            "finite_language": est.value == 0,
+            "diagnostics": _num({"rho": est.value, "residual": est.fit.residual}),
+        },
     }
     table_f = None
     if forbidden is not None:
         est_f = chain.rho_estimate(ch, x, y, args.depth, forbidden=forbidden, tail=args.tail)
         table_f = [float(p) for p in est_f.table]
         results["rho_forbidden"] = _num(est_f.value)
-        results["period_forbidden"] = est_f.period
-        results["residual_forbidden"] = _num(est_f.residual)
+        results["period_forbidden"] = est_f.fit.period
+        results["residual_forbidden"] = _num(est_f.fit.residual)
     if not est.converged:
         warnings.append("rho estimate did not stabilize (large tail residual)")
     if args.transform_check:

@@ -103,7 +103,7 @@ def test_criterion_1_full_shift_baseline():
             ["a", "b"], [("v", "a", "v"), ("v", "b", "v")], roots=["v"]
         )
         assert abs(spectral_entropy(b2) - LOG2) < 1e-9
-        counted = es.entropy_from_counts(es.count_words(b2, "v", "v", 40), tail=20)
+        counted = es.fit_log_growth(es.count_words(b2, "v", "v", 40), tail=20)
         assert abs(counted.value - LOG2) < 1e-3
         assert time.perf_counter() - start < 1.0
 

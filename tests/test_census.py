@@ -397,35 +397,34 @@ class TestEntropyFromCounts:
     def test_fibonacci_slope(self, b2):
         F = es.ForbiddenSet.from_strings(["aa"], b2.alphabet)
         census = es.count_words(b2, "v", "v", 30, forbidden=F)
-        est = es.entropy_from_counts(census)
-        assert est.method == "count-fit"
-        assert abs(est.value - math.log(PHI)) < 0.01
+        fit = es.fit_log_growth(census)
+        assert abs(fit.value - math.log(PHI)) < 0.01
 
     def test_full_shift_exact_line(self, b2):
-        est = es.entropy_from_counts(es.count_words(b2, "v", "v", 40))
-        assert abs(est.value - math.log(2)) < 1e-9
-        assert est.diagnostics["residual"] < 1e-9
+        fit = es.fit_log_growth(es.count_words(b2, "v", "v", 40))
+        assert abs(fit.value - math.log(2)) < 1e-9
+        assert fit.residual < 1e-9
 
     def test_line_period_two(self, line_z):
-        est = es.entropy_from_counts(es.count_words(line_z, 0, 0, 40))
-        assert est.period == 2
-        assert abs(est.value - math.log(2)) < 0.05
+        fit = es.fit_log_growth(es.count_words(line_z, 0, 0, 40))
+        assert fit.period == 2
+        assert abs(fit.value - math.log(2)) < 0.05
 
     def test_finite_language_sentinel(self, b2):
         F = es.ForbiddenSet.from_strings(["a", "b"], b2.alphabet)
         census = es.count_words(b2, "v", "v", 10, forbidden=F)
         assert census == (1,) + (0,) * 10
-        est = es.entropy_from_counts(census)
-        assert est.finite_language
-        assert est.value == float("-inf")
+        fit = es.fit_log_growth(census)
+        assert fit.finite
+        assert fit.value == float("-inf")
 
     def test_insufficient_data(self, b2):
         with pytest.raises(InsufficientData):
-            es.entropy_from_counts(es.count_words(b2, "v", "v", 0))
+            es.fit_log_growth(es.count_words(b2, "v", "v", 0))
 
     def test_last_ratio_diagnostic(self, b2):
-        est = es.entropy_from_counts(es.count_words(b2, "v", "v", 30))
-        assert abs(est.diagnostics["last_ratio"] - math.log(2)) < 1e-12
+        fit = es.fit_log_growth(es.count_words(b2, "v", "v", 30))
+        assert abs(fit.last_ratio - math.log(2)) < 1e-12
 
 
 class TestSpectralEntropy:
@@ -462,7 +461,7 @@ class TestSpectralEntropy:
     def test_count_agreement(self, fixture, request):
         g = request.getfixturevalue(fixture)
         root = g.roots[0]
-        counted = es.entropy_from_counts(es.count_words(g, root, root, 40), tail=20)
+        counted = es.fit_log_growth(es.count_words(g, root, root, 40), tail=20)
         assert abs(spectral_entropy(g) - counted.value) < 0.02
 
 

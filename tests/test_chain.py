@@ -243,7 +243,7 @@ class TestRhoEstimate:
     def test_line_even_subsequence(self, line_z):
         ch = es.uniform_weights(line_z)
         est = es.rho_estimate(ch, 0, 0, 40)
-        assert est.period == 2
+        assert est.fit.period == 2
         assert abs(est.value - 1.0) < 0.05
 
     def test_all_zero_sentinel(self, two_cycle):
@@ -624,6 +624,61 @@ class TestCertifiedGapBound:
             es.certified_gap_bound(alpha=0.9999, D=300000, R=1, stochastic=True)
         assert calls == []
 
+    def test_large_k_builds_no_large_exact_power(self, monkeypatch):
+        # k = 100001: the outward rounding is decided on fixed-point bounds
+        power = Fraction.__pow__
+
+        def bounded(self, exponent, *args):
+            if abs(exponent) > 10**3:
+                raise RuntimeError(f"an exact power of order {exponent}")
+            return power(self, exponent, *args)
+
+        monkeypatch.setattr(Fraction, "__pow__", bounded)
+        cert = es.certified_gap_bound(alpha=0.9999, D=100000, R=1, stochastic=True)
+        assert cert.bound == 0.9999999995462673
+
+    def test_fixed_point_decisions_are_exact(self):
+        # the outward rounding's test (bound/r)^k + (alpha/r)^(jk) >= 1, at
+        # each certified bound and 3 ulps either side, against exact powers
+        rng = random.Random(5)
+        decisions = 0
+        while decisions < 2000:
+            stochastic = rng.random() < 0.4
+            alpha = 1 / rng.randint(2, 9) if rng.random() < 0.3 else rng.uniform(0.01, 1.0)
+            rho = 1.0 if stochastic or rng.random() < 0.5 else rng.uniform(alpha, 1.0)
+            conn_k = rng.randint(1, 4)
+            try:
+                cert = es.certified_gap_bound(
+                    alpha, rng.randint(0, 54), rng.randint(1, 6), conn_k, rho, stochastic)
+            except es.chain.DegenerateBound:
+                continue
+            r, j = (Fraction(1), 1) if stochastic else (Fraction(cert.rho), conn_k + 1)
+            a, k = Fraction(alpha) / r, cert.k
+            for i in range(-3, 4):
+                q = Fraction(cert.bound + i * math.ulp(cert.bound)) / r
+                if q <= 1:
+                    decisions += 1
+                    exact = q**k + a ** (j * k) >= 1
+                    assert es.chain._reaches_one(q, k, a, j * k) == exact
+
+    def test_power_bounds_bracket_the_power(self):
+        rng = random.Random(6)
+        for _ in range(500):
+            x = Fraction(rng.randint(0, 10**9), 10**9) if rng.random() < 0.9 else Fraction(1)
+            n = rng.randint(0, 300)
+            lo, hi = es.chain._power_bounds(x, n)
+            exact = x**n * 2**es.chain.FIXED_BITS
+            assert lo <= exact <= hi and hi - lo <= 4 * n + 2
+
+    def test_sums_of_exactly_one_are_decided_exactly(self):
+        # no fixed-point number holds 1/3: its bounds straddle 1, and the
+        # exact powers decide; dyadic sums are decided on the bounds alone
+        third = Fraction(1, 3)
+        assert es.chain._reaches_one(third, 1, 1 - third, 1)
+        assert not es.chain._reaches_one(third, 1, 1 - third - Fraction(1, 10**60), 1)
+        assert es.chain._reaches_one(Fraction(1, 2), 2, Fraction(3, 4), 1)
+        assert not es.chain._reaches_one(Fraction(1, 2), 2, Fraction(3, 4) - Fraction(1, 2**200), 1)
+
     @pytest.mark.parametrize("kwargs", [
         dict(alpha=0.0, D=0, R=2),
         dict(alpha=0.5, D=-1, R=2),
@@ -809,7 +864,7 @@ class TestLatticeGrowth:
             cert, _, _, _ = es.resolve_certificate(g, F)
             assert cert is not None and cert.h_bound(sigma) >= h_f, word
             counts = es.count_words(g, x, x, N, forbidden=F)
-            last_ratio = es.entropy_from_counts(counts).diagnostics["last_ratio"]
+            last_ratio = es.fit_log_growth(counts).last_ratio
             assert abs(last_ratio - h_f) <= 1.1 / N, word
 
 

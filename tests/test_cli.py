@@ -387,6 +387,19 @@ class TestBound:
         assert code == 2
         assert "error" in report
 
+    @pytest.mark.parametrize("option, value", [
+        ("--rho", "1.0000000005"), ("--alpha", "0"), ("--D", "-1"), ("--conn-K", "0"),
+    ])
+    def test_constants_are_checked_as_analyze_checks_them(self, capsys, b2_path, option, value):
+        given = dict({"--alpha": "0.25", "--D": "1", "--R": "2", "--conn-K": "1"}, **{option: value})
+        code, report = run(capsys, "bound", *[a for pair in given.items() for a in pair])
+        assert code == 2
+        assert report["error"]["type"] == "GraphFormatError"
+        code, analyzed = run(capsys, "analyze", "--graph", b2_path, "--forbid", "aa",
+                             "--depth", "10", option, value)
+        assert code == 2
+        assert analyzed["error"] == report["error"]
+
     DEGENERATE = ("bound", "--alpha", "0.25", "--D", "8", "--R", "4", "--conn-K", "3")
 
     def test_underflowing_bound_fails_certification(self, capsys):
@@ -651,6 +664,82 @@ class TestRho:
         )
         assert code == 2
         assert "--forbid" in report["error"]["message"]
+
+
+class TestReportEntries:
+    """The entropy and decay-rate entries of the reports, pinned whole: a
+    finite language, a fitted pair of entropies, an all-zero table and a
+    converged decay rate."""
+
+    def test_count_of_a_finite_language(self, capsys, b2_path):
+        code, report = run(capsys, "count", "--graph", b2_path, "--depth", "10",
+                           "--forbid", "a", "--forbid", "b")
+        assert code == 0
+        results = report["results"]
+        assert results["counts_forbidden"] == [1] + [0] * 10
+        assert results["entropy"] == {
+            "value": 0.6931471805599453, "method": "count-fit", "period": 1,
+            "finite_language": False,
+            "diagnostics": {"residual": 8.881784197001252e-16, "points_used": 11, "tail": 20,
+                            "last_ratio": 0.6931471805599454, "finite_language": False},
+        }
+        assert results["entropy_forbidden"] == {
+            "value": None, "method": "count-fit", "period": 1, "finite_language": True,
+            "diagnostics": {"residual": 0.0, "points_used": 0, "tail": 20,
+                            "last_ratio": None, "finite_language": True},
+        }
+
+    def test_analyze_entropies(self, capsys, b2_path):
+        code, report = run(capsys, "analyze", "--graph", b2_path, "--depth", "30",
+                           "--forbid", "aa")
+        assert code == 0
+        results = report["results"]
+        assert results["h"] == {
+            "value": 0.6931471805599453, "method": "count-fit", "period": 1,
+            "finite_language": False,
+            "diagnostics": {"residual": 0.0, "points_used": 20, "tail": 20,
+                            "last_ratio": 0.6931471805599436, "finite_language": False},
+        }
+        assert results["h_forbidden"] == {
+            "value": 0.4812117858691965, "method": "count-fit", "period": 1,
+            "finite_language": False,
+            "diagnostics": {"residual": 3.178410532989062e-06, "points_used": 20, "tail": 20,
+                            "last_ratio": 0.4812118250594519, "finite_language": False},
+        }
+        assert results["gap"] == 0.2119353946907488
+
+    def test_rho_of_an_unreachable_end(self, capsys, tmp_path):
+        # y = v is not reachable from x = u: every p^(n)(x, y) is 0
+        path = write_doc(tmp_path, "apart.json", {
+            "alphabet": ["a", "b"], "vertices": ["u", "v"], "roots": ["u"],
+            "edges": [["u", "a", "u"], ["v", "a", "v"], ["v", "b", "u"]],
+        })
+        code, report = run(capsys, "rho", "--graph", path, "--x", "u", "--y", "v",
+                           "--depth", "12")
+        assert code == 0
+        assert report["results"] == {
+            "rho": 0.0, "period": 1, "residual": 0.0, "converged": False,
+            "entropy_dictionary": {
+                "value": None, "method": "rho-dictionary", "period": 1,
+                "finite_language": True, "diagnostics": {"rho": 0.0, "residual": 0.0},
+            },
+        }
+        assert report["warnings"] == ["rho estimate did not stabilize (large tail residual)"]
+
+    def test_converged_rho(self, capsys, b2_path):
+        code, report = run(capsys, "rho", "--graph", b2_path, "--depth", "20",
+                           "--forbid", "aa")
+        assert code == 0
+        assert report["results"] == {
+            "rho": 1.0, "period": 1, "residual": 0.0, "converged": True,
+            "entropy_dictionary": {
+                "value": 0.6931471805599453, "method": "rho-dictionary", "period": 1,
+                "finite_language": False, "diagnostics": {"rho": 1.0, "residual": 0.0},
+            },
+            "rho_forbidden": 0.8085575377154386, "period_forbidden": 1,
+            "residual_forbidden": 0.04690591988171569,
+        }
+        assert report["warnings"] == []
 
 
 class TestBudgetReachesEveryStage:
