@@ -10,8 +10,10 @@ and harmonic-rho workloads runs once per tree through
 ``entroscope.cli.main(argv)``, and so do runs of subcommands that no
 workload reaches: ``count`` on each finite-analyze graph, ``bound --graph``
 on the first, ``count`` and ``rho`` on the first forbidding every letter
-(a finite language, an all-zero restricted table) and a ``bound`` whose
-outward rounding takes powers of order 10^5.  Each tree runs in its own
+(a finite language, an all-zero restricted table), a ``bound`` whose
+outward rounding takes powers of order 10^5, and the two families no
+workload runs (``schreier`` on line_Z, ``count`` on free2_mod_cyclic), so
+that every family is compared.  Each tree runs in its own
 interpreter: the old
 one under PYTHONHASHSEED=0, the new one under 1, so that an output that
 depends on string-hash order differs even between two copies of one tree.
@@ -59,6 +61,8 @@ def run_jobs(src: str, workdir: str, seeds) -> dict:
             runs = [(j.name, j.argv, j.csv) for j in jobs_mod.make_jobs(workload, seed, workdir)]
             if workload == "finite-analyze":  # before the next seed rewrites the graphs
                 runs += subcommand_jobs(runs, workdir)
+            if workload == "lazy-schreier":
+                runs += family_jobs(workdir)
             for name, argv, csv_path in runs:
                 if csv_path and os.path.exists(csv_path):
                     os.remove(csv_path)
@@ -101,6 +105,19 @@ def subcommand_jobs(finite: list, workdir: str) -> list:
                                                  *every_letter, "--csv", csv_path], csv_path))
     runs.append(("bound-large-k", ["bound", "--alpha", "0.9999", "--D", "100000", "--R", "1",
                                    "--stochastic"], None))
+    return runs
+
+
+def family_jobs(workdir: str) -> list:
+    """(name, argv, CSV path) of the README's line_Z example and of a
+    ``count`` on free2_mod_cyclic, the families lazy-schreier leaves out."""
+    runs = []
+    for name, argv in (("schreier-line_Z", ["schreier", "--family", "line_Z", "--forbid", "rr",
+                                            "--depth", "40"]),
+                       ("count-free2", ["count", "--family", "free2_mod_cyclic", "--forbid", "ab",
+                                        "--depth", "10"])):
+        csv_path = os.path.join(workdir, f"{name}.csv")
+        runs.append((name, argv + ["--csv", csv_path], csv_path))
     return runs
 
 

@@ -105,7 +105,9 @@ class LabelledGraph:
     checks a list of vertices' expansions in one pass and sorts each (by
     label, then canonical target form where labels tie), so all downstream
     traversals and counts are reproducible regardless of evaluation order;
-    ``out_edges`` is that pass on one vertex, memoized, as ``Edge``s.
+    ``out_edges`` is that pass on one vertex, memoized, as ``Edge``s.  A
+    complete graph may also give its ``act`` (``expand(v)`` is then
+    (v, a, act(v, a)) per letter a), which ``expansions`` calls instead.
     ``budget`` caps the vertices one search may find; every search of the
     graph reads it (set ``g.budget = n`` to change it).  ``grown`` keeps the
     ``Growth`` from each start vertex of a lazy graph, which a deeper
@@ -126,6 +128,7 @@ class LabelledGraph:
         declared: Optional[Declared] = None,
         arrays: Optional[EdgeArrays] = None,
         budget: int = DEFAULT_BUDGET,
+        act: Optional[Callable[[Vertex, str], Vertex]] = None,
     ):
         self.alphabet = tuple(alphabet)
         if not self.alphabet:
@@ -133,6 +136,7 @@ class LabelledGraph:
         if len(set(self.alphabet)) != len(self.alphabet):
             raise GraphFormatError("alphabet contains duplicate symbols")
         self.expand = expand
+        self.act = act
         self.roots = tuple(roots)
         if not self.roots:
             raise GraphFormatError("graph needs at least one root vertex")
@@ -154,12 +158,22 @@ class LabelledGraph:
 
     def expansions(self, vertices: list) -> tuple[list, list, list]:
         """Out-degrees of ``vertices``, and the label (alphabet index) and
-        target columns of their out-edges grouped by vertex in order: each
-        vertex expanded once through ``self.expand``, every edge checked
-        (a triple, the vertex as source, a label in the alphabet), and each
-        vertex's edges sorted by label, then canonical target form where
-        labels tie, with no edge twice; a layer in order (each vertex reads
-        the sorted alphabet once, from itself) on two tuple comparisons."""
+        target columns of their out-edges grouped by vertex in order.  With
+        an ``act``, each vertex reads the sorted alphabet, and an action
+        that raises is rerun through ``expand``, which names the (v, a).
+        Otherwise each vertex is expanded once through ``self.expand``,
+        every edge checked (a triple, the vertex as source, a label in the
+        alphabet), and each vertex's edges sorted by label, then canonical
+        target form where labels tie, with no edge twice."""
+        if self.act is not None:
+            act, letters = self.act, self._in_order
+            try:
+                targets = [act(v, a) for v in vertices for a in letters]
+            except Exception:
+                for v in vertices:
+                    self.expand(v)
+                raise
+            return [len(letters)] * len(vertices), self._in_order_codes * len(vertices), targets
         outs = [list(self.expand(v)) for v in vertices]
         degree = list(map(len, outs))
         edges = list(itertools.chain.from_iterable(outs))
@@ -171,10 +185,6 @@ class LabelledGraph:
         sources, labels, targets = zip(*edges)
         owners = tuple(itertools.chain.from_iterable(map(itertools.repeat, vertices, degree)))
         sigma = len(self.alphabet)
-        # the degrees too: reads a, b, a and b join into the pattern for "ab"
-        if (degree.count(sigma) == len(degree) and labels == self._in_order * len(vertices)
-                and sources == owners):
-            return degree, self._in_order_codes * len(vertices), list(targets)
         if not all(map(operator.eq, sources, owners)):
             v, s = next((v, s) for v, s in zip(owners, sources) if s != v)
             raise GraphFormatError(

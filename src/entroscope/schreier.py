@@ -37,7 +37,9 @@ def schreier_graph(spec: ActionSpec) -> LabelledGraph:
     """Lazy graph with expand(v) = [(v, a, act(v, a)) for a in the alphabet].
 
     Out-degree is exactly |alphabet| everywhere, so the graph is declared
-    complete; an action failure is a hard error, not a missing edge.
+    complete and given ``act``: its searches read a layer's targets off the
+    action, with no edge triple built or checked.  An action failure is a
+    hard error, not a missing edge: ``ActionError`` names the (v, a).
     """
 
     alphabet, act = spec.alphabet, spec.act
@@ -58,6 +60,7 @@ def schreier_graph(spec: ActionSpec) -> LabelledGraph:
         expand=expand,
         roots=[spec.root],
         declared=replace(spec.declared, complete=True),
+        act=act,
     )
 
 

@@ -18,17 +18,17 @@ from oracles import (
 
 @pytest.fixture
 def expansions(monkeypatch):
-    """The vertex of every ``expand`` call, through the instance as the
-    benchmark's tracer counts them, of each graph built from here on."""
+    """Every vertex ``LabelledGraph.expansions`` expands, in order: a
+    layer's vertices, or ``out_edges``'s one, on both the action path of a
+    complete graph (which calls no ``expand``) and the general path."""
     calls = []
-    init = es.LabelledGraph.__init__
+    expand = es.LabelledGraph.expansions
 
-    def counted_init(g, *args, **kwargs):
-        init(g, *args, **kwargs)
-        expand = g.expand
-        g.expand = lambda v: calls.append(v) or expand(v)
+    def counted(g, vertices):
+        calls.extend(vertices)
+        return expand(g, vertices)
 
-    monkeypatch.setattr(es.LabelledGraph, "__init__", counted_init)
+    monkeypatch.setattr(es.LabelledGraph, "expansions", counted)
     return calls
 
 

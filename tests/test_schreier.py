@@ -1,6 +1,8 @@
 import itertools
 import math
+import re
 
+import numpy as np
 import pytest
 
 import entroscope as es
@@ -44,6 +46,25 @@ class TestBuiltinFamilies:
         g = schreier_graph(spec)
         with pytest.raises(ActionError):
             g.out_edges("o")
+
+    def test_action_error_deep_in_a_layer(self):
+        # (2, 1) is neither the first nor the last vertex of the grid's third
+        # layer; only a search reaches it, and it fails on one letter
+        act = builtin_family("grid_Z2").act
+
+        def faulty(v, a):
+            if v == (2, 1) and a == "u":
+                raise ValueError("no edge up here")
+            return act(v, a)
+
+        g = schreier_graph(es.ActionSpec(("d", "l", "r", "u"), faulty, root=(0, 0)))
+        es.forward_ball(g, (0, 0), 2)
+        layer = g.grown[(0, 0)].vertices[13:25]
+        assert (2, 1) in layer[1:-1]
+        message = re.escape("action failed on ((2, 1), 'u'): no edge up")
+        with pytest.raises(ActionError, match=message) as e:
+            es.forward_ball(g, (0, 0), 4)
+        assert isinstance(e.value.__cause__, ValueError)
 
     @pytest.mark.parametrize("family", ["line_Z", "grid_Z2", "free2_mod_cyclic"])
     def test_fully_deterministic_on_window(self, family):
@@ -132,3 +153,32 @@ class TestGrowthSensitivity:
         assert report.certificate is not None
         assert report.certificate_scope == "window"
         assert any("declares no rho" in w for w in report.warnings)
+
+
+class TestActionPath:
+    """A complete graph given its action grows each layer straight from
+    ``act``; the same graph given only ``expand`` takes the general path,
+    which builds and checks every edge triple.  Both grow the same search."""
+
+    SPECS = {
+        "line_Z": builtin_family("line_Z"),
+        "grid_Z2": builtin_family("grid_Z2"),
+        "free2_mod_cyclic": builtin_family("free2_mod_cyclic"),
+        # an alphabet out of sorted order: the action path reads it sorted
+        "unsorted": es.ActionSpec(("r", "l"), lambda n, a: n + 1 if a == "r" else n - 1, root=0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_equals_the_validating_path(self, name):
+        g = schreier_graph(self.SPECS[name])
+        general = es.LabelledGraph(g.alphabet, g.expand, g.roots)
+        assert g.act is not None and general.act is None
+        x = g.roots[0]
+        got, want = es.graphs.search(g, x, 6), es.graphs.search(general, x, 6)
+        assert got.vertices == want.vertices
+        for column in ("distance", "vertex", "source", "label", "target", "base"):
+            assert np.array_equal(getattr(got, column), getattr(want, column))
+        for field in ("vertices", "ends", "edge_ends", "degree", "label", "target"):
+            assert getattr(g.grown[x], field) == getattr(general.grown[x], field)
+        for v in got.vertices[:10]:
+            assert g.out_edges(v) == general.out_edges(v)
