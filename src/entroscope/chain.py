@@ -277,6 +277,10 @@ def harmonic_vector(
         matrix.data = (matrix.data * np.repeat(scale, degree))[flip]
         matrix.indices, matrix.has_sorted_indices = matrix.indices[flip], False
     res = linalg.perron_root(matrix)
+    if not res.value > 0:   # a lone vertex with no edge in the window
+        raise ChainError(
+            f"the window of radius {radius} around {vertex_key(center)!r} has spectral"
+            f" radius {res.value}; no positive harmonic vector")
     h = res.vector / res.vector[0]
     # verts run by distance, so the inner rows come first; no edge leaves the
     # window from them, so they are complete and reflecting left them unscaled
@@ -573,48 +577,44 @@ def resolve_certificate(
     forbidden: ForbiddenSet,
     x: Optional[Vertex] = None,
     *,
-    alpha: Optional[float] = None,
-    D: Optional[int] = None,
     D_max: int = 8,
 ):
     """Assemble a GapCertificate for the words read from x (default: the
     first root).
 
-    alpha is the option, else 1/|alphabet|.  conn_k and rho are the
-    graph's ``Declared`` values (where the CLI's --conn-K and --rho put
-    theirs), else computed exactly on a finite graph (its part reachable
-    from x).  D is the option once that part confirms it, else the
-    smallest D <= D_max found there.  A complete infinite graph reads
-    every word of F from every vertex, so D = 0 (or the option), and its
-    uniform chain is stochastic.  An infinite graph gets no certificate
-    when it is not complete or has no conn_k: nothing is measured on a
-    finite part of it.  rho is never fitted: an infinite graph that
-    declares none takes rho = 1, which bounds the spectral radius of
-    every substochastic chain, and the bound grows with rho.  A computed
-    rho is the upper end of its Perron bracket (``linalg.spectral_radius``),
-    and the certificate is emitted only when the bound lies below the
-    lower end, so that bound < rho holds for the true rho.
+    The certificate is the uniform chain's, so alpha = 1/|alphabet|, its
+    exact edge floor.  conn_k and rho are the graph's ``Declared`` values
+    (where the CLI's --conn-K and --rho put theirs), else computed exactly
+    on a finite graph (its part reachable from x).  D is the smallest
+    D <= D_max found on that part.  A complete infinite graph reads every
+    word of F from every vertex, so D = 0, and its uniform chain is
+    stochastic.  An infinite graph gets no certificate when it is not
+    complete or has no conn_k: nothing is measured on a finite part of
+    it.  rho is never fitted: an infinite graph that declares none takes
+    rho = 1, which bounds the spectral radius of every substochastic
+    chain, and the bound grows with rho.  A computed rho is the upper end
+    of its Perron bracket (``linalg.spectral_radius``), and the
+    certificate is emitted only when the bound lies below the lower end,
+    so that bound < rho holds for the true rho.
 
     Returns (certificate or None, scope, D or None, warnings).  Scope is
     "window" when rho is that default, otherwise "global".
     """
     warnings: list[str] = []
     sigma = len(g.alphabet)
-    alpha = 1.0 / sigma if alpha is None else alpha
     conn_k, rho = g.declared.conn_k, g.declared.rho
     lo = rho
     scope = "global"
     if g.is_finite:
         w = forward_ball(g, g.roots[0] if x is None else x, None)
-        cap, option = (D_max, "--d-max") if D is None else (D, "--D")
-        dense = estimate_denseness_constant(forbidden, w, cap)
+        dense = estimate_denseness_constant(forbidden, w, D_max)
         if dense is None:
             warnings.append(
                 f"forbidden set is not relatively dense on the window within"
-                f" D <= {cap} ({option}); no certificate emitted"
+                f" D <= {D_max} (--d-max); no certificate emitted"
             )
             return None, None, None, warnings
-        D = dense.D if D is None else D
+        D = dense.D
         if conn_k is None:
             conn_k = uniform_connectedness_constant(g, w, K_max=len(w.vertices))
         if conn_k is None:
@@ -634,7 +634,7 @@ def resolve_certificate(
                 " constant is known on all of it; no certificate emitted"
             )
             return None, None, None, warnings
-        D = 0 if D is None else D
+        D = 0
         if conn_k is None:
             warnings.append(
                 "the infinite graph declares no uniform-connectedness constant"
@@ -645,14 +645,11 @@ def resolve_certificate(
             lo, rho, scope = 1.0, 1.0, "window"
 
     # a complete graph is fully deterministic
-    stochastic = (
-        abs(rho - 1.0) <= 1e-12
-        and abs(alpha - 1.0 / sigma) <= 1e-12
-        and (g.declared.complete or not check_fully_deterministic(w))
-    )
+    stochastic = abs(rho - 1.0) <= 1e-12 and (
+        g.declared.complete or not check_fully_deterministic(w))
     try:
         certificate = certified_gap_bound(
-            alpha=alpha, D=D, R=forbidden.max_length, conn_k=conn_k, rho=rho,
+            alpha=1.0 / sigma, D=D, R=forbidden.max_length, conn_k=conn_k, rho=rho,
             stochastic=stochastic,
         )
     except (ChainError, DegenerateBound) as exc:
@@ -697,21 +694,17 @@ def entropy_gap_report(
     N: int,
     tail: int = 20,
     *,
-    alpha: Optional[float] = None,
-    D: Optional[int] = None,
     D_max: int = 8,
 ) -> GapReport:
     """Theorem-level analysis: measure h and h^F from counts and attach a
-    certified entropy-gap bound when alpha, D, R, conn_k and rho can be
-    declared, measured, or (finite graphs) computed exactly.
+    certified entropy-gap bound when D, conn_k and rho can be declared,
+    measured, or (finite graphs) computed exactly (``resolve_certificate``).
     """
     counts = count_words(g, x, y, N)
     counts_f = count_words(g, x, y, N, forbidden=forbidden)
     h = fit_log_growth(counts, tail=tail)
     h_f = fit_log_growth(counts_f, tail=tail)
-    certificate, scope, D_used, warnings = resolve_certificate(
-        g, forbidden, x, alpha=alpha, D=D, D_max=D_max
-    )
+    certificate, scope, D_used, warnings = resolve_certificate(g, forbidden, x, D_max=D_max)
     report = GapReport(
         h=h, h_forbidden=h_f, gap=h.value - h_f.value, counts=counts,
         counts_forbidden=counts_f, certificate=certificate,

@@ -262,10 +262,8 @@ def cmd_analyze(args) -> int:
     g, x, y, forbidden, config = _setup(args)
     if forbidden is None:
         raise graphs.GraphFormatError(f"{args.command} requires forbidden words (--forbid)")
-    report = chain.entropy_gap_report(
-        g, x, y, forbidden, args.depth, tail=args.tail,
-        alpha=args.alpha, D=args.D, D_max=args.D_max,
-    )
+    report = chain.entropy_gap_report(g, x, y, forbidden, args.depth, tail=args.tail,
+                                      D_max=args.D_max)
     results = _gap_results(g, report, args.tail)
     if args.command == "schreier":
         # the family's own declaration, not the one --conn-K and --rho replaced
@@ -410,12 +408,9 @@ def _add_analysis(p: argparse.ArgumentParser) -> None:
 
 
 def _add_certificate(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=None,
-                   help="edge probability floor (default 1/|alphabet|)")
-    p.add_argument("--D", type=int, default=None, help="declared denseness constant")
     p.add_argument("--d-max", dest="D_max", type=int, default=8,
                    help="search bound for the denseness constant on a finite graph"
-                        " (an infinite graph takes D = 0 or --D)")
+                        " (a complete infinite graph takes D = 0)")
     p.add_argument("--conn-K", dest="conn_K", type=int, default=None,
                    help="declared uniform-connectedness constant")
     p.add_argument("--rho", type=float, default=None, help="declared spectral radius")

@@ -890,28 +890,25 @@ class TestCertificateRegressions:
 
 
 class TestResolveCertificateRules:
-    """alpha and D: the option, else 1/|alphabet| and the measured D.
-    conn_k and rho: the graph's declaration (the CLI's --conn-K and --rho
-    replace it), else computed or measured."""
+    """alpha is the uniform chain's 1/|alphabet|, and D is measured on a
+    finite graph (searched up to D_max) and 0 on a complete one.  conn_k
+    and rho: the graph's declaration (the CLI's --conn-K and --rho replace
+    it), else computed or measured."""
 
-    @pytest.mark.parametrize("inputs, option", [
-        (dict(D=0), "--D"),
-        (dict(D_max=0), "--d-max"),
-    ])
-    def test_uncovered_window_names_the_cap(self, two_cycle, inputs, option):
+    def test_uncovered_window_names_the_cap(self, two_cycle):
         # from y the word ab needs one step first, so D = 0 fails
         F = F_of(["ab"], two_cycle.alphabet)
-        cert, scope, D, warnings = es.resolve_certificate(two_cycle, F, **inputs)
+        cert, scope, D, warnings = es.resolve_certificate(two_cycle, F, D_max=0)
         assert (cert, scope, D) == (None, None, None)
-        assert len(warnings) == 1 and f"D <= 0 ({option})" in warnings[0]
+        assert len(warnings) == 1 and "D <= 0 (--d-max)" in warnings[0]
 
     def test_option_beats_declaration_and_measurement(self, golden_mean):
         F = F_of(["b"], golden_mean.alphabet)
         measured, _, D, _ = es.resolve_certificate(golden_mean, F)
         assert (measured.conn_k, D) == (1, 0)   # declared, measured
         golden_mean.declared = replace(golden_mean.declared, conn_k=2, rho=0.9)
-        cert, scope, D, _ = es.resolve_certificate(golden_mean, F, D=3)
-        assert (cert.D, D, cert.conn_k, cert.rho, scope) == (3, 3, 2, 0.9, "global")
+        cert, scope, D, _ = es.resolve_certificate(golden_mean, F)
+        assert (cert.D, D, cert.conn_k, cert.rho, scope) == (0, 0, 2, 0.9, "global")
 
     def test_incomplete_infinite_graph_gets_no_certificate(self):
         # one out-edge per vertex over two symbols: bb is read nowhere

@@ -137,9 +137,8 @@ EVERY_OPTION = [
      "--out", "r.json"],
     ["count", "--depth", "0"],
     ["analyze", "--graph", "g.json", "--family", "grid_Z2", "--x", "(0,0)", "--y", "(1,0)",
-     "--depth", "12", "--forbid", "ru", "--tail", "5", "--csv", "t.csv", "--alpha", "0.25",
-     "--D", "2", "--d-max", "3", "--conn-K", "2", "--rho", "0.5", "--budget", "100",
-     "--out", "r.json"],
+     "--depth", "12", "--forbid", "ru", "--tail", "5", "--csv", "t.csv", "--d-max", "3",
+     "--conn-K", "2", "--rho", "0.5", "--budget", "100", "--out", "r.json"],
     ["bound", "--alpha", "0.5", "--D", "0", "--R", "2", "--conn-K", "1", "--rho", "0.75",
      "--stochastic", "--sigma-size", "2", "--graph", "g.json", "--forbid", "aa", "--budget", "5",
      "--out", "r.json"],
@@ -149,8 +148,8 @@ EVERY_OPTION = [
      "--transform-check", "--hv-radius", "5", "--hv-tol", "1e-4", "--hv-scheme", "absorbing",
      "--identity-threshold", "0.1", "--budget", "7", "--out", "r.json"],
     ["schreier", "--family", "line_Z", "--depth", "10", "--forbid", "rr", "--tail", "6",
-     "--csv", "t.csv", "--alpha", "0.5", "--D", "1", "--d-max", "4", "--conn-K", "1",
-     "--rho", "1", "--budget", "50", "--out", "r.json"],
+     "--csv", "t.csv", "--d-max", "4", "--conn-K", "1", "--rho", "1", "--budget", "50",
+     "--out", "r.json"],
 ]
 
 
@@ -395,10 +394,14 @@ class TestBound:
         code, report = run(capsys, "bound", *[a for pair in given.items() for a in pair])
         assert code == 2
         assert report["error"]["type"] == "GraphFormatError"
-        code, analyzed = run(capsys, "analyze", "--graph", b2_path, "--forbid", "aa",
-                             "--depth", "10", option, value)
+        code, out, err = cli_exit(capsys, ["analyze", "--graph", b2_path, "--forbid", "aa",
+                                           "--depth", "10", option, value])
         assert code == 2
-        assert analyzed["error"] == report["error"]
+        if option in ("--alpha", "--D"):   # analyze measures these: not options there
+            assert (out, err.splitlines()[-1]) == (
+                "", f"entroscope: error: unrecognized arguments: {option} {value}")
+        else:
+            assert json.loads(out)["error"] == report["error"]
 
     DEGENERATE = ("bound", "--alpha", "0.25", "--D", "8", "--R", "4", "--conn-K", "3")
 
@@ -541,7 +544,75 @@ class TestCertificateRegressions:
         assert lo <= dense_radius(doc) < bound < hi
 
 
+GOLDEN_DOC = {
+    "alphabet": ["a", "b"],
+    "vertices": ["0", "1"],
+    "edges": [["0", "a", "0"], ["0", "b", "1"], ["1", "a", "0"]],
+    "roots": ["0"],
+}
+
+
+class TestCertificateConstantsAreMeasured:
+    """A certificate's alpha is the uniform chain's 1/|alphabet|, and its D
+    is measured on a finite graph and 0 on a complete one: neither is an
+    option of analyze or schreier."""
+
+    @pytest.mark.parametrize("command", ["analyze", "schreier"])
+    def test_no_alpha_or_D_option(self, command):
+        assert not {"alpha", "D"} & parser_options(command)
+
+    @pytest.mark.parametrize("argv", [
+        # exited 0 with scope global and h_bound 0.85259, below the exact
+        # h_F = log(2 + sqrt 3) = 1.31696
+        ["schreier", "--family", "grid_Z2", "--forbid", "rr", "--depth", "20", "--alpha", "0.9"],
+        # reported the bound 0.16940, below the true rho_F = 0.5
+        ["analyze", "--graph", "GOLDEN", "--forbid", "aa", "--depth", "40", "--alpha", "0.8"],
+        ["schreier", "--family", "grid_Z2", "--forbid", "rr", "--depth", "20", "--D", "3"],
+        ["analyze", "--graph", "GOLDEN", "--forbid", "aa", "--depth", "40", "--D", "0"],
+    ], ids=["grid-alpha", "golden-alpha", "grid-D", "golden-D"])
+    def test_a_measured_constant_is_refused_as_an_option(self, capsys, tmp_path, argv):
+        path = write_doc(tmp_path, "golden.json", GOLDEN_DOC)
+        code, out, err = cli_exit(capsys, [path if a == "GOLDEN" else a for a in argv])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            "entroscope: error: unrecognized arguments: " + " ".join(argv[-2:]))
+
+    @pytest.mark.parametrize("argv, sigma, D", [
+        (["analyze", "--graph", "B2", "--forbid", "aa"], 2, 0),
+        (["analyze", "--graph", "GOLDEN", "--forbid", "aa"], 2, 0),
+        # from 1 only a is read, so bab needs one step first
+        (["analyze", "--graph", "GOLDEN", "--forbid", "bab"], 2, 1),
+        (["schreier", "--family", "line_Z", "--forbid", "rr"], 2, 0),
+        (["schreier", "--family", "grid_Z2", "--forbid", "rr"], 4, 0),
+        (["schreier", "--family", "free2_mod_cyclic", "--forbid", "ab"], 4, 0),
+        (["analyze", "--family", "grid_Z2", "--forbid", "ru", "--x", "(1,0)"], 4, 0),
+    ], ids=["b2", "golden-aa", "golden-bab", "line_Z", "grid_Z2", "free2", "analyze-grid_Z2"])
+    def test_certificate_takes_the_uniform_floor_and_the_measured_D(
+        self, capsys, tmp_path, b2_path, argv, sigma, D
+    ):
+        golden = write_doc(tmp_path, "golden.json", GOLDEN_DOC)
+        argv = [{"B2": b2_path, "GOLDEN": golden}.get(a, a) for a in argv]
+        code, report = run(capsys, *argv, "--depth", "10")
+        results = report["results"]
+        assert code == 0
+        assert results["certificate"]["alpha"] == 1 / sigma
+        assert results["certificate"]["D"] == results["denseness_D"] == D
+
+
 class TestRho:
+    def test_window_without_an_edge_is_refused(self, capsys, tmp_path):
+        # a lone vertex passes the window's connectivity test, but its spectral
+        # radius is 0, which the h-transform's floor alpha / rho divided by
+        path = write_doc(tmp_path, "lone.json",
+                         {"alphabet": ["a"], "vertices": ["0"], "edges": [], "roots": ["0"]})
+        code, report = run(capsys, "rho", "--graph", path, "--transform-check", "--conn-K", "1",
+                           "--depth", "12", "--forbid", "a")
+        assert code == 2
+        assert report["error"] == {
+            "type": "ChainError",
+            "message": "the window of radius 14 around '0' has spectral radius 0.0;"
+                       " no positive harmonic vector"}
+
     def test_table_and_estimate(self, capsys, b2_path, tmp_path):
         csv_path = tmp_path / "rho.csv"
         code, report = run(
@@ -1046,14 +1117,12 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "argv, option",
         [
-            (ANALYZE + ("--D", "-1"), "--D"),
+            (("bound", "--alpha", "0.5", "--D", "-1", "--R", "2", "--stochastic"), "--D"),
             (ANALYZE + ("--d-max", "-1"), "--d-max"),
             (("bound", "--alpha", "2", "--D", "0", "--R", "1", "--stochastic"), "--alpha"),
             (("bound", "--alpha", "0.5", "--D", "0", "--R", "2"), "--conn-K"),
             (("bound", "--alpha", "0.5", "--D", "0", "--R", "2", "--stochastic",
               "--sigma-size", "-1"), "--sigma-size"),
-            (ANALYZE + ("--alpha", "2"), "--alpha"),
-            (ANALYZE + ("--alpha", "0"), "--alpha"),
             (ANALYZE + ("--rho", "1.5"), "--rho"),
             (ANALYZE + ("--rho", "0"), "--rho"),
             (ANALYZE + ("--conn-K", "0"), "--conn-K"),
@@ -1066,18 +1135,16 @@ class TestErrorPaths:
             (("bound", "--alpha", "0.5", "--D", "0", "--R", "2", "--stochastic",
               "--conn-K", "-4"), "--conn-K"),
         ],
-        ids=["D", "d-max", "alpha", "conn-K", "sigma-size", "analyze-alpha-2", "analyze-alpha-0",
-             "analyze-rho-1.5", "analyze-rho-0", "analyze-conn-K-0", "schreier-conn-K-0",
-             "rho-conn-K-0", "rho-conn-K-minus-3", "bound-stochastic-conn-K-minus-4"],
+        ids=["D", "d-max", "alpha", "conn-K", "sigma-size", "analyze-rho-1.5", "analyze-rho-0",
+             "analyze-conn-K-0", "schreier-conn-K-0", "rho-conn-K-0", "rho-conn-K-minus-3",
+             "bound-stochastic-conn-K-minus-4"],
     )
     def test_out_of_range_option_is_named(self, capsys, argv, option):
         code, report = run(capsys, *argv)
         assert code == 2
         assert option in report["error"]["message"]
 
-    @pytest.mark.parametrize("option, value", [
-        ("--alpha", "2"), ("--alpha", "0"), ("--rho", "1.5"), ("--rho", "0"), ("--conn-K", "0"),
-    ])
+    @pytest.mark.parametrize("option, value", [("--rho", "1.5"), ("--rho", "0"), ("--conn-K", "0")])
     def test_out_of_range_certificate_option_on_a_graph_is_named(
         self, capsys, b2_path, option, value
     ):

@@ -28,6 +28,7 @@ def run_script(name, *args):
     [
         ("certificate_sweep.py", ["--count", "5"], "violations          : 0"),
         ("line_z_experiment.py", ["--depth", "12"], "certificate      : scope=global"),
+        ("cli_fuzz.py", ["--count", "300"], "failures            : 0"),
     ],
 )
 def test_script_runs(name, args, line):
