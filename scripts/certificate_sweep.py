@@ -4,7 +4,9 @@ automata.
 
 Generates random deterministic strongly connected graphs, half of them
 with a second such part that holds the start vertex x while the root stays
-in the first, forbids a random word readable in x's part, takes the
+in the first, forbids a random word readable in x's part (one draw in ten
+is instead a long cycle or path with one reader of c, forbidding a power
+of c, so that denseness constants above 8 are checked too), takes the
 certificate ``resolve_certificate`` assembles for the words from x (None
 counts as skipped), and compares the measured restricted spectral radius
 (dense eigensolve on the product graph over x's part) against its bound,
@@ -83,6 +85,20 @@ def random_graph(rng, max_states, max_sigma):
     return g, n + rng.randrange(m)
 
 
+def long_graph(rng):
+    """A 20-60-vertex cycle or path read forward by a and back by b, with a
+    c-loop at one vertex, the one reader of any power of c, and a start
+    vertex x: its denseness constant, the largest distance to the reader,
+    runs up to 59."""
+    n = rng.randint(20, 60)
+    last = n if rng.random() < 0.5 else n - 1   # a cycle closes, a path stops
+    edges = [(i, "a", (i + 1) % n) for i in range(last)]
+    edges += [((i + 1) % n, "b", i) for i in range(last)]
+    reader = rng.randrange(n)
+    g = es.explicit_graph(("a", "b", "c"), edges + [(reader, "c", reader)], roots=[0])
+    return g, rng.randrange(n)
+
+
 def random_word(rng, g, vertices, max_len):
     v = rng.choice(sorted(vertices))
     word = []
@@ -108,23 +124,27 @@ def main():
     ap.add_argument("--seed", type=int, default=20260810)
     ap.add_argument("--max-states", type=int, default=8)
     ap.add_argument("--max-sigma", type=int, default=3)
-    ap.add_argument("--d-max", type=int, default=3)
+    ap.add_argument("--max-len", type=int, default=3, help="longest forbidden word drawn")
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
-    accepted = skipped = stochastic = two_parts = 0
+    accepted = skipped = stochastic = two_parts = far = 0
     worst_margin = float("inf")     # bound - rho_F
     smallest_gap = float("inf")     # rho - rho_F
     violations = 0
 
     while accepted < args.count:
-        g, x = random_graph(rng, args.max_states, args.max_sigma)
-        part = reachable(g, [x])
-        word = random_word(rng, g, part, args.d_max)
+        if rng.random() < 0.1:
+            g, x = long_graph(rng)
+            part, word = reachable(g, [x]), ("c",) * rng.randint(1, args.max_len)
+        else:
+            g, x = random_graph(rng, args.max_states, args.max_sigma)
+            part = reachable(g, [x])
+            word = random_word(rng, g, part, args.max_len)
         if word is None:
             continue
         forbidden = es.ForbiddenSet((word,))
-        cert, scope, _D, _warnings = es.resolve_certificate(g, forbidden, x, D_max=args.d_max)
+        cert, scope, _D, _warnings = es.resolve_certificate(g, forbidden, x)
         if cert is None:
             skipped += 1
             continue
@@ -144,11 +164,12 @@ def main():
                   f"states={len(g.vertex_list)} word={''.join(word)}")
         accepted += 1
         stochastic += cert.stochastic_path
-        two_parts += x != 0
+        two_parts += 0 not in part   # the second part never reaches the first
+        far += cert.D > 8
 
     print(f"checked {accepted} certified pairs, {stochastic} on the stochastic path "
           f"(skipped: {skipped} without a certificate), {two_parts} with x outside"
-          f" the root's part")
+          f" the root's part, {far} with D > 8")
     print(f"violations          : {violations}")
     # %.3g: a margin of a few ulps of eigensolver noise reads as such, not as -0.000000
     print(f"worst bound margin  : {worst_margin:.3g} (bound - measured rho_F)")

@@ -38,6 +38,16 @@ FAMILY_VERTICES = {"line_Z": ["0", "3", "-2", "(0,0)"], "grid_Z2": ["(0,0)", "(1
 
 DOC = "DOC"   # an argv's stand-in for the path its document is written to
 
+# options a subcommand refuses, so that argparse's refusal stays fuzzed:
+# the certificate constants that analyze and schreier compute or read off
+# the family, and the harmonic settings that rho fixes
+CONSTANTS = [("--alpha", "0.5"), ("--D", "1"), ("--d-max", "8"), ("--conn-K", "1"),
+           ("--rho", "0.9")]
+HARMONIC = [("--hv-radius", "3"), ("--hv-tol", "1e-3"), ("--hv-scheme", "absorbing"),
+            ("--identity-threshold", "0.05")]
+FOREIGN = {"count": CONSTANTS, "analyze": CONSTANTS, "schreier": CONSTANTS,
+           "rho": [o for o in CONSTANTS if o[0] != "--conn-K"] + HARMONIC, "bound": HARMONIC}
+
 # (argv, document): a lone vertex with no out-edge, whose harmonic window
 # has spectral radius 0
 FIXED = [
@@ -115,24 +125,15 @@ def random_argv(rng: random.Random, doc: dict, workdir: str) -> list[str]:
         argv += maybe(rng, "--tail", [1, 3, 5, 20], [0])
         if rng.random() < 0.2:
             argv += ["--csv", os.path.join(workdir, "table.csv")]
-    if command in ("analyze", "schreier"):
-        argv += maybe(rng, "--d-max", [0, 1, 2, 4], [-1])
-        argv += maybe(rng, "--conn-K", [1, 2, 5], [-1, 0])
-        argv += maybe(rng, "--rho", ["0.3", "0.9", "1"], ["0", "1.5"])
     if command == "rho":
         argv += maybe(rng, "--conn-K", [1, 2], [-1, 0], 0.7)
         if rng.random() < 0.6:
             argv += ["--transform-check"]
-        radius_cap = FAMILY_DEPTH[family] + 2 if family else 40
-        argv += maybe(rng, "--hv-radius", [2, 3, radius_cap], [1], 0.3)
-        argv += maybe(rng, "--hv-tol", ["1e-8", "1e-3"], ["0", "-1"], 0.3)
-        argv += maybe(rng, "--hv-scheme", ["reflecting", "absorbing"], p=0.3)
-        argv += maybe(rng, "--identity-threshold", ["0.05", "0", "1"], p=0.2)
     argv += maybe(rng, "--budget", [1, 5, 50, 10**6], [0], 0.2)
     if rng.random() < 0.1:
         argv += ["--out", os.path.join(workdir, "report.json")]
     if rng.random() < 0.03:            # an option the subcommand does not take
-        argv += ["--alpha", "0.5"] if command != "bound" else ["--hv-radius", "3"]
+        argv += list(rng.choice(FOREIGN[command]))
     return argv
 
 

@@ -319,8 +319,8 @@ def h_transform(chain: WeightedChain, hv: HarmonicVector) -> WeightedChain:
             e = edge_list(vertices, alphabet, source[outside], label[outside], target[outside])[0]
             raise ChainError(
                 f"edge {vertex_key(e.source)} -{e.label}-> {vertex_key(e.target)}"
-                f" leaves the harmonic window (--hv-radius {hv.radius}); the window"
-                " must cover the --depth ball around x")
+                f" leaves the harmonic window of radius {hv.radius}; the window"
+                " must cover the depth-N ball around x")
         return edge_weights(chain, vertices, source, label, target) * ht / (rho * hs)
 
     def weight(e: Edge):
@@ -576,57 +576,52 @@ def resolve_certificate(
     g: LabelledGraph,
     forbidden: ForbiddenSet,
     x: Optional[Vertex] = None,
-    *,
-    D_max: int = 8,
 ):
     """Assemble a GapCertificate for the words read from x (default: the
     first root).
 
     The certificate is the uniform chain's, so alpha = 1/|alphabet|, its
-    exact edge floor.  conn_k and rho are the graph's ``Declared`` values
-    (where the CLI's --conn-K and --rho put theirs), else computed exactly
-    on a finite graph (its part reachable from x).  D is the smallest
-    D <= D_max found on that part.  A complete infinite graph reads every
+    exact edge floor.  On a finite graph D, conn_k and rho are computed
+    exactly on its part reachable from x, whatever it declares: D is the
+    largest distance from a vertex to a reader of a word of F, conn_k the
+    largest return distance of an edge, and rho the upper end of its
+    Perron bracket (``linalg.spectral_radius``); the certificate is
+    emitted only when the bound lies below the bracket's lower end, so
+    that bound < rho holds for the true rho.  An infinite graph reads
+    conn_k and rho off its ``Declared``: when it is complete it reads every
     word of F from every vertex, so D = 0, and its uniform chain is
-    stochastic.  An infinite graph gets no certificate when it is not
-    complete or has no conn_k: nothing is measured on a finite part of
-    it.  rho is never fitted: an infinite graph that declares none takes
-    rho = 1, which bounds the spectral radius of every substochastic
-    chain, and the bound grows with rho.  A computed rho is the upper end
-    of its Perron bracket (``linalg.spectral_radius``), and the
-    certificate is emitted only when the bound lies below the lower end,
-    so that bound < rho holds for the true rho.
+    stochastic.  It gets no certificate when it is not complete or
+    declares no conn_k: nothing is measured on a finite part of it.  rho
+    is never fitted: an infinite graph that declares none takes rho = 1,
+    which bounds the spectral radius of every substochastic chain, and the
+    bound grows with rho.
 
     Returns (certificate or None, scope, D or None, warnings).  Scope is
     "window" when rho is that default, otherwise "global".
     """
     warnings: list[str] = []
     sigma = len(g.alphabet)
-    conn_k, rho = g.declared.conn_k, g.declared.rho
-    lo = rho
     scope = "global"
     if g.is_finite:
         w = forward_ball(g, g.roots[0] if x is None else x, None)
-        dense = estimate_denseness_constant(forbidden, w, D_max)
+        dense = estimate_denseness_constant(forbidden, w)
         if dense is None:
             warnings.append(
-                f"forbidden set is not relatively dense on the window within"
-                f" D <= {D_max} (--d-max); no certificate emitted"
+                "forbidden set is not relatively dense on the window: some vertex"
+                " reaches no reader of a forbidden word; no certificate emitted"
             )
             return None, None, None, warnings
         D = dense.D
-        if conn_k is None:
-            conn_k = uniform_connectedness_constant(g, w, K_max=len(w.vertices))
+        conn_k = uniform_connectedness_constant(g, w, K_max=len(w.vertices))
         if conn_k is None:
             warnings.append(
                 "window is not uniformly connected (some edge has no short return"
                 " path); no certificate emitted"
             )
             return None, None, D, warnings
-        if rho is None:
-            # w is the part reachable from x: unreachable vertices do not
-            # bound the language of x
-            lo, rho = (end / sigma for end in linalg.spectral_radius(w.adjacency()))
+        # w is the part reachable from x: unreachable vertices do not
+        # bound the language of x
+        lo, rho = (end / sigma for end in linalg.spectral_radius(w.adjacency()))
     else:
         if not g.declared.complete:
             warnings.append(
@@ -635,18 +630,20 @@ def resolve_certificate(
             )
             return None, None, None, warnings
         D = 0
+        conn_k, rho = g.declared.conn_k, g.declared.rho
         if conn_k is None:
             warnings.append(
-                "the infinite graph declares no uniform-connectedness constant"
-                " (--conn-K); no certificate emitted"
+                "the infinite graph declares no uniform-connectedness constant;"
+                " no certificate emitted"
             )
             return None, None, D, warnings
         if rho is None:
-            lo, rho, scope = 1.0, 1.0, "window"
+            rho, scope = 1.0, "window"
+        lo = rho
 
-    # a complete graph is fully deterministic
+    # an infinite graph here is complete, so fully deterministic
     stochastic = abs(rho - 1.0) <= 1e-12 and (
-        g.declared.complete or not check_fully_deterministic(w))
+        not g.is_finite or not check_fully_deterministic(w))
     try:
         certificate = certified_gap_bound(
             alpha=1.0 / sigma, D=D, R=forbidden.max_length, conn_k=conn_k, rho=rho,
@@ -693,18 +690,16 @@ def entropy_gap_report(
     forbidden: ForbiddenSet,
     N: int,
     tail: int = 20,
-    *,
-    D_max: int = 8,
 ) -> GapReport:
     """Theorem-level analysis: measure h and h^F from counts and attach a
-    certified entropy-gap bound when D, conn_k and rho can be declared,
-    measured, or (finite graphs) computed exactly (``resolve_certificate``).
+    certified entropy-gap bound when D, conn_k and rho are computed exactly
+    (a finite graph) or declared (an infinite one; ``resolve_certificate``).
     """
     counts = count_words(g, x, y, N)
     counts_f = count_words(g, x, y, N, forbidden=forbidden)
     h = fit_log_growth(counts, tail=tail)
     h_f = fit_log_growth(counts_f, tail=tail)
-    certificate, scope, D_used, warnings = resolve_certificate(g, forbidden, x, D_max=D_max)
+    certificate, scope, D_used, warnings = resolve_certificate(g, forbidden, x)
     report = GapReport(
         h=h, h_forbidden=h_f, gap=h.value - h_f.value, counts=counts,
         counts_forbidden=counts_f, certificate=certificate,

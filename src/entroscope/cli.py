@@ -185,7 +185,7 @@ def _config(args, **resolved) -> dict:
 def _check_constants(args) -> None:
     """Refuse the certificate constants given outside their ranges."""
     for option, name, ok, rule in (
-        ("--D", "D", lambda v: v >= 0, ">= 0"), ("--d-max", "D_max", lambda v: v >= 0, ">= 0"),
+        ("--D", "D", lambda v: v >= 0, ">= 0"),
         ("--conn-K", "conn_K", lambda v: v >= 1, ">= 1"),
         ("--alpha", "alpha", lambda v: 0 < v <= 1, "in (0, 1]"),
         ("--rho", "rho", lambda v: 0 < v <= 1, "in (0, 1]"),
@@ -197,8 +197,8 @@ def _check_constants(args) -> None:
 
 def _setup(args, min_depth: int = 0):
     """Graph, endpoints, forbidden set and echoed config of a subcommand
-    that reads a graph, its options checked.  --conn-K and --rho replace
-    the graph's declaration, which every stage reads."""
+    that reads a graph, its options checked.  rho's --conn-K replaces the
+    graph's declared conn_k, which the h-transform reads."""
     if args.depth < min_depth:
         raise graphs.GraphFormatError(f"--depth must be >= {min_depth}, got {args.depth}")
     if args.tail < 1:
@@ -211,8 +211,8 @@ def _setup(args, min_depth: int = 0):
         forbid=forbidden.as_strings() if forbidden else (),
     )
     _check_constants(args)
-    given = {"conn_k": getattr(args, "conn_K", None), "rho": getattr(args, "rho", None)}
-    g.declared = replace(g.declared, **{k: v for k, v in given.items() if v is not None})
+    if getattr(args, "conn_K", None) is not None:
+        g.declared = replace(g.declared, conn_k=args.conn_K)
     return g, x, y, forbidden, config
 
 
@@ -262,14 +262,11 @@ def cmd_analyze(args) -> int:
     g, x, y, forbidden, config = _setup(args)
     if forbidden is None:
         raise graphs.GraphFormatError(f"{args.command} requires forbidden words (--forbid)")
-    report = chain.entropy_gap_report(g, x, y, forbidden, args.depth, tail=args.tail,
-                                      D_max=args.D_max)
+    report = chain.entropy_gap_report(g, x, y, forbidden, args.depth, tail=args.tail)
     results = _gap_results(g, report, args.tail)
     if args.command == "schreier":
-        # the family's own declaration, not the one --conn-K and --rho replaced
-        declared = schreier.builtin_family(args.family).declared
         results["family"] = args.family
-        results["declared"] = {"conn_K": declared.conn_k, "rho": declared.rho}
+        results["declared"] = {"conn_K": g.declared.conn_k, "rho": g.declared.rho}
     out = _report(config, results, report.warnings)
     _emit(out, config, _csv_rows(report.counts, report.counts_forbidden), ("n", "c_n", "c_n_F"))
     return EXIT_OK if report.certificate is not None else EXIT_CERTIFICATION
@@ -327,10 +324,6 @@ def cmd_rho(args) -> int:
     g, x, y, forbidden, config = _setup(args, min_depth=chain.MIN_DEPTH)
     if args.transform_check and forbidden is None:
         raise graphs.GraphFormatError("--transform-check requires --forbid")
-    if args.hv_radius is not None and args.hv_radius < 2:
-        raise graphs.GraphFormatError(f"--hv-radius must be >= 2, got {args.hv_radius}")
-    if args.hv_tol is not None and not args.hv_tol > 0:
-        raise graphs.GraphFormatError(f"--hv-tol must be > 0, got {args.hv_tol}")
     ch = chain.uniform_weights(g)
     warnings: list[str] = []
     est = chain.rho_estimate(ch, x, y, args.depth, tail=args.tail)
@@ -357,17 +350,13 @@ def cmd_rho(args) -> int:
         warnings.append("rho estimate did not stabilize (large tail residual)")
     if args.transform_check:
         # the transformed DP needs h wherever mass can reach within N steps
-        radius = args.hv_radius if args.hv_radius is not None else args.depth + 2
-        tol = args.hv_tol if args.hv_tol is not None else (1e-8 if g.is_finite else 1e-3)
-        hv = chain.harmonic_vector(ch, x, radius, tol=tol, scheme=args.hv_scheme)
+        hv = chain.harmonic_vector(ch, x, args.depth + 2, tol=1e-8 if g.is_finite else 1e-3)
         identity = chain.transform_identity_check(
-            ch, hv, forbidden, x, y, args.depth, threshold=args.identity_threshold,
-            tail=args.tail, restricted=est_f,
-        )
+            ch, hv, forbidden, x, y, args.depth, tail=args.tail, restricted=est_f)
         results["harmonic"] = {
             "rho_hat": _num(hv.rho_hat),
             "residual": _num(hv.residual),
-            "radius": radius,
+            "radius": hv.radius,
             "scheme": hv.scheme,
             "diagnostics": _num(hv.diagnostics),
         }
@@ -407,15 +396,6 @@ def _add_analysis(p: argparse.ArgumentParser) -> None:
     p.add_argument("--csv", help="write the per-n table to this CSV file")
 
 
-def _add_certificate(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d-max", dest="D_max", type=int, default=8,
-                   help="search bound for the denseness constant on a finite graph"
-                        " (a complete infinite graph takes D = 0)")
-    p.add_argument("--conn-K", dest="conn_K", type=int, default=None,
-                   help="declared uniform-connectedness constant")
-    p.add_argument("--rho", type=float, default=None, help="declared spectral radius")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and reused by every
@@ -437,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="entropy gap under forbidden factors, with certificate")
     _add_source(p)
     _add_analysis(p)
-    _add_certificate(p)
     _add_common(p)
     p.set_defaults(handler=cmd_analyze)
 
@@ -461,19 +440,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conn-K", dest="conn_K", type=int, default=None)
     p.add_argument("--transform-check", action="store_true",
                    help="fit a harmonic vector and check the h-transform identity")
-    p.add_argument("--hv-radius", type=int, default=None, help="harmonic window radius")
-    p.add_argument("--hv-tol", type=float, default=None,
-                   help="harmonic residual tolerance (default 1e-8 finite, 1e-3 windowed)")
-    p.add_argument("--hv-scheme", choices=("reflecting", "absorbing"), default="reflecting")
-    p.add_argument("--identity-threshold", type=float, default=0.05,
-                   help="acceptance threshold for the h-transform identity check")
     _add_common(p)
     p.set_defaults(handler=cmd_rho)
 
     p = sub.add_parser("schreier", help="growth sensitivity of a built-in coset family")
     p.add_argument("--family", choices=schreier.family_names(), required=True)
     _add_analysis(p)
-    _add_certificate(p)
     _add_common(p)
     p.set_defaults(handler=cmd_analyze)
 

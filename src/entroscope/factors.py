@@ -228,13 +228,13 @@ def certify_denseness(forbidden: ForbiddenSet, D: int, w: Window):
 
 
 def estimate_denseness_constant(
-    forbidden: ForbiddenSet, w: Window, D_max: int
+    forbidden: ForbiddenSet, w: Window
 ) -> Optional[DensenessCertificate]:
-    """Smallest D <= D_max admitting a denseness certificate on the closed
-    window, or None: the largest distance from a window vertex to a reader."""
-    if D_max < 0:
-        raise ValueError("D_max must be >= 0")
-    cert = certify_denseness(forbidden, D_max, w)
+    """Smallest D admitting a denseness certificate on the closed window,
+    the largest distance from a window vertex to a reader, or None when
+    some vertex reaches no reader.  The search is uncapped: a distance in
+    a closed window is below its vertex count."""
+    cert = certify_denseness(forbidden, len(w.distances), w)
     if not isinstance(cert, DensenessCertificate):
         return None
     return DensenessCertificate(D=max(cert.distances.values()), distances=cert.distances)

@@ -74,9 +74,10 @@ class Declared:
     chain on the graph.  ``complete``: every vertex has exactly one
     out-edge per symbol, so every word is read from every vertex (each
     forbidden set is relatively 0-dense) and the uniform chain is
-    stochastic.  Every stage reads the constants off ``g.declared``; to
-    assert one, replace it there (``dataclasses.replace(g.declared,
-    conn_k=2)``), as the CLI's --conn-K and --rho do.
+    stochastic.  A certificate reads them only on an infinite graph (a
+    finite one's are computed exactly); the h-transform reads ``conn_k``
+    on any graph, which the CLI's ``rho --conn-K`` replaces
+    (``dataclasses.replace(g.declared, conn_k=2)``).
     """
 
     conn_k: Optional[int] = None

@@ -174,7 +174,7 @@ def test_criterion_4_certificate_soundness_sweep():
                 continue
             F = es.ForbiddenSet((word,))
             w = es.full_window(g)
-            dense = es.estimate_denseness_constant(F, w, D_max=3)
+            dense = es.estimate_denseness_constant(F, w)
             if dense is None:
                 continue
             sigma = len(g.alphabet)

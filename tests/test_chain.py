@@ -761,6 +761,20 @@ class TestTransformIdentity:
         rep = es.transform_identity_check(ch, hv, F_of(["rr"], line_z.alphabet), 0, 0, 40)
         assert rep.difference < 0.05
 
+    def test_small_window_names_its_radius(self, grid_z2, b2):
+        # the transformed table reads h on the depth-N ball around x
+        F = F_of(["rr"], grid_z2.alphabet)
+        ch = es.uniform_weights(grid_z2)
+        hv = es.harmonic_vector(ch, (0, 0), 6, tol=1e-3)
+        with pytest.raises(ChainError, match="leaves the harmonic window of radius 6;"):
+            es.transform_identity_check(ch, hv, F, (0, 0), (0, 0), 12)
+        # a finite graph's small window can still hold every edge
+        b2.declared = replace(b2.declared, conn_k=1)
+        ch = es.uniform_weights(b2)
+        hv = es.harmonic_vector(ch, "v", 2)
+        rep = es.transform_identity_check(ch, hv, F_of(["aa"], b2.alphabet), "v", "v", 15)
+        assert rep.ok
+
 
 class TestEntropyFromRho:
     def test_values(self):
@@ -782,7 +796,7 @@ class TestCertificateSoundnessFixtures:
         assert strongly_connected(g)
         F = F_of(words, g.alphabet)
         w = es.full_window(g)
-        dense = es.estimate_denseness_constant(F, w, D_max=4)
+        dense = es.estimate_denseness_constant(F, w)
         assert dense is not None
         conn_k = es.graphs.uniform_connectedness_constant(g, w, K_max=len(w.vertices))
         rho = base_rho_measured(g)
@@ -890,25 +904,30 @@ class TestCertificateRegressions:
 
 
 class TestResolveCertificateRules:
-    """alpha is the uniform chain's 1/|alphabet|, and D is measured on a
-    finite graph (searched up to D_max) and 0 on a complete one.  conn_k
-    and rho: the graph's declaration (the CLI's --conn-K and --rho replace
-    it), else computed or measured."""
+    """alpha is the uniform chain's 1/|alphabet|.  A finite graph's D,
+    conn_k and rho are computed on its part reachable from x, whatever it
+    declares; an infinite graph takes D = 0 when complete and reads conn_k
+    and rho off its declaration."""
 
-    def test_uncovered_window_names_the_cap(self, two_cycle):
-        # from y the word ab needs one step first, so D = 0 fails
-        F = F_of(["ab"], two_cycle.alphabet)
-        cert, scope, D, warnings = es.resolve_certificate(two_cycle, F, D_max=0)
+    def test_vertex_without_a_reader_gets_no_certificate(self, golden_mean):
+        # v2 reads only b, so aba needs one step first: D = 1
+        F = F_of(["aba"], golden_mean.alphabet)
+        cert, scope, D, warnings = es.resolve_certificate(golden_mean, F)
+        assert (cert.D, scope, D, warnings) == (1, "global", 1, [])
+        # from 1 only the a-loop is read, and 1 never returns to 0
+        g = es.explicit_graph(("a", "b"), [(0, "a", 0), (0, "b", 1), (1, "a", 1)], roots=[0])
+        cert, scope, D, warnings = es.resolve_certificate(g, F_of(["b"], g.alphabet))
         assert (cert, scope, D) == (None, None, None)
-        assert len(warnings) == 1 and "D <= 0 (--d-max)" in warnings[0]
+        assert len(warnings) == 1 and "some vertex reaches no reader" in warnings[0]
 
-    def test_option_beats_declaration_and_measurement(self, golden_mean):
+    def test_finite_graph_ignores_its_declaration(self, golden_mean):
         F = F_of(["b"], golden_mean.alphabet)
         measured, _, D, _ = es.resolve_certificate(golden_mean, F)
-        assert (measured.conn_k, D) == (1, 0)   # declared, measured
+        assert (measured.conn_k, D) == (1, 0)
+        assert measured.rho == pytest.approx(PHI / 2, abs=1e-12)
         golden_mean.declared = replace(golden_mean.declared, conn_k=2, rho=0.9)
         cert, scope, D, _ = es.resolve_certificate(golden_mean, F)
-        assert (cert.D, D, cert.conn_k, cert.rho, scope) == (0, 0, 2, 0.9, "global")
+        assert cert == measured and (D, scope) == (0, "global")
 
     def test_incomplete_infinite_graph_gets_no_certificate(self):
         # one out-edge per vertex over two symbols: bb is read nowhere
@@ -935,7 +954,7 @@ class TestResolveCertificateRules:
         g, F = es.schreier_graph(spec), F_of(["rr"], spec.alphabet)
         cert, scope, D, warnings = es.resolve_certificate(g, F)
         assert (cert, scope, D) == (None, None, 0)
-        assert len(warnings) == 1 and "--conn-K" in warnings[0]
+        assert len(warnings) == 1 and "no uniform-connectedness constant" in warnings[0]
         g.declared = replace(g.declared, conn_k=1)
         cert, scope, D, warnings = es.resolve_certificate(g, F)
         assert (cert.D, cert.conn_k, cert.rho, cert.stochastic_path) == (0, 1, 1.0, True)

@@ -218,12 +218,12 @@ class TestDenseness:
         w = es.full_window(two_cycle)
         F = make_forbidden("ab")
         assert es.certify_denseness(F, 0, w) == ["y"]
-        cert = es.estimate_denseness_constant(F, w, D_max=3)
+        cert = es.estimate_denseness_constant(F, w)
         assert cert.D == 1 and cert.distances == {"x": 0, "y": 1}
 
     def test_smallest_constant_full_shift(self, b2):
         w = es.forward_ball(b2, "v", 2)
-        cert = es.estimate_denseness_constant(make_forbidden("aa"), w, D_max=5)
+        cert = es.estimate_denseness_constant(make_forbidden("aa"), w)
         assert cert.D == 0
 
     def test_monotone_in_distance(self, two_cycle):
@@ -237,7 +237,7 @@ class TestDenseness:
         with pytest.raises(ValueError, match="closed windows"):
             es.certify_denseness(make_forbidden("rr"), 0, w)
         with pytest.raises(ValueError, match="closed windows"):
-            es.estimate_denseness_constant(make_forbidden("rr"), w, D_max=2)
+            es.estimate_denseness_constant(make_forbidden("rr"), w)
 
     def test_runs_no_graph_search(self, monkeypatch):
         # one backward sweep of the window's own edges, no breadth-first search
@@ -250,7 +250,7 @@ class TestDenseness:
                                     calls.append(args[1]) or search(*args, **kwargs))
         w = es.full_window(cycle_z(7))
         assert len(calls) == 1  # the patch takes: full_window searches once
-        cert = es.estimate_denseness_constant(make_forbidden("rrl", "ll"), w, D_max=4)
+        cert = es.estimate_denseness_constant(make_forbidden("rrl", "ll"), w)
         assert cert.D == 0 and len(calls) == 1
 
     def test_readers_match_the_set_pass(self):
@@ -290,11 +290,12 @@ class TestDenseness:
                     continue
                 assert result.D == D and list(result.distances) == order
                 assert result.distances == {x: ref[x][2] for x in order}
-            ref = nearest_denseness_witnesses(g, F.words, order, 4)
+            # uncapped: no distance in the closed window reaches its size
+            ref = nearest_denseness_witnesses(g, F.words, order, len(order))
             expected = (
                 None if None in ref.values() else max(r[2] for r in ref.values())
             )
-            cert = es.estimate_denseness_constant(F, w, D_max=4)
+            cert = es.estimate_denseness_constant(F, w)
             assert (None if cert is None else cert.D) == expected
             seen_D.add(expected)
         # the draws reach uncovered windows and D > 0
