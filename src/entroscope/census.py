@@ -74,12 +74,12 @@ def count_words(
 
     Words correspond to paths when every state a word of length <= N
     leaves from, those within distance N - 1 of x, is deterministic; that
-    is checked on the edges the census counts, unless the graph declares
-    itself complete (one out-edge per symbol by construction).  With a
+    is checked on the edges the census counts, unless the graph is
+    complete (given by its action: one out-edge per symbol).  With a
     forbidden set the census runs on the product graph, where dead
     automaton states are already pruned.
     """
-    if not g.declared.complete:
+    if not g.complete:
         reach, _ = _reach(g, x, y, N, forbidden)
         violations = check_deterministic(reach.source, reach.label)
         if violations:

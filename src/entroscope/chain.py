@@ -623,7 +623,7 @@ def resolve_certificate(
         # bound the language of x
         lo, rho = (end / sigma for end in linalg.spectral_radius(w.adjacency()))
     else:
-        if not g.declared.complete:
+        if not g.complete:
             warnings.append(
                 "the infinite graph is not declared complete, so no denseness"
                 " constant is known on all of it; no certificate emitted"

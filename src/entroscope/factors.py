@@ -143,8 +143,9 @@ def product_graph(
 
     Edges stepping into a dead automaton state are pruned, so path counting
     on the product directly counts F-avoiding paths.  ``roots`` defaults to
-    the base roots paired with the start state.  The product declares
-    nothing: it is not complete even when the base graph is.  It keeps the
+    the base roots paired with the start state.  The product is given by
+    its ``expand`` and declares nothing: it is not complete even when the
+    base graph is.  It keeps the
     base graph's search budget.
     """
     if set(automaton.alphabet) != set(g.alphabet):

@@ -1,7 +1,8 @@
 """Edge-labelled directed graphs, finite or lazily generated.
 
-A graph is an alphabet, a vertex-expansion function and a nonempty list of
-root vertices.  Infinite graphs never enumerate their vertex set: every
+A graph is an alphabet, a nonempty list of root vertices and one source of
+edges: a finite graph's index arrays, a complete graph's action, or an
+expansion function.  Infinite graphs never enumerate their vertex set: every
 algorithm in this package works on finite memoized searches (``search``)
 and the forward balls ("windows") read off them, each under the graph's
 vertex budget.  Searches are index columns (source, label, target) over a
@@ -41,6 +42,10 @@ class GraphFormatError(ValueError):
     """Malformed graph description (JSON document or edge list)."""
 
 
+class ActionError(RuntimeError):
+    """A complete graph's action failed on a (vertex, letter) pair."""
+
+
 class Edge(NamedTuple):
     source: Vertex
     label: str
@@ -67,22 +72,19 @@ def edge_sort_key(e: Edge):
 
 @dataclass(frozen=True)
 class Declared:
-    """Constants and structure known to hold on the whole graph.
+    """Constants known to hold on the whole graph.
 
     ``conn_k``: uniform-connectedness constant (every edge has a return
     path of length <= conn_k).  ``rho``: spectral radius of the uniform
-    chain on the graph.  ``complete``: every vertex has exactly one
-    out-edge per symbol, so every word is read from every vertex (each
-    forbidden set is relatively 0-dense) and the uniform chain is
-    stochastic.  A certificate reads them only on an infinite graph (a
-    finite one's are computed exactly); the h-transform reads ``conn_k``
+    chain on the graph.  A certificate reads them only on an infinite graph
+    (a finite one's are computed exactly); the h-transform reads ``conn_k``
     on any graph, which the CLI's ``rho --conn-K`` replaces
-    (``dataclasses.replace(g.declared, conn_k=2)``).
+    (``dataclasses.replace(g.declared, conn_k=2)``).  Completeness is not
+    declared: it is the graph's action (``LabelledGraph.complete``).
     """
 
     conn_k: Optional[int] = None
     rho: Optional[float] = None
-    complete: bool = False
 
 
 class EdgeArrays(NamedTuple):
@@ -98,17 +100,18 @@ class EdgeArrays(NamedTuple):
 
 
 class LabelledGraph:
-    """Immutable edge-labelled graph given by an expansion function.
-
-    ``expand(v)`` must return every out-edge of ``v`` as an ``Edge`` or a
-    plain (source, label, target) triple, each with ``source == v``, and
-    must be pure: repeated calls yield the same edge set.  ``expansions``
-    checks a list of vertices' expansions in one pass and sorts each (by
-    label, then canonical target form where labels tie), so all downstream
-    traversals and counts are reproducible regardless of evaluation order;
-    ``out_edges`` is that pass on one vertex, memoized, as ``Edge``s.  A
-    complete graph may also give its ``act`` (``expand(v)`` is then
-    (v, a, act(v, a)) per letter a), which ``expansions`` calls instead.
+    """Immutable edge-labelled graph given by exactly one source (none or
+    two raise GraphFormatError): ``arrays``, a finite graph's
+    ``EdgeArrays``, which ``search`` walks and whose vertices are
+    ``vertex_list`` (None on a lazy graph); ``act``, a complete graph's
+    action, the a-edge out of v being (v, a, act(v, a)); or ``expand``,
+    where ``expand(v)`` returns every out-edge of ``v`` as an ``Edge`` or a
+    (source, label, target) triple with ``source == v``, and is pure.
+    ``complete`` (one out-edge per symbol at every vertex) holds exactly
+    when the graph is given by its action.  ``expansions`` reads vertices'
+    out-edges off the source, each vertex's sorted (by label, then
+    canonical target form where labels tie), so traversals and counts are
+    reproducible; ``out_edges`` is that pass on one vertex, memoized.
     ``budget`` caps the vertices one search may find; every search of the
     graph reads it (set ``g.budget = n`` to change it).  ``grown`` keeps the
     ``Growth`` from each start vertex of a lazy graph, which a deeper
@@ -116,15 +119,13 @@ class LabelledGraph:
     index arrays (``Reach``): the plain ones (``search``, forbidden set
     None) behind censuses and windows, and the census's product searches
     derived from them, keyed by (start, N, forbidden set, budget) so that
-    a search made under another budget is never reused.  A finite graph is
-    its ``arrays``: ``search`` walks them, and ``vertex_list`` is their
-    vertices (None on a lazy graph).
+    a search made under another budget is never reused.
     """
 
     def __init__(
         self,
         alphabet: Iterable[str],
-        expand: Callable[[Vertex], Iterable[Edge]],
+        expand: Optional[Callable[[Vertex], Iterable[Edge]]],
         roots: Iterable[Vertex],
         declared: Optional[Declared] = None,
         arrays: Optional[EdgeArrays] = None,
@@ -136,6 +137,8 @@ class LabelledGraph:
             raise GraphFormatError("alphabet must be nonempty")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise GraphFormatError("alphabet contains duplicate symbols")
+        if sum(source is not None for source in (arrays, act, expand)) != 1:
+            raise GraphFormatError("a graph takes exactly one of arrays, act and expand")
         self.expand = expand
         self.act = act
         self.roots = tuple(roots)
@@ -157,22 +160,38 @@ class LabelledGraph:
     def is_finite(self) -> bool:
         return self.arrays is not None
 
+    @property
+    def complete(self) -> bool:
+        return self.act is not None
+
     def expansions(self, vertices: list) -> tuple[list, list, list]:
         """Out-degrees of ``vertices``, and the label (alphabet index) and
-        target columns of their out-edges grouped by vertex in order.  With
-        an ``act``, each vertex reads the sorted alphabet, and an action
-        that raises is rerun through ``expand``, which names the (v, a).
-        Otherwise each vertex is expanded once through ``self.expand``,
-        every edge checked (a triple, the vertex as source, a label in the
-        alphabet), and each vertex's edges sorted by label, then canonical
-        target form where labels tie, with no edge twice."""
+        target columns of their out-edges grouped by vertex in order, each
+        vertex's sorted.  ``arrays`` are sliced in one pass (a vertex outside
+        the graph has no edge).  An ``act`` reads the sorted alphabet at each
+        vertex; if it raises, the (v, a) pairs rerun, vertices then alphabet
+        in order, and the first that fails raises ActionError.  ``expand``
+        is called once per vertex and every edge checked (a triple, the
+        vertex as source, a label in the alphabet, no edge twice)."""
+        arrays = self.arrays
+        if arrays is not None:
+            i = np.fromiter(map(arrays.index.get, vertices, itertools.repeat(-1)), np.int64,
+                            len(vertices))
+            lo = arrays.offsets[i]
+            out = np.where(i < 0, 0, arrays.offsets[i + 1] - lo)
+            e = np.repeat(lo - np.cumsum(out) + out, out) + np.arange(out.sum())
+            return (out.tolist(), arrays.label[e].tolist(),
+                    list(map(arrays.vertices.__getitem__, arrays.target[e].tolist())))
         if self.act is not None:
             act, letters = self.act, self._in_order
             try:
                 targets = [act(v, a) for v in vertices for a in letters]
             except Exception:
-                for v in vertices:
-                    self.expand(v)
+                for v, a in itertools.product(vertices, self.alphabet):
+                    try:
+                        act(v, a)
+                    except Exception as exc:
+                        raise ActionError(f"action failed on ({v!r}, {a!r}): {exc}") from exc
                 raise
             return [len(letters)] * len(vertices), self._in_order_codes * len(vertices), targets
         outs = [list(self.expand(v)) for v in vertices]
@@ -541,8 +560,7 @@ def explicit_graph(
     """Finite graph from an explicit edge list of (source, label, target),
     validated in one bulk pass (triples, labels in the alphabet, hashable
     ids, listed in ``vertices`` when given, no repeated id or edge) and
-    sorted into its ``EdgeArrays``, which ``expand`` reads as triples of
-    the listed ids."""
+    sorted into its ``EdgeArrays``, the graph's one source."""
     alphabet, edges, roots = tuple(alphabet), list(edges), list(roots)
     bad = [t for t in edges if not isinstance(t, (list, tuple)) or len(t) != 3]
     if bad:
@@ -589,16 +607,8 @@ def explicit_graph(
             s, a, t = edges[np.setdiff1d(np.arange(len(edges)), first)[0]]
             raise GraphFormatError(f"duplicate edge {vertex_key(s)} -{a}-> {vertex_key(t)}")
     offsets = np.searchsorted(source[order], np.arange(n + 1))
-    label, target = label[order], target[order]
-
-    def expand(v):
-        i = index.get(v)
-        lo, hi = (0, 0) if i is None else (offsets[i], offsets[i + 1])
-        return [(v, alphabet[a], vertex_list[t])
-                for a, t in zip(label[lo:hi].tolist(), target[lo:hi].tolist())]
-
-    return LabelledGraph(alphabet, expand, roots, declared,
-                         EdgeArrays(vertex_list, index, offsets, label, target))
+    return LabelledGraph(alphabet, None, roots, declared,
+                         EdgeArrays(vertex_list, index, offsets, label[order], target[order]))
 
 
 @dataclass(frozen=True)

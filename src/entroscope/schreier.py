@@ -2,9 +2,10 @@
 
 A group action specification gives, for each coset descriptor and alphabet
 symbol, the descriptor of the right-translated coset.  The resulting graph
-is fully deterministic (exactly one out-edge per symbol) and the language
-of loops at the root coset is the word problem of the pair (group,
-subgroup) with respect to the chosen presentation.
+is given by that action (``LabelledGraph(..., act=...)``), so it is
+complete (exactly one out-edge per symbol) by construction, and the
+language of loops at the root coset is the word problem of the pair
+(group, subgroup) with respect to the chosen presentation.
 
 Built-in families ship canonical descriptor forms and declared global
 constants; arbitrary user actions plug in through ActionSpec with opaque
@@ -13,14 +14,10 @@ text descriptors and a pure ``act`` callable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
-from .graphs import Declared, LabelledGraph, Vertex
-
-
-class ActionError(RuntimeError):
-    """The action produced a non-canonical or undefined descriptor."""
+from .graphs import ActionError, Declared, LabelledGraph, Vertex  # noqa: F401 (re-exported)
 
 
 @dataclass(frozen=True)
@@ -34,34 +31,13 @@ class ActionSpec:
 
 
 def schreier_graph(spec: ActionSpec) -> LabelledGraph:
-    """Lazy graph with expand(v) = [(v, a, act(v, a)) for a in the alphabet].
-
-    Out-degree is exactly |alphabet| everywhere, so the graph is declared
-    complete and given ``act``: its searches read a layer's targets off the
+    """The graph given by the spec's action: the a-edge out of v is
+    (v, a, act(v, a)).  Out-degree is exactly |alphabet| everywhere, so the
+    graph is complete, and its searches read a layer's targets off the
     action, with no edge triple built or checked.  An action failure is a
     hard error, not a missing edge: ``ActionError`` names the (v, a).
     """
-
-    alphabet, act = spec.alphabet, spec.act
-
-    def expand(v):
-        try:
-            return [(v, a, act(v, a)) for a in alphabet]
-        except Exception:
-            for a in alphabet:  # the action is pure: the letter that failed fails again
-                try:
-                    act(v, a)
-                except Exception as exc:
-                    raise ActionError(f"action failed on ({v!r}, {a!r}): {exc}") from exc
-            raise
-
-    return LabelledGraph(
-        alphabet=spec.alphabet,
-        expand=expand,
-        roots=[spec.root],
-        declared=replace(spec.declared, complete=True),
-        act=act,
-    )
+    return LabelledGraph(spec.alphabet, None, [spec.root], spec.declared, act=spec.act)
 
 
 def line_z() -> ActionSpec:

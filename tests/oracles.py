@@ -94,6 +94,13 @@ def bfs(g, x, radius=None) -> dict:
     return distances
 
 
+def expand_only(g, **kwargs):
+    """A copy of ``g`` given by an ``expand`` alone, ``g.out_edges``: the
+    same edges read through the general path, which checks and sorts them
+    and grows a lazy graph's search."""
+    return es.LabelledGraph(g.alphabet, g.out_edges, g.roots, **kwargs)
+
+
 def lazy_reach(g, x, N, forbidden=None):
     """The census search as a breadth-first search of the lazy product
     graph (``factors.product_graph``): the states within distance N of the

@@ -54,6 +54,19 @@ class TestCountWords:
         with pytest.raises(es.NondeterministicWindow):
             es.count_words(g, "x", "y", 2)
 
+    def test_a_finite_graph_is_never_complete(self):
+        # completeness is a graph's action, not a declaration: this finite
+        # graph has no action, so the census checks it and refuses to count
+        # its paths (1, 1, 2, 3, 5, 8, 13) as words
+        g = es.explicit_graph(["a"], [(0, "a", 0), (0, "a", 1), (1, "a", 0)], roots=[0])
+        with pytest.raises(es.NondeterministicWindow):
+            es.count_words(g, 0, 0, 6)
+        assert g.complete is False
+        with pytest.raises(AttributeError):
+            g.complete = True
+        with pytest.raises(TypeError):
+            es.Declared(complete=True)
+
     @staticmethod
     def fork_at(d):
         """Path 0 -a-> 1 -a-> ... -a-> 6 with b-edges back to 0 and two

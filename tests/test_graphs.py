@@ -11,7 +11,7 @@ import entroscope as es
 from entroscope.graphs import Edge
 
 from oracles import (
-    bfs, connectedness_per_edge, iter_paths, lazy_reach, random_det_scc_graph,
+    bfs, connectedness_per_edge, expand_only, iter_paths, lazy_reach, random_det_scc_graph,
     random_inverse_closed_graph, random_nfa, reference_window, shared_pairs, with_dangling_tail,
 )
 
@@ -184,9 +184,9 @@ class TestWindowSearch:
 
 class TestArraySearch:
     """On a finite graph ``graphs.search`` runs ``layered_search`` over the
-    graph's arrays; the same expansion function behind a bare
-    ``LabelledGraph`` is searched by its ``Growth``, and the two ``Reach``es
-    agree column for column."""
+    graph's arrays; the same edges behind an ``expand``-only graph
+    (``oracles.expand_only``) are searched by its ``Growth``, and the two
+    ``Reach``es agree column for column."""
 
     COLUMNS = ("distance", "vertex", "source", "label", "target", "base")
 
@@ -213,7 +213,7 @@ class TestArraySearch:
     def test_matches_the_bfs_search(self, kernel_calls):
         rng = random.Random(16)
         for g in self.cases(rng):
-            lazy = es.LabelledGraph(g.alphabet, g.expand, g.roots)
+            lazy = expand_only(g)
             for x in dict.fromkeys([g.roots[0], rng.choice(g.vertex_list)]):
                 for N in (0, 1, 2, 5, None):
                     kernel_calls.clear()
@@ -233,7 +233,7 @@ class TestArraySearch:
             x = g.roots[0]
             for budget in range(len(g.vertex_list) + 1):
                 for N in (2, None):
-                    lazy = es.LabelledGraph(g.alphabet, g.expand, g.roots)
+                    lazy = expand_only(g)
                     g.budget = lazy.budget = budget
                     got, want = self.outcome(g, x, N), self.outcome(lazy, x, N)
                     if isinstance(want, str):
@@ -251,16 +251,26 @@ class TestArraySearch:
         # lazy, and no option makes a "finite" graph that has none
         assert golden_mean.is_finite and golden_mean.vertex_list is golden_mean.arrays.vertices
         assert golden_mean.vertex_list == ("v1", "v2")
-        lazy = es.LabelledGraph(golden_mean.alphabet, golden_mean.expand, golden_mean.roots)
+        lazy = expand_only(golden_mean)
         assert not lazy.is_finite and lazy.vertex_list is None
         with pytest.raises(TypeError):
-            es.LabelledGraph("ab", golden_mean.expand, roots=["v1"], vertex_list=["v1"])
+            es.LabelledGraph("ab", golden_mean.out_edges, roots=["v1"], vertex_list=["v1"])
+
+    def test_a_graph_has_one_source(self, golden_mean):
+        arrays, act, expand = golden_mean.arrays, (lambda v, a: v), golden_mean.out_edges
+        for sources in ({}, {"arrays": arrays, "act": act}, {"arrays": arrays, "expand": expand},
+                        {"act": act, "expand": expand},
+                        {"arrays": arrays, "act": act, "expand": expand}):
+            with pytest.raises(es.GraphFormatError, match="exactly one of arrays, act and expand"):
+                es.LabelledGraph("ab", sources.pop("expand", None), ["v1"], **sources)
+        assert es.LabelledGraph("ab", None, ["v1"], act=act).complete
+        assert not expand_only(golden_mean).complete and not golden_mean.complete
 
     def test_start_vertex_counts_against_the_budget(self, b2):
         # a budget below 1 leaves no room for the start vertex: on the lazy
         # path (constructor keyword), the array path (attribute) and the
         # product search; a budget of 1 holds it
-        lazy = es.LabelledGraph(b2.alphabet, b2.expand, b2.roots, budget=0)
+        lazy = expand_only(b2, budget=0)
         b2.budget = 0
         for g in (lazy, b2):
             with pytest.raises(es.ExpansionBudgetExceeded, match="from vertex 'v' found more"):
@@ -272,6 +282,53 @@ class TestArraySearch:
                                      0, 0, 0, "v")
         F = es.ForbiddenSet.from_strings(["aa"], b2.alphabet)
         assert es.count_words(b2, "v", "v", 0, forbidden=F) == (1,)
+
+
+class TestArrayExpansions:
+    """A finite graph's ``expansions`` slice its arrays; the same document's
+    edge triples, in document order, behind an ``expand``-only graph take
+    the general path, which checks and sorts them.  Both read the same
+    out-edges, grow the same search and build the same ``out_edges``."""
+
+    FIELDS = ("vertices", "ends", "edge_ends", "degree", "label", "target")
+
+    def test_arrays_are_the_document(self, monkeypatch):
+        documents = []
+        explicit = es.explicit_graph
+
+        def recorded(alphabet, edges, *args, **kwargs):
+            documents.append(list(edges))
+            return explicit(alphabet, documents[-1], *args, **kwargs)
+
+        monkeypatch.setattr(es, "explicit_graph", recorded)
+        rng = random.Random(33)
+        tied = 0
+        for i in range(60):
+            # deterministic SCCs, dangling tails, and NFAs with tied labels on
+            # up to 12 vertices, whose canonical forms sort 10 and 11 before 2
+            if i % 3 == 0:
+                g = random_det_scc_graph(rng)
+            elif i % 3 == 1:
+                g = with_dangling_tail(rng, random_det_scc_graph(rng))
+            else:
+                g = random_nfa(rng, max_states=12)
+            edges = documents[-1]
+            tied += len(shared_pairs(edges)) > 0
+            document = es.LabelledGraph(
+                g.alphabet, lambda v, edges=edges: [e for e in edges if e[0] == v], g.roots)
+            outside = len(g.vertex_list) + 1  # not a vertex: no out-edge
+            vs = rng.sample(g.vertex_list, len(g.vertex_list))
+            vs.insert(rng.randrange(len(vs) + 1), outside)
+            assert g.expansions(vs) == document.expansions(vs)
+            assert g.expansions([outside]) == ([0], [], [])
+            for x in (0, rng.choice(g.vertex_list), outside):
+                got, want = es.graphs.grown(g, x, 6), es.graphs.grown(document, x, 6)
+                assert got[1] == want[1]
+                for field in self.FIELDS:
+                    assert getattr(got[0], field) == getattr(want[0], field)
+            for v in vs:
+                assert g.out_edges(v) == document.out_edges(v)
+        assert tied > 10
 
 
 class TestGrowingSearch:
@@ -336,7 +393,7 @@ class TestGrowingSearch:
         rng = random.Random(22)
         for _ in range(20):
             g = with_dangling_tail(rng, random_det_scc_graph(rng))
-            lazy, fresh = (es.LabelledGraph(g.alphabet, g.expand, g.roots) for _ in range(2))
+            lazy, fresh = (expand_only(g) for _ in range(2))
             es.graphs.search(lazy, 0, 2)
             for N in (3, None, 40):
                 got, want = es.graphs.search(lazy, 0, N), es.graphs.search(fresh, 0, N)
@@ -633,10 +690,12 @@ class TestUniformConnectedness:
 
 class TestExpansionPurity:
     def test_replay(self, free2):
+        act = es.builtin_family("free2_mod_cyclic").act
         w = es.forward_ball(free2, "", 3)
         for v in w.vertices:
             assert free2.out_edges(v) == tuple(
-                sorted(map(Edge._make, free2.expand(v)), key=es.graphs.edge_sort_key)
+                sorted((Edge(v, a, act(v, a)) for a in free2.alphabet),
+                       key=es.graphs.edge_sort_key)
             )
 
     def test_bad_source_rejected(self):

@@ -66,13 +66,34 @@ class TestBuiltinFamilies:
             es.forward_ball(g, (0, 0), 4)
         assert isinstance(e.value.__cause__, ValueError)
 
+    def test_action_error_names_the_first_letter_in_spec_order(self):
+        # 2 is the second vertex of the line's third layer [-2, 2] and fails
+        # on both letters; a layer reads l before r, but the error names r,
+        # the spec's first letter, on a search and on out_edges alike
+        def act(n, a):
+            if n == 2:
+                raise ValueError(f"no {a} step from 2")
+            return n + 1 if a == "r" else n - 1
+
+        spec = es.ActionSpec(("r", "l"), act, root=0)
+        g = schreier_graph(spec)
+        es.graphs.search(g, 0, 2)
+        assert g.grown[0].vertices[3:] == [-2, 2]
+        assert es.schreier.ActionError is es.graphs.ActionError
+        message = re.escape("action failed on (2, 'r'): no r step from 2")
+        for run in (lambda g: es.graphs.search(g, 0, 4), lambda g: g.out_edges(2)):
+            with pytest.raises(ActionError, match=message) as e:
+                run(g)
+            assert isinstance(e.value.__cause__, ValueError)
+            assert str(e.value.__cause__) == "no r step from 2"
+
     @pytest.mark.parametrize("family", ["line_Z", "grid_Z2", "free2_mod_cyclic"])
     def test_fully_deterministic_on_window(self, family):
         g = schreier_graph(builtin_family(family))
         w = es.forward_ball(g, g.roots[0], 3)
         assert es.check_deterministic(w.source, w.label) == []
         assert es.check_fully_deterministic(w) == []
-        assert g.declared.complete
+        assert g.complete
 
     @pytest.mark.parametrize("family", ["line_Z", "grid_Z2", "free2_mod_cyclic"])
     def test_inverse_closure(self, family):
@@ -157,8 +178,9 @@ class TestGrowthSensitivity:
 
 class TestActionPath:
     """A complete graph given its action grows each layer straight from
-    ``act``; the same graph given only ``expand`` takes the general path,
-    which builds and checks every edge triple.  Both grow the same search."""
+    ``act``; the same action given as an ``expand`` takes the general
+    path, which builds and checks every edge triple.  Both grow the same
+    search."""
 
     SPECS = {
         "line_Z": builtin_family("line_Z"),
@@ -170,8 +192,10 @@ class TestActionPath:
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_equals_the_validating_path(self, name):
-        g = schreier_graph(self.SPECS[name])
-        general = es.LabelledGraph(g.alphabet, g.expand, g.roots)
+        spec = self.SPECS[name]
+        g = schreier_graph(spec)
+        general = es.LabelledGraph(
+            g.alphabet, lambda v: [(v, a, spec.act(v, a)) for a in spec.alphabet], g.roots)
         assert g.act is not None and general.act is None
         x = g.roots[0]
         got, want = es.graphs.search(g, x, 6), es.graphs.search(general, x, 6)

@@ -34,9 +34,17 @@ def test_every_spanned_function_exists():
 
 def test_install_finds_every_name():
     # install() also wraps factors.product_graph, schreier.builtin_family and
-    # LabelledGraph.out_edges; it patches modules, so it runs in its own process
+    # LabelledGraph.out_edges; it patches modules, so it runs in its own
+    # process.  It wraps every graph's expand, also a graph given by arrays or
+    # an action, which has none: the searches, censuses and out_edges of such
+    # graphs run here, so a dispatch that calls that wrapper fails
     code = (
-        "import sys; sys.path[:0] = sys.argv[1:]; import tracer; tracer.Tracer().install()"
+        "import sys; sys.path[:0] = sys.argv[1:]; import tracer; tracer.Tracer().install()\n"
+        "import entroscope as es\n"
+        "for g in (es.explicit_graph('ab', [(0, 'a', 1), (1, 'b', 0)], roots=[0]),\n"
+        "          es.schreier_graph(es.builtin_family('grid_Z2'))):\n"
+        "    x = g.roots[0]\n"
+        "    es.count_words(g, x, x, 4), es.forward_ball(g, x, 2), g.out_edges(x)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")],
