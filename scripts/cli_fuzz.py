@@ -37,22 +37,30 @@ FAMILY_VERTICES = {"line_Z": ["0", "3", "-2", "(0,0)"], "grid_Z2": ["(0,0)", "(1
                    "free2_mod_cyclic": ["", "b", "Ba", "ab", "bB"]}
 
 DOC = "DOC"   # an argv's stand-in for the path its document is written to
+DIR = "DIR"   # and for the directory it is written in
 
 # options a subcommand refuses, so that argparse's refusal stays fuzzed:
 # the certificate constants that analyze and schreier compute or read off
-# the family, and the harmonic settings that rho fixes
+# the family, the harmonic settings that rho fixes, and the fit's window
 CONSTANTS = [("--alpha", "0.5"), ("--D", "1"), ("--d-max", "8"), ("--conn-K", "1"),
            ("--rho", "0.9")]
 HARMONIC = [("--hv-radius", "3"), ("--hv-tol", "1e-3"), ("--hv-scheme", "absorbing"),
             ("--identity-threshold", "0.05")]
-FOREIGN = {"count": CONSTANTS, "analyze": CONSTANTS, "schreier": CONSTANTS,
-           "rho": [o for o in CONSTANTS if o[0] != "--conn-K"] + HARMONIC, "bound": HARMONIC}
+TAIL = [("--tail", "3")]
+FOREIGN = {"count": CONSTANTS + TAIL, "analyze": CONSTANTS + TAIL, "schreier": CONSTANTS + TAIL,
+           "rho": [o for o in CONSTANTS if o[0] != "--conn-K"] + HARMONIC + TAIL,
+           "bound": HARMONIC}
+
+LONE = {"alphabet": ["a"], "vertices": ["0"], "edges": [], "roots": ["0"]}
 
 # (argv, document): a lone vertex with no out-edge, whose harmonic window
-# has spectral radius 0
+# has spectral radius 0; a directory where a file is read or written
 FIXED = [
     (["rho", "--transform-check", "--conn-K", "1", "--depth", "12", "--forbid", "a",
-      "--graph", DOC], {"alphabet": ["a"], "vertices": ["0"], "edges": [], "roots": ["0"]}),
+      "--graph", DOC], LONE),
+    (["count", "--graph", DIR, "--depth", "3"], LONE),
+    (["count", "--graph", DOC, "--depth", "3", "--csv", DIR], LONE),
+    (["count", "--graph", DOC, "--depth", "3", "--out", DIR], LONE),
 ]
 
 
@@ -122,7 +130,6 @@ def random_argv(rng: random.Random, doc: dict, workdir: str) -> list[str]:
             argv += maybe(rng, "--x", vertices, p=0.3) + maybe(rng, "--y", vertices, p=0.3)
         for _ in range(rng.choices((0, 1, 2), (1, 12, 4))[0]):
             argv += ["--forbid", random_word(rng, alphabet)]
-        argv += maybe(rng, "--tail", [1, 3, 5, 20], [0])
         if rng.random() < 0.2:
             argv += ["--csv", os.path.join(workdir, "table.csv")]
     if command == "rho":
@@ -167,7 +174,7 @@ def main(argv=None) -> int:
         for case_argv, doc in cases:
             with open(doc_path, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
-            case_argv = [doc_path if a == DOC else a for a in case_argv]
+            case_argv = [{DOC: doc_path, DIR: workdir}.get(a, a) for a in case_argv]
             code, trace = run(case_argv)
             codes[code] += 1
             if code not in PASSING:

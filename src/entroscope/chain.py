@@ -205,7 +205,6 @@ def rho_estimate(
     y: Vertex,
     N: int,
     forbidden: Optional[ForbiddenSet] = None,
-    tail: int = 20,
 ) -> RhoEstimate:
     """Periodicity-aware decay-rate estimate of the n-step probabilities.
 
@@ -216,7 +215,7 @@ def rho_estimate(
     if N < MIN_DEPTH:
         raise InsufficientData(f"a decay-rate fit needs N >= {MIN_DEPTH}, got N = {N}")
     table = probability_table(chain, x, y, N, forbidden=forbidden)
-    fit = fit_log_growth(table, tail=tail)
+    fit = fit_log_growth(table)
     return RhoEstimate(math.exp(fit.value), fit, table)
 
 
@@ -544,17 +543,16 @@ def transform_identity_check(
     y: Vertex,
     N: int,
     threshold: float = 0.05,
-    tail: int = 20,
     restricted: Optional[RhoEstimate] = None,
 ) -> TransformIdentityReport:
     """Compare the decay rates of the transformed and original restricted
     chains; ``restricted`` is the original's estimate when the caller
-    already has it (same x, y, N, tail)."""
+    already has it (same x, y, N)."""
     transformed = h_transform(chain, hv)
-    lhs = rho_estimate(transformed, x, y, N, forbidden=forbidden, tail=tail)
+    lhs = rho_estimate(transformed, x, y, N, forbidden=forbidden)
     rhs = restricted
     if rhs is None:
-        rhs = rho_estimate(chain, x, y, N, forbidden=forbidden, tail=tail)
+        rhs = rho_estimate(chain, x, y, N, forbidden=forbidden)
     difference = abs(lhs.value - rhs.value / hv.rho_hat)
     return TransformIdentityReport(
         lhs=lhs.value,
@@ -590,11 +588,11 @@ def resolve_certificate(
     that bound < rho holds for the true rho.  An infinite graph reads
     conn_k and rho off its ``Declared``: when it is complete it reads every
     word of F from every vertex, so D = 0, and its uniform chain is
-    stochastic.  It gets no certificate when it is not complete or
-    declares no conn_k: nothing is measured on a finite part of it.  rho
-    is never fitted: an infinite graph that declares none takes rho = 1,
-    which bounds the spectral radius of every substochastic chain, and the
-    bound grows with rho.
+    stochastic.  It gets no certificate when it is not given by its
+    action or declares no conn_k: nothing is measured on a finite part of
+    it.  rho is never fitted: an infinite graph that declares none takes
+    rho = 1, which bounds the spectral radius of every substochastic
+    chain, and the bound grows with rho.
 
     Returns (certificate or None, scope, D or None, warnings).  Scope is
     "window" when rho is that default, otherwise "global".
@@ -625,8 +623,8 @@ def resolve_certificate(
     else:
         if not g.complete:
             warnings.append(
-                "the infinite graph is not declared complete, so no denseness"
-                " constant is known on all of it; no certificate emitted"
+                "the infinite graph is not given by its action (act=), so no"
+                " denseness constant is known on all of it; no certificate emitted"
             )
             return None, None, None, warnings
         D = 0
@@ -689,7 +687,6 @@ def entropy_gap_report(
     y: Vertex,
     forbidden: ForbiddenSet,
     N: int,
-    tail: int = 20,
 ) -> GapReport:
     """Theorem-level analysis: measure h and h^F from counts and attach a
     certified entropy-gap bound when D, conn_k and rho are computed exactly
@@ -697,8 +694,8 @@ def entropy_gap_report(
     """
     counts = count_words(g, x, y, N)
     counts_f = count_words(g, x, y, N, forbidden=forbidden)
-    h = fit_log_growth(counts, tail=tail)
-    h_f = fit_log_growth(counts_f, tail=tail)
+    h = fit_log_growth(counts)
+    h_f = fit_log_growth(counts_f)
     certificate, scope, D_used, warnings = resolve_certificate(g, forbidden, x)
     report = GapReport(
         h=h, h_forbidden=h_f, gap=h.value - h_f.value, counts=counts,

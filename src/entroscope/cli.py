@@ -19,7 +19,6 @@ import csv
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -48,7 +47,7 @@ def _num(obj):
     return obj
 
 
-def _estimate_dict(fit: growth.GrowthFit, tail: int) -> dict:
+def _estimate_dict(fit: growth.GrowthFit) -> dict:
     """The report entry of an entropy fitted on word counts."""
     return {
         "value": _num(fit.value),
@@ -56,7 +55,7 @@ def _estimate_dict(fit: growth.GrowthFit, tail: int) -> dict:
         "period": fit.period,
         "finite_language": fit.finite,
         "diagnostics": _num({"residual": fit.residual, "points_used": fit.points_used,
-                             "tail": tail, "last_ratio": fit.last_ratio,
+                             "tail": growth.TAIL, "last_ratio": fit.last_ratio,
                              "finite_language": fit.finite}),
     }
 
@@ -92,19 +91,11 @@ def _emit(report: dict, config: dict, csv_rows=None, csv_header=None) -> None:
 
 
 def _budget(args) -> int:
-    """The per-search vertex budget: --budget, else ENTROSCOPE_BUDGET, else
-    the default; anything but an integer >= 1 is a configuration error."""
-    option, value = "--budget", args.budget
-    if value is None:
-        option = "ENTROSCOPE_BUDGET"
-        value = os.environ.get(option, graphs.DEFAULT_BUDGET)
-    try:
-        budget = int(value)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise graphs.GraphFormatError(f"{option} must be an integer >= 1, got {value!r}")
-    return budget
+    """The per-search vertex budget, --budget; below 1 is a configuration
+    error."""
+    if args.budget < 1:
+        raise graphs.GraphFormatError(f"--budget must be an integer >= 1, got {args.budget}")
+    return args.budget
 
 
 def _load_graph(args) -> tuple[graphs.LabelledGraph, tuple[str, ...]]:
@@ -201,8 +192,6 @@ def _setup(args, min_depth: int = 0):
     graph's declared conn_k, which the h-transform reads."""
     if args.depth < min_depth:
         raise graphs.GraphFormatError(f"--depth must be >= {min_depth}, got {args.depth}")
-    if args.tail < 1:
-        raise graphs.GraphFormatError(f"--tail must be >= 1, got {args.tail}")
     g, doc_words = _load_graph(args)
     x, y = _resolve_endpoints(g, args)
     forbidden = _forbidden_from(args, g, doc_words)
@@ -226,24 +215,23 @@ def cmd_count(args) -> int:
     counts = census.count_words(g, x, y, args.depth)
     results = {
         "counts": list(counts),
-        "entropy": _estimate_dict(growth.fit_log_growth(counts, tail=args.tail), args.tail),
+        "entropy": _estimate_dict(growth.fit_log_growth(counts)),
     }
     counts_f = None
     if forbidden is not None:
         counts_f = census.count_words(g, x, y, args.depth, forbidden=forbidden)
         results["counts_forbidden"] = list(counts_f)
-        results["entropy_forbidden"] = _estimate_dict(
-            growth.fit_log_growth(counts_f, tail=args.tail), args.tail)
+        results["entropy_forbidden"] = _estimate_dict(growth.fit_log_growth(counts_f))
     report = _report(config, results, [])
     _emit(report, config, _csv_rows(counts, counts_f), ("n", "c_n", "c_n_F"))
     return EXIT_OK
 
 
-def _gap_results(g, report: chain.GapReport, tail: int) -> dict:
+def _gap_results(g, report: chain.GapReport) -> dict:
     sigma = len(g.alphabet)
     results = {
-        "h": _estimate_dict(report.h, tail),
-        "h_forbidden": _estimate_dict(report.h_forbidden, tail),
+        "h": _estimate_dict(report.h),
+        "h_forbidden": _estimate_dict(report.h_forbidden),
         "gap": _num(report.gap),
         "counts": list(report.counts),
         "counts_forbidden": list(report.counts_forbidden),
@@ -262,8 +250,8 @@ def cmd_analyze(args) -> int:
     g, x, y, forbidden, config = _setup(args)
     if forbidden is None:
         raise graphs.GraphFormatError(f"{args.command} requires forbidden words (--forbid)")
-    report = chain.entropy_gap_report(g, x, y, forbidden, args.depth, tail=args.tail)
-    results = _gap_results(g, report, args.tail)
+    report = chain.entropy_gap_report(g, x, y, forbidden, args.depth)
+    results = _gap_results(g, report)
     if args.command == "schreier":
         results["family"] = args.family
         results["declared"] = {"conn_K": g.declared.conn_k, "rho": g.declared.rho}
@@ -326,7 +314,7 @@ def cmd_rho(args) -> int:
         raise graphs.GraphFormatError("--transform-check requires --forbid")
     ch = chain.uniform_weights(g)
     warnings: list[str] = []
-    est = chain.rho_estimate(ch, x, y, args.depth, tail=args.tail)
+    est = chain.rho_estimate(ch, x, y, args.depth)
     results = {
         "rho": _num(est.value),
         "period": est.fit.period,
@@ -341,7 +329,7 @@ def cmd_rho(args) -> int:
     }
     table_f = None
     if forbidden is not None:
-        est_f = chain.rho_estimate(ch, x, y, args.depth, forbidden=forbidden, tail=args.tail)
+        est_f = chain.rho_estimate(ch, x, y, args.depth, forbidden=forbidden)
         table_f = [float(p) for p in est_f.table]
         results["rho_forbidden"] = _num(est_f.value)
         results["period_forbidden"] = est_f.fit.period
@@ -352,7 +340,7 @@ def cmd_rho(args) -> int:
         # the transformed DP needs h wherever mass can reach within N steps
         hv = chain.harmonic_vector(ch, x, args.depth + 2, tol=1e-8 if g.is_finite else 1e-3)
         identity = chain.transform_identity_check(
-            ch, hv, forbidden, x, y, args.depth, tail=args.tail, restricted=est_f)
+            ch, hv, forbidden, x, y, args.depth, restricted=est_f)
         results["harmonic"] = {
             "rho_hat": _num(hv.rho_hat),
             "residual": _num(hv.residual),
@@ -375,8 +363,8 @@ def cmd_rho(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=int,
-                   help="expansion budget in vertices per search (env ENTROSCOPE_BUDGET)")
+    p.add_argument("--budget", type=int, default=graphs.DEFAULT_BUDGET,
+                   help="expansion budget in vertices per search (default: %(default)s)")
     p.add_argument("--out", help="also write the JSON report to this file")
 
 
@@ -392,7 +380,6 @@ def _add_analysis(p: argparse.ArgumentParser) -> None:
     p.add_argument("--depth", type=int, required=True, help="census horizon N")
     p.add_argument("--forbid", action="append", default=None,
                    help="forbidden word (repeatable; per-character over 1-char alphabets)")
-    p.add_argument("--tail", type=int, default=20, help="tail points used by the slope fit")
     p.add_argument("--csv", help="write the per-n table to this CSV file")
 
 
@@ -458,7 +445,7 @@ _CONFIG_ERRORS = (
     census.NondeterministicWindow,
     census.CountRangeError,
     chain.ChainError,
-    FileNotFoundError,
+    OSError,
     UnicodeDecodeError,
     json.JSONDecodeError,
 )
@@ -474,7 +461,7 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except growth.InsufficientData as exc:
         _error(graphs.GraphFormatError(
-            f"too little data at --depth {args.depth}, --tail {args.tail}: {exc}"))
+            f"too little data at --depth {args.depth}: {exc}"))
         return EXIT_CONFIG
     except _CONFIG_ERRORS as exc:
         _error(exc)

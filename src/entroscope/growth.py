@@ -6,6 +6,11 @@ line return only at even times) are handled by detecting the period as the
 gcd of gaps between nonzero indices: every nonzero index then lies in one
 residue class, and the slope is fitted on it, matching a limsup that
 ignores the zero subsequence.
+
+The fit window is a constant, ``TAIL``, not an option: entropy is a
+property of the language (h = limsup (1/n) log c_n), so an estimate depends
+only on the sequence, and the window is part of the estimator, not of the
+question.  A better estimator changes the fit model here, in one place.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from statistics import linear_regression
 from typing import Optional, Sequence
 
 NEG_INF = float("-inf")
+TAIL = 20   # trailing nonzero points of every fit
 
 
 class InsufficientData(ValueError):
@@ -42,12 +48,11 @@ class GrowthFit:
     finite: bool = False
 
 
-def fit_log_growth(values: Sequence, tail: int = 20) -> GrowthFit:
-    """Fit the exponential growth rate of a nonnegative sequence.
-
-    ``tail`` is the number of trailing nonzero data points used.  If the
-    sequence ends in a run of zeros longer than the detected period, the
-    support is taken to be finite and the -inf sentinel is returned.
+def fit_log_growth(values: Sequence) -> GrowthFit:
+    """Fit the exponential growth rate of a nonnegative sequence on its
+    last ``TAIL`` nonzero points (fixed: a sequence has one estimate).  If
+    the sequence ends in a run of zeros longer than the detected period,
+    the support is taken to be finite and the -inf sentinel is returned.
     """
     nonzero = [n for n, v in enumerate(values) if v > 0]
     if not nonzero:
@@ -59,7 +64,7 @@ def fit_log_growth(values: Sequence, tail: int = 20) -> GrowthFit:
         return GrowthFit(
             value=NEG_INF, period=period, residual=0.0, points_used=0, finite=True
         )
-    pts = nonzero[-tail:]
+    pts = nonzero[-TAIL:]
     if len(pts) < 2:
         raise InsufficientData(
             f"need >= 2 nonzero points in the fit window, got {len(pts)}"

@@ -474,7 +474,7 @@ class TestSpectralEntropy:
     def test_count_agreement(self, fixture, request):
         g = request.getfixturevalue(fixture)
         root = g.roots[0]
-        counted = es.fit_log_growth(es.count_words(g, root, root, 40), tail=20)
+        counted = es.fit_log_growth(es.count_words(g, root, root, 40))
         assert abs(spectral_entropy(g) - counted.value) < 0.02
 
 

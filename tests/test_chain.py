@@ -935,7 +935,7 @@ class TestResolveCertificateRules:
                                declared=es.Declared(conn_k=1, rho=1.0))
         cert, scope, D, warnings = es.resolve_certificate(ray, F_of(["bb"], ray.alphabet))
         assert (cert, scope, D) == (None, None, None)
-        assert len(warnings) == 1 and "not declared complete" in warnings[0]
+        assert len(warnings) == 1 and "not given by its action (act=)" in warnings[0]
 
     def test_product_of_a_complete_graph_declares_nothing(self, free2):
         # on the product of free2 with the ab-automaton, ab is read nowhere
@@ -944,7 +944,7 @@ class TestResolveCertificateRules:
         assert product.declared == es.Declared()
         cert, scope, D, warnings = es.resolve_certificate(product, F)
         assert (cert, scope, D) == (None, None, None)
-        assert len(warnings) == 1 and "not declared complete" in warnings[0]
+        assert len(warnings) == 1 and "not given by its action (act=)" in warnings[0]
 
     def test_complete_family_needs_conn_k(self):
         spec = es.ActionSpec(

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -119,7 +120,7 @@ class TestCount:
     def test_config_echo_has_defaults(self, capsys, b2_path):
         _, report = run(capsys, "count", "--graph", b2_path, "--depth", "4")
         config = report["config"]
-        assert config["tail"] == 20
+        assert "tail" not in config
         assert config["budget"] == 10**6
         assert config["x"] == "v" and config["y"] == "v"
 
@@ -133,20 +134,20 @@ def parser_options(command):
 # every option of every subcommand, each in at least one argv
 EVERY_OPTION = [
     ["count", "--graph", "g.json", "--family", "line_Z", "--x", "0", "--y", "1", "--depth", "4",
-     "--forbid", "aa", "--forbid", "b", "--tail", "3", "--csv", "t.csv", "--budget", "9",
+     "--forbid", "aa", "--forbid", "b", "--csv", "t.csv", "--budget", "9",
      "--out", "r.json"],
     ["count", "--depth", "0"],
     ["analyze", "--graph", "g.json", "--family", "grid_Z2", "--x", "(0,0)", "--y", "(1,0)",
-     "--depth", "12", "--forbid", "ru", "--tail", "5", "--csv", "t.csv", "--budget", "100",
+     "--depth", "12", "--forbid", "ru", "--csv", "t.csv", "--budget", "100",
      "--out", "r.json"],
     ["bound", "--alpha", "0.5", "--D", "0", "--R", "2", "--conn-K", "1", "--rho", "0.75",
      "--stochastic", "--sigma-size", "2", "--graph", "g.json", "--forbid", "aa", "--budget", "5",
      "--out", "r.json"],
     ["bound", "--alpha", "0.5", "--D", "0", "--R", "2"],
     ["rho", "--graph", "g.json", "--family", "free2_mod_cyclic", "--x", "b", "--y", "B",
-     "--depth", "12", "--forbid", "ab", "--tail", "4", "--csv", "t.csv", "--conn-K", "3",
+     "--depth", "12", "--forbid", "ab", "--csv", "t.csv", "--conn-K", "3",
      "--transform-check", "--budget", "7", "--out", "r.json"],
-    ["schreier", "--family", "line_Z", "--depth", "10", "--forbid", "rr", "--tail", "6",
+    ["schreier", "--family", "line_Z", "--depth", "10", "--forbid", "rr",
      "--csv", "t.csv", "--budget", "50", "--out", "r.json"],
 ]
 
@@ -164,6 +165,24 @@ def cli_exit(capsys, argv):
         code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def readme_commands():
+    """The argv of each ``entroscope ...`` line in the README's command-line
+    block."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("entroscope ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_example_runs(capsys, tmp_path, monkeypatch, argv):
+    # the README's examples name b2.json and write their CSVs beside it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "b2.json").write_text(json.dumps(B2_DOC))
+    assert main(argv) == 0
+    capsys.readouterr()
 
 
 class TestParser:
@@ -953,22 +972,25 @@ class TestErrorPaths:
         assert code == 3
         assert report["error"]["type"] == "budget-exceeded"
 
-    def test_env_budget(self, capsys, b2_path, monkeypatch):
+    def test_budget_has_no_environment_source(self, capsys, b2_path, monkeypatch):
+        # the budget is --budget or its default; no variable sets it
         monkeypatch.setenv("ENTROSCOPE_BUDGET", "50")
         code, report = run(
             capsys, "schreier", "--family", "grid_Z2", "--forbid", "uu", "--depth", "40"
         )
-        assert code == 3
-        # the config echo shows the budget the variable set, with or without a graph
+        assert code == 0 and report["config"]["budget"] == 10**6
         for argv in (["count", "--graph", b2_path, "--depth", "3"],
                      ["bound", "--alpha", "0.5", "--D", "0", "--R", "2", "--stochastic"]):
             code, report = run(capsys, *argv)
-            assert code == 0 and report["config"]["budget"] == 50
+            assert code == 0 and report["config"]["budget"] == 10**6
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     @pytest.mark.parametrize("argv", [
         ["count", "--graph", "B2", "--depth", "3"],
+        ["analyze", "--graph", "B2", "--depth", "3", "--forbid", "aa"],
         ["bound", "--alpha", "0.5", "--D", "0", "--R", "2", "--stochastic"],
+        ["rho", "--graph", "B2", "--depth", "12"],
+        ["schreier", "--family", "line_Z", "--depth", "10", "--forbid", "rr"],
     ], ids=lambda argv: argv[0])
     def test_budget_below_one_names_the_option(self, capsys, b2_path, argv, budget):
         # a search never counts its start vertex, so such a budget would pass it
@@ -977,19 +999,19 @@ class TestErrorPaths:
         assert code == 2
         assert "--budget" in report["error"]["message"]
 
-    @pytest.mark.parametrize("value", ["abc", "1.5", "0"])
-    def test_bad_env_budget_names_the_variable(self, capsys, b2_path, monkeypatch, value):
-        monkeypatch.setenv("ENTROSCOPE_BUDGET", value)
-        code, report = run(capsys, "count", "--graph", b2_path, "--depth", "3")
-        assert code == 2
-        assert "ENTROSCOPE_BUDGET" in report["error"]["message"]
-        # --budget wins, and the variable is not read
-        code, report = run(capsys, "count", "--graph", b2_path, "--depth", "3", "--budget", "5")
-        assert code == 0 and report["config"]["budget"] == 5
-
     def test_missing_graph_source(self, capsys):
         code, report = run(capsys, "count", "--depth", "5")
         assert code == 2
+
+    @pytest.mark.parametrize("option", ["--graph", "--csv", "--out"])
+    def test_directory_path_is_a_config_error(self, capsys, b2_path, tmp_path, option):
+        # an unopenable path is an OSError: exit 2 with an error JSON naming
+        # it (a report already printed stays printed), no traceback
+        code = main(["count", "--graph", b2_path, "--depth", "3", option, str(tmp_path)])
+        out = capsys.readouterr().out
+        error = json.loads(out[out.rindex('{\n  "error"'):])["error"]
+        assert code == 2 and error["type"] == "IsADirectoryError"
+        assert str(tmp_path) in error["message"]
 
     def test_nondeterministic_graph(self, capsys, tmp_path):
         doc = {
@@ -1105,33 +1127,34 @@ class TestErrorPaths:
             "search from vertex '' found more than 1000 vertices (--budget)"
         )
 
-    @pytest.mark.parametrize("tail", ["0", "-1"])
-    def test_tail_below_one_names_the_option(self, capsys, tail):
-        code, report = run(
-            capsys, "count", "--family", "grid_Z2", "--depth", "12", "--tail", tail
-        )
-        assert code == 2
-        assert report["error"]["type"] == "GraphFormatError"
-        assert "--tail" in report["error"]["message"]
+    @pytest.mark.parametrize("argv", [
+        ["count", "--family", "grid_Z2", "--depth", "12"],
+        ["analyze", "--family", "grid_Z2", "--depth", "12", "--forbid", "rr"],
+        ["schreier", "--family", "grid_Z2", "--depth", "12", "--forbid", "rr"],
+        ["rho", "--family", "grid_Z2", "--depth", "12"],
+    ], ids=lambda argv: argv[0])
+    def test_tail_is_not_an_option(self, capsys, argv):
+        # the fit's window is growth.TAIL, not an option
+        code, out, err = cli_exit(capsys, argv + ["--tail", "3"])
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --tail 3" in err
 
     @pytest.mark.parametrize(
-        "argv, fit",
+        "argv",
         [
-            (["rho", "--family", "line_Z", "--depth", "5"], False),
-            (["count", "--family", "line_Z", "--depth", "0"], True),
-            (["analyze", "--family", "line_Z", "--forbid", "rr", "--depth", "1"], True),
-            (["schreier", "--family", "free2_mod_cyclic", "--forbid", "ab", "--depth", "0"],
-             True),
-            (["count", "--family", "grid_Z2", "--depth", "12", "--tail", "1"], True),
+            ["rho", "--family", "line_Z", "--depth", "5"],
+            ["count", "--family", "line_Z", "--depth", "0"],
+            ["analyze", "--family", "line_Z", "--forbid", "rr", "--depth", "1"],
+            ["schreier", "--family", "free2_mod_cyclic", "--forbid", "ab", "--depth", "0"],
         ],
-        ids=["rho", "count", "analyze", "schreier", "count-tail-1"],
+        ids=["rho", "count", "analyze", "schreier"],
     )
-    def test_small_depth_names_the_options(self, capsys, argv, fit):
+    def test_small_depth_names_the_options(self, capsys, argv):
         code, report = run(capsys, *argv)
         assert code == 2
         assert report["error"]["type"] == "GraphFormatError"
         message = report["error"]["message"]
-        assert "--depth" in message and ("--tail" in message) == fit
+        assert "--depth" in message and "--tail" not in message
 
     def test_internal_key_error_is_not_a_config_error(self, capsys, b2_path, monkeypatch):
         def broken(*args, **kwargs):
