@@ -9,11 +9,14 @@ Usage (from the root of a checkout):
 A document has at most 6 vertices and 1-3 letters; some are
 nondeterministic, some have vertices without out-edges, a few are
 malformed.  Every run goes in-process through ``entroscope.cli.main(argv)``
-with its output captured, the fixed cases first, then ``--count`` random
-draws.  A run passes when it exits 0, 2 (configuration error, argparse's
-own included), 3 (budget) or 4 (certification failed).  The script prints
-the argv (and document) of every run that raises a traceback or exits with
-any other code, and exits 1 if there is one.
+with its stdout and stderr captured apart, the fixed cases first, then
+``--count`` random draws.  A run passes when it exits 0, 2 (configuration
+error, argparse's own included), 3 (budget) or 4 (certification failed),
+and, when ``main`` returns (not on argparse's ``SystemExit``), its stdout
+is exactly one JSON document: the report or the error, never both.  The
+script prints the argv (and document) of every run that raises a
+traceback, exits with any other code or prints anything else, and exits 1
+if there is one.
 """
 
 from __future__ import annotations
@@ -145,15 +148,22 @@ def random_argv(rng: random.Random, doc: dict, workdir: str) -> list[str]:
 
 
 def run(argv: list[str]) -> tuple[object, str]:
-    """main(argv)'s exit code, or None and the traceback it raised."""
+    """main(argv)'s exit code and what is wrong with the run, "" if
+    nothing: the traceback it raised (the code is then None), or the stdout
+    of a return whose stdout is not exactly one JSON document."""
     out = io.StringIO()
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-            return cli.main(argv), ""
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
     except SystemExit as exc:          # argparse: --help, --version, usage errors
         return exc.code, ""
     except Exception:
         return None, traceback.format_exc()
+    try:
+        json.loads(out.getvalue())
+    except json.JSONDecodeError as exc:
+        return code, f"stdout is not one JSON document ({exc}):\n{out.getvalue()}"
+    return code, ""
 
 
 def main(argv=None) -> int:
@@ -175,13 +185,13 @@ def main(argv=None) -> int:
             with open(doc_path, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
             case_argv = [{DOC: doc_path, DIR: workdir}.get(a, a) for a in case_argv]
-            code, trace = run(case_argv)
+            code, fault = run(case_argv)
             codes[code] += 1
-            if code not in PASSING:
+            if code not in PASSING or fault:
                 failures += 1
                 print(f"FAILURE (exit {code}): {' '.join(case_argv)}")
                 print(f"  document: {json.dumps(doc)}")
-                print("  " + (trace or "no traceback").strip().replace("\n", "\n  "))
+                print("  " + (fault or "no traceback").strip().replace("\n", "\n  "))
     tally = ", ".join(f"{code}: {n}" for code, n in sorted(codes.items(), key=str))
     print(f"{sum(codes.values())} runs ({len(FIXED)} fixed); exit codes {tally}")
     print(f"failures            : {failures}")

@@ -15,6 +15,7 @@ report when the bound degenerates).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -78,14 +79,20 @@ def _report(config: dict, results: dict, warnings: list[str]) -> dict:
 
 
 def _emit(report: dict, config: dict, csv_rows=None, csv_header=None) -> None:
+    """Print the report, write it to --out and the per-n table to --csv.
+    Both files are opened before anything is printed, so a path that
+    cannot be opened leaves its error the only document on stdout and no
+    report in either file."""
     text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    if config["out"]:
-        with open(config["out"], "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    if config.get("csv") and csv_rows is not None:
-        with open(config["csv"], "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
+    with contextlib.ExitStack() as files:
+        out = config["out"] and files.enter_context(open(config["out"], "w", encoding="utf-8"))
+        table = config.get("csv") and csv_rows is not None and files.enter_context(
+            open(config["csv"], "w", encoding="utf-8", newline=""))
+        print(text)
+        if out:
+            out.write(text + "\n")
+        if table:
+            writer = csv.writer(table)
             writer.writerow(csv_header)
             writer.writerows(csv_rows)
 
@@ -285,11 +292,14 @@ def cmd_bound(args) -> int:
     if args.graph:
         g, _ = _load_graph(args)
         forbidden = factors.ForbiddenSet.from_strings(args.forbid, g.alphabet)
-        w = graphs.full_window(g)
+        if args.R != forbidden.max_length:
+            raise graphs.GraphFormatError(
+                f"--R {args.R} is not the length of the longest --forbid word,"
+                f" {forbidden.max_length}")
         # rows of the uniform chain against the alpha the certificate claims,
         # read exactly as the decimal it prints as
         check = chain.k_step_restricted_rowsum_check(
-            chain.uniform_weights(g), forbidden, D=args.D, k=cert.k, w=w,
+            chain.uniform_weights(g), forbidden, D=args.D, w=graphs.full_window(g),
             alpha=Fraction(str(cert.alpha)),
         )
         window_check = {
@@ -338,21 +348,20 @@ def cmd_rho(args) -> int:
         warnings.append("rho estimate did not stabilize (large tail residual)")
     if args.transform_check:
         # the transformed DP needs h wherever mass can reach within N steps
-        hv = chain.harmonic_vector(ch, x, args.depth + 2, tol=1e-8 if g.is_finite else 1e-3)
-        identity = chain.transform_identity_check(
-            ch, hv, forbidden, x, y, args.depth, restricted=est_f)
+        hv = chain.harmonic_vector(ch, x, args.depth + 2)
+        identity = chain.transform_identity_check(ch, hv, forbidden, x, y, args.depth, est_f)
         results["harmonic"] = {
             "rho_hat": _num(hv.rho_hat),
             "residual": _num(hv.residual),
             "radius": hv.radius,
-            "scheme": hv.scheme,
+            "scheme": "reflecting",
             "diagnostics": _num(hv.diagnostics),
         }
         results["transform_identity"] = {
             "lhs": _num(identity.lhs),
             "rhs": _num(identity.rhs),
             "difference": _num(identity.difference),
-            "threshold": identity.threshold,
+            "threshold": chain.IDENTITY_THRESHOLD,
             "ok": identity.ok,
         }
         if not identity.ok:

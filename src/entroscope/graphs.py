@@ -521,18 +521,20 @@ def check_fully_deterministic(w: Window) -> list[tuple[Vertex, tuple[str, ...]]]
             for v, row in zip(w.distances, present.tolist()) if not all(row)]
 
 
-def uniform_connectedness_constant(g: LabelledGraph, w: Window, K_max: int) -> Optional[int]:
-    """Smallest K <= K_max certifying uniform connectedness on the window,
-    or None: the largest return distance d(e.target, e.source) over its
-    edges, at least 1.  One array pass finds loops (the empty path returns)
-    and edges s -> t with an edge t -> s, inside the window, by looking each
-    key s * n + t up in the sorted reverse keys t * n + s (one sort, one
+def uniform_connectedness_constant(g: LabelledGraph, w: Window) -> Optional[int]:
+    """The largest return distance d(e.target, e.source) over the window's
+    edges, at least 1: the smallest K certifying uniform connectedness on
+    it.  None when some edge has no return path of at most as many steps as
+    the window has vertices, a count no return distance in a closed window
+    reaches.  One array pass finds loops (the empty path returns) and edges
+    s -> t with an edge t -> s, inside the window, by looking each key
+    s * n + t up in the sorted reverse keys t * n + s (one sort, one
     ``np.searchsorted``); the others grow the search from each target t
     (``grown``) only up to the layer holding all their sources."""
     k, n, vertices = w.inside, len(w.distances), list(w.distances)
     s, t = w.source[:k], w.target[:k]
     near = s == t
-    if K_max >= 1 and k:  # no inside edge: nothing to look up, and no last key to clip to
+    if k:  # no inside edge: nothing to look up, and no last key to clip to
         key, back = s * n + t, np.sort(t * n + s)
         near |= back[np.minimum(np.searchsorted(back, key), k - 1)] == key
     sources: dict = {}
@@ -540,7 +542,7 @@ def uniform_connectedness_constant(g: LabelledGraph, w: Window, K_max: int) -> O
         sources.setdefault(vertices[i], set()).add(vertices[j])
     worst = 1
     for target, wanted in sources.items():
-        for d in range(K_max + 1):  # the first layer that holds every source
+        for d in range(n + 1):  # the first layer that holds every source
             growth, depth = grown(g, target, d)
             if max(growth.index.get(v, math.inf) for v in wanted) < growth.ends[depth]:
                 worst = max(worst, d)

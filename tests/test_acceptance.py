@@ -141,9 +141,9 @@ def test_criterion_3_k_step_row_sums_exact():
         check = es.k_step_restricted_rowsum_check(
             chain_b2,
             es.ForbiddenSet.from_strings(["aa"], b2.alphabet),
-            D=0, k=2, w=es.full_window(b2),
+            D=0, w=es.full_window(b2),
         )
-        assert check.ok
+        assert check.ok and check.k == 2
         assert set(check.rows.values()) == {Fraction(3, 4)}
         assert check.threshold == 1 - Fraction(1, 2) ** 2 == Fraction(3, 4)
 
@@ -152,7 +152,7 @@ def test_criterion_3_k_step_row_sums_exact():
         check_z = es.k_step_restricted_rowsum_check(
             chain_z,
             es.ForbiddenSet.from_strings(["rr"], line.alphabet),
-            D=0, k=2, w=es.forward_ball(line, 0, 3),
+            D=0, w=es.forward_ball(line, 0, 3),
         )
         assert check_z.ok
         assert set(check_z.rows.values()) == {Fraction(3, 4)}
@@ -183,9 +183,7 @@ def test_criterion_4_certificate_soundness_sweep():
             if rho <= alpha + 1e-9:
                 # single-out-degree graphs: the floor formula degenerates
                 continue
-            conn_k = es.graphs.uniform_connectedness_constant(
-                g, w, K_max=len(w.vertices)
-            )
+            conn_k = es.graphs.uniform_connectedness_constant(g, w)
             assert conn_k is not None
             cert = es.certified_gap_bound(
                 alpha=alpha, D=dense.D, R=F.max_length, conn_k=conn_k, rho=rho

@@ -222,7 +222,7 @@ class TestWeightedTables:
 
     def test_weights_leaving_the_domain_raise(self, line_z):
         # the table reads every edge out of the states within N - 1 steps
-        hv = es.harmonic_vector(es.uniform_weights(line_z), 0, 3, tol=1e-3)
+        hv = es.harmonic_vector(es.uniform_weights(line_z), 0, 3)
         out = es.h_transform(es.uniform_weights(line_z), hv)
         assert len(es.probability_table(out, 0, 0, 3)) == 4
         with pytest.raises(ChainError):
@@ -265,34 +265,39 @@ class TestHarmonicVector:
         assert hv.residual == pytest.approx(0.0, abs=1e-12)
 
     def test_golden_mean_perron(self, golden_mean):
-        hv = es.harmonic_vector(es.uniform_weights(golden_mean), "v1", 4, tol=1e-8)
+        hv = es.harmonic_vector(es.uniform_weights(golden_mean), "v1", 4)
         assert hv.rho_hat == pytest.approx(PHI / 2, abs=1e-10)
         assert hv.values["v1"] == 1.0
         assert hv.values["v2"] == pytest.approx(1 / PHI, abs=1e-9)
         assert hv.accepted
 
     def test_line_reflecting(self, line_z):
-        hv = es.harmonic_vector(es.uniform_weights(line_z), 0, 30, tol=1e-3)
+        hv = es.harmonic_vector(es.uniform_weights(line_z), 0, 30)
         assert 0.99 <= hv.rho_hat <= 1.0
         inner = [hv.values[v] for v in range(-29, 30)]
         assert max(inner) - min(inner) < 1e-9
-        absorbing = es.harmonic_vector(
-            es.uniform_weights(line_z), 0, 30, tol=1e-3, scheme="absorbing"
-        )
-        assert abs(hv.rho_hat - absorbing.rho_hat) < 0.01
-
-    def test_absorbing_biases_down(self, line_z):
-        hv = es.harmonic_vector(
-            es.uniform_weights(line_z), 0, 10, tol=1.0, scheme="absorbing"
-        )
-        assert hv.rho_hat < 1.0
-        reflecting = es.harmonic_vector(
-            es.uniform_weights(line_z), 0, 10, tol=1.0, scheme="reflecting"
-        )
+        reflecting = es.harmonic_vector(es.uniform_weights(line_z), 0, 10)
         assert reflecting.rho_hat == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("scheme", ["reflecting", "absorbing"])
-    def test_residual_matches_vertex_loop(self, line_z, grid_z2, scheme, monkeypatch):
+    def test_inside_root_lies_below_one(self, line_z, free2):
+        # the Perron root of a window's inside edges, over |alphabet|, is the
+        # decay rate of a finite restriction of the uniform chain: below 1
+        # on a recurrent line and on a tree, and near 1 on a wide line window
+        def inside_root(g, x, radius):
+            lo, hi = es.linalg.spectral_radius(es.forward_ball(g, x, radius).adjacency())
+            return lo / len(g.alphabet), hi / len(g.alphabet)
+
+        assert inside_root(line_z, 0, 10)[1] < 1.0
+        lo, hi = inside_root(line_z, 0, 30)
+        assert 0.99 < lo <= hi < 1.0
+        assert inside_root(free2, "", 5)[1] < 0.95
+
+    def test_tolerance_follows_the_graph(self, golden_mean, line_z):
+        # accepted at 1e-8 on a finite graph, at 1e-3 on a family's window
+        assert es.harmonic_vector(es.uniform_weights(golden_mean), "v1", 4).tol == 1e-8
+        assert es.harmonic_vector(es.uniform_weights(line_z), 0, 4).tol == 1e-3
+
+    def test_residual_matches_vertex_loop(self, line_z, grid_z2, monkeypatch):
         # the solver's own vector leaves a residual of rounding size; a
         # perturbed one makes it large enough for a 1e-12 relative check
         rng = random.Random(8)
@@ -317,7 +322,7 @@ class TestHarmonicVector:
             ch = es.WeightedChain(graph=g, weight=weight.__getitem__, alpha=Fraction(1, 10 * sigma))
             cases.append((ch, 0, len(g.vertex_list) + 1))
         for ch, center, radius in cases:
-            hv = es.harmonic_vector(ch, center, radius, tol=1.0, scheme=scheme)
+            hv = es.harmonic_vector(ch, center, radius)
             oracle = harmonic_residual(ch, hv)
             assert oracle > 1e-3
             assert hv.residual == pytest.approx(oracle, rel=1e-12, abs=0)
@@ -331,7 +336,7 @@ class TestHarmonicVector:
                 ball.adjacency()
             with monkeypatch.context() as m:
                 m.setattr(es.chain, "forward_ball", lambda *args: ball)
-                hv = es.harmonic_vector(es.uniform_weights(g), x, radius, tol=1.0)
+                hv = es.harmonic_vector(es.uniform_weights(g), x, radius)
             return hv, es.linalg.spectral_radius(ball.adjacency()), ball.adjacency().toarray()
 
         def finite(seed):  # every vertex steps to 0 by a: each ball is strongly connected
@@ -354,12 +359,9 @@ class TestHarmonicVector:
         # the reflecting rows are scaled in place: h, rho_hat, the residual
         # and the iteration count equal, bit for bit, a Perron solve of the
         # window's matrix multiplied by the diagonal of its row scales
-        def check(chain, center, radius, scheme="reflecting"):
-            hv = es.harmonic_vector(chain, center, radius, tol=1.0, scheme=scheme)
+        def check(chain, center, radius):
+            hv = es.harmonic_vector(chain, center, radius)
             w, matrix = reflecting_matrix(chain, center, radius)
-            if scheme == "absorbing":
-                matrix = w.adjacency(es.chain.edge_weights(chain, w.ids, w.source, w.label,
-                                                           w.target))
             res = es.linalg.perron_root(matrix)
             h = res.vector / res.vector[0]
             inner = sum(d < radius for d in w.distances.values())
@@ -392,21 +394,19 @@ class TestHarmonicVector:
             for chain in (es.uniform_weights(g), weighted):
                 for radius in (2, 3):
                     check(chain, 0, radius)
-                    check(chain, 0, radius, "absorbing")
             w = es.graphs.forward_ball(g, 0, 2)
             pairs = w.source * n + w.target
             shapes.append((len(w.boundary) > 0, len(np.unique(pairs)) < len(pairs)))
         assert shapes.count((True, True)) >= 5  # boundary edges beside parallel ones
         # an h-transformed chain: non-uniform weights read through its column
         g.declared = replace(g.declared, conn_k=1)
-        hv = es.harmonic_vector(weighted, 0, n + 1, tol=1e-6)
+        hv = es.harmonic_vector(weighted, 0, n + 1)
         transformed = es.h_transform(weighted, hv)
         w = es.graphs.full_window(g)
         assert len(np.unique(es.chain.edge_weights(transformed, w.ids, w.source, w.label,
                                                    w.target))) > 2
         for radius in (2, 3):
             check(transformed, 0, radius)
-            check(transformed, 0, radius, "absorbing")
 
     def test_radius_too_small(self, b2):
         with pytest.raises(ValueError):
@@ -427,21 +427,16 @@ class TestHarmonicVector:
             return tarjan(A)
 
         monkeypatch.setattr(es.linalg, "strong_components", counted)
-        hv = es.harmonic_vector(es.uniform_weights(grid_z2), (0, 0), 6, tol=1e-6)
+        hv = es.harmonic_vector(es.uniform_weights(grid_z2), (0, 0), 6)
         assert hv.accepted and calls == []
         es.linalg.spectral_radius(np.eye(2))  # the patch takes
         assert calls == [(2, 2)]
 
     def test_tree_like_window(self, free2):
-        # stochastic chain: reflecting pins the trivial pair, absorbing
-        # approximates from below, and the spread flags the difference
-        ch = es.uniform_weights(free2)
-        hv = es.harmonic_vector(ch, "", 5, tol=1e-6)
+        # stochastic chain: reflecting pins the trivial pair
+        hv = es.harmonic_vector(es.uniform_weights(free2), "", 5)
         assert hv.rho_hat == pytest.approx(1.0, abs=1e-12)
         assert hv.residual <= 1e-12
-        absorbing = es.harmonic_vector(ch, "", 5, tol=1e-6, scheme="absorbing")
-        assert absorbing.rho_hat < 0.95
-        assert abs(hv.rho_hat - absorbing.rho_hat) > 0.05
 
 
 def exact_golden_hv():
@@ -516,7 +511,7 @@ class TestHTransform:
 
     def test_line_unchanged(self, line_z):
         ch = es.uniform_weights(line_z)
-        hv = es.harmonic_vector(ch, 0, 12, tol=1e-6)
+        hv = es.harmonic_vector(ch, 0, 12)
         out = es.h_transform(ch, hv)
         for e in line_z.out_edges(0):
             assert out.weight(e) == pytest.approx(0.5, abs=1e-9)
@@ -534,8 +529,8 @@ class TestHTransform:
             ch = es.uniform_weights(g)
             twin = es.WeightedChain(graph=g, weight=ch.weight, alpha=ch.alpha)
             assert not twin.uniform
-            hv = es.harmonic_vector(ch, x, radius, tol=1e-3)
-            hv_twin = es.harmonic_vector(twin, x, radius, tol=1e-3)
+            hv = es.harmonic_vector(ch, x, radius)
+            hv_twin = es.harmonic_vector(twin, x, radius)
             assert (hv.values, hv.rho_hat, hv.residual) == (
                 hv_twin.values, hv_twin.rho_hat, hv_twin.residual
             )
@@ -559,7 +554,7 @@ class TestHTransform:
 
     def test_edge_out_of_window(self, line_z):
         ch = es.uniform_weights(line_z)
-        hv = es.harmonic_vector(ch, 0, 3, tol=1e-3)
+        hv = es.harmonic_vector(ch, 0, 3)
         out = es.h_transform(ch, hv)
         far_edge = line_z.out_edges(3)[1]
         assert far_edge.target == 4
@@ -700,7 +695,7 @@ class TestRowSumCheck:
         ch = es.uniform_weights(b2)
         w = es.full_window(b2)
         check = es.k_step_restricted_rowsum_check(
-            ch, F_of(["aa"], b2.alphabet), D=0, k=2, w=w
+            ch, F_of(["aa"], b2.alphabet), D=0, w=w
         )
         assert check.ok
         assert check.rows == {"v": Fraction(3, 4)}
@@ -710,7 +705,7 @@ class TestRowSumCheck:
         ch = es.uniform_weights(line_z)
         w = es.forward_ball(line_z, 0, 3)
         check = es.k_step_restricted_rowsum_check(
-            ch, F_of(["rr"], line_z.alphabet), D=0, k=2, w=w
+            ch, F_of(["rr"], line_z.alphabet), D=0, w=w
         )
         assert check.ok
         assert set(check.rows.values()) == {Fraction(3, 4)}
@@ -723,17 +718,11 @@ class TestRowSumCheck:
         )
         w = es.full_window(two_cycle)
         check = es.k_step_restricted_rowsum_check(
-            ch, F_of(["aa"], two_cycle.alphabet), D=0, k=2, w=w
+            ch, F_of(["aa"], two_cycle.alphabet), D=0, w=w
         )
         assert not check.ok
         assert check.max_row_sum() == 1
         assert len(check.violations) == 2
-
-    def test_k_must_match(self, b2):
-        ch = es.uniform_weights(b2)
-        w = es.full_window(b2)
-        with pytest.raises(ValueError):
-            es.k_step_restricted_rowsum_check(ch, F_of(["aa"], b2.alphabet), D=0, k=3, w=w)
 
 
 class TestTransformIdentity:
@@ -741,15 +730,16 @@ class TestTransformIdentity:
         b2.declared = replace(b2.declared, conn_k=1)
         ch = es.uniform_weights(b2)
         hv = es.harmonic_vector(ch, "v", 2)
-        rep = es.transform_identity_check(ch, hv, F_of(["aa"], b2.alphabet), "v", "v", 40)
+        F = F_of(["aa"], b2.alphabet)
+        rep = es.transform_identity_check(ch, hv, F, "v", "v", 40,
+                                          es.rho_estimate(ch, "v", "v", 40, forbidden=F))
         assert rep.difference < 1e-12
 
     def test_golden_mean_exact(self, golden_mean):
         ch = es.uniform_weights(golden_mean)
-        rep = es.transform_identity_check(
-            ch, exact_golden_hv(), F_of(["a"], golden_mean.alphabet),
-            "v1", "v1", 40,
-        )
+        F = F_of(["a"], golden_mean.alphabet)
+        rep = es.transform_identity_check(ch, exact_golden_hv(), F, "v1", "v1", 40,
+                                          es.rho_estimate(ch, "v1", "v1", 40, forbidden=F))
         # lhs = 1/phi exactly; rhs = 1/2, rho = phi/2
         assert rep.lhs == pytest.approx(1 / PHI, abs=1e-9)
         assert rep.rhs == pytest.approx(0.5, abs=1e-9)
@@ -757,22 +747,27 @@ class TestTransformIdentity:
 
     def test_line_within_threshold(self, line_z):
         ch = es.uniform_weights(line_z)
-        hv = es.harmonic_vector(ch, 0, 42, tol=1e-3)
-        rep = es.transform_identity_check(ch, hv, F_of(["rr"], line_z.alphabet), 0, 0, 40)
+        hv = es.harmonic_vector(ch, 0, 42)
+        F = F_of(["rr"], line_z.alphabet)
+        rep = es.transform_identity_check(ch, hv, F, 0, 0, 40,
+                                          es.rho_estimate(ch, 0, 0, 40, forbidden=F))
         assert rep.difference < 0.05
 
     def test_small_window_names_its_radius(self, grid_z2, b2):
         # the transformed table reads h on the depth-N ball around x
         F = F_of(["rr"], grid_z2.alphabet)
         ch = es.uniform_weights(grid_z2)
-        hv = es.harmonic_vector(ch, (0, 0), 6, tol=1e-3)
+        hv = es.harmonic_vector(ch, (0, 0), 6)
         with pytest.raises(ChainError, match="leaves the harmonic window of radius 6;"):
-            es.transform_identity_check(ch, hv, F, (0, 0), (0, 0), 12)
+            es.transform_identity_check(ch, hv, F, (0, 0), (0, 0), 12,
+                                        es.rho_estimate(ch, (0, 0), (0, 0), 12, forbidden=F))
         # a finite graph's small window can still hold every edge
         b2.declared = replace(b2.declared, conn_k=1)
         ch = es.uniform_weights(b2)
         hv = es.harmonic_vector(ch, "v", 2)
-        rep = es.transform_identity_check(ch, hv, F_of(["aa"], b2.alphabet), "v", "v", 15)
+        F = F_of(["aa"], b2.alphabet)
+        rep = es.transform_identity_check(ch, hv, F, "v", "v", 15,
+                                          es.rho_estimate(ch, "v", "v", 15, forbidden=F))
         assert rep.ok
 
 
@@ -798,7 +793,7 @@ class TestCertificateSoundnessFixtures:
         w = es.full_window(g)
         dense = es.estimate_denseness_constant(F, w)
         assert dense is not None
-        conn_k = es.graphs.uniform_connectedness_constant(g, w, K_max=len(w.vertices))
+        conn_k = es.graphs.uniform_connectedness_constant(g, w)
         rho = base_rho_measured(g)
         cert = es.certified_gap_bound(
             alpha=1.0 / len(g.alphabet), D=dense.D, R=F.max_length,

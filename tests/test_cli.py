@@ -398,6 +398,15 @@ class TestBound:
         assert code == 2
         assert report["error"]["message"].startswith("--graph is required")
 
+    def test_rowsum_check_needs_r_of_the_words(self, capsys, b2_path):
+        # the check's horizon is k = D + R, with R the longest word's length
+        code, report = run(
+            capsys, "bound", "--alpha", "0.5", "--D", "0", "--R", "3", "--stochastic",
+            "--graph", b2_path, "--forbid", "aa",
+        )
+        assert code == 2
+        assert report["error"]["message"].startswith("--R 3 ")
+
     def test_invalid_parameters(self, capsys):
         code, report = run(capsys, "bound", "--alpha", "1.5", "--D", "0", "--R", "2")
         assert code == 2
@@ -1006,12 +1015,22 @@ class TestErrorPaths:
     @pytest.mark.parametrize("option", ["--graph", "--csv", "--out"])
     def test_directory_path_is_a_config_error(self, capsys, b2_path, tmp_path, option):
         # an unopenable path is an OSError: exit 2 with an error JSON naming
-        # it (a report already printed stays printed), no traceback
-        code = main(["count", "--graph", b2_path, "--depth", "3", option, str(tmp_path)])
-        out = capsys.readouterr().out
-        error = json.loads(out[out.rindex('{\n  "error"'):])["error"]
-        assert code == 2 and error["type"] == "IsADirectoryError"
-        assert str(tmp_path) in error["message"]
+        # it, the only document on stdout (no report before it), no traceback
+        code, report = run(capsys, "count", "--graph", b2_path, "--depth", "3",
+                           option, str(tmp_path))
+        assert code == 2 and list(report) == ["error"]
+        assert report["error"]["type"] == "IsADirectoryError"
+        assert str(tmp_path) in report["error"]["message"]
+
+    @pytest.mark.parametrize("bad", ["--csv", "--out"])
+    def test_one_bad_path_writes_neither_file(self, capsys, b2_path, tmp_path, bad):
+        # both files are opened before the report is printed or written
+        good = {"--csv": "--out", "--out": "--csv"}[bad]
+        path = tmp_path / "good"
+        code, report = run(capsys, "count", "--graph", b2_path, "--depth", "3",
+                           good, str(path), bad, str(tmp_path))
+        assert code == 2 and report["error"]["type"] == "IsADirectoryError"
+        assert not path.exists() or path.read_text() == ""
 
     def test_nondeterministic_graph(self, capsys, tmp_path):
         doc = {

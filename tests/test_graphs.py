@@ -603,18 +603,19 @@ class TestDeterminism:
 class TestUniformConnectedness:
     def test_line_k1(self, line_z):
         w = es.forward_ball(line_z, 0, 3)
-        assert es.graphs.uniform_connectedness_constant(line_z, w, K_max=1) == 1
-        assert es.graphs.uniform_connectedness_constant(line_z, w, K_max=0) is None
+        assert es.graphs.uniform_connectedness_constant(line_z, w) == 1
+        assert connectedness_per_edge(line_z, w, len(w.vertices)) == 1
 
     def test_full_shift_loops(self, b2):
         w = es.forward_ball(b2, "v", 2)
-        # loops return via the empty path, so a cap of 0 suffices
-        assert es.graphs.uniform_connectedness_constant(b2, w, K_max=0) == 1
+        # loops return via the empty path, so nothing is searched
+        assert es.graphs.uniform_connectedness_constant(b2, w) == 1
+        assert b2.grown == {}
 
     def test_one_way_ray_fails_everywhere(self):
         g = one_way_ray()
         w = es.forward_ball(g, 0, 4)
-        assert es.graphs.uniform_connectedness_constant(g, w, K_max=5) is None
+        assert es.graphs.uniform_connectedness_constant(g, w) is None
         assert all(bfs(g, e.target, 5).get(e.source) is None for e in w.edges)
 
     def test_one_search_per_target_matches_the_per_edge_definition(self, grid_z2, free2):
@@ -632,10 +633,9 @@ class TestUniformConnectedness:
                 cases.append((g, es.full_window(g)))
         results = set()
         for g, w in cases:
-            for K_max in range(5):
-                K = es.graphs.uniform_connectedness_constant(g, w, K_max)
-                assert K == connectedness_per_edge(g, w, K_max)
-                results.add(K)
+            K = es.graphs.uniform_connectedness_constant(g, w)
+            assert K == connectedness_per_edge(g, w, len(w.vertices))
+            results.add(K)
         assert None in results and {1, 2, 3, 4} <= results
 
     def test_reverse_edges_are_found_as_isin_finds_them(self, monkeypatch):
@@ -662,18 +662,17 @@ class TestUniformConnectedness:
         for g, w in cases:
             k, n, vertices = w.inside, len(w.distances), list(w.distances)
             s, t = w.source[:k], w.target[:k]
-            for K_max in (0, 1):
-                near = (s == t) | (K_max >= 1) & np.isin(s * n + t, t * n + s)
-                expected = [vertices[i] for i in dict.fromkeys(t[~near].tolist())]
-                searched.clear()
-                K = es.graphs.uniform_connectedness_constant(g, w, K_max)
-                assert K == connectedness_per_edge(g, w, K_max)
-                order = list(dict.fromkeys(searched))
-                assert order == (expected if K is not None else expected[:len(order)])
-                results.add(K)
-        assert results == {None, 1}
+            near = (s == t) | np.isin(s * n + t, t * n + s)
+            expected = [vertices[i] for i in dict.fromkeys(t[~near].tolist())]
+            searched.clear()
+            K = es.graphs.uniform_connectedness_constant(g, w)
+            assert K == connectedness_per_edge(g, w, n)
+            order = list(dict.fromkeys(searched))
+            assert order == (expected if K is not None else expected[:len(order)])
+            results.add(K)
+        assert results == {None, 1, 2, 3, 4}
         for g, w in cases[-2:]:
-            assert es.graphs.uniform_connectedness_constant(g, w, K_max=1) == 1
+            assert es.graphs.uniform_connectedness_constant(g, w) == 1
 
     def test_inverse_closed_windows_search_nothing(self, expansions, grid_z2, free2):
         rng = random.Random(9)
@@ -684,7 +683,7 @@ class TestUniformConnectedness:
         assert len(expansions) == sum(len(w.vertices) for _, w in cases[20:])
         expansions.clear()
         for g, w in cases:
-            assert es.graphs.uniform_connectedness_constant(g, w, K_max=len(w.vertices)) == 1
+            assert es.graphs.uniform_connectedness_constant(g, w) == 1
         assert expansions == [] and all(g.grown == {} for g, _ in cases[:20])
 
 

@@ -61,7 +61,7 @@ def test_observe_reads_the_real_results():
     grid = es.schreier_graph(es.builtin_family("grid_Z2"))
     ball = es.forward_ball(grid, (0, 0), 2)
     window = es.full_window(es.explicit_graph(["a"], [(0, "a", 1), (1, "a", 0)], roots=[0]))
-    hv = es.harmonic_vector(es.uniform_weights(grid), (0, 0), 3, tol=1e-3)
+    hv = es.harmonic_vector(es.uniform_weights(grid), (0, 0), 3)
     perron = es.linalg.perron_root(window.adjacency())
     tracer._observe("graphs.forward_ball", ball)
     tracer._observe("graphs.full_window", window)
