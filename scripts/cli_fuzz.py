@@ -13,7 +13,8 @@ with its stdout and stderr captured apart, the fixed cases first, then
 ``--count`` random draws.  A run passes when it exits 0, 2 (configuration
 error, argparse's own included), 3 (budget) or 4 (certification failed),
 and, when ``main`` returns (not on argparse's ``SystemExit``), its stdout
-is exactly one JSON document: the report or the error, never both.  The
+is exactly one JSON document: the report or the error, never both.  A
+run that names both a ``--graph`` and a ``--family`` must exit 2.  The
 script prints the argv (and document) of every run that raises a
 traceback, exits with any other code or prints anything else, and exits 1
 if there is one.
@@ -124,8 +125,11 @@ def random_argv(rng: random.Random, doc: dict, workdir: str) -> list[str]:
             argv += maybe(rng, "--R", [1, 2, 4], [0], 1)
             argv += rng.choice((["--graph", DOC], ["--forbid", word], []))
     else:
-        if family is None:
+        # a family run sometimes also names the document, and forbids its
+        # words: two graph sources, refused whatever else the run would do
+        if family is None or (command != "schreier" and rng.random() < 0.1):
             argv += ["--graph", DOC]
+            alphabet = doc["alphabet"]
         low = 10 if command == "rho" else 0   # rho's shortest fit
         argv += maybe(rng, "--depth", range(low, FAMILY_DEPTH.get(family, 30) + 1), [low - 1], 1)
         vertices = FAMILY_VERTICES[family] if family else doc["vertices"] + ["9"]
@@ -186,6 +190,8 @@ def main(argv=None) -> int:
                 json.dump(doc, fh)
             case_argv = [{DOC: doc_path, DIR: workdir}.get(a, a) for a in case_argv]
             code, fault = run(case_argv)
+            if not fault and {"--graph", "--family"} <= set(case_argv) and code != 2:
+                fault = "--graph with --family must exit 2 (two graph sources)"
             codes[code] += 1
             if code not in PASSING or fault:
                 failures += 1

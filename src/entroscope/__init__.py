@@ -5,14 +5,12 @@ __version__ = "0.1.0"
 from .census import NondeterministicWindow, count_words
 from .chain import (
     GapCertificate,
-    GapReport,
     HarmonicVector,
     RhoEstimate,
     StepDistribution,
     WeightedChain,
     certified_gap_bound,
     entropy_from_rho,
-    entropy_gap_report,
     h_transform,
     harmonic_vector,
     initial_distribution,

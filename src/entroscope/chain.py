@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .census import count_words, path_counts, path_weights
+from .census import path_counts, path_weights
 from .factors import ForbiddenSet, avoiding, base_edge, estimate_denseness_constant
 from .graphs import (
     Edge,
@@ -641,47 +641,3 @@ def resolve_certificate(
         )
     return certificate, scope, D, warnings
 
-
-@dataclass
-class GapReport:
-    """Entropy with and without the forbidden set, their difference, and
-    (when the chain constants are resolvable) the certified bound."""
-
-    h: GrowthFit
-    h_forbidden: GrowthFit
-    gap: float
-    counts: tuple[int, ...]
-    counts_forbidden: tuple[int, ...]
-    certificate: Optional[GapCertificate] = None
-    certificate_scope: Optional[str] = None   # "global" | "window"
-    denseness_D: Optional[int] = None
-    warnings: list = field(default_factory=list)
-
-
-def entropy_gap_report(
-    g: LabelledGraph,
-    x: Vertex,
-    y: Vertex,
-    forbidden: ForbiddenSet,
-    N: int,
-) -> GapReport:
-    """Theorem-level analysis: measure h and h^F from counts and attach a
-    certified entropy-gap bound when D, conn_k and rho are computed exactly
-    (a finite graph) or declared (an infinite one; ``resolve_certificate``).
-    """
-    counts = count_words(g, x, y, N)
-    counts_f = count_words(g, x, y, N, forbidden=forbidden)
-    h = fit_log_growth(counts)
-    h_f = fit_log_growth(counts_f)
-    certificate, scope, D_used, warnings = resolve_certificate(g, forbidden, x)
-    report = GapReport(
-        h=h, h_forbidden=h_f, gap=h.value - h_f.value, counts=counts,
-        counts_forbidden=counts_f, certificate=certificate,
-        certificate_scope=scope, denseness_D=D_used, warnings=warnings,
-    )
-    if h_f.value >= h.value - 1e-12 and not h.finite:
-        report.warnings.append(
-            "no measurable entropy drop at this depth; forbidden set may not be"
-            " relatively dense (gap ~ 0)"
-        )
-    return report

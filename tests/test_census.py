@@ -478,35 +478,27 @@ class TestSpectralEntropy:
         assert abs(spectral_entropy(g) - counted.value) < 0.02
 
 
-class TestGapReport:
+class TestEntropyGap:
+    """h and h^F fitted on the two censuses, beside the certificate."""
+
     def test_golden_mean_drop(self, b2):
         F = es.ForbiddenSet.from_strings(["aa"], b2.alphabet)
-        report = es.entropy_gap_report(b2, "v", "v", F, 40)
-        assert abs(report.h.value - math.log(2)) < 1e-9
-        assert abs(report.h_forbidden.value - math.log(PHI)) < 1e-4
-        assert abs(report.gap - (math.log(2) - math.log(PHI))) < 1e-3
-        assert report.certificate is not None
-        assert report.certificate.bound < 1.0
-        assert report.certificate_scope == "global"
+        h = es.fit_log_growth(es.count_words(b2, "v", "v", 40))
+        h_f = es.fit_log_growth(es.count_words(b2, "v", "v", 40, forbidden=F))
+        cert, scope, _, _ = es.resolve_certificate(b2, F, "v")
+        assert abs(h.value - math.log(2)) < 1e-9
+        assert abs(h_f.value - math.log(PHI)) < 1e-4
+        assert abs(h.value - h_f.value - (math.log(2) - math.log(PHI))) < 1e-3
+        assert cert is not None
+        assert cert.bound < 1.0
+        assert scope == "global"
 
     def test_polynomial_survivor(self, b2):
         # words avoiding ab are b^i a^j: exactly n + 1 per length
         F = es.ForbiddenSet.from_strings(["ab"], b2.alphabet)
-        report = es.entropy_gap_report(b2, "v", "v", F, 40)
-        assert report.counts_forbidden == tuple(range(1, 42))
-        assert report.h_forbidden.value < 0.05
-        assert abs(report.gap - math.log(2)) < 0.05
-
-    def test_undense_forbidden_warns(self):
-        # b is in the alphabet but labels no edge, so forbidding it is free
-        g = es.explicit_graph(
-            ["a", "b"],
-            [("0", "a", "1"), ("1", "a", "2"), ("2", "a", "0")],
-            roots=["0"],
-        )
-        F = es.ForbiddenSet.from_strings(["b"], g.alphabet)
-        report = es.entropy_gap_report(g, "0", "0", F, 30)
-        assert report.certificate is None
-        assert report.gap == 0
-        assert any("dense" in w for w in report.warnings)
-        assert any("drop" in w for w in report.warnings)
+        counts_f = es.count_words(b2, "v", "v", 40, forbidden=F)
+        h = es.fit_log_growth(es.count_words(b2, "v", "v", 40))
+        h_f = es.fit_log_growth(counts_f)
+        assert counts_f == tuple(range(1, 42))
+        assert h_f.value < 0.05
+        assert abs(h.value - h_f.value - math.log(2)) < 0.05

@@ -322,6 +322,45 @@ class TestAnalyze:
         assert code == 0 and len(calls) == 3 and len(radii) == 1
         assert not radii[0].data.flags.writeable
 
+    RESULT_KEYS = {"certificate", "certificate_scope", "counts", "counts_forbidden",
+                   "denseness_D", "gap", "h", "h_forbidden"}
+
+    def test_result_keys(self, capsys, b2_path):
+        # schreier writes analyze's results plus the family and its declaration
+        _, report = run(capsys, "analyze", "--graph", b2_path, "--forbid", "aa",
+                        "--depth", "20")
+        assert set(report["results"]) == self.RESULT_KEYS
+        _, report = run(capsys, "schreier", "--family", "line_Z", "--forbid", "rr",
+                        "--depth", "20")
+        assert set(report["results"]) == self.RESULT_KEYS | {"family", "declared"}
+
+    def test_unreachable_y_has_no_gap_but_a_certificate(self, capsys, tmp_path):
+        # no word leads from v to the isolated w: both censuses are finite
+        # languages, so the gap is undefined; the certificate is v's part's
+        path = write_doc(tmp_path, "apart.json", dict(B2_DOC, vertices=["v", "w"]))
+        code, report = run(capsys, "analyze", "--graph", path, "--y", "w", "--forbid", "aa",
+                           "--depth", "20")
+        assert code == 0
+        results = report["results"]
+        assert results["gap"] is None
+        assert results["certificate"] is not None
+        assert results["certificate_scope"] == "global"
+        assert report["warnings"] == []
+
+    def test_undense_forbidden_warns(self, capsys, tmp_path):
+        # b is in the alphabet but labels no edge, so forbidding it is free
+        path = write_doc(tmp_path, "cycle3.json", {
+            "alphabet": ["a", "b"], "vertices": ["0", "1", "2"], "roots": ["0"],
+            "edges": [["0", "a", "1"], ["1", "a", "2"], ["2", "a", "0"]],
+        })
+        code, report = run(capsys, "analyze", "--graph", path, "--forbid", "b",
+                           "--depth", "30")
+        assert code == 4
+        assert report["results"]["certificate"] is None
+        assert report["results"]["gap"] == 0
+        assert any("dense" in w for w in report["warnings"])
+        assert any("drop" in w for w in report["warnings"])
+
     def test_requires_forbid(self, capsys, b2_path):
         code, report = run(capsys, "analyze", "--graph", b2_path, "--depth", "10")
         assert code == 2
@@ -1012,6 +1051,17 @@ class TestErrorPaths:
         code, report = run(capsys, "count", "--depth", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["count", "analyze", "rho"])
+    def test_graph_and_family_are_refused(self, capsys, b2_path, command):
+        # two graph sources: neither may be dropped while the config echoes it
+        code, out, _ = cli_exit(capsys, [command, "--graph", b2_path, "--family", "grid_Z2",
+                                         "--forbid", "aa", "--depth", "20"])
+        assert code == 2
+        report = json.loads(out)   # the error is the only document
+        assert list(report) == ["error"]
+        message = report["error"]["message"]
+        assert "--graph" in message and "--family" in message
+
     @pytest.mark.parametrize("option", ["--graph", "--csv", "--out"])
     def test_directory_path_is_a_config_error(self, capsys, b2_path, tmp_path, option):
         # an unopenable path is an OSError: exit 2 with an error JSON naming
@@ -1179,7 +1229,7 @@ class TestErrorPaths:
         def broken(*args, **kwargs):
             raise KeyError("internal")
 
-        monkeypatch.setattr(entroscope.chain, "entropy_gap_report", broken)
+        monkeypatch.setattr(entroscope.chain, "resolve_certificate", broken)
         with pytest.raises(KeyError):
             main(["analyze", "--graph", b2_path, "--depth", "4", "--forbid", "aa"])
 
@@ -1257,7 +1307,7 @@ class TestErrorPaths:
         def broken(*args, **kwargs):
             raise ValueError("internal")
 
-        monkeypatch.setattr(entroscope.chain, "entropy_gap_report", broken)
+        monkeypatch.setattr(entroscope.chain, "resolve_certificate", broken)
         with pytest.raises(ValueError, match="internal"):
             main(["analyze", "--graph", b2_path, "--depth", "4", "--forbid", "aa"])
 

@@ -148,32 +148,40 @@ class TestWordProblemCensus:
 class TestGrowthSensitivity:
     def test_line_certified_drop(self):
         spec = builtin_family("line_Z")
+        g, x = schreier_graph(spec), spec.root
         F = es.ForbiddenSet.from_strings(["rr"], spec.alphabet)
-        report = es.entropy_gap_report(schreier_graph(spec), spec.root, spec.root, F, 40)
-        assert abs(report.h.value - math.log(2)) < 0.05
-        assert report.h_forbidden.value < report.h.value - 0.05
-        cert = report.certificate
+        h = es.fit_log_growth(es.count_words(g, x, x, 40))
+        h_f = es.fit_log_growth(es.count_words(g, x, x, 40, forbidden=F))
+        cert, scope, _, _ = es.resolve_certificate(g, F, x)
+        assert abs(h.value - math.log(2)) < 0.05
+        assert h_f.value < h.value - 0.05
         assert cert is not None
         assert (cert.alpha, cert.D, cert.R, cert.conn_k) == (0.5, 0, 2, 1)
-        assert report.certificate_scope == "global"
-        assert report.h_forbidden.value < cert.h_bound(2)
+        assert scope == "global"
+        assert h_f.value < cert.h_bound(2)
 
     def test_grid_certified_drop(self):
         spec = builtin_family("grid_Z2")
+        g, x = schreier_graph(spec), spec.root
         F = es.ForbiddenSet.from_strings(["uu"], spec.alphabet)
-        report = es.entropy_gap_report(schreier_graph(spec), spec.root, spec.root, F, 20)
-        assert report.certificate is not None
-        assert report.certificate.alpha == 0.25
-        assert report.h_forbidden.value < report.h.value
+        h = es.fit_log_growth(es.count_words(g, x, x, 20))
+        h_f = es.fit_log_growth(es.count_words(g, x, x, 20, forbidden=F))
+        cert, _, _, _ = es.resolve_certificate(g, F, x)
+        assert cert is not None
+        assert cert.alpha == 0.25
+        assert h_f.value < h.value
 
     def test_free2_window_scoped(self):
         spec = builtin_family("free2_mod_cyclic")
+        g, x = schreier_graph(spec), spec.root
         F = es.ForbiddenSet.from_strings(["bb"], spec.alphabet)
-        report = es.entropy_gap_report(schreier_graph(spec), spec.root, spec.root, F, 10)
-        assert report.h_forbidden.value < report.h.value
-        assert report.certificate is not None
-        assert report.certificate_scope == "window"
-        assert any("declares no rho" in w for w in report.warnings)
+        h = es.fit_log_growth(es.count_words(g, x, x, 10))
+        h_f = es.fit_log_growth(es.count_words(g, x, x, 10, forbidden=F))
+        cert, scope, _, warnings = es.resolve_certificate(g, F, x)
+        assert h_f.value < h.value
+        assert cert is not None
+        assert scope == "window"
+        assert any("declares no rho" in w for w in warnings)
 
 
 class TestActionPath:

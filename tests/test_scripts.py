@@ -27,7 +27,6 @@ def run_script(name, *args):
     "name, args, line",
     [
         ("certificate_sweep.py", ["--count", "5"], "violations          : 0"),
-        ("line_z_experiment.py", ["--depth", "12"], "certificate      : scope=global"),
         ("cli_fuzz.py", ["--count", "300"], "failures            : 0"),
     ],
 )
